@@ -6,9 +6,11 @@
 # 2. Monotone comparison: a shadow with smaller abandonment rates nu' <= nu
 #    dominates the primary coordinatewise (Z' >= Z, psi' >= psi).
 
+import random
+
 from hwq import ClassParams, build_config
 from hwq.coupling import (
-    infserver_joint_rates,
+    InfServerChain,
     poisson_fit_pvalue,
     run_infserver_coupled,
     run_monotone_coupled,
@@ -38,14 +40,17 @@ for i in range(2):
     print(f"  class {i}: time-avg Z = {rep.z_time_avg[i]:7.4f}  "
           f"Z' = {rep.z_prime_time_avg[i]:7.4f}")
 
-# the rate table behind the infinite-server construction, at one state
-from hwq.coupling import InfServerJointState
-from hwq.policy import init_state
-
-st = init_state(cfg, "nonpreemptive_priority")
-st.set_counts([20, 14], [17, 13])
-js = InfServerJointState.from_counts(st, g=[19, 11])
+# the rate table behind the infinite-server construction, at one state:
+# the runner's own chain, with G matched to in-service partners first
+chain = InfServerChain(cfg, "nonpreemptive_priority", random.Random(0))
+chain.state.set_counts([20, 14], [17, 13])
+chain.g[:] = [19, 11]
+rates = chain.rates()
+names = ("arrival", "shared_service", "shared_queue", "g_only", "z_service", "z_queue")
 print("\njoint rates at z=(20,14), psi=(17,13), G=(19,11):")
-for i, row in enumerate(infserver_joint_rates(js, cfg)):
+for i in range(2):
+    row = {name: rates[getattr(InfServerChain, name.upper()) * cfg.n_classes + i]
+           for name in names}
     print(f"  class {i}: {row}")
-print("per class, shared+g_only = mu*G and shared+z_only = mu*psi + nu*q")
+print("per class, with shared = shared_service + shared_queue and z_only =\n"
+      "z_service + z_queue: shared + g_only = mu*G, shared + z_only = mu*psi + nu*q")

@@ -37,13 +37,15 @@ from .simulate import (
     RngStream,
     StationaryEstimate,
     batch_means_estimate,
+    jumps,
     regenerative_estimate,
     run,
     step,
     total_rate,
 )
 from .coupling import (
-    monotone_thinning_probability,
+    InfServerChain,
+    MonotoneChain,
     run_infserver_coupled,
     run_monotone_coupled,
 )

@@ -11,8 +11,8 @@ customer.  Rates split per class as
 * Z-only death  mu_i*(psi_i - m_s) + nu_i*(q_i - m_q),
 * shared arrival lam_i*r,
 
-where m_s = min(G_i, psi_i) and m_q = G_i - m_s (matching is re-maximized
-toward in-service partners after every event; rates depend only on counts,
+where m_s = min(G_i, psi_i) and m_q = G_i - m_s (the matching is maximal
+toward in-service partners at every state; rates depend only on counts,
 so any matching rule preserves the ordering).  The G marginal dies at
 mu_i*G_i total and the primary marginal keeps its own law exactly, while
 G_i(t) <= Z_i(t) holds pathwise.
@@ -26,7 +26,10 @@ departures at rate nu'_j (Q'_j - Q_j) + mu_j (Psi'_j - Psi_j).  The shadow
 allocation mirrors the primary's servers first and fills the remainder by
 ascending class index, which keeps Psi_i <= Psi'_i and the shadow non-idling.
 
-Both runners raise :class:`OrderingViolation` the moment an ordering fails;
+Each comparison is a chain object (:class:`InfServerChain`,
+:class:`MonotoneChain`) holding the joint rate table, the jump rules and the
+per-event ordering checks; the jump kernel of :mod:`hwq.simulate` drives
+it.  Both raise :class:`OrderingViolation` the moment an ordering fails;
 that never happens by construction, so a raise means an implementation bug.
 """
 
@@ -37,90 +40,90 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _stats
 
-from .errors import DegenerateState, HypothesisViolated, OrderingViolation
+from .errors import HypothesisViolated, OrderingViolation
 from .exact import poisson_pmf
 from .model import SystemConfig
 from .policy import QUEUE, SERVICE, init_state
-from .simulate import RngStream
+from .simulate import (
+    RngStream,
+    advance,
+    check_event_counts,
+    jumps,
+    time_integrals,
+)
 
 
-@dataclass(frozen=True)
-class InfServerJointState:
-    """Primary policy state plus matched infinite-server counters.
+class InfServerChain:
+    """Primary policy state plus infinite-server counters G as a jump chain.
 
     Each G-customer of class i is matched to a distinct live primary
-    customer, either in service (``matched_in_service``) or queued
-    (``matched_in_queue``); G_i is their sum.  Any matching with
-    m_s <= psi and m_q <= q is admissible; the coupled runner re-maximizes
-    m_s after every event (see :func:`InfServerJointState.from_counts`).
+    customer of class i, in service first: ``m_s = min(G_i, psi_i)`` and
+    ``m_q = G_i - m_s``.  The rate table has six blocks of ``n_classes``
+    categories, in the order of the block constants below; the shared and
+    Z-only deaths are split by where the primary customer sits.  Every jump
+    checks ``G_i <= Z_i`` for all classes.
     """
 
-    primary: object
-    matched_in_service: tuple[int, ...]
-    matched_in_queue: tuple[int, ...]
+    ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
 
-    def __post_init__(self):
-        psi = self.primary.psi
-        z = self.primary.z
-        for i, (ms, mq) in enumerate(zip(self.matched_in_service,
-                                         self.matched_in_queue)):
-            if not 0 <= ms <= psi[i]:
-                raise ValueError(f"matched_in_service[{i}] = {ms} not in [0, psi]")
-            if not 0 <= mq <= z[i] - psi[i]:
-                raise ValueError(f"matched_in_queue[{i}] = {mq} not in [0, q]")
+    __slots__ = ("cfg", "rng", "state", "g", "checks", "_nc", "_rows", "_rates")
 
-    @property
-    def g(self) -> tuple[int, ...]:
-        return tuple(ms + mq for ms, mq in zip(self.matched_in_service,
-                                               self.matched_in_queue))
+    def __init__(self, cfg: SystemConfig, kind: str, rng):
+        nc = cfg.n_classes
+        for i in range(nc):
+            if cfg.nus[i] > cfg.mus[i]:
+                raise HypothesisViolated(
+                    f"infinite-server comparison needs nu <= mu; class {i} has "
+                    f"nu = {cfg.nus[i]}, mu = {cfg.mus[i]}"
+                )
+        self.cfg = cfg
+        self.rng = rng
+        self.state = init_state(cfg, kind)
+        self.g = [0] * nc
+        self.checks = 0
+        self._nc = nc
+        # per class: its index, mu, nu, and its slots in the death blocks
+        self._rows = [(i, cfg.mus[i], cfg.nus[i], *range(nc + i, 6 * nc, nc))
+                      for i in range(nc)]
+        self._rates = list(cfg.arrival_rates) + [0.0] * (5 * nc)
 
-    @classmethod
-    def from_counts(cls, primary, g) -> "InfServerJointState":
-        """Maximal matching: pair G customers with in-service partners first."""
-        psi = primary.psi
-        ms = tuple(min(gi, pi) for gi, pi in zip(g, psi))
-        mq = tuple(gi - m for gi, m in zip(g, ms))
-        return cls(primary=primary, matched_in_service=ms, matched_in_queue=mq)
+    def rates(self) -> list[float]:
+        z = self.state.z
+        psi = self.state.psi
+        g = self.g
+        r = self._rates
+        for i, mu, nu, ss, zs, sq, zq, go in self._rows:
+            gi = g[i]
+            pi = psi[i]
+            ms = gi if gi < pi else pi
+            mq = gi - ms
+            r[ss] = mu * ms
+            r[zs] = mu * (pi - ms)
+            r[sq] = nu * mq
+            r[zq] = nu * (z[i] - pi - mq)
+            r[go] = (mu - nu) * mq
+        return r
 
-
-def infserver_joint_rates(js: InfServerJointState, cfg: SystemConfig) -> list[dict]:
-    """Per-class rate table of the joint chain.
-
-    Bookkeeping identity: shared + g_only sums to mu_i*G_i (the M/M/inf
-    marginal) and shared + z_only sums to mu_i*psi_i + nu_i*q_i (the primary
-    marginal).
-    """
-    for i in range(cfg.n_classes):
-        if cfg.nus[i] > cfg.mus[i]:
-            raise HypothesisViolated(
-                f"infinite-server comparison needs nu <= mu; class {i} has "
-                f"nu = {cfg.nus[i]}, mu = {cfg.mus[i]}"
-            )
-    psi = js.primary.psi
-    z = js.primary.z
-    ms = js.matched_in_service
-    mq = js.matched_in_queue
-    table = []
-    for i in range(cfg.n_classes):
-        qi = z[i] - psi[i]
-        table.append({
-            "arrival": cfg.arrival_rates[i],
-            "shared": cfg.mus[i] * ms[i] + cfg.nus[i] * mq[i],
-            "g_only": (cfg.mus[i] - cfg.nus[i]) * mq[i],
-            "z_only": cfg.mus[i] * (psi[i] - ms[i]) + cfg.nus[i] * (qi - mq[i]),
-        })
-    return table
-
-
-def infserver_marginal_rates(table) -> list[dict]:
-    """Marginal death rates implied by a joint rate table.
-
-    ``g`` must equal mu_i * G_i and ``z`` must equal mu_i*psi_i + nu_i*q_i.
-    """
-    return [
-        {"g": row["shared"] + row["g_only"], "z": row["shared"] + row["z_only"]}
-        for row in table
-    ]
+    def jump(self, k: int) -> None:
+        block, i = divmod(k, self._nc)
+        st = self.state
+        g = self.g
+        if block == 0:  # shared arrival
+            st.apply_arrival(i, self.rng)
+            g[i] += 1
+        elif block == 5:  # G-only death
+            g[i] -= 1
+        else:
+            st.apply_departure(i, SERVICE if block <= 2 else QUEUE, self.rng)
+            if block == 1 or block == 3:  # shared death
+                g[i] -= 1
+        self.checks += 1
+        z = st.z
+        for j, gj in enumerate(g):
+            if gj > z[j]:
+                raise OrderingViolation(
+                    f"G[{j}] = {gj} > Z[{j}] = {z[j]} after event {self.checks}"
+                )
 
 
 @dataclass(frozen=True)
@@ -147,264 +150,147 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     the state holding at each grid instant is an unbiased stationary draw,
     whereas event-indexed states follow the jump-chain law.
     """
-    nc = cfg.n_classes
-    for i in range(nc):
-        if cfg.nus[i] > cfg.mus[i]:
-            raise HypothesisViolated(
-                f"class {i} has nu = {cfg.nus[i]} > mu = {cfg.mus[i]}"
-            )
-    if warmup_events < 0 or n_events <= warmup_events:
-        raise ValueError(
-            f"need n_events > warmup_events >= 0, got {n_events}, {warmup_events}"
-        )
     if isinstance(rng, RngStream):
         rng = rng.make()
-    st = init_state(cfg, kind)
-    g = [0] * nc
-    lam_r = cfg.arrival_rates
-    mus = cfg.mus
-    nus = cfg.nus
-    u01 = rng.random
-    expov = rng.expovariate
-
-    span = 0.0
-    g_acc = [0.0] * nc
-    z_acc = [0.0] * nc
+    chain = InfServerChain(cfg, kind, rng)
+    check_event_counts(n_events, warmup_events)
+    nc = cfg.n_classes
+    events = jumps(chain, rng)
+    g = chain.g
+    z = chain.state.z
+    psi = chain.state.psi
     functionals = functionals or {}
     fn_names = list(functionals)
     fns = [functionals[k] for k in fn_names]
-    fn_acc = [0.0] * len(fns)
-    samples: list[tuple[int, ...]] = []
-    next_sample = float("inf")
-    checks = 0
 
-    # live count lists: the policy ops mutate these in place
-    psi = st.psi
-    qc = st.qcount if kind == "fifo" else None
-    zs = None if qc is not None else st.z
-    rates = [0.0] * (4 * nc)
-    rates[:nc] = lam_r
-    cls_range = range(nc)
-    z = [0] * nc
+    def observe():
+        if fns:
+            return g + z + [f(z, psi, g, cfg) for f in fns]
+        return g + z
 
-    for n in range(n_events):
-        for i in cls_range:
-            z[i] = psi[i] + qc[i] if qc is not None else zs[i]
-            gi = g[i]
-            pi = psi[i]
-            ms = gi if gi < pi else pi
-            mq = gi - ms
-            rates[nc + i] = mus[i] * ms + nus[i] * mq  # shared death
-            rates[2 * nc + i] = (mus[i] - nus[i]) * mq  # G-only death
-            rates[3 * nc + i] = mus[i] * (pi - ms) + nus[i] * (z[i] - pi - mq)
-        total = sum(rates)
-        holding = expov(total)
-
-        if n >= warmup_events:
-            if n == warmup_events and g_sample_dt > 0.0:
-                next_sample = span + g_sample_dt
-            for i in cls_range:
-                g_acc[i] += g[i] * holding
-                z_acc[i] += z[i] * holding
-            for j, f in enumerate(fns):
-                fn_acc[j] += f(z, psi, g, cfg) * holding
-            span += holding
-            while next_sample <= span:  # pre-jump state occupies the instant
-                samples.append(tuple(g))
-                next_sample += g_sample_dt
-
-        u = u01() * total
-        k = 0
-        acc = rates[0]
-        last = 4 * nc - 1
-        while acc < u and k < last:
-            k += 1
-            acc += rates[k]
-        cat, i = divmod(k, nc)
-        if cat == 0:  # shared arrival
-            st.apply_arrival(i, rng)
-            g[i] += 1
-        elif cat == 1:  # shared death
-            ms = g[i] if g[i] < psi[i] else psi[i]
-            if u01() * rates[k] < mus[i] * ms:
-                st.apply_departure(i, SERVICE, rng)
-            else:
-                st.apply_departure(i, QUEUE, rng)
-            g[i] -= 1
-        elif cat == 2:  # G-only death
-            g[i] -= 1
-        else:  # Z-only death
-            ms = g[i] if g[i] < psi[i] else psi[i]
-            svc_rate = mus[i] * (psi[i] - ms)
-            if u01() * rates[k] < svc_rate:
-                st.apply_departure(i, SERVICE, rng)
-            else:
-                st.apply_departure(i, QUEUE, rng)
-        checks += 1
-        for j in cls_range:
-            zj = psi[j] + qc[j] if qc is not None else zs[j]
-            if g[j] > zj:
-                raise OrderingViolation(
-                    f"G[{j}] = {g[j]} > Z[{j}] = {zj} after event {n}"
-                )
+    advance(events, warmup_events)
+    acc, span, grid = time_integrals(events, n_events - warmup_events, observe,
+                                     g_sample_dt)
+    avg = [a / span for a in acc]
     return InfServerReport(
         events=n_events,
         sim_time=span,
-        ordering_checks=checks,
+        ordering_checks=chain.checks,
         violations=0,
-        g_time_avg=tuple(a / span for a in g_acc),
-        z_time_avg=tuple(a / span for a in z_acc),
-        functional_time_avg={k: a / span for k, a in zip(fn_names, fn_acc)},
-        g_samples=samples,
+        g_time_avg=tuple(avg[:nc]),
+        z_time_avg=tuple(avg[nc:2 * nc]),
+        functional_time_avg=dict(zip(fn_names, avg[2 * nc:])),
+        g_samples=[tuple(v[:nc]) for v in grid],
     )
 
 
-def monotone_thinning_probability(q: int, psi: int, nu: float, nu_prime: float,
-                                  mu: float) -> float:
-    """Probability that the shadow retains its customer on a primary departure.
+class MonotoneChain:
+    """Primary policy state plus a larger shadow count vector Z' as a jump chain.
 
-    Cancelled form ``q*(nu - nu') / (nu*q + mu*psi)``, well defined at nu = 0.
+    The shadow has abandonment rates ``nu' <= nu``.  Its service allocation
+    psi' mirrors the primary's servers and fills the remaining ones by
+    ascending class index (:meth:`allocate_shadow`).  The rate table has
+    four blocks of ``n_classes`` categories: coupled arrivals, primary
+    service completions, primary abandonments (both followed by the shadow
+    unless thinned, see :meth:`thinning_probability`), and shadow-only
+    departures.  Every jump checks the orderings and both systems'
+    non-idling.
     """
-    if nu_prime > nu:
-        raise HypothesisViolated(f"need nu' <= nu, got {nu_prime} > {nu}")
-    denom = nu * q + mu * psi
-    if denom <= 0.0:
-        raise DegenerateState(
-            "no departure can occur at this state; thinning probability undefined"
-        )
-    return q * (nu - nu_prime) / denom
 
+    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks",
+                 "_nc", "_rows", "_rates")
 
-def shadow_allocation(psi, z_prime, n_servers: int) -> list[int]:
-    """Shadow service allocation: mirror the primary, fill upward by class.
+    def __init__(self, cfg: SystemConfig, nu_prime, kind: str, rng):
+        nc = cfg.n_classes
+        nu_prime = list(nu_prime)
+        if len(nu_prime) != nc:
+            raise HypothesisViolated(f"nu' must have {nc} entries")
+        for i in range(nc):
+            if nu_prime[i] < 0.0 or nu_prime[i] > cfg.nus[i]:
+                raise HypothesisViolated(
+                    f"need 0 <= nu' <= nu per class; class {i}: "
+                    f"nu' = {nu_prime[i]}, nu = {cfg.nus[i]}"
+                )
+        self.cfg = cfg
+        self.nu_prime = nu_prime
+        self.rng = rng
+        self.state = init_state(cfg, kind)
+        self.zp = [0] * nc
+        self.psip = [0] * nc
+        self.checks = 0
+        self._nc = nc
+        # per class: its index, mu, nu, nu', and its slots in the death blocks
+        self._rows = [(i, cfg.mus[i], cfg.nus[i], nu_prime[i], *range(nc + i, 4 * nc, nc))
+                      for i in range(nc)]
+        self._rates = list(cfg.arrival_rates) + [0.0] * (3 * nc)
 
-    Guarantees psi_i <= psi'_i <= z'_i and sum(psi') = min(N, sum(z')).
-    """
-    rem = min(n_servers, sum(z_prime)) - sum(psi)
-    out = list(psi)
-    for i in range(len(psi)):
-        if rem <= 0:
-            break
-        extra = z_prime[i] - psi[i]
-        if extra > rem:
-            extra = rem
-        out[i] += extra
-        rem -= extra
-    return out
+    def allocate_shadow(self) -> None:
+        """Set psi' from psi and Z': mirror the primary, fill upward by class.
 
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    events: int
-    sim_time: float
-    ordering_checks: int
-    violations: int  # always 0; a violation raises instead
-    z_time_avg: tuple[float, ...]
-    z_prime_time_avg: tuple[float, ...]
-
-
-def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
-                         rng, warmup_events: int = 0) -> MonotoneReport:
-    """Drive the primary chain and its larger shadow with rates nu' <= nu.
-
-    Asserts Z_i <= Z'_i, psi_i <= psi'_i, Q_i <= Q'_i, shadow non-idling, and
-    the primary's own non-idling implication (idle servers force empty
-    queues) after every event.
-    """
-    nc = cfg.n_classes
-    nu_prime = list(nu_prime)
-    if len(nu_prime) != nc:
-        raise HypothesisViolated(f"nu' must have {nc} entries")
-    for i in range(nc):
-        if nu_prime[i] < 0.0 or nu_prime[i] > cfg.nus[i]:
-            raise HypothesisViolated(
-                f"need 0 <= nu' <= nu per class; class {i}: "
-                f"nu' = {nu_prime[i]}, nu = {cfg.nus[i]}"
-            )
-    if warmup_events < 0 or n_events <= warmup_events:
-        raise ValueError(
-            f"need n_events > warmup_events >= 0, got {n_events}, {warmup_events}"
-        )
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    st = init_state(cfg, kind)
-    zp = [0] * nc
-    n_srv = cfg.n_servers
-    lam_r = cfg.arrival_rates
-    mus = cfg.mus
-    nus = cfg.nus
-    u01 = rng.random
-    expov = rng.expovariate
-
-    span = 0.0
-    z_acc = [0.0] * nc
-    zp_acc = [0.0] * nc
-    checks = 0
-
-    # live count lists: the policy ops mutate these in place
-    psi = st.psi
-    qc = st.qcount if kind == "fifo" else None
-    zs = None if qc is not None else st.z
-    cls_range = range(nc)
-    rates = [0.0] * (4 * nc)
-    rates[:nc] = lam_r
-    z = [0] * nc
-    psip = [0] * nc
-
-    def refresh_shadow():
-        # mirror the primary allocation, fill upward by class index
-        rem = min(n_srv, sum(zp)) - sum(psi)
-        for i in cls_range:
-            pi = psi[i]
+        Gives psi_i <= psi'_i <= Z'_i and sum(psi') = min(N, sum(Z')) while
+        Z <= Z' holds coordinatewise.
+        """
+        psi = self.state.psi
+        zp = self.zp
+        psip = self.psip
+        rem = min(self.cfg.n_servers, sum(zp)) - sum(psi)
+        for i, pi in enumerate(psi):
             extra = zp[i] - pi
             if extra > rem:
                 extra = rem
             psip[i] = pi + extra
             rem -= extra
 
-    for n in range(n_events):
-        for i in cls_range:
-            z[i] = psi[i] + qc[i] if qc is not None else zs[i]
-        refresh_shadow()
-        for i in cls_range:
-            rates[nc + i] = mus[i] * psi[i]  # primary service completion
-            rates[2 * nc + i] = nus[i] * (z[i] - psi[i])  # primary abandonment
-            rates[3 * nc + i] = (nu_prime[i] * ((zp[i] - psip[i]) - (z[i] - psi[i]))
-                                 + mus[i] * (psip[i] - psi[i]))  # shadow-only
-        total = sum(rates)
-        holding = expov(total)
-        if n >= warmup_events:
-            span += holding
-            for i in cls_range:
-                z_acc[i] += z[i] * holding
-                zp_acc[i] += zp[i] * holding
-        u = u01() * total
-        k = 0
-        acc = rates[0]
-        last = 4 * nc - 1
-        while acc < u and k < last:
-            k += 1
-            acc += rates[k]
-        cat, j = divmod(k, nc)
-        if cat == 0:  # coupled arrival
-            st.apply_arrival(j, rng)
+    def thinning_probability(self, j: int) -> float:
+        """Probability that the shadow keeps its customer on a primary
+        class-j departure: ``Q_j (nu_j - nu'_j) / (nu_j Q_j + mu_j psi_j)``.
+
+        This cancelled form is well defined at nu_j = 0; the denominator is
+        the rate of primary class-j departures, positive whenever one occurs.
+        """
+        nu = self.cfg.nus[j]
+        psi = self.state.psi[j]
+        q = self.state.z[j] - psi
+        return q * (nu - self.nu_prime[j]) / (nu * q + self.cfg.mus[j] * psi)
+
+    def rates(self) -> list[float]:
+        z = self.state.z
+        psi = self.state.psi
+        zp = self.zp
+        psip = self.psip
+        r = self._rates
+        for i, mu, nu, nup, svc, ab, shadow in self._rows:
+            pi = psi[i]
+            qi = z[i] - pi
+            r[svc] = mu * pi
+            r[ab] = nu * qi
+            r[shadow] = nup * (zp[i] - psip[i] - qi) + mu * (psip[i] - pi)
+        return r
+
+    def jump(self, k: int) -> None:
+        block, j = divmod(k, self._nc)
+        st = self.state
+        zp = self.zp
+        if block == 0:  # coupled arrival
+            st.apply_arrival(j, self.rng)
             zp[j] += 1
-        elif cat <= 2:  # primary departure, shadow thinned
-            p = (z[j] - psi[j]) * (nus[j] - nu_prime[j]) / (
-                nus[j] * (z[j] - psi[j]) + mus[j] * psi[j]
-            )
-            st.apply_departure(j, SERVICE if cat == 1 else QUEUE, rng)
-            if u01() >= p:
+        elif block < 3:  # primary departure, followed by the shadow unless thinned
+            p = self.thinning_probability(j)
+            st.apply_departure(j, SERVICE if block == 1 else QUEUE, self.rng)
+            if self.rng.random() >= p:
                 zp[j] -= 1
         else:  # shadow-only departure
             zp[j] -= 1
+        self.allocate_shadow()
+        self.checks += 1
 
-        for i in cls_range:
-            z[i] = psi[i] + qc[i] if qc is not None else zs[i]
-        refresh_shadow()
-        checks += 1
+        n = self.checks
+        n_srv = self.cfg.n_servers
+        z = st.z
+        psi = st.psi
+        psip = self.psip
         total_psi = sum(psi)
-        for i in cls_range:
+        for i in range(self._nc):
             if z[i] > zp[i]:
                 raise OrderingViolation(
                     f"Z[{i}] = {z[i]} > Z'[{i}] = {zp[i]} after event {n}"
@@ -425,13 +311,43 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
         if sum(psip) != min(n_srv, sum(zp)):
             raise OrderingViolation(f"shadow allocation not non-idling at event {n}")
 
+
+@dataclass(frozen=True)
+class MonotoneReport:
+    events: int
+    sim_time: float
+    ordering_checks: int
+    violations: int  # always 0; a violation raises instead
+    z_time_avg: tuple[float, ...]
+    z_prime_time_avg: tuple[float, ...]
+
+
+def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
+                         rng, warmup_events: int = 0) -> MonotoneReport:
+    """Drive the primary chain and its larger shadow with rates nu' <= nu.
+
+    Asserts Z_i <= Z'_i, psi_i <= psi'_i, Q_i <= Q'_i, shadow non-idling, and
+    the primary's own non-idling implication (idle servers force empty
+    queues) after every event.
+    """
+    if isinstance(rng, RngStream):
+        rng = rng.make()
+    chain = MonotoneChain(cfg, nu_prime, kind, rng)
+    check_event_counts(n_events, warmup_events)
+    nc = cfg.n_classes
+    events = jumps(chain, rng)
+    z = chain.state.z
+    zp = chain.zp
+    advance(events, warmup_events)
+    acc, span, _ = time_integrals(events, n_events - warmup_events,
+                                  lambda: z + zp)
     return MonotoneReport(
         events=n_events,
         sim_time=span,
-        ordering_checks=checks,
+        ordering_checks=chain.checks,
         violations=0,
-        z_time_avg=tuple(a / span for a in z_acc),
-        z_prime_time_avg=tuple(a / span for a in zp_acc),
+        z_time_avg=tuple(a / span for a in acc[:nc]),
+        z_prime_time_avg=tuple(a / span for a in acc[nc:]),
     )
 
 

@@ -10,20 +10,26 @@ highest priority.  The three kinds:
 * ``nonpreemptive_priority`` -- detailed state is ``(z, psi)``; a freed
   server takes the highest-priority waiting customer, running services are
   never interrupted.
-* ``fifo`` -- detailed state is the arrival-order sequence of class labels;
-  the first ``min(n_servers, len(seq))`` entries are in service.
+* ``fifo`` -- detailed state is ``(psi, queue)``: per-class counts in
+  service and the labels of waiting customers in arrival order.  A freed
+  server takes the queue head.
 
 States are mutable values: ``apply_arrival`` / ``apply_departure`` update in
-place and return the state.  One simulation owns one state; use ``copy()``
-to branch.  Where a departure must pick one of several exchangeable
-customers (FIFO), the choice is uniform when an ``rng`` is supplied and
-deterministically the earliest otherwise; either rule yields the same law
-for the projected counts.
+place and return the state, and every kind keeps live per-class ``z`` and
+``psi`` lists.  One simulation owns one state; use ``copy()`` to branch.
+
+A FIFO service completion draws no random number: served customers are
+exchangeable, so which one leaves does not change the law of what follows.
+Queued customers are not exchangeable, because their order decides who is
+served next, so a FIFO abandonment removes a uniformly chosen queued
+customer of its class and needs an ``rng``; without one it raises
+``ValueError``.  Removing the earliest one instead would change the
+stationary law of ``(z, psi)``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque
 
 from .errors import EmptySource, Unsupported
 from .model import MacroState, SystemConfig
@@ -35,9 +41,6 @@ KINDS = (PREEMPTIVE, NONPREEMPTIVE, FIFO)
 
 SERVICE = "service"
 QUEUE = "queue"
-
-TransitionEffect = namedtuple("TransitionEffect", ["kind", "cls", "state"])
-
 
 class PreemptivePriorityState:
     """Count vector z; psi is recomputed from z after every change."""
@@ -149,89 +152,64 @@ class NonPreemptivePriorityState:
 
 
 class FifoState:
-    """Arrival-order label sequence; the first min(N, len) entries are served.
-
-    ``psi`` and ``qcount`` are caches maintained incrementally so that rate
-    computations do not rescan the sequence.
-    """
+    """Per-class counts (z, psi) plus the labels of waiting customers in
+    arrival order; the queue head takes the next freed server."""
 
     kind = FIFO
-    __slots__ = ("cfg", "seq", "psi", "qcount")
+    __slots__ = ("cfg", "z", "psi", "queue")
 
     def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
-        self.seq: list[int] = []
+        self.z = [0] * cfg.n_classes
         self.psi = [0] * cfg.n_classes
-        self.qcount = [0] * cfg.n_classes
+        self.queue: deque[int] = deque()
 
     def copy(self) -> "FifoState":
         new = object.__new__(FifoState)
         new.cfg = self.cfg
-        new.seq = list(self.seq)
+        new.z = list(self.z)
         new.psi = list(self.psi)
-        new.qcount = list(self.qcount)
+        new.queue = deque(self.queue)
         return new
 
-    @property
-    def z(self) -> list[int]:
-        return [p + q for p, q in zip(self.psi, self.qcount)]
-
-    def set_sequence(self, seq) -> None:
-        self.seq = list(seq)
-        n = self.cfg.n_classes
-        served = min(self.cfg.n_servers, len(self.seq))
-        self.psi = [0] * n
-        self.qcount = [0] * n
-        for pos, cls in enumerate(self.seq):
-            if pos < served:
-                self.psi[cls] += 1
-            else:
-                self.qcount[cls] += 1
-
     def project(self) -> MacroState:
-        return MacroState(
-            z=tuple(p + q for p, q in zip(self.psi, self.qcount)),
-            psi=tuple(self.psi),
-        )
+        return MacroState(z=tuple(self.z), psi=tuple(self.psi))
 
     def apply_arrival(self, cls: int, rng=None) -> "FifoState":
-        self.seq.append(cls)
-        if len(self.seq) <= self.cfg.n_servers:
+        self.z[cls] += 1
+        if sum(self.psi) < self.cfg.n_servers:
             self.psi[cls] += 1
         else:
-            self.qcount[cls] += 1
+            self.queue.append(cls)
         return self
 
-    def _nth_position(self, cls: int, n: int) -> int:
-        # position of the (n+1)-th occurrence of cls in seq
-        pos = -1
-        index = self.seq.index
-        for _ in range(n + 1):
-            pos = index(cls, pos + 1)
-        return pos
-
     def apply_departure(self, cls: int, source: str, rng=None) -> "FifoState":
-        n_srv = self.cfg.n_servers
-        length = len(self.seq)
+        z = self.z
+        psi = self.psi
+        queue = self.queue
         if source == SERVICE:
-            count = self.psi[cls]
-            if count < 1:
+            if psi[cls] < 1:
                 raise EmptySource(f"no class-{cls} customer in service")
-            # served customers of a class are the first psi[cls] occurrences
-            j = rng.randrange(count) if (rng is not None and count > 1) else 0
-            self.seq.pop(self._nth_position(cls, j))
-            self.psi[cls] -= 1
-            if length > n_srv:
-                promoted = self.seq[n_srv - 1]  # former queue head slides in
-                self.psi[promoted] += 1
-                self.qcount[promoted] -= 1
+            z[cls] -= 1
+            psi[cls] -= 1
+            if queue:
+                psi[queue.popleft()] += 1
         elif source == QUEUE:
-            count = self.qcount[cls]
-            if count < 1:
+            if z[cls] - psi[cls] < 1:
                 raise EmptySource(f"no class-{cls} customer in queue")
-            j = rng.randrange(count) if (rng is not None and count > 1) else 0
-            self.seq.pop(self._nth_position(cls, self.psi[cls] + j))
-            self.qcount[cls] -= 1
+            if rng is None:
+                raise ValueError(
+                    "FIFO abandonment needs an rng: the leaving customer is "
+                    "uniform among the queued customers of its class"
+                )
+            j = rng.randrange(z[cls] - psi[cls])
+            for pos, label in enumerate(queue):
+                if label == cls:
+                    if j == 0:
+                        del queue[pos]
+                        break
+                    j -= 1
+            z[cls] -= 1
         else:
             raise ValueError(f"unknown source {source!r}")
         return self
@@ -253,14 +231,3 @@ def init_state(cfg: SystemConfig, kind: str) -> PolicyState:
     except KeyError:
         raise Unsupported(f"unknown policy kind {kind!r}; valid: {KINDS}") from None
 
-
-def project(state: PolicyState) -> MacroState:
-    return state.project()
-
-
-def apply_arrival(state: PolicyState, cls: int, rng=None) -> PolicyState:
-    return state.apply_arrival(cls, rng)
-
-
-def apply_departure(state: PolicyState, cls: int, source: str, rng=None) -> PolicyState:
-    return state.apply_departure(cls, source, rng)

@@ -1,9 +1,12 @@
 """Exact continuous-time jump simulation and steady-state estimators.
 
-The chain jumps at the total rate ``sum_i lam_i*r + sum_i (mu_i*psi_i +
-nu_i*q_i)``; the event category is then drawn proportionally to the
-individual rates.  Rates depend only on the per-class counts, so each event
-costs O(n_classes).
+One jump kernel (:func:`jumps`) drives every simulator in the package: the
+estimators here and both coupling runners.  A chain object supplies its
+per-category rates and applies a jump; the kernel draws the holding time
+at the total rate and the category proportionally to the rates.  For a
+policy chain the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i +
+nu_i*q_i)``; rates depend only on the per-class counts, so each event costs
+O(n_classes).
 
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
@@ -20,12 +23,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from scipy import stats as _stats
 
 from .errors import CycleTimeout
 from .model import MacroState, SystemConfig
-from .policy import QUEUE, SERVICE, TransitionEffect, init_state
+from .policy import QUEUE, SERVICE, init_state
 
 
 @dataclass(frozen=True)
@@ -57,61 +61,158 @@ class StationaryEstimate:
     warmup_events: int
 
 
-def total_rate(s: MacroState, cfg: SystemConfig) -> float:
-    """Total transition rate out of a macro state."""
-    rate = sum(cfg.arrival_rates)
-    for i in range(cfg.n_classes):
-        rate += cfg.mus[i] * s.psi[i] + cfg.nus[i] * (s.z[i] - s.psi[i])
-    return rate
+def jumps(chain, rng: random.Random):
+    """The jump kernel: an endless generator of holding times of ``chain``.
+
+    ``chain`` provides ``rates()``, its list of per-category rates at the
+    current state, and ``jump(k)``, which applies an event of category
+    ``k``.  Each step draws the holding time at the total rate, then picks
+    a category with probability proportional to its rate and applies it;
+    the jump itself may draw further numbers from the same ``rng``.  The
+    holding time is yielded after the jump, so a caller that needs the
+    state the chain held during it must read that state before advancing
+    the generator.
+    """
+    rates = chain.rates
+    jump = chain.jump
+    u01 = rng.random
+    expov = rng.expovariate
+    r = rates()
+    last = len(r) - 1
+    while True:
+        total = sum(r)
+        holding = expov(total)
+        u = u01() * total
+        k = 0
+        acc = r[0]
+        while acc <= u and k < last:
+            k += 1
+            acc += r[k]
+        jump(k)
+        yield holding
+        r = rates()
+
+
+def advance(events, n: int) -> None:
+    """Consume the next ``n`` jumps of a kernel generator."""
+    next(islice(events, n, n), None)
+
+
+def time_integrals(events, n_events: int, observe, grid_dt: float = 0.0):
+    """Integrate ``observe()`` over the next ``n_events`` jumps.
+
+    ``observe`` returns a list of floats read from the current state.
+    Returns ``(integrals, span, grid)``: the time integral of each entry,
+    the elapsed time, and, when ``grid_dt > 0``, the observed list holding
+    at each multiple of ``grid_dt`` (measured from the start).  The state
+    holding at a grid instant is an unbiased stationary draw, whereas
+    event-indexed states follow the jump-chain law.
+    """
+    vals = observe()
+    acc = [0.0] * len(vals)
+    span = 0.0
+    grid = []
+    next_grid = grid_dt if grid_dt > 0.0 else float("inf")
+    for holding in islice(events, n_events):
+        span += holding
+        for j, v in enumerate(vals):
+            acc[j] += v * holding
+        while next_grid <= span:  # the pre-jump state occupies the instant
+            grid.append(vals)
+            next_grid += grid_dt
+        vals = observe()
+    return acc, span, grid
+
+
+EVENT_KINDS = ("arrival", "service_completion", "abandonment")
+
+
+class PolicyChain:
+    """A policy state as a jump chain, updated in place.
+
+    Categories are arrivals, then service completions, then abandonments,
+    each by class index; rates depend only on the per-class counts.
+    """
+
+    __slots__ = ("state", "rng", "_nc", "_rows", "_rates")
+
+    def __init__(self, state, cfg: SystemConfig, rng=None):
+        nc = cfg.n_classes
+        self.state = state
+        self.rng = rng
+        self._nc = nc
+        # per class: its index, mu, nu, and its slots in the departure blocks
+        self._rows = [(i, cfg.mus[i], cfg.nus[i], nc + i, 2 * nc + i) for i in range(nc)]
+        self._rates = list(cfg.arrival_rates) + [0.0] * (2 * nc)
+
+    def rates(self) -> list[float]:
+        z = self.state.z
+        psi = self.state.psi
+        r = self._rates
+        for i, mu, nu, svc, ab in self._rows:
+            r[svc] = mu * psi[i]
+            r[ab] = nu * (z[i] - psi[i])
+        return r
+
+    def jump(self, k: int) -> None:
+        cat, i = divmod(k, self._nc)
+        if cat == 0:
+            self.state.apply_arrival(i, self.rng)
+        else:
+            self.state.apply_departure(i, SERVICE if cat == 1 else QUEUE, self.rng)
+
+
+class _Probe(PolicyChain):
+    """Policy rates at fixed counts; a jump only records its category."""
+
+    __slots__ = ("k",)
+
+    def jump(self, k: int) -> None:
+        self.k = k
 
 
 def event_rates(z, psi, cfg: SystemConfig) -> list[float]:
     """Per-category rates: arrivals, then service completions, then
     abandonments, each by class index."""
-    rates = list(cfg.arrival_rates)
-    mus = cfg.mus
-    nus = cfg.nus
-    for i in range(cfg.n_classes):
-        rates.append(mus[i] * psi[i])
-    for i in range(cfg.n_classes):
-        rates.append(nus[i] * (z[i] - psi[i]))
-    return rates
+    return list(PolicyChain(MacroState(z=z, psi=psi), cfg).rates())
+
+
+def total_rate(s: MacroState, cfg: SystemConfig) -> float:
+    """Total transition rate out of a macro state."""
+    return sum(event_rates(s.z, s.psi, cfg))
 
 
 def sample_event(z, psi, cfg: SystemConfig, rng: random.Random):
-    """Draw (kind, cls, total_rate) for the next event at the given counts."""
-    rates = event_rates(z, psi, cfg)
-    total = sum(rates)
-    u = rng.random() * total
-    acc = 0.0
-    k = 0
-    last = len(rates) - 1
-    for k, rk in enumerate(rates):
-        acc += rk
-        if u < acc or k == last:
-            break
-    nc = cfg.n_classes
-    if k < nc:
-        return "arrival", k, total
-    if k < 2 * nc:
-        return "service_completion", k - nc, total
-    return "abandonment", k - 2 * nc, total
+    """Draw (kind, cls, total_rate) for the next event at the given counts.
 
-
-def step(state, cfg: SystemConfig, rng: random.Random):
-    """Advance one jump: returns (holding_time, TransitionEffect, state).
-
-    The state is updated in place (and also carried in the effect).
+    The draw goes through the jump kernel and changes no state.
     """
-    kind, cls, total = sample_event(state.z, state.psi, cfg, rng)
-    holding = rng.expovariate(total)
-    if kind == "arrival":
-        state.apply_arrival(cls, rng)
-    elif kind == "service_completion":
-        state.apply_departure(cls, SERVICE, rng)
-    else:
-        state.apply_departure(cls, QUEUE, rng)
-    return holding, TransitionEffect(kind, cls, state), state
+    probe = _Probe(MacroState(z=z, psi=psi), cfg)
+    next(jumps(probe, rng))
+    cat, cls = divmod(probe.k, cfg.n_classes)
+    return EVENT_KINDS[cat], cls, sum(probe.rates())
+
+
+def step(state, cfg: SystemConfig, rng: random.Random) -> float:
+    """Advance ``state`` by one jump in place; return the holding time
+    spent in the state before the jump."""
+    return next(jumps(PolicyChain(state, cfg, rng), rng))
+
+
+def _policy_events(cfg: SystemConfig, kind: str, rng):
+    """Fresh empty state of ``kind`` and the kernel generator driving it."""
+    if isinstance(rng, RngStream):
+        rng = rng.make()
+    state = init_state(cfg, kind)
+    return state, jumps(PolicyChain(state, cfg, rng), rng)
+
+
+def check_event_counts(n_events: int, warmup_events: int) -> None:
+    """Reject runs whose measured part would be empty."""
+    if warmup_events < 0 or n_events <= warmup_events:
+        raise ValueError(
+            f"need n_events > warmup_events >= 0, got {n_events}, {warmup_events}"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,29 +230,16 @@ def run(cfg: SystemConfig, kind: str, n_events: int, warmup_events: int,
     ``rng`` may be an :class:`RngStream` or a ``random.Random``.  The result
     is a deterministic function of the stream.
     """
-    if warmup_events < 0 or n_events <= warmup_events:
-        raise ValueError(
-            f"need n_events > warmup_events >= 0, got {n_events}, {warmup_events}"
-        )
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    state = init_state(cfg, kind)
+    check_event_counts(n_events, warmup_events)
+    state, events = _policy_events(cfg, kind, rng)
     names = list(functionals)
     funcs = [functionals[n] for n in names]
-    acc = [0.0] * len(funcs)
-    span = 0.0
-    for n in range(n_events):
-        z = state.z
-        psi = state.psi
-        if n >= warmup_events:
-            vals = [f(z, psi, cfg) for f in funcs]
-        else:
-            vals = None
-        holding, _, _ = step(state, cfg, rng)
-        if vals is not None:
-            span += holding
-            for j, v in enumerate(vals):
-                acc[j] += v * holding
+    z = state.z
+    psi = state.psi
+    advance(events, warmup_events)
+    acc, span, _ = time_integrals(
+        events, n_events - warmup_events, lambda: [f(z, psi, cfg) for f in funcs]
+    )
     if span <= 0.0:
         raise ValueError("post-warmup span has zero length")
     return RunSummary(
@@ -171,21 +259,21 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functional, n_cycles: in
     """
     if n_cycles < 2:
         raise ValueError("need at least 2 regenerative cycles")
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    state = init_state(cfg, kind)  # empty state is the regeneration point
+    state, events = _policy_events(cfg, kind, rng)  # empty state regenerates
+    z = state.z
+    psi = state.psi
     ys = []
     taus = []
     for c in range(n_cycles):
         y = 0.0
         tau = 0.0
-        for n in range(max_events_per_cycle):
-            v = functional(state.z, state.psi, cfg)
-            holding, _, _ = step(state, cfg, rng)
+        v = functional(z, psi, cfg)
+        for holding in islice(events, max_events_per_cycle):
             y += v * holding
             tau += holding
-            if sum(state.z) == 0:
+            if not any(z):
                 break
+            v = functional(z, psi, cfg)
         else:
             raise CycleTimeout(
                 f"cycle {c} did not return to the empty state within "
@@ -212,28 +300,21 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     """Batch-means estimates for several functionals from a single trajectory."""
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    state = init_state(cfg, kind)
-    for _ in range(warmup_events):
-        step(state, cfg, rng)
+    state, events = _policy_events(cfg, kind, rng)
     names = list(functionals)
     funcs = [functionals[n] for n in names]
-    nf = len(funcs)
-    batch_means = [[] for _ in range(nf)]
+    z = state.z
+    psi = state.psi
+
+    def observe():
+        return [f(z, psi, cfg) for f in funcs]
+
+    advance(events, warmup_events)
+    batch_means = [[] for _ in funcs]
     for _ in range(n_batches):
-        acc = [0.0] * nf
-        span = 0.0
-        for _ in range(events_per_batch):
-            z = state.z
-            psi = state.psi
-            vals = [f(z, psi, cfg) for f in funcs]
-            holding, _, _ = step(state, cfg, rng)
-            span += holding
-            for j in range(nf):
-                acc[j] += vals[j] * holding
-        for j in range(nf):
-            batch_means[j].append(acc[j] / span)
+        acc, span, _ = time_integrals(events, events_per_batch, observe)
+        for j, a in enumerate(acc):
+            batch_means[j].append(a / span)
     tcrit = float(_stats.t.ppf(0.975, n_batches - 1))
     out = {}
     for j, name in enumerate(names):

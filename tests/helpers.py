@@ -7,6 +7,8 @@ paths under test.
 
 import math
 
+import numpy as np
+
 
 def birth_death_stationary(birth, death, K):
     """Stationary distribution of a birth-death chain on 0..K.
@@ -53,3 +55,40 @@ def covers(estimate, truth, n_sigma=3.0):
     """
     se = estimate.half_width / 1.96
     return abs(estimate.value - truth) <= n_sigma * max(se, 1e-300)
+
+
+def ctmc_stationary_law(start, moves, key, project):
+    """Stationary law of ``project(state)`` for the finite CTMC reachable
+    from ``start``.
+
+    ``moves(state)`` yields ``(rate, next_state)`` pairs and ``key(state)``
+    identifies states.  The generator is solved densely with the
+    normalization replacing one balance equation.
+    """
+    states = [start]
+    index = {key(start): 0}
+    edges = []
+    i = 0
+    while i < len(states):
+        for rate, nxt in moves(states[i]):
+            k = key(nxt)
+            if k not in index:
+                index[k] = len(states)
+                states.append(nxt)
+            edges.append((i, index[k], rate))
+        i += 1
+    n = len(states)
+    Q = np.zeros((n, n))
+    for a, b, rate in edges:
+        Q[a, b] += rate
+        Q[a, a] -= rate
+    A = Q.T.copy()
+    A[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(A, rhs)
+    law = {}
+    for st, p in zip(states, pi):
+        m = project(st)
+        law[m] = law.get(m, 0.0) + p
+    return law

@@ -1,24 +1,22 @@
 import dataclasses
 import math
+import random
 import statistics
 
 import pytest
 
 from helpers import birth_death_mean
-from hwq.errors import DegenerateState, HypothesisViolated
+from hwq.errors import HypothesisViolated
 from hwq.model import ClassParams, build_config
-from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE, init_state
-from hwq.simulate import RngStream
+from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
+from hwq.simulate import RngStream, jumps
 from hwq.exact import build_generator, enumerate_states, expectation, scaled_poisson_mgf, stationary
 from hwq.coupling import (
-    InfServerJointState,
-    infserver_joint_rates,
-    infserver_marginal_rates,
-    monotone_thinning_probability,
+    InfServerChain,
+    MonotoneChain,
     poisson_fit_pvalue,
     run_infserver_coupled,
     run_monotone_coupled,
-    shadow_allocation,
 )
 
 TWO_CLASS = build_config(
@@ -26,59 +24,81 @@ TWO_CLASS = build_config(
 )
 
 
-def _joint_state(cfg, z, psi, ms, mq):
-    st = init_state(cfg, NONPREEMPTIVE)
-    st.set_counts(z, psi)
-    return InfServerJointState(
-        primary=st, matched_in_service=tuple(ms), matched_in_queue=tuple(mq)
-    )
+def _infserver_blocks(chain, i):
+    """Per-class rates of the chain's current table, by block name."""
+    nc = chain.cfg.n_classes
+    r = chain.rates()
+    C = InfServerChain
+    return {
+        "arrival": r[C.ARRIVAL * nc + i],
+        "shared": r[C.SHARED_SERVICE * nc + i] + r[C.SHARED_QUEUE * nc + i],
+        "shared_service": r[C.SHARED_SERVICE * nc + i],
+        "g_only": r[C.G_ONLY * nc + i],
+        "z_only": r[C.Z_SERVICE * nc + i] + r[C.Z_QUEUE * nc + i],
+    }
 
 
 def test_joint_rates_bookkeeping_identity():
-    # one class with mu=2, nu=1, psi=5, q=4, m_s=3, m_q=2
-    cfg = build_config([ClassParams(2.0, 2.0, 1.0)], 1.0, 1.0)
-    cfg = dataclasses.replace(cfg, n_servers=5)
-    js = _joint_state(cfg, [9], [5], [3], [2])
-    row = infserver_joint_rates(js, cfg)[0]
-    assert row["shared"] == pytest.approx(8.0)
-    assert row["g_only"] == pytest.approx(2.0)
-    assert row["z_only"] == pytest.approx(6.0)
-    marg = infserver_marginal_rates([row])[0]
-    assert marg["g"] == pytest.approx(2.0 * 5)  # mu * G
-    assert marg["z"] == pytest.approx(2.0 * 5 + 1.0 * 4)  # mu*psi + nu*q
-
-
-def test_joint_rates_nu_equals_mu_kills_gonly():
-    cfg = build_config([ClassParams(1.0, 1.0, 1.0)], 4.0, 1.0)
-    cfg = dataclasses.replace(cfg, n_servers=3)
-    js = _joint_state(cfg, [5], [3], [2], [1])
-    assert infserver_joint_rates(js, cfg)[0]["g_only"] == 0.0
+    # at every state the runner reaches, shared + g_only = mu*G (the M/M/inf
+    # marginal) and shared + z_only = mu*psi + nu*q (the primary marginal);
+    # the matching pairs G with in-service partners first, and nu = mu
+    # leaves no G-only deaths
+    one_class = build_config([ClassParams(1.0, 1.0, 1.0)], 25.0, 1.0)
+    for cfg, kind in ((TWO_CLASS, FIFO), (TWO_CLASS, NONPREEMPTIVE),
+                      (one_class, PREEMPTIVE)):
+        rng = random.Random(3)
+        chain = InfServerChain(cfg, kind, rng)
+        events = jumps(chain, rng)
+        queued_partners = 0
+        for _ in range(20_000):
+            next(events)
+            z, psi, g = chain.state.z, chain.state.psi, chain.g
+            for i in range(cfg.n_classes):
+                row = _infserver_blocks(chain, i)
+                mu, nu, q = cfg.mus[i], cfg.nus[i], z[i] - psi[i]
+                assert min(chain.rates()) >= 0.0
+                assert row["arrival"] == cfg.arrival_rates[i]
+                assert row["shared"] + row["g_only"] == pytest.approx(mu * g[i])
+                assert row["shared"] + row["z_only"] == pytest.approx(mu * psi[i] + nu * q)
+                assert row["shared_service"] == mu * min(g[i], psi[i])
+                if nu == mu:
+                    assert row["g_only"] == 0.0
+                queued_partners += g[i] > psi[i]
+        assert queued_partners > 0  # the queued-partner rows were exercised
 
 
 def test_joint_rates_empty_system():
-    js = _joint_state(TWO_CLASS, [0, 0], [0, 0], [0, 0], [0, 0])
-    for row in infserver_joint_rates(js, TWO_CLASS):
+    chain = InfServerChain(TWO_CLASS, FIFO, random.Random(0))
+    for i in range(2):
+        row = _infserver_blocks(chain, i)
         assert row["shared"] == row["g_only"] == row["z_only"] == 0.0
         assert row["arrival"] > 0.0
 
 
 def test_joint_rates_hypothesis_guard():
     bad = build_config([ClassParams(1.0, 1.0, 2.0)], 4.0, 1.0)  # nu > mu
-    js = _joint_state(bad, [0], [0], [0], [0])
     with pytest.raises(HypothesisViolated):
-        infserver_joint_rates(js, bad)
+        InfServerChain(bad, PREEMPTIVE, random.Random(0))
     with pytest.raises(HypothesisViolated):
         run_infserver_coupled(bad, PREEMPTIVE, 10, RngStream(0, 0))
 
 
 def test_maximal_matching_constructor():
+    # G = (4, 1) at psi = (2, 2), q = (3, 0): class 0 has 2 partners in
+    # service and 2 queued, class 1 its one partner in service
     cfg = dataclasses.replace(TWO_CLASS, n_servers=4)
-    st = init_state(cfg, NONPREEMPTIVE)
-    st.set_counts([5, 2], [2, 2])
-    js = InfServerJointState.from_counts(st, [4, 1])
-    assert js.matched_in_service == (2, 1)
-    assert js.matched_in_queue == (2, 0)
-    assert js.g == (4, 1)
+    chain = InfServerChain(cfg, NONPREEMPTIVE, random.Random(0))
+    chain.state.set_counts([5, 2], [2, 2])
+    chain.g[:] = [4, 1]
+    mu, nu = cfg.mus, cfg.nus
+    rows = [_infserver_blocks(chain, i) for i in range(2)]
+    assert rows[0]["shared_service"] == mu[0] * 2
+    assert rows[0]["shared"] == pytest.approx(mu[0] * 2 + nu[0] * 2)
+    assert rows[0]["g_only"] == pytest.approx((mu[0] - nu[0]) * 2)
+    assert rows[0]["z_only"] == pytest.approx(nu[0] * 1)
+    assert rows[1]["shared"] == mu[1] * 1
+    assert rows[1]["g_only"] == 0.0
+    assert rows[1]["z_only"] == pytest.approx(mu[1] * 1)
 
 
 def test_infserver_run_ordering_and_g_marginal():
@@ -136,25 +156,45 @@ def test_infserver_scaled_mgf_matches_closed_form():
     assert abs(statistics.mean(vals) - truth) <= half
 
 
+def _monotone_chain(classes, n_servers, nu_prime, z, psi, zp):
+    cfg = dataclasses.replace(build_config(classes, 1.0, 1.0), n_servers=n_servers)
+    chain = MonotoneChain(cfg, nu_prime, NONPREEMPTIVE, random.Random(0))
+    chain.state.set_counts(z, psi)
+    chain.zp[:] = zp
+    return chain
+
+
 def test_thinning_probability_examples():
-    assert monotone_thinning_probability(3, 4, 2.0, 1.0, 1.0) == pytest.approx(0.3)
-    assert monotone_thinning_probability(3, 4, 2.0, 2.0, 1.0) == 0.0
-    assert monotone_thinning_probability(5, 4, 0.0, 0.0, 1.0) == 0.0  # nu = 0 fine
-    with pytest.raises(DegenerateState):
-        monotone_thinning_probability(0, 0, 1.0, 0.5, 1.0)
+    # q = 3, psi = 4, mu = 1, nu = 2: p = q (nu - nu') / (nu q + mu psi)
+    two = [ClassParams(1.0, 1.0, 2.0)]
+    assert _monotone_chain(two, 4, [1.0], [7], [4], [7]).thinning_probability(0) \
+        == pytest.approx(0.3)
+    assert _monotone_chain(two, 4, [2.0], [7], [4], [7]).thinning_probability(0) == 0.0
+    zero = [ClassParams(1.0, 1.0, 0.0)]  # nu = 0 is fine in the cancelled form
+    assert _monotone_chain(zero, 4, [0.0], [9], [4], [9]).thinning_probability(0) == 0.0
     with pytest.raises(HypothesisViolated):
-        monotone_thinning_probability(3, 4, 1.0, 2.0, 1.0)
+        MonotoneChain(build_config(two, 1.0, 1.0), [3.0], FIFO, random.Random(0))
 
 
 def test_shadow_allocation_rules():
     # mirror first, then ascending fill; non-idling on the shadow counts
-    psi, zp, N = [2, 3], [6, 4], 7
-    out = shadow_allocation(psi, zp, N)
-    assert out == [4, 3]  # 2 extra go to class 0 first
-    assert sum(out) == min(N, sum(zp))
-    assert all(o >= p for o, p in zip(out, psi))
-    assert all(o <= z for o, z in zip(out, zp))
-    assert shadow_allocation([0, 0], [0, 0], 5) == [0, 0]
+    classes = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
+    chain = _monotone_chain(classes, 7, [0.0, 0.0], [2, 3], [2, 3], [6, 4])
+    chain.allocate_shadow()
+    assert chain.psip == [4, 3]  # 2 extra go to class 0 first
+    assert sum(chain.psip) == min(7, sum(chain.zp))
+    chain = _monotone_chain(classes, 5, [0.0, 0.0], [0, 0], [0, 0], [0, 0])
+    chain.allocate_shadow()
+    assert chain.psip == [0, 0]
+    # along a trajectory: psi <= psi' <= Z' and the shadow never idles
+    rng = random.Random(4)
+    chain = MonotoneChain(TWO_CLASS, [0.0, 0.5], FIFO, rng)
+    events = jumps(chain, rng)
+    for _ in range(20_000):
+        next(events)
+        psi, psip, zp = chain.state.psi, chain.psip, chain.zp
+        assert all(p <= pp <= zz for p, pp, zz in zip(psi, psip, zp))
+        assert sum(psip) == min(TWO_CLASS.n_servers, sum(zp))
 
 
 def test_monotone_identical_rates_degenerate():

@@ -35,7 +35,7 @@ def test_init_state_empty():
         m = st.project()
         assert m.z == (0, 0) and m.psi == (0, 0)
         assert validate_macro_state(m, cfg) == []
-    assert init_state(cfg, FIFO).seq == []
+    assert not init_state(cfg, FIFO).queue
 
 
 def test_unknown_kind():
@@ -44,13 +44,19 @@ def test_unknown_kind():
         init_state(cfg, "round_robin")
 
 
-def test_fifo_project():
-    # sequence [hi, lo, lo] with 2 servers: first two served
-    cfg = cfg_with_servers(2)
+def fifo_after_arrivals(cfg, labels):
     st = init_state(cfg, FIFO)
-    st.set_sequence([1, 0, 0])
+    for cls in labels:
+        st.apply_arrival(cls)
+    return st
+
+
+def test_fifo_project():
+    # arrivals [hi, lo, lo] with 2 servers: first two served
+    st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
     m = st.project()
     assert m.z == (2, 1) and m.psi == (1, 1) and m.q == (1, 0)
+    assert list(st.queue) == [0]
 
 
 def test_preemptive_project_examples():
@@ -68,12 +74,13 @@ def test_preemptive_project_examples():
 
 
 def test_fifo_arrival_appends():
-    cfg = cfg_with_servers(2)
-    st = init_state(cfg, FIFO)
-    st.set_sequence([0])
+    st = fifo_after_arrivals(cfg_with_servers(2), [0])
+    st.apply_arrival(1)  # a free server takes it
+    assert st.project().psi == (1, 1) and not st.queue
     st.apply_arrival(1)
-    assert st.seq == [0, 1]
+    st.apply_arrival(0)  # all busy: both wait, in arrival order
     assert st.project().psi == (1, 1)
+    assert list(st.queue) == [1, 0]
 
 
 def test_preemptive_arrival_displaces():
@@ -95,30 +102,46 @@ def test_nonpreemptive_arrival_waits():
 
 
 def test_fifo_service_completion_promotes_head():
-    cfg = cfg_with_servers(2)
-    st = init_state(cfg, FIFO)
-    st.set_sequence([1, 0, 0])
+    st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
     st.apply_departure(1, SERVICE)
-    assert st.seq == [0, 0]
+    assert not st.queue
     assert st.project().psi == (2, 0)
 
 
 def test_fifo_abandonment_removes_queued():
-    cfg = cfg_with_servers(2)
-    st = init_state(cfg, FIFO)
-    st.set_sequence([1, 0, 0])
-    st.apply_departure(0, QUEUE)  # only queued class-0 customer is position 3
-    assert st.seq == [1, 0]
-    assert st.project().q == (0, 0)
+    st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 1, 0, 1])
+    st.apply_departure(0, QUEUE, random.Random(0))  # the only queued class 0
+    assert list(st.queue) == [1, 1]
+    assert st.project().q == (0, 2)
+
+
+def test_fifo_abandonment_needs_rng():
+    # removing the earliest queued customer would change the law of (z, psi)
+    st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
+    with pytest.raises(ValueError, match="rng"):
+        st.apply_departure(0, QUEUE)
+    assert st.project().z == (2, 1)
 
 
 def test_fifo_uniform_choice_is_seeded():
+    # queue [0, 1, 0, 0]: abandonment picks one of three class-0 customers
     cfg = cfg_with_servers(2)
+    picks = set()
+    for seed in range(40):
+        st = fifo_after_arrivals(cfg, [1, 1, 0, 1, 0, 0])
+        again = st.copy()
+        st.apply_departure(0, QUEUE, random.Random(seed))
+        again.apply_departure(0, QUEUE, random.Random(seed))
+        assert st.queue == again.queue
+        picks.add(tuple(st.queue))
+    assert picks == {(1, 0, 0), (0, 1, 0)}  # the first 0 left, or a later one
+    # a service completion draws nothing and promotes the head
     rng = random.Random(5)
-    st = init_state(cfg, FIFO)
-    st.set_sequence([0, 0, 1, 0])
+    before = rng.getstate()
+    st = fifo_after_arrivals(cfg, [0, 0, 1, 0])
     st.apply_departure(0, SERVICE, rng)
-    assert st.project().psi == (1, 1)  # one of the two served 0s left, head promoted
+    assert rng.getstate() == before
+    assert st.project().psi == (1, 1) and list(st.queue) == [0]
 
 
 def test_nonpreemptive_refill_takes_priority():
@@ -161,14 +184,12 @@ def test_invariants_along_trajectories(kind):
     st = init_state(cfg, kind)
     prev = st.project()
     for _ in range(350_000):
-        _, effect, _ = step(st, cfg, rng)
+        assert step(st, cfg, rng) > 0.0
         m = st.project()
         assert validate_macro_state(m, cfg) == []
         diffs = [m.z[i] - prev.z[i] for i in range(cfg.n_classes)]
         changed = [d for d in diffs if d != 0]
         assert len(changed) == 1 and changed[0] in (-1, 1)
-        sign = 1 if effect.kind == "arrival" else -1
-        assert diffs[effect.cls] == sign
         prev = m
 
 
@@ -185,9 +206,7 @@ def test_fifo_z_law_equals_preemptive_single_class():
     K = 60
 
     def fifo_departure_rate(z):
-        st = init_state(cfg, FIFO)
-        st.set_sequence([0] * z)
-        m = st.project()
+        m = fifo_after_arrivals(cfg, [0] * z).project()
         return cfg.mus[0] * m.psi[0] + cfg.nus[0] * (m.z[0] - m.psi[0])
 
     fifo_pi = birth_death_stationary(
@@ -198,12 +217,85 @@ def test_fifo_z_law_equals_preemptive_single_class():
     assert np.abs(np.array(fifo_pi) - preemptive_pi).max() <= 1e-10
 
 
-def test_fifo_caches_match_sequence():
+def test_fifo_counts_match_queue():
+    # queued counts are the queue's labels; a queue only forms when all
+    # servers are busy
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(13)
     st = init_state(cfg, FIFO)
     for _ in range(30_000):
         step(st, cfg, rng)
-        fresh = init_state(cfg, FIFO)
-        fresh.set_sequence(st.seq)
-        assert fresh.psi == st.psi and fresh.qcount == st.qcount
+        q = [zi - pi for zi, pi in zip(st.z, st.psi)]
+        assert q == [st.queue.count(c) for c in range(cfg.n_classes)]
+        assert sum(st.psi) == min(cfg.n_servers, sum(st.z))
+
+
+class _Pick:
+    """Stands in for an rng whose uniform choice is fixed to ``j``."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def randrange(self, n):
+        assert 0 <= self.j < n
+        return self.j
+
+
+def test_fifo_state_law_matches_label_sequence_oracle():
+    # exact stationary laws of (z, psi) on sum(z) <= K: a label-sequence
+    # chain in which every customer leaves at its own rate, against the
+    # chain replayed from FifoState operations with each abandonment choice
+    # enumerated at weight 1/q
+    from helpers import ctmc_stationary_law
+
+    K = 6
+    for n_servers in (1, 2):
+        cfg = dataclasses.replace(build_config(TWO_CLASS, 1.0, 1.0),
+                                  n_servers=n_servers)
+        nc = cfg.n_classes
+
+        def seq_moves(seq):
+            if len(seq) < K:
+                for c in range(nc):
+                    yield cfg.arrival_rates[c], seq + (c,)
+            for pos, c in enumerate(seq):
+                rate = cfg.mus[c] if pos < n_servers else cfg.nus[c]
+                yield rate, seq[:pos] + seq[pos + 1:]
+
+        def seq_project(seq):
+            z = tuple(seq.count(c) for c in range(nc))
+            psi = tuple(seq[:n_servers].count(c) for c in range(nc))
+            return z, psi
+
+        def fifo_moves(st, uniform):
+            if sum(st.z) < K:
+                for c in range(nc):
+                    yield cfg.arrival_rates[c], st.copy().apply_arrival(c)
+            for c in range(nc):
+                if st.psi[c]:
+                    yield (cfg.mus[c] * st.psi[c],
+                           st.copy().apply_departure(c, SERVICE))
+                q = st.z[c] - st.psi[c]
+                picks = range(q) if uniform else [0] * bool(q)
+                for j in picks:
+                    yield (cfg.nus[c] * q / len(picks),
+                           st.copy().apply_departure(c, QUEUE, _Pick(j)))
+
+        def fifo_key(st):
+            return tuple(st.psi), tuple(st.queue)
+
+        def fifo_project(st):
+            return tuple(st.z), tuple(st.psi)
+
+        oracle = ctmc_stationary_law((), seq_moves, lambda s: s, seq_project)
+        replay = ctmc_stationary_law(init_state(cfg, FIFO),
+                                     lambda st: fifo_moves(st, True),
+                                     fifo_key, fifo_project)
+        assert replay.keys() == oracle.keys()
+        assert max(abs(replay[m] - oracle[m]) for m in oracle) <= 1e-12
+        # the check has power: always removing the earliest queued
+        # customer changes the law
+        earliest = ctmc_stationary_law(init_state(cfg, FIFO),
+                                       lambda st: fifo_moves(st, False),
+                                       fifo_key, fifo_project)
+        assert max(abs(earliest[m] - oracle[m]) for m in oracle) > 1e-6

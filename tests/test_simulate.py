@@ -106,13 +106,19 @@ def test_step_applies_sampled_event():
     cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
     rng = random.Random(5)
     st = init_state(cfg, PREEMPTIVE)
+    probe_rng = random.Random()
     for _ in range(5000):
         before = st.project()
-        holding, effect, _ = step(st, cfg, rng)
+        # the same random numbers make sample_event draw the event step applies
+        probe_rng.setstate(rng.getstate())
+        kind, cls, _ = sample_event(before.z, before.psi, cfg, probe_rng)
+        holding = step(st, cfg, rng)
         after = st.project()
         assert holding > 0
-        delta = sum(after.z) - sum(before.z)
-        assert delta == (1 if effect.kind == "arrival" else -1)
+        delta = [a - b for a, b in zip(after.z, before.z)]
+        expected = [0] * cfg.n_classes
+        expected[cls] = 1 if kind == "arrival" else -1
+        assert delta == expected
 
 
 def test_run_mm2_mean():
