@@ -179,6 +179,8 @@ def parse_config(source) -> ExperimentConfig:
         raise _fail("policy", f"unknown policy {policy!r}; valid kinds: {list(KINDS)}")
     seed = _require(raw, "", "seed", int, default=0)
 
+    systems = tuple(build_config(classes, r, a) for r in r_values)
+    n_servers = max(sc.n_servers for sc in systems)
     sections = {}
     for cmd in COMMANDS:
         if cmd == "validate":
@@ -192,12 +194,13 @@ def parse_config(source) -> ExperimentConfig:
             sections[cmd]["functionals"] = _parse_functionals(
                 sec["functionals"], f"{cmd}.functionals"
             )
-    if "couple" in raw:
-        kind = raw["couple"].get("coupling", "infserver")
-        if kind not in ("infserver", "monotone"):
-            raise _fail("couple.coupling", f"expected 'infserver' or 'monotone', got {kind!r}")
-
-    systems = tuple(build_config(classes, r, a) for r in r_values)
+        if sec.get("K") is not None and _require(sec, cmd, "K", int) < n_servers:
+            raise _fail(f"{cmd}.K", f"must be null or at least n_servers = {n_servers}")
+    kind = sections["couple"].get("coupling", "infserver")
+    if kind not in ("infserver", "monotone"):
+        raise _fail("couple.coupling", f"expected 'infserver' or 'monotone', got {kind!r}")
+    if _require(sections["exact"], "exact", "method", str, default="auto") != "auto":
+        raise _fail("exact.method", "only 'auto' is accepted; the solver follows the chain's size")
     return ExperimentConfig(
         raw=raw, seed=seed, policy=policy, a=a,
         r_values=r_values, systems=systems, sections=sections,
@@ -227,10 +230,6 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _spec_functionals(section, default_specs):
-    return section.get("functionals", default_specs)
-
-
 def _cmd_validate(cfg, out_dir, threads):
     rows = []
     for sc in cfg.systems:
@@ -243,12 +242,12 @@ def _cmd_validate(cfg, out_dir, threads):
 
 def _cmd_exact(cfg, out_dir, threads):
     sec = cfg.sections["exact"]
-    specs = _spec_functionals(sec, [FunctionalSpec("z_total")])
+    specs = sec.get("functionals", [FunctionalSpec("z_total")])
     rows = []
     for sc in cfg.systems:
         K = sec.get("K") or default_truncation(sc)
         gen = build_generator(enumerate_states(sc, cfg.policy, K))
-        sv = stationary(gen, method=sec.get("method", "auto"))
+        sv = stationary(gen)
         for spec in specs:
             vals = spec.vector(sc)(gen.idx.z, gen.idx.psi, sc)
             rows.append([sc.r, sc.a, cfg.policy, cfg.seed, sv.method,
@@ -263,7 +262,7 @@ def _cmd_exact(cfg, out_dir, threads):
 def _cmd_simulate(cfg, out_dir, threads):
     sec = cfg.sections["simulate"]
     sc = cfg.system()
-    specs = _spec_functionals(sec, [FunctionalSpec("z_total")])
+    specs = sec.get("functionals", [FunctionalSpec("z_total")])
     method = sec.get("estimator", "auto")
     if method == "auto":
         method = choose_estimator(sc)
@@ -386,10 +385,8 @@ def _cmd_verify(cfg, out_dir, threads):
 
 def _cmd_sweep(cfg, out_dir, threads):
     sec = cfg.sections["sweep"]
-    specs = _spec_functionals(
-        sec, [FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
-              FunctionalSpec("exp_sum_zhat_minus", theta=0.1)]
-    )
+    specs = sec.get("functionals", [FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
+                                    FunctionalSpec("exp_sum_zhat_minus", theta=0.1)])
     classes = cfg.system().classes
     rows = sweep(
         classes, cfg.a, cfg.r_values, cfg.policy, specs, cfg.seed,
@@ -498,10 +495,12 @@ def main(argv=None) -> int:
                        help="replication fan-out (HWQ_THREADS as fallback)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HWQ_THREADS", "1"))
     try:
+        source = "HWQ_THREADS" if args.threads is None else "--threads"
+        text = os.environ.get(source, "1") if args.threads is None else str(args.threads)
+        if not text.isdecimal() or int(text) < 1:
+            raise SchemaError(f"{source}: expected a positive integer, got {text!r}")
+        threads = int(text)
         cfg = parse_config(args.config)
         if args.seed is not None:
             raw = dict(cfg.raw)

@@ -15,7 +15,7 @@ states beyond K as well, so pointwise drift identities are exact at every
 indexed state, boundary included.
 
 Stationary solves: GTH elimination (subtraction-free, componentwise stable)
-for small systems, uniformized power iteration above the cutoff.
+inside the level band, or uniformized power iteration where the band is wide.
 """
 
 from __future__ import annotations
@@ -38,7 +38,11 @@ from .errors import (
 from .model import MacroState, SystemConfig
 from .policy import NONPREEMPTIVE, PREEMPTIVE, QUEUE, SERVICE, init_state
 
-GTH_MAX_STATES = 20_000
+# GTH is used wherever affordable, for its componentwise accuracy.  Band GTH
+# costs about 1.6 ns * n * b^2 on a 2-core x86 box (b the envelope width).
+_GTH_MAX_WORK = 1e9
+_POWER_TOL_REL = 1e-13
+_POWER_MAX_ITERS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,6 @@ class StateIndex:
 
     def index_of(self, z, psi=None) -> int:
         return self.lookup[self.key(z, psi)]
-
-    def state(self, i: int) -> MacroState:
-        return MacroState(z=tuple(int(v) for v in self.z[i]),
-                          psi=tuple(int(v) for v in self.psi[i]))
 
 
 def _level_vectors(n_classes: int, total: int):
@@ -261,35 +261,45 @@ class StationaryVector:
     deficit_estimate: float
 
 
-def _gth_dense(A: np.ndarray) -> np.ndarray:
-    """GTH elimination on a dense off-diagonal rate matrix.
+def _envelope(Q: sparse.spmatrix) -> tuple[np.ndarray, int]:
+    """lo(k), the monotone hull (min over m >= k) of the lowest index coupled
+    to k in either direction, and the width b = max(k - lo(k)).  GTH fill-in
+    from eliminating k stays inside [lo(k), k) x [lo(k), k)."""
+    coo = Q.tocoo()
+    lo = np.arange(Q.shape[0])
+    np.minimum.at(lo, np.maximum(coo.row, coo.col), np.minimum(coo.row, coo.col))
+    lo = np.minimum.accumulate(lo[::-1])[::-1]
+    return lo, int((np.arange(Q.shape[0]) - lo).max())
 
-    ``A`` is consumed.  Elimination runs top state down; each step is a BLAS
-    rank-1 update restricted to the leading columns (an F-contiguous block),
-    with the update column zero-padded so rows >= k stay untouched.
+
+def _gth_band(Q: sparse.spmatrix, lo: np.ndarray, b: int) -> np.ndarray:
+    """GTH elimination on the off-diagonal rates of ``Q`` inside the envelope.
+
+    Rate (i, j) is stored at flat position i*(2b+1) + (j - i) + b, so rows
+    and columns l..k form a run from (l, l) with row stride 2b.  Elimination
+    runs top state down with the subtraction-free rank-1 updates of dense
+    GTH, restricted to the envelope; no n x n array is formed.
     """
-    from scipy.linalg.blas import dger
+    n = Q.shape[0]
+    coo = Q.tocoo()
+    off = coo.row != coo.col
+    A = np.zeros((n + 1) * (2 * b + 1))  # a padding row keeps block views in range
+    A[coo.row[off] * 2 * b + coo.col[off] + b] = coo.data[off]
 
-    n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
-    A = np.asfortranarray(A)
-    S = np.empty(n)
-    col = np.empty(n)
+    def block(k):  # rows and columns lo(k)..k, as a view
+        start, m = lo[k] * (2 * b + 1) + b, k - lo[k] + 1
+        return A[start:start + m * 2 * b].reshape(m, 2 * b)[:, :m]
+
     for k in range(n - 1, 0, -1):
-        row = np.ascontiguousarray(A[k, :k])
-        s = row.sum()
+        blk = block(k)
+        s = blk[-1, :-1].sum()
         if s <= 0.0:
             raise Reducible(f"state {k} cannot reach lower-numbered states")
-        S[k] = s
-        col[:k] = A[:k, k]
-        col[:k] /= s
-        col[k:] = 0.0
-        dger(1.0, col, row, a=A[:, :k], overwrite_a=1)
-    pi = np.empty(n)
-    pi[0] = 1.0
+        blk[:-1, -1] /= s  # kept scaled for the back substitution
+        blk[:-1, :-1] += np.outer(blk[:-1, -1], blk[-1, :-1])
+    pi = np.ones(n)
     for k in range(1, n):
-        pi[k] = (pi[:k] @ A[:k, k]) / S[k]
+        pi[k] = pi[lo[k]:k] @ block(k)[:-1, -1]
     return pi / pi.sum()
 
 
@@ -344,29 +354,21 @@ def _deficit_estimate(gen: SparseGenerator, pi: np.ndarray) -> float:
     return boundary_mass * ratio / (1.0 - ratio)
 
 
-def stationary(gen: SparseGenerator, method: str = "auto", tol_rel: float = 1e-13,
-               max_iters: int = 2_000_000,
-               gth_max_states: int = GTH_MAX_STATES) -> StationaryVector:
+def stationary(gen: SparseGenerator) -> StationaryVector:
     """Solve pi Q = 0, sum(pi) = 1 on the truncated set.
 
-    ``auto`` picks GTH up to ``gth_max_states`` states and uniformized power
-    iteration above.  The result is checked against the residual contract
-    ``max|pi Q| <= 1e-10 * max exit rate``.
+    Band GTH when its work n * b^2 is at most ``_GTH_MAX_WORK``, uniformized
+    power iteration above.  The result is checked against the residual
+    contract ``max|pi Q| <= 1e-10 * max exit rate``.
     """
-    n = gen.idx.n_states
     _check_irreducible(gen.Q)
-    tol = tol_rel * gen.max_exit_rate
-    if method == "auto":
-        method = "gth" if n <= gth_max_states else "power"
-    if method == "gth":
-        A = gen.Q.toarray()
-        np.fill_diagonal(A, 0.0)
-        pi = _gth_dense(A)
-        iterations = 0
-    elif method == "power":
-        pi, iterations, _ = _power_iteration(gen.Q, gen.max_exit_rate, tol, max_iters)
+    lo, b = _envelope(gen.Q)
+    if gen.idx.n_states * b * b <= _GTH_MAX_WORK:
+        method, pi, iterations = "gth", _gth_band(gen.Q, lo, b), 0
     else:
-        raise ValueError(f"unknown method {method!r}")
+        method = "power"
+        pi, iterations, _ = _power_iteration(
+            gen.Q, gen.max_exit_rate, _POWER_TOL_REL * gen.max_exit_rate, _POWER_MAX_ITERS)
     residual = float(np.abs(gen.Q.T @ pi).max())
     if residual > 1e-10 * gen.max_exit_rate:
         raise NotConverged(

@@ -48,6 +48,7 @@ from .policy import FIFO
 from .simulate import RngStream, batch_means_multi, default_warmup
 
 SLACK_TOL = 1e-12
+_SWEEP_EXACT_MAX_STATES = 25_000  # an "auto" sweep solves exactly up to here
 
 
 def default_truncation(cfg: SystemConfig) -> int:
@@ -388,8 +389,7 @@ class SweepRow:
 
 def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
           estimator: str = "auto", K: int | None = None,
-          exact_max_states: int = 25_000, n_batches: int = 20,
-          events_per_batch: int = 50_000,
+          n_batches: int = 20, events_per_batch: int = 50_000,
           warmup_events: int | None = None) -> list[SweepRow]:
     """One row per (r, functional): exact values where the chain is solvable,
     batch-means estimates otherwise.
@@ -402,16 +402,13 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     rows: list[SweepRow] = []
     for pos, r in enumerate(r_list):
         cfg = build_config(classes, r, a)
+        if estimator == "exact" and kind == FIFO:
+            raise ValueError("no exact solve for FIFO; use batch_means")
         idx = None
-        use_exact = estimator == "exact"
-        if estimator == "auto" and kind != FIFO:
+        if estimator in ("auto", "exact") and kind != FIFO:
             idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
-            use_exact = idx.n_states <= exact_max_states
-        if use_exact:
-            if kind == FIFO:
-                raise ValueError("no exact solve for FIFO; use batch_means")
-            if idx is None:
-                idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
+        if idx is not None and (estimator == "exact"
+                                or idx.n_states <= _SWEEP_EXACT_MAX_STATES):
             gen = build_generator(idx)
             sv = stationary(gen)
             for spec in specs:

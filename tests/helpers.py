@@ -57,6 +57,16 @@ def covers(estimate, truth, n_sigma=3.0):
     return abs(estimate.value - truth) <= n_sigma * max(se, 1e-300)
 
 
+def dense_stationary(Q):
+    """pi with pi Q = 0 and sum(pi) = 1: least squares on the stacked system
+    [Q^T; 1] pi = [0; 1] over the dense generator."""
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(np.vstack([Q.T, np.ones((1, n))]), rhs, rcond=None)[0]
+
+
 def ctmc_stationary_law(start, moves, key, project):
     """Stationary law of ``project(state)`` for the finite CTMC reachable
     from ``start``.

@@ -210,3 +210,52 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     rc = main(["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert captured["threads"] == 3
+
+
+@pytest.mark.parametrize("method", ["foo", "power"])
+def test_exact_method_other_than_auto_exits_one(tmp_path, capsys, method):
+    assert parse_config(_config(exact={"method": "auto"})).sections["exact"]["method"] == "auto"
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
+                                           exact={"method": method})))
+    rc = main(["exact", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "exact.method" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["exact", "verify", "sweep"])
+@pytest.mark.parametrize("K", ["50", 0, 2.5])
+def test_bad_truncation_exits_one(tmp_path, capsys, command, K):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority", **{command: {"K": K}})))
+    rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{command}.K" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_truncation_takes_default():
+    cfg = parse_config(_config(exact={"K": None}, verify={"K": 40}))
+    assert cfg.sections["exact"]["K"] is None and cfg.sections["verify"]["K"] == 40
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    (None, "two", "HWQ_THREADS"),
+    (None, "0", "HWQ_THREADS"),
+    ("0", None, "--threads"),
+    ("-2", None, "--threads"),
+])
+def test_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, flag, env, source):
+    if env is None:
+        monkeypatch.delenv("HWQ_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HWQ_THREADS", env)
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config()))
+    argv = ["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+    rc = main(argv + (["--threads", flag] if flag is not None else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert source in err and len(err.strip().splitlines()) == 1

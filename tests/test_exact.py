@@ -3,13 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from helpers import birth_death_mean, erlang_a_stationary, mmn_stationary, poisson_pmf_ref
+from helpers import (
+    birth_death_mean,
+    dense_stationary,
+    erlang_a_stationary,
+    mmn_stationary,
+    poisson_pmf_ref,
+)
 from hwq.errors import Reducible, ThetaOutOfRange, TruncationTooSmall, Unsupported
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
 from hwq.exact import (
-    _gth_dense,
+    _GTH_MAX_WORK,
+    _POWER_MAX_ITERS,
+    _POWER_TOL_REL,
+    _envelope,
+    _gth_band,
+    _power_iteration,
     abar_apply,
     abar_vector,
     build_generator,
@@ -119,16 +131,70 @@ def test_stationary_erlang_a_oracle():
 
 
 def test_gth_single_state():
-    assert _gth_dense(np.zeros((1, 1))) == pytest.approx([1.0])
+    Q = sparse.csr_matrix((1, 1))
+    assert _gth_band(Q, *_envelope(Q)) == pytest.approx([1.0])
 
 
 def test_gth_power_agreement():
     cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0)
     gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 40))
-    tv = 0.5 * np.abs(
-        stationary(gen, method="gth").pi - stationary(gen, method="power").pi
-    ).sum()
+    pi_gth = _gth_band(gen.Q, *_envelope(gen.Q))
+    pi_power, _, _ = _power_iteration(gen.Q, gen.max_exit_rate,
+                                      _POWER_TOL_REL * gen.max_exit_rate, _POWER_MAX_ITERS)
+    tv = 0.5 * np.abs(pi_gth - pi_power).sum()
     assert tv <= 1e-9
+
+
+@pytest.mark.parametrize("kind, n_servers, K", [
+    (PREEMPTIVE, 20, 30),  # the TWO_CLASS_AB server count
+    (NONPREEMPTIVE, 3, 9),
+])
+def test_gth_band_matches_dense_oracle(kind, n_servers, K):
+    cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=n_servers)
+    gen = build_generator(enumerate_states(cfg, kind, K))
+    lo, b = _envelope(gen.Q)
+    assert b > 1
+    oracle = dense_stationary(gen.Q.toarray())
+    assert np.abs(_gth_band(gen.Q, lo, b) - oracle).max() <= 1e-14
+
+
+def test_gth_band_general_pattern_matches_dense_oracle():
+    # a ring plus seeded random rates: the lowest index coupled to each state
+    # is not monotone here, so elimination needs the hull of lo
+    rng = np.random.default_rng(3)
+    n = 12
+    R = np.where(rng.random((n, n)) < 0.2, rng.random((n, n)), 0.0)
+    R[np.arange(n), (np.arange(n) + 1) % n] += 1.0
+    np.fill_diagonal(R, 0.0)
+    Q = R - np.diag(R.sum(axis=1))
+    raw = [min([k] + [j for j in range(n) if Q[k, j] or Q[j, k]]) for k in range(n)]
+    assert any(a > b for a, b in zip(raw, raw[1:]))
+    Q_sparse = sparse.csr_matrix(Q)
+    pi = _gth_band(Q_sparse, *_envelope(Q_sparse))
+    assert np.abs(pi - dense_stationary(Q)).max() <= 1e-14
+
+
+def test_gth_band_reducible():
+    # state 2 has no way back: elimination finds a zero row sum
+    Q = sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0],
+                                    [1.0, -2.0, 1.0],
+                                    [0.0, 0.0, 0.0]]))
+    with pytest.raises(Reducible):
+        _gth_band(Q, *_envelope(Q))
+
+
+def test_stationary_solver_follows_band_work():
+    # the preemptive benchmark instance (n = 3655, b = 85) stays on GTH;
+    # a non-preemptive chain with a wide band goes to power iteration
+    cases = [(PREEMPTIVE, 84, "gth"), (NONPREEMPTIVE, 50, "power")]
+    for kind, K, method in cases:
+        gen = build_generator(enumerate_states(TWO_CLASS_AB, kind, K))
+        _, b = _envelope(gen.Q)
+        work = gen.idx.n_states * b * b
+        assert (work <= _GTH_MAX_WORK) == (method == "gth")
+        sv = stationary(gen)
+        assert sv.method == method
+        assert (sv.iterations > 0) == (method == "power")
 
 
 def test_nonpreemptive_solve_single_class_matches_mmn():
