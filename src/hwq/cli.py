@@ -3,7 +3,7 @@
 Commands::
 
     hwq validate|exact|simulate|couple|verify|sweep --config FILE --out DIR
-        [--seed N] [--threads M]
+        [--seed N] [--jobs M]
 
 The config is a single JSON document (schema documented in the README and
 enforced here before any computation).  Every CSV row carries the
@@ -11,8 +11,18 @@ enforced here before any computation).  Every CSV row carries the
 seed the emitted CSVs are byte-identical across runs; the manifest echoes
 everything needed to reproduce them.
 
-Exit codes: 0 success, 1 configuration or precondition error, 2 numeric
-non-convergence, 3 an invariant check failed (e.g. drift violations).
+``--jobs M`` (``HWQ_JOBS`` as fallback, a positive integer; default every
+usable core) runs the independent units of ``couple`` (the streams) and
+``sweep`` (the r points) in up to M forked worker processes, never more
+than there are units or usable cores.  Each unit draws from its own
+``RngStream(seed, k)`` and results merge in unit order, so the CSVs are
+byte-identical for any M.  The manifest records the workers used (``jobs``)
+and each unit's wall time (``unit_wall_s``).  The other commands run in
+this process.
+
+Exit codes: 0 success (and ``--help``), 1 usage, configuration or
+precondition error, 2 numeric non-convergence, 3 an invariant check failed
+(e.g. drift violations or an ordering failure).
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +63,9 @@ from .simulate import (
     batch_means_multi,
     choose_estimator,
     default_warmup,
+    fan_out,
     regenerative_estimate,
+    usable_cores,
 )
 from .coupling import run_infserver_coupled, run_monotone_coupled
 from .exact import build_generator, enumerate_states, expectation, stationary
@@ -230,7 +241,7 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _cmd_validate(cfg, out_dir, threads):
+def _cmd_validate(cfg, out_dir, jobs, record):
     rows = []
     for sc in cfg.systems:
         rows.append([sc.r, sc.a, cfg.policy, cfg.seed, "validate",
@@ -240,7 +251,7 @@ def _cmd_validate(cfg, out_dir, threads):
     return [path], 0
 
 
-def _cmd_exact(cfg, out_dir, threads):
+def _cmd_exact(cfg, out_dir, jobs, record):
     sec = cfg.sections["exact"]
     specs = sec.get("functionals", [FunctionalSpec("z_total")])
     rows = []
@@ -259,7 +270,7 @@ def _cmd_exact(cfg, out_dir, threads):
     return [path], 0
 
 
-def _cmd_simulate(cfg, out_dir, threads):
+def _cmd_simulate(cfg, out_dir, jobs, record):
     sec = cfg.sections["simulate"]
     sc = cfg.system()
     specs = sec.get("functionals", [FunctionalSpec("z_total")])
@@ -296,40 +307,34 @@ def _cmd_simulate(cfg, out_dir, threads):
     return [path], 0
 
 
-def _cmd_couple(cfg, out_dir, threads):
+def _couple_stream(sc, kind, coupling, nu_prime, n_events, warmup, seed, stream):
+    """One coupled replication on stream (seed, stream); a module-level
+    function, so a worker process can run it."""
+    rng = RngStream(seed, stream)
+    if coupling == "infserver":
+        rep = run_infserver_coupled(sc, kind, n_events, rng, warmup_events=warmup)
+        return rep.ordering_checks, rep.violations, rep.z_time_avg, rep.g_time_avg
+    rep = run_monotone_coupled(sc, nu_prime, kind, n_events, rng, warmup_events=warmup)
+    return rep.ordering_checks, rep.violations, rep.z_time_avg, rep.z_prime_time_avg
+
+
+def _cmd_couple(cfg, out_dir, jobs, record):
     sec = cfg.sections["couple"]
     sc = cfg.system()
     coupling = sec.get("coupling", "infserver")
     n_events = sec.get("n_events", 100_000)
-    n_seeds = sec.get("n_seeds", 1)
-    warmup = sec.get("warmup_events", 0)
+    nu_prime = sec.get("nu_prime", list(sc.nus))
+    streams = [(sc, cfg.policy, coupling, nu_prime, n_events, sec.get("warmup_events", 0),
+                cfg.seed, stream) for stream in range(sec.get("n_seeds", 1))]
+    results = fan_out(_couple_stream, streams, jobs, record)
+
     nc = sc.n_classes
-
-    def one(stream):
-        rng = RngStream(cfg.seed, stream)
-        if coupling == "infserver":
-            rep = run_infserver_coupled(sc, cfg.policy, n_events, rng,
-                                        warmup_events=warmup)
-            return (stream, rep.ordering_checks, rep.violations,
-                    rep.z_time_avg, rep.g_time_avg)
-        rep = run_monotone_coupled(sc, sec.get("nu_prime", list(sc.nus)),
-                                   cfg.policy, n_events, rng, warmup_events=warmup)
-        return (stream, rep.ordering_checks, rep.violations,
-                rep.z_time_avg, rep.z_prime_time_avg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_seeds)))
-    else:
-        results = [one(s) for s in range(n_seeds)]
-    results.sort(key=lambda t: t[0])  # order-independent merge
-
     other = "g_avg" if coupling == "infserver" else "zprime_avg"
     columns = PROVENANCE + ("stream", "events", "ordering_checks", "violations") \
         + tuple(f"z_avg_{i}" for i in range(nc)) + tuple(f"{other}_{i}" for i in range(nc))
     rows = []
     violations = 0
-    for stream, checks, viol, z_avg, other_avg in results:
+    for stream, (checks, viol, z_avg, other_avg) in enumerate(results):
         violations += viol
         rows.append([sc.r, sc.a, cfg.policy, cfg.seed, coupling, stream,
                      n_events, checks, viol, *z_avg, *other_avg])
@@ -338,7 +343,7 @@ def _cmd_couple(cfg, out_dir, threads):
     return [path], violations
 
 
-def _cmd_verify(cfg, out_dir, threads):
+def _cmd_verify(cfg, out_dir, jobs, record):
     sec = cfg.sections["verify"]
     sc = cfg.system()
     checks = sec.get("checks", ["drift_identity"])
@@ -383,7 +388,7 @@ def _cmd_verify(cfg, out_dir, threads):
     return [path], violations
 
 
-def _cmd_sweep(cfg, out_dir, threads):
+def _cmd_sweep(cfg, out_dir, jobs, record):
     sec = cfg.sections["sweep"]
     specs = sec.get("functionals", [FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
                                     FunctionalSpec("exp_sum_zhat_minus", theta=0.1)])
@@ -395,6 +400,8 @@ def _cmd_sweep(cfg, out_dir, threads):
         n_batches=sec.get("n_batches", 20),
         events_per_batch=sec.get("events_per_batch", 50_000),
         warmup_events=sec.get("warmup_events"),
+        jobs=jobs,
+        record=record,
     )
     out_rows = [[row.r, cfg.a, cfg.policy, cfg.seed, row.method, row.functional,
                  row.theta, row.estimate, row.half_width] for row in rows]
@@ -447,20 +454,22 @@ _DISPATCH = {
 }
 
 
-def dispatch(command: str, cfg: ExperimentConfig, out_dir, threads: int = 1) -> ReportBundle:
-    """Run one command; write its CSVs and the run manifest."""
+def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> ReportBundle:
+    """Run one command on up to ``jobs`` worker processes; write its CSVs and
+    the run manifest."""
     if command not in _DISPATCH:
         raise SchemaError(f"unknown command {command!r}; valid: {COMMANDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    paths, violations = _DISPATCH[command](cfg, out_dir, threads)
+    record = {"jobs": 1, "unit_wall_s": []}  # a fan-out overwrites both
+    paths, violations = _DISPATCH[command](cfg, out_dir, jobs, record)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
         "seed": cfg.seed,
-        "threads": threads,
+        **record,
         "config": cfg.raw,
         "outputs": [p.name for p in paths],
         "violations": violations,
@@ -480,8 +489,15 @@ def dispatch(command: str, cfg: ExperimentConfig, out_dir, threads: int = 1) -> 
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line; exit 2 means non-convergence."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hwq",
         description="Halfin-Whitt multiclass queue experiments",
     )
@@ -491,22 +507,29 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="replication fan-out (HWQ_THREADS as fallback)")
-    args = parser.parse_args(argv)
+        p.add_argument("--jobs", default=None,
+                       help="worker processes for replications (HWQ_JOBS as "
+                            "fallback; default: every usable core)")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
 
     try:
-        source = "HWQ_THREADS" if args.threads is None else "--threads"
-        text = os.environ.get(source, "1") if args.threads is None else str(args.threads)
-        if not text.isdecimal() or int(text) < 1:
+        source = "--jobs" if args.jobs is not None else "HWQ_JOBS"
+        text = args.jobs if args.jobs is not None else os.environ.get(source)
+        if text is None:
+            jobs = usable_cores()
+        elif text.isdecimal() and int(text) >= 1:
+            jobs = int(text)
+        else:
             raise SchemaError(f"{source}: expected a positive integer, got {text!r}")
-        threads = int(text)
         cfg = parse_config(args.config)
         if args.seed is not None:
             raw = dict(cfg.raw)
             raw["seed"] = args.seed
             cfg = parse_config(raw)
-        bundle = dispatch(args.command, cfg, args.out, threads=threads)
+        bundle = dispatch(args.command, cfg, args.out, jobs=jobs)
     except _CONFIG_ERRORS as exc:
         print(f"hwq: config error: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import chdtrc
 
 from .errors import HypothesisViolated, OrderingViolation
 from .exact import poisson_pmf
@@ -390,4 +390,4 @@ def poisson_fit_pvalue(samples, mean: float, min_expected: float = 5.0) -> float
         return 1.0
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = len(obs) - 1
-    return float(_stats.chi2.sf(stat, dof))
+    return float(chdtrc(dof, stat))

@@ -45,7 +45,7 @@ from .exact import (
 )
 from .model import MacroState, SystemConfig, build_config, scale_arrays, scale_state
 from .policy import FIFO
-from .simulate import RngStream, batch_means_multi, default_warmup
+from .simulate import RngStream, batch_means_multi, default_warmup, fan_out
 
 SLACK_TOL = 1e-12
 _SWEEP_EXACT_MAX_STATES = 25_000  # an "auto" sweep solves exactly up to here
@@ -390,49 +390,49 @@ class SweepRow:
 def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
           estimator: str = "auto", K: int | None = None,
           n_batches: int = 20, events_per_batch: int = 50_000,
-          warmup_events: int | None = None) -> list[SweepRow]:
+          warmup_events: int | None = None, jobs: int = 1,
+          record: dict | None = None) -> list[SweepRow]:
     """One row per (r, functional): exact values where the chain is solvable,
     batch-means estimates otherwise.
 
     ``estimator`` is "auto", "exact", or "batch_means".  Replication k of the
     sweep uses stream (seed, k) where k is the position of r in ``r_list``,
-    so rows are reproducible independent of execution order.
+    so rows are reproducible independent of execution order.  The r points
+    run on up to ``jobs`` worker processes (see :func:`fan_out`, which also
+    fills ``record``).
     """
-    specs = list(specs)
-    rows: list[SweepRow] = []
-    for pos, r in enumerate(r_list):
-        cfg = build_config(classes, r, a)
-        if estimator == "exact" and kind == FIFO:
-            raise ValueError("no exact solve for FIFO; use batch_means")
-        idx = None
-        if estimator in ("auto", "exact") and kind != FIFO:
-            idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
-        if idx is not None and (estimator == "exact"
-                                or idx.n_states <= _SWEEP_EXACT_MAX_STATES):
-            gen = build_generator(idx)
-            sv = stationary(gen)
-            for spec in specs:
-                vals = spec.vector(cfg)(gen.idx.z, gen.idx.psi, cfg)
-                rows.append(SweepRow(
-                    r=r, theta=spec.theta, functional=spec.label(),
-                    estimate=expectation(sv.pi, vals), half_width=0.0,
-                    method="exact",
-                ))
-        else:
-            warm = default_warmup(cfg) if warmup_events is None else warmup_events
-            fns = {spec.label(): spec.scalar(cfg) for spec in specs}
-            ests = batch_means_multi(
-                cfg, kind, fns, n_batches, events_per_batch, warm,
-                RngStream(seed, pos),
-            )
-            for spec in specs:
-                e = ests[spec.label()]
-                rows.append(SweepRow(
-                    r=r, theta=spec.theta, functional=spec.label(),
-                    estimate=e.value, half_width=e.half_width,
-                    method="batch_means",
-                ))
-    return rows
+    if estimator == "exact" and kind == FIFO:
+        raise ValueError("no exact solve for FIFO; use batch_means")
+    specs = tuple(specs)
+    points = [(build_config(classes, r, a), kind, specs, RngStream(seed, pos), estimator,
+               K, n_batches, events_per_batch, warmup_events)
+              for pos, r in enumerate(r_list)]
+    return [row for rows in fan_out(_sweep_point, points, jobs, record) for row in rows]
+
+
+def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, estimator: str,
+                 K, n_batches: int, events_per_batch: int, warmup_events) -> list[SweepRow]:
+    """The rows of one sweep point; a module-level function, so a worker
+    process can run it."""
+    idx = None
+    if estimator in ("auto", "exact") and kind != FIFO:
+        idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
+    if idx is not None and (estimator == "exact"
+                            or idx.n_states <= _SWEEP_EXACT_MAX_STATES):
+        gen = build_generator(idx)
+        sv = stationary(gen)
+        return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
+                         estimate=expectation(sv.pi, spec.vector(cfg)(
+                             gen.idx.z, gen.idx.psi, cfg)),
+                         half_width=0.0, method="exact")
+                for spec in specs]
+    warm = default_warmup(cfg) if warmup_events is None else warmup_events
+    fns = {spec.label(): spec.scalar(cfg) for spec in specs}
+    ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng)
+    return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
+                     estimate=ests[spec.label()].value,
+                     half_width=ests[spec.label()].half_width, method="batch_means")
+            for spec in specs]
 
 
 def fit_log_slope(points) -> tuple[float, float]:

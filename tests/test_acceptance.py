@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The couplings (criteria
-7 and 8) simulate 4e7 events and dominate the runtime (a few minutes); all
-other criteria finish in seconds.
+7 and 8) simulate 4e7 events in 40 independent runs, fanned out over every
+usable core, and dominate the runtime (a few minutes); all other criteria
+finish in seconds.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
-from hwq.simulate import RngStream
+from hwq.simulate import RngStream, fan_out, usable_cores
 from hwq.exact import (
     build_generator,
     enumerate_states,
@@ -53,33 +54,27 @@ def _report(cid: str, ok: bool, detail: str):
     assert ok, f"{cid}: {detail}"
 
 
+def _by_kind(runs):
+    """Split a FIFO-then-preemptive fan-out into {kind: reports}."""
+    return {FIFO: runs[:COUPLE_SEEDS], PREEMPTIVE: runs[COUPLE_SEEDS:]}
+
+
 @pytest.fixture(scope="module")
 def infserver_runs():
-    out = {}
-    for kind in (FIFO, PREEMPTIVE):
-        out[kind] = [
-            run_infserver_coupled(
-                COUPLE_CFG, kind, COUPLE_EVENTS, RngStream(20250810, s),
-                warmup_events=COUPLE_WARMUP,
-                g_sample_dt=G_SAMPLE_DT if kind == FIFO else 0.0,
-            )
-            for s in range(COUPLE_SEEDS)
-        ]
-    return out
+    return _by_kind(fan_out(run_infserver_coupled, [
+        (COUPLE_CFG, kind, COUPLE_EVENTS, RngStream(20250810, s), COUPLE_WARMUP,
+         G_SAMPLE_DT if kind == FIFO else 0.0)
+        for kind in (FIFO, PREEMPTIVE) for s in range(COUPLE_SEEDS)
+    ], jobs=usable_cores()))
 
 
 @pytest.fixture(scope="module")
 def monotone_runs():
-    out = {}
-    for kind in (FIFO, PREEMPTIVE):
-        out[kind] = [
-            run_monotone_coupled(
-                COUPLE_CFG, COUPLE_NU_PRIME, kind, COUPLE_EVENTS,
-                RngStream(20250811, s), warmup_events=COUPLE_WARMUP,
-            )
-            for s in range(COUPLE_SEEDS)
-        ]
-    return out
+    return _by_kind(fan_out(run_monotone_coupled, [
+        (COUPLE_CFG, COUPLE_NU_PRIME, kind, COUPLE_EVENTS, RngStream(20250811, s),
+         COUPLE_WARMUP)
+        for kind in (FIFO, PREEMPTIVE) for s in range(COUPLE_SEEDS)
+    ], jobs=usable_cores()))
 
 
 def test_c01_poisson_identity_at_nu_eq_mu():

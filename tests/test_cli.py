@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hwq.errors import SchemaError
+from hwq.errors import OrderingViolation, SchemaError
 from hwq.cli import emit, main, parse_config
+from hwq.simulate import usable_cores
 
 MINIMAL = {
     "schema_version": "hwq-config/1",
@@ -123,20 +127,80 @@ def test_exact_command(tmp_path):
     assert abs(float(rows[0]["estimate"]) - 16.0) < 1e-6  # Poisson(16) mean
 
 
-def test_couple_threads_merge_deterministic(tmp_path):
+def _couple_file(tmp_path, n_seeds=4, n_events=5_000):
     raw = _config(
         system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.5}], "r": 4.0, "a": 1.0},
-        couple={"coupling": "infserver", "n_events": 5_000, "n_seeds": 4},
+        couple={"coupling": "infserver", "n_events": n_events, "n_seeds": n_seeds},
     )
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(raw))
-    rc1 = main(["couple", "--config", str(cfg_file), "--out", str(tmp_path / "a"),
-                "--threads", "1"])
-    rc2 = main(["couple", "--config", str(cfg_file), "--out", str(tmp_path / "b"),
-                "--threads", "4"])
-    assert rc1 == rc2 == 0
-    assert (tmp_path / "a" / "couple.csv").read_bytes() == \
-        (tmp_path / "b" / "couple.csv").read_bytes()
+    return cfg_file
+
+
+def test_couple_threads_merge_deterministic(tmp_path, monkeypatch):
+    monkeypatch.delenv("HWQ_JOBS", raising=False)
+    cfg_file = _couple_file(tmp_path)
+    outputs = []
+    for name, extra in (("one", ["--jobs", "1"]), ("two", ["--jobs", "2"]),
+                        ("default", [])):
+        argv = ["couple", "--config", str(cfg_file), "--out", str(tmp_path / name)]
+        assert main(argv + extra) == 0
+        outputs.append((tmp_path / name / "couple.csv").read_bytes())
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert len(manifest["unit_wall_s"]) == 4
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_jobs_byte_identical(tmp_path):
+    raw = _config(
+        system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.0}],
+                "r_list": [4.0, 9.0, 16.0], "a": 1.0},
+        sweep={"n_batches": 10, "events_per_batch": 2_000, "warmup_events": 500,
+               "estimator": "batch_means"},
+    )
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--config", str(cfg_file), "--out", str(tmp_path / jobs)]
+        assert main(argv + ["--jobs", jobs]) == 0
+        manifest = json.loads((tmp_path / jobs / "manifest.json").read_text())
+        assert manifest["jobs"] == min(int(jobs), usable_cores())
+        assert len(manifest["unit_wall_s"]) == 3
+    assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
+        (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+def test_worker_ordering_violation_exits_three(tmp_path, monkeypatch, capsys):
+    import hwq.cli as cli
+
+    def broken(*args, **kwargs):
+        raise OrderingViolation("G_0 > Z_0 at event 1")
+
+    monkeypatch.setattr(cli, "run_infserver_coupled", broken)  # forked workers inherit it
+    cfg_file = _couple_file(tmp_path, n_seeds=2)
+    rc = main(["couple", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--jobs", "2"])
+    assert rc == 3
+    assert "G_0 > Z_0" in capsys.readouterr().err
+
+
+def test_jobs_capped_by_units_and_usable_cores(tmp_path):
+    cfg_file = _couple_file(tmp_path, n_seeds=3, n_events=500)
+    rc = main(["couple", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--jobs", "64"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["jobs"] == min(3, usable_cores())
+    assert "threads" not in manifest
+
+
+def test_manifest_of_serial_command(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config()))
+    assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["jobs"] == 1 and manifest["unit_wall_s"] == []
 
 
 def test_sweep_byte_identical(tmp_path):
@@ -183,7 +247,7 @@ def test_provenance_columns_everywhere(tmp_path):
 def test_exit_code_three_on_violations(tmp_path, monkeypatch):
     import hwq.cli as cli
 
-    def fake(cfg, out_dir, threads):
+    def fake(cfg, out_dir, jobs, record):
         return [], 2
 
     monkeypatch.setitem(cli._DISPATCH, "validate", fake)
@@ -193,23 +257,34 @@ def test_exit_code_three_on_violations(tmp_path, monkeypatch):
     assert rc == 3
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    captured = {}
+def _dispatched_jobs(tmp_path, monkeypatch, argv_extra=()):
     import hwq.cli as cli
 
+    captured = {}
     real_dispatch = cli.dispatch
 
-    def spy(command, cfg, out_dir, threads=1):
-        captured["threads"] = threads
-        return real_dispatch(command, cfg, out_dir, threads=threads)
+    def spy(command, cfg, out_dir, jobs=1):
+        captured["jobs"] = jobs
+        return real_dispatch(command, cfg, out_dir, jobs=jobs)
 
     monkeypatch.setattr(cli, "dispatch", spy)
-    monkeypatch.setenv("HWQ_THREADS", "3")
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(_config()))
-    rc = main(["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    rc = main(["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               *argv_extra])
     assert rc == 0
-    assert captured["threads"] == 3
+    return captured["jobs"]
+
+
+def test_jobs_env_fallback(tmp_path, monkeypatch):
+    monkeypatch.setenv("HWQ_JOBS", "3")
+    assert _dispatched_jobs(tmp_path, monkeypatch) == 3
+    assert _dispatched_jobs(tmp_path, monkeypatch, ["--jobs", "5"]) == 5
+
+
+def test_jobs_default_is_usable_cores(tmp_path, monkeypatch):
+    monkeypatch.delenv("HWQ_JOBS", raising=False)
+    assert _dispatched_jobs(tmp_path, monkeypatch) == usable_cores()
 
 
 @pytest.mark.parametrize("method", ["foo", "power"])
@@ -242,20 +317,47 @@ def test_null_truncation_takes_default():
 
 
 @pytest.mark.parametrize("flag, env, source", [
-    (None, "two", "HWQ_THREADS"),
-    (None, "0", "HWQ_THREADS"),
-    ("0", None, "--threads"),
-    ("-2", None, "--threads"),
+    (None, "two", "HWQ_JOBS"),
+    (None, "0", "HWQ_JOBS"),
+    ("0", None, "--jobs"),
+    ("-2", None, "--jobs"),
 ])
-def test_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, flag, env, source):
+def test_bad_job_count_exits_one(tmp_path, capsys, monkeypatch, flag, env, source):
     if env is None:
-        monkeypatch.delenv("HWQ_THREADS", raising=False)
+        monkeypatch.delenv("HWQ_JOBS", raising=False)
     else:
-        monkeypatch.setenv("HWQ_THREADS", env)
+        monkeypatch.setenv("HWQ_JOBS", env)
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(_config()))
     argv = ["validate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
-    rc = main(argv + (["--threads", flag] if flag is not None else []))
+    rc = main(argv + (["--jobs", flag] if flag is not None else []))
     assert rc == 1
     err = capsys.readouterr().err
     assert source in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    pytest.param(["validate", "--config", "c.json"], 1, "--out", id="missing-out"),
+    pytest.param(["frobnicate", "--config", "c.json", "--out", "out"], 1, "frobnicate",
+                 id="unknown-command"),
+    pytest.param([], 1, "command", id="no-command"),
+    pytest.param(["couple", "--config", "c.json", "--out", "out", "--seed", "x"], 1,
+                 "--seed", id="bad-seed"),
+    pytest.param(["--help"], 0, None, id="help"),
+    pytest.param(["couple", "--help"], 0, None, id="command-help"),
+])
+def test_usage_exit_codes(capsys, argv, code, needle):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if needle is None:
+        assert "usage:" in captured.out and captured.err == ""
+    else:
+        assert needle in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, hwq.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

@@ -267,3 +267,13 @@ def test_poisson_fit_pvalue_calibration():
     assert poisson_fit_pvalue(good, 12.5) > 1e-3
     # grossly wrong mean is rejected
     assert poisson_fit_pvalue(good, 20.0) < 1e-10
+
+
+def test_chi_square_tail_matches_scipy_stats():
+    from scipy import stats
+    from scipy.special import chdtrc
+
+    rng = random.Random(5)
+    for _ in range(200):
+        dof, x = rng.randint(1, 60), rng.uniform(0.0, 150.0)
+        assert chdtrc(dof, x) == stats.chi2.sf(x, dof)

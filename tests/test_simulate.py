@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -14,11 +15,13 @@ from hwq.simulate import (
     choose_estimator,
     default_warmup,
     event_rates,
+    fan_out,
     regenerative_estimate,
     run,
     sample_event,
     step,
     total_rate,
+    usable_cores,
 )
 
 MM2 = build_config([ClassParams(1.0, 1.0, 0.0)], 1.0, 1.0)  # N=2
@@ -228,3 +231,36 @@ def test_choose_estimator_thresholds():
     assert choose_estimator(MM2) == "regenerative"
     big = build_config([ClassParams(1.0, 1.0, 0.0)], 400.0, 1.0)
     assert choose_estimator(big) == "batch_means"
+
+
+def _pid_and_square(x):
+    return os.getpid(), x * x
+
+
+def test_fan_out_keeps_input_order_and_records_workers():
+    items = [(x,) for x in range(7)]
+    record = {}
+    serial = fan_out(_pid_and_square, items, jobs=1, record=record)
+    assert [sq for _, sq in serial] == [x * x for x in range(7)]
+    assert {pid for pid, _ in serial} == {os.getpid()}  # no pool at one job
+    assert record["jobs"] == 1 and len(record["unit_wall_s"]) == 7
+
+    parallel = fan_out(_pid_and_square, items, jobs=64, record=record)
+    assert [sq for _, sq in parallel] == [x * x for x in range(7)]
+    assert record["jobs"] == min(7, usable_cores())
+    pids = {pid for pid, _ in parallel}
+    assert len(pids) <= record["jobs"]
+    if record["jobs"] > 1:
+        assert os.getpid() not in pids
+
+
+def test_fan_out_reraises_worker_errors():
+    with pytest.raises(ValueError, match="math domain"):
+        fan_out(math.sqrt, [(4.0,), (-1.0,)], jobs=2)
+
+
+def test_student_t_quantile_matches_scipy_stats():
+    from scipy.special import stdtrit
+
+    for df in (1, 2, 9, 19, 99, 999):
+        assert stdtrit(df, 0.975) == stats.t.ppf(0.975, df)
