@@ -12,6 +12,7 @@ from .errors import (
     DegenerateState,
     EmptySource,
     HypothesisViolated,
+    InsufficientMemory,
     InvalidRate,
     NonUnitLoad,
     NotConverged,

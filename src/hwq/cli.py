@@ -46,6 +46,7 @@ from .errors import (
     DegenerateState,
     EmptySource,
     HypothesisViolated,
+    InsufficientMemory,
     InvalidRate,
     NonUnitLoad,
     NotConverged,
@@ -81,10 +82,20 @@ from .verify import (
 
 SCHEMA_VERSION = "hwq-config/1"
 COMMANDS = ("validate", "exact", "simulate", "couple", "verify", "sweep")
+# the keys each command's section may hold: those its _cmd_* function reads
+_SECTION_KEYS = {
+    "exact": {"functionals", "K", "method"},
+    "simulate": {"functionals", "estimator", "warmup_events", "n_cycles",
+                 "max_events_per_cycle", "n_batches", "events_per_batch"},
+    "couple": {"coupling", "n_events", "nu_prime", "warmup_events", "n_seeds"},
+    "verify": {"checks", "K", "theta_list", "k", "theta"},
+    "sweep": {"functionals", "estimator", "K", "n_batches", "events_per_batch",
+              "warmup_events"},
+}
 
 _CONFIG_ERRORS = (
     SchemaError, NonUnitLoad, InvalidRate, HypothesisViolated, Unsupported,
-    TruncationTooSmall, ThetaOutOfRange, DegenerateState, EmptySource,
+    TruncationTooSmall, ThetaOutOfRange, DegenerateState, EmptySource, InsufficientMemory,
 )
 _NUMERIC_ERRORS = (NotConverged, CycleTimeout, Reducible)
 
@@ -193,12 +204,12 @@ def parse_config(source) -> ExperimentConfig:
     systems = tuple(build_config(classes, r, a) for r in r_values)
     n_servers = max(sc.n_servers for sc in systems)
     sections = {}
-    for cmd in COMMANDS:
-        if cmd == "validate":
-            continue
+    for cmd, known in _SECTION_KEYS.items():
         sec = raw.get(cmd, {})
         if not isinstance(sec, dict):
             raise _fail(cmd, "expected an object")
+        for key in sorted(set(sec) - known):
+            raise _fail(f"{cmd}.{key}", f"unknown key; known keys: {sorted(known)}")
         sections[cmd] = sec
         if "functionals" in sec:
             sections[cmd] = dict(sec)
@@ -251,14 +262,32 @@ def _cmd_validate(cfg, out_dir, jobs, record):
     return [path], 0
 
 
+def _generator(sc, policy, K, record):
+    """The truncated generator of sc's chain (K null for the default); the
+    wall times of enumeration and assembly go to the manifest's phases."""
+    started = time.perf_counter()
+    idx = enumerate_states(sc, policy, K or default_truncation(sc))
+    enumerated = time.perf_counter()
+    gen = build_generator(idx)
+    phases = {"r": sc.r, "enumerate_s": enumerated - started,
+              "build_s": time.perf_counter() - enumerated}
+    record["phases"].append(phases)
+    return gen, phases
+
+
 def _cmd_exact(cfg, out_dir, jobs, record):
     sec = cfg.sections["exact"]
     specs = sec.get("functionals", [FunctionalSpec("z_total")])
     rows = []
     for sc in cfg.systems:
-        K = sec.get("K") or default_truncation(sc)
-        gen = build_generator(enumerate_states(sc, cfg.policy, K))
+        gen, phases = _generator(sc, cfg.policy, sec.get("K"), record)
+        started = time.perf_counter()
         sv = stationary(gen)
+        phases["solve_s"] = time.perf_counter() - started
+        record["counters"].append(dict(
+            r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz, envelope_width=sv.envelope_width,
+            method=sv.method, iterations=sv.iterations, residual=sv.residual,
+            deficit=sv.deficit_estimate))
         for spec in specs:
             vals = spec.vector(sc)(gen.idx.z, gen.idx.psi, sc)
             rows.append([sc.r, sc.a, cfg.policy, cfg.seed, sv.method,
@@ -279,28 +308,23 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
         method = choose_estimator(sc)
     warmup = sec.get("warmup_events")
     warmup = default_warmup(sc) if warmup is None else warmup
-    rows = []
     if method == "regenerative":
-        for spec in specs:
-            est = regenerative_estimate(
-                sc, cfg.policy, spec.scalar(sc), sec.get("n_cycles", 1000),
-                RngStream(cfg.seed, 0),
-                max_events_per_cycle=sec.get("max_events_per_cycle", 1_000_000),
-            )
-            rows.append([sc.r, sc.a, cfg.policy, cfg.seed, est.method, spec.label(),
-                         est.value, est.half_width, est.cycles_or_batches,
-                         est.warmup_events])
+        ests = {spec.label(): regenerative_estimate(
+            sc, cfg.policy, spec.scalar(sc), sec.get("n_cycles", 1000),
+            RngStream(cfg.seed, 0),
+            max_events_per_cycle=sec.get("max_events_per_cycle", 1_000_000),
+        ) for spec in specs}
     else:
         fns = {spec.label(): spec.scalar(sc) for spec in specs}
         ests = batch_means_multi(
             sc, cfg.policy, fns, sec.get("n_batches", 20),
             sec.get("events_per_batch", 50_000), warmup, RngStream(cfg.seed, 0),
         )
-        for spec in specs:
-            est = ests[spec.label()]
-            rows.append([sc.r, sc.a, cfg.policy, cfg.seed, est.method, spec.label(),
-                         est.value, est.half_width, est.cycles_or_batches,
-                         est.warmup_events])
+    rows = []
+    for spec in specs:
+        est = ests[spec.label()]
+        rows.append([sc.r, sc.a, cfg.policy, cfg.seed, est.method, spec.label(),
+                     est.value, est.half_width, est.cycles_or_batches, est.warmup_events])
     path = out_dir / "simulate.csv"
     _write_csv(path, PROVENANCE + ("functional", "estimate", "half_width",
                                    "cycles_or_batches", "warmup_events"), rows)
@@ -347,10 +371,9 @@ def _cmd_verify(cfg, out_dir, jobs, record):
     sec = cfg.sections["verify"]
     sc = cfg.system()
     checks = sec.get("checks", ["drift_identity"])
-    K = sec.get("K") or default_truncation(sc)
     theta_list = sec.get("theta_list", [0.05, 0.1, 0.2, 0.5])
     k = sec.get("k", 5.0)
-    gen = build_generator(enumerate_states(sc, cfg.policy, K))
+    gen, _ = _generator(sc, cfg.policy, sec.get("K"), record)
     rows = []
     violations = 0
     for check in checks:
@@ -462,7 +485,8 @@ def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Rep
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    record = {"jobs": 1, "unit_wall_s": []}  # a fan-out overwrites both
+    # a fan-out overwrites jobs and unit_wall_s; exact and verify fill the rest
+    record = {"jobs": 1, "unit_wall_s": [], "phases": [], "counters": []}
     paths, violations = _DISPATCH[command](cfg, out_dir, jobs, record)
     manifest = {
         "schema_version": SCHEMA_VERSION,

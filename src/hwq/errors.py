@@ -42,6 +42,10 @@ class TruncationTooSmall(ValueError):
     """Requested truncation level K below the server count."""
 
 
+class InsufficientMemory(ValueError):
+    """A solve would allocate more than the machine's physical memory."""
+
+
 class NotConverged(RuntimeError):
     """Iterative stationary solver exhausted its budget."""
 

@@ -21,6 +21,7 @@ inside the level band, or uniformized power iteration where the band is wide.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from scipy.sparse import csgraph
 from scipy.special import gammaln
 
 from .errors import (
+    InsufficientMemory,
     NotConverged,
     Reducible,
     ThetaOutOfRange,
@@ -36,7 +38,7 @@ from .errors import (
     Unsupported,
 )
 from .model import MacroState, SystemConfig
-from .policy import NONPREEMPTIVE, PREEMPTIVE, QUEUE, SERVICE, init_state
+from .policy import NONPREEMPTIVE, PREEMPTIVE
 
 # GTH is used wherever affordable, for its componentwise accuracy.  Band GTH
 # costs about 1.6 ns * n * b^2 on a 2-core x86 box (b the envelope width).
@@ -47,93 +49,92 @@ _POWER_MAX_ITERS = 2_000_000
 
 @dataclass(frozen=True)
 class StateIndex:
-    """Bijection between detailed states with sum(z) <= K and dense indices."""
+    """Bijection between detailed states with sum(z) <= K and dense indices.
+
+    A state's key is its number in base K+2 over the digits of z
+    (preemptive) or of (z, psi) (non-preemptive); base K+2 also keys the
+    targets one level up.  ``keys`` is sorted and ``order[j]`` is the index
+    of the state with key ``keys[j]``, so states are found with one
+    ``searchsorted``.
+    """
 
     cfg: SystemConfig
     kind: str
     K: int
     z: np.ndarray  # (n_states, n_classes) int64
     psi: np.ndarray  # (n_states, n_classes) int64
-    lookup: dict
+    keys: np.ndarray
+    order: np.ndarray
 
     @property
     def n_states(self) -> int:
         return self.z.shape[0]
 
-    def key(self, z, psi=None):
-        if self.kind == PREEMPTIVE:
-            return tuple(z)
-        return tuple(z), tuple(psi)
+    def positions(self, Z, PSI) -> np.ndarray:
+        """Index of each state (row of Z and PSI), -1 where not enumerated."""
+        keys = _state_keys(self.kind, self.K, Z, PSI)
+        j = np.minimum(np.searchsorted(self.keys, keys), self.n_states - 1)
+        return np.where(self.keys[j] == keys, self.order[j], -1)
 
     def index_of(self, z, psi=None) -> int:
-        return self.lookup[self.key(z, psi)]
+        i = int(self.positions(np.array([z]), np.array([psi]))[0])
+        if i < 0:
+            raise KeyError((tuple(z), psi))
+        return i
 
 
-def _level_vectors(n_classes: int, total: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if n_classes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _level_vectors(n_classes - 1, total - first):
-            yield (first,) + rest
+def _state_keys(kind: str, K: int, Z, PSI) -> np.ndarray:
+    digits = Z if kind == PREEMPTIVE else np.hstack([Z, PSI])
+    return digits @ (K + 2) ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _allocations(z, need: int):
-    """All psi with 0 <= psi_i <= z_i and sum(psi) == need."""
-    if len(z) == 1:
-        if 0 <= need <= z[0]:
-            yield (need,)
-        return
-    tail_cap = sum(z[1:])
-    lo = max(0, need - tail_cap)
-    hi = min(z[0], need)
-    for first in range(lo, hi + 1):
-        for rest in _allocations(z[1:], need - first):
-            yield (first,) + rest
+def _check_key_range(K: int, n_digits: int) -> None:
+    """Refuse a truncation whose state keys would overflow int64."""
+    if (K + 2) ** n_digits - 1 > np.iinfo(np.int64).max:
+        raise Unsupported(
+            f"K = {K}: state keys of {n_digits} digits in base K+2 overflow int64"
+        )
 
 
-def _priority_alloc(z, n_servers: int):
-    """Unique allocation serving higher class indices first."""
-    rem = n_servers
-    psi = [0] * len(z)
-    for i in range(len(z) - 1, -1, -1):
-        s = min(z[i], rem)
-        psi[i] = s
-        rem -= s
-    return tuple(psi)
+def _splits(total, caps):
+    """Every split of total[r] into parts 0 <= part_i <= caps[r, i], for each
+    row r in turn, splits in lexicographic order: (row r of each, split)."""
+    rows, cols, rem, tail = np.arange(len(total)), [], total, caps.sum(axis=1)
+    for i in range(caps.shape[1] - 1):
+        cap = caps[rows, i]
+        tail = tail - cap  # room in the parts after i
+        lo, hi = np.maximum(rem - tail, 0), np.minimum(cap, rem)
+        counts = hi - lo + 1
+        r = np.repeat(np.arange(lo.size), counts)
+        v = np.arange(r.size) - (np.cumsum(counts) - counts - lo)[r]
+        rows, cols, rem, tail = rows[r], [c[r] for c in cols] + [v], rem[r] - v, tail[r]
+    return rows, np.column_stack(cols + [rem])
+
+
+def _allocate_by_priority(Z, n_servers: int) -> np.ndarray:
+    """Row by row, the unique allocation serving higher class indices first."""
+    above = np.cumsum(Z[:, ::-1], axis=1)[:, ::-1] - Z  # customers of higher classes
+    return np.minimum(Z, np.maximum(n_servers - above, 0))
 
 
 def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
-    """Enumerate every valid detailed state with ``sum(z) <= K``."""
+    """Enumerate every valid detailed state with ``sum(z) <= K``, by level,
+    then z in lexicographic order, then psi in lexicographic order."""
     if kind not in (PREEMPTIVE, NONPREEMPTIVE):
-        raise Unsupported(
-            f"exact solve supports priority policies only, not {kind!r}"
-        )
+        raise Unsupported(f"exact solve supports priority policies only, not {kind!r}")
     if K < cfg.n_servers:
-        raise TruncationTooSmall(
-            f"K = {K} must be at least n_servers = {cfg.n_servers}"
-        )
+        raise TruncationTooSmall(f"K = {K} must be at least n_servers = {cfg.n_servers}")
     nc = cfg.n_classes
-    zs = []
-    psis = []
-    for level in range(K + 1):
-        for z in _level_vectors(nc, level):
-            if kind == PREEMPTIVE:
-                zs.append(z)
-                psis.append(_priority_alloc(z, cfg.n_servers))
-            else:
-                need = min(cfg.n_servers, level)
-                for psi in _allocations(z, need):
-                    zs.append(z)
-                    psis.append(psi)
-    Z = np.array(zs, dtype=np.int64)
-    PSI = np.array(psis, dtype=np.int64)
+    _check_key_range(K, nc if kind == PREEMPTIVE else 2 * nc)
+    _, Z = _splits(np.arange(K + 1), np.full((K + 1, nc), K))  # level by level
     if kind == PREEMPTIVE:
-        lookup = {z: i for i, z in enumerate(zs)}
-    else:
-        lookup = {(z, p): i for i, (z, p) in enumerate(zip(zs, psis))}
-    return StateIndex(cfg=cfg, kind=kind, K=K, z=Z, psi=PSI, lookup=lookup)
+        PSI = _allocate_by_priority(Z, cfg.n_servers)
+    else:  # every psi <= z with sum(psi) = min(N, level)
+        rows, PSI = _splits(np.minimum(Z.sum(axis=1), cfg.n_servers), Z)
+        Z = Z[rows]
+    keys = _state_keys(kind, K, Z, PSI)
+    order = np.argsort(keys)
+    return StateIndex(cfg=cfg, kind=kind, K=K, z=Z, psi=PSI, keys=keys[order], order=order)
 
 
 @dataclass(frozen=True)
@@ -162,90 +163,61 @@ class SparseGenerator:
 
 
 def build_generator(idx: StateIndex) -> SparseGenerator:
-    """Assemble transition rates by replaying the policy operations.
+    """Assemble the transitions of every state at once.
 
-    Targets are produced by the same :mod:`hwq.policy` code that drives the
-    simulators, so the exact chain and the simulated chain cannot drift
-    apart.
+    Each state gets 3 * n_classes transition slots, in the order arrivals by
+    class, then service completion and abandonment of each class; slots
+    that cannot fire (nobody in service, nobody queued, nu = 0) are dropped.
+    Targets restate the :mod:`hwq.policy` operations: the tests replay those
+    operations state by state and check that every array here equals the
+    replay's, which keeps the exact chain and the simulated chain together.
     """
-    cfg = idx.cfg
-    nc = cfg.n_classes
-    n = idx.n_states
-    scratch = init_state(cfg, idx.kind)
-    src_l: list[int] = []
-    rate_l: list[float] = []
-    dst_l: list[int] = []
-    dst_z_l: list[tuple] = []
-    dst_psi_l: list[tuple] = []
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    lookup = idx.lookup
-    preemptive = idx.kind == PREEMPTIVE
+    cfg, Z, PSI = idx.cfg, idx.z, idx.psi
+    n, nc = Z.shape
+    tz = np.repeat(Z[:, None, :], 3 * nc, axis=1)  # (state, slot, class)
+    tpsi = np.repeat(PSI[:, None, :], 3 * nc, axis=1)
+    rate = np.empty((n, 3 * nc))
+    can = np.ones((n, 3 * nc), dtype=bool)
+    free = PSI.sum(axis=1) < cfg.n_servers
+    for c in range(nc):
+        arr, svc, ab = c, nc + 2 * c, nc + 2 * c + 1
+        tz[:, arr, c] += 1
+        tz[:, [svc, ab], c] -= 1
+        tpsi[:, arr, c] += free  # non-preemptive: a free server takes it
+        tpsi[:, svc, c] -= 1
+        rate[:, arr] = cfg.arrival_rates[c]
+        rate[:, svc] = cfg.mus[c] * PSI[:, c]
+        rate[:, ab] = cfg.nus[c] * (Z[:, c] - PSI[:, c])
+        can[:, svc] = PSI[:, c] > 0
+        can[:, ab] = (Z[:, c] > PSI[:, c]) & (cfg.nus[c] > 0.0)
+    if idx.kind == PREEMPTIVE:
+        tpsi = _allocate_by_priority(tz.reshape(-1, nc), cfg.n_servers).reshape(tz.shape)
+    else:  # the freed server takes the highest waiting class, if any
+        waiting = tz[:, nc::2] > tpsi[:, nc::2]
+        top = nc - 1 - np.argmax(waiting[..., ::-1], axis=-1)
+        tpsi[:, nc::2] += (np.arange(nc) == top[..., None]) & waiting.any(axis=-1)[..., None]
 
-    def load(i):
-        if preemptive:
-            scratch.set_counts(idx.z[i])
-        else:
-            scratch.set_counts(idx.z[i], idx.psi[i])
-
-    def emit(i, rate, state):
-        zt = tuple(state.z)
-        pt = tuple(state.psi)
-        key = zt if preemptive else (zt, pt)
-        src_l.append(i)
-        rate_l.append(rate)
-        dst_l.append(lookup.get(key, -1))
-        dst_z_l.append(zt)
-        dst_psi_l.append(pt)
-
-    for i in range(n):
-        z_row = idx.z[i]
-        psi_row = idx.psi[i]
-        level = int(z_row.sum())
-        for cls in range(nc):
-            load(i)
-            scratch.apply_arrival(cls)
-            emit(i, cfg.arrival_rates[cls], scratch)
-        for cls in range(nc):
-            p = int(psi_row[cls])
-            if p > 0:
-                load(i)
-                scratch.apply_departure(cls, SERVICE)
-                emit(i, cfg.mus[cls] * p, scratch)
-            q = int(z_row[cls]) - p
-            if q > 0 and cfg.nus[cls] > 0.0:
-                load(i)
-                scratch.apply_departure(cls, QUEUE)
-                emit(i, cfg.nus[cls] * q, scratch)
-        row_ptr[i + 1] = len(src_l)
-        if level < idx.K and any(d < 0 for d in dst_l[row_ptr[i]:]):
-            raise AssertionError(f"interior state {i} produced an unindexed target")
-
-    src = np.array(src_l, dtype=np.int64)
-    rate = np.array(rate_l, dtype=np.float64)
-    dst = np.array(dst_l, dtype=np.int64)
-    dst_z = np.array(dst_z_l, dtype=np.int64)
-    dst_psi = np.array(dst_psi_l, dtype=np.int64)
+    keep = can.ravel()
+    src = np.repeat(np.arange(n), 3 * nc)[keep]
+    rate = rate.ravel()[keep]
+    dst_z = tz.reshape(-1, nc)[keep]
+    dst_psi = tpsi.reshape(-1, nc)[keep]
+    dst = idx.positions(dst_z, dst_psi)
+    row_ptr = np.concatenate([[0], np.cumsum(can.sum(axis=1))])
+    lost = src[(dst < 0) & (Z.sum(axis=1) < idx.K)[src]]
+    if lost.size:
+        raise AssertionError(f"interior state {lost[0]} produced an unindexed target")
 
     kept = dst >= 0
-    off = sparse.coo_matrix(
-        (rate[kept], (src[kept], dst[kept])), shape=(n, n)
-    ).tocsr()
+    off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
     exit_rates = np.asarray(off.sum(axis=1)).ravel()
     Q = (off + sparse.diags(-exit_rates)).tocsr()
 
     dropped = np.zeros(n)
     np.add.at(dropped, src[~kept], rate[~kept])
     return SparseGenerator(
-        idx=idx,
-        Q=Q,
-        src=src,
-        rate=rate,
-        dst=dst,
-        dst_z=dst_z,
-        dst_psi=dst_psi,
-        row_ptr=row_ptr,
-        boundary_mask=dropped > 0.0,
-        dropped_rate=dropped,
+        idx=idx, Q=Q, src=src, rate=rate, dst=dst, dst_z=dst_z, dst_psi=dst_psi,
+        row_ptr=row_ptr, boundary_mask=dropped > 0.0, dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
 
@@ -259,6 +231,7 @@ class StationaryVector:
     method: str  # "gth" | "power"
     iterations: int
     deficit_estimate: float
+    envelope_width: int  # b, the widest reach of an elimination step
 
 
 def _envelope(Q: sparse.spmatrix) -> tuple[np.ndarray, int]:
@@ -272,6 +245,17 @@ def _envelope(Q: sparse.spmatrix) -> tuple[np.ndarray, int]:
     return lo, int((np.arange(Q.shape[0]) - lo).max())
 
 
+def _check_band_fits(n: int, b: int) -> None:
+    """Refuse a band of 8 * (n + 1) * (2b + 1) bytes beyond physical memory."""
+    need = 8 * (n + 1) * (2 * b + 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InsufficientMemory(
+            f"the GTH band of {n} states and width {b} needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def _gth_band(Q: sparse.spmatrix, lo: np.ndarray, b: int) -> np.ndarray:
     """GTH elimination on the off-diagonal rates of ``Q`` inside the envelope.
 
@@ -281,6 +265,7 @@ def _gth_band(Q: sparse.spmatrix, lo: np.ndarray, b: int) -> np.ndarray:
     GTH, restricted to the envelope; no n x n array is formed.
     """
     n = Q.shape[0]
+    _check_band_fits(n, b)
     coo = Q.tocoo()
     off = coo.row != coo.col
     A = np.zeros((n + 1) * (2 * b + 1))  # a padding row keeps block views in range
@@ -375,13 +360,8 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
             f"residual {residual:g} exceeds 1e-10 * max rate "
             f"({1e-10 * gen.max_exit_rate:g})"
         )
-    return StationaryVector(
-        pi=pi,
-        residual=residual,
-        method=method,
-        iterations=iterations,
-        deficit_estimate=_deficit_estimate(gen, pi),
-    )
+    return StationaryVector(pi=pi, residual=residual, method=method, iterations=iterations,
+                            deficit_estimate=_deficit_estimate(gen, pi), envelope_width=b)
 
 
 def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
@@ -404,10 +384,7 @@ def abar_apply(F, x: MacroState, gen: SparseGenerator) -> float:
     ``F`` takes (MacroState, cfg).  ``x`` must be an indexed state; targets
     may lie beyond the truncation.
     """
-    if gen.idx.kind == PREEMPTIVE:
-        i = gen.idx.index_of(x.z)
-    else:
-        i = gen.idx.index_of(x.z, x.psi)
+    i = gen.idx.index_of(x.z, x.psi)  # psi is not part of a preemptive key
     cfg = gen.idx.cfg
     fx = F(x, cfg)
     lo, hi = gen.row_ptr[i], gen.row_ptr[i + 1]

@@ -2,12 +2,18 @@
 
 Everything here is deliberately written from first principles (cumulative
 products, direct summation) and does not touch the solver/simulator code
-paths under test.
+paths under test.  ``replay_generator`` is the one exception: it drives the
+policy objects the simulators use, so that the exact generator is checked
+against them.
 """
 
 import math
 
 import numpy as np
+from scipy import sparse
+
+from hwq.exact import SparseGenerator
+from hwq.policy import PREEMPTIVE, QUEUE, SERVICE, init_state
 
 
 def birth_death_stationary(birth, death, K):
@@ -102,3 +108,81 @@ def ctmc_stationary_law(start, moves, key, project):
         m = project(st)
         law[m] = law.get(m, 0.0) + p
     return law
+
+
+def replay_generator(idx):
+    """The generator of ``idx``'s chain, assembled by replaying the
+    :mod:`hwq.policy` operations that drive the simulators, one state and one
+    event at a time, with targets found in a dict of the enumerated states.
+    """
+    cfg = idx.cfg
+    nc = cfg.n_classes
+    n = idx.n_states
+    preemptive = idx.kind == PREEMPTIVE
+    lookup = {}
+    for i in range(n):
+        z, psi = tuple(idx.z[i]), tuple(idx.psi[i])
+        lookup[z if preemptive else (z, psi)] = i
+    state = init_state(cfg, idx.kind)
+    src_l, rate_l, dst_l, dst_z_l, dst_psi_l = [], [], [], [], []
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+
+    def load(i):
+        if preemptive:
+            state.set_counts(idx.z[i])
+        else:
+            state.set_counts(idx.z[i], idx.psi[i])
+
+    def emit(i, rate):
+        zt = tuple(state.z)
+        pt = tuple(state.psi)
+        src_l.append(i)
+        rate_l.append(rate)
+        dst_l.append(lookup.get(zt if preemptive else (zt, pt), -1))
+        dst_z_l.append(zt)
+        dst_psi_l.append(pt)
+
+    for i in range(n):
+        z_row = idx.z[i]
+        psi_row = idx.psi[i]
+        level = int(z_row.sum())
+        for cls in range(nc):
+            load(i)
+            state.apply_arrival(cls)
+            emit(i, cfg.arrival_rates[cls])
+        for cls in range(nc):
+            p = int(psi_row[cls])
+            if p > 0:
+                load(i)
+                state.apply_departure(cls, SERVICE)
+                emit(i, cfg.mus[cls] * p)
+            q = int(z_row[cls]) - p
+            if q > 0 and cfg.nus[cls] > 0.0:
+                load(i)
+                state.apply_departure(cls, QUEUE)
+                emit(i, cfg.nus[cls] * q)
+        row_ptr[i + 1] = len(src_l)
+        if level < idx.K and any(d < 0 for d in dst_l[row_ptr[i]:]):
+            raise AssertionError(f"interior state {i} produced an unindexed target")
+
+    src = np.array(src_l, dtype=np.int64)
+    rate = np.array(rate_l, dtype=np.float64)
+    dst = np.array(dst_l, dtype=np.int64)
+    kept = dst >= 0
+    off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
+    exit_rates = np.asarray(off.sum(axis=1)).ravel()
+    dropped = np.zeros(n)
+    np.add.at(dropped, src[~kept], rate[~kept])
+    return SparseGenerator(
+        idx=idx,
+        Q=(off + sparse.diags(-exit_rates)).tocsr(),
+        src=src,
+        rate=rate,
+        dst=dst,
+        dst_z=np.array(dst_z_l, dtype=np.int64),
+        dst_psi=np.array(dst_psi_l, dtype=np.int64),
+        row_ptr=row_ptr,
+        boundary_mask=dropped > 0.0,
+        dropped_rate=dropped,
+        max_exit_rate=float(exit_rates.max() + dropped.max()),
+    )

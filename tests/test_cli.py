@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,3 +362,67 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("exact", "fucntionals"),
+    ("simulate", "n_batchs"),
+    ("couple", "n_event"),
+    ("verify", "chekcs"),
+    ("sweep", "estimater"),
+])
+def test_unknown_section_key_exits_one(tmp_path, capsys, section, key):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
+                                           **{section: {key: 1}})))
+    rc = main([section, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_use_known_keys():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "demos" / "configs").glob("*.json")) \
+        + sorted((root / "bench" / "configs").glob("*.json"))
+    assert len(paths) == 6
+    for path in paths:
+        parse_config(str(path))
+
+
+def test_manifest_explains_exact_and_verify(tmp_path):
+    raw = _config(
+        policy="preemptive_priority",
+        system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 1.0}], "r_list": [4.0, 9.0],
+                "a": 1.0},
+        verify={"K": 40},
+    )
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["exact", "--config", str(cfg_file), "--out", str(tmp_path / "e")]) == 0
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert [p["r"] for p in manifest["phases"]] == [4.0, 9.0]
+    for phases in manifest["phases"]:
+        assert set(phases) == {"r", "enumerate_s", "build_s", "solve_s"}
+    assert [set(c) for c in manifest["counters"]] == [{
+        "r", "n_states", "nnz", "envelope_width", "method", "iterations",
+        "residual", "deficit"}] * 2
+    assert manifest["counters"][0]["method"] == "gth"
+
+    assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "v")]) == 0
+    manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+    assert [set(p) for p in manifest["phases"]] == [{"r", "enumerate_s", "build_s"}]
+    assert manifest["counters"] == []
+
+
+def test_band_beyond_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # a machine of 100 bytes: the band of the smallest chain does not fit
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else 100)
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority")))
+    rc = main(["exact", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--jobs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "physical memory" in err and len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,14 +12,23 @@ from helpers import (
     erlang_a_stationary,
     mmn_stationary,
     poisson_pmf_ref,
+    replay_generator,
 )
-from hwq.errors import Reducible, ThetaOutOfRange, TruncationTooSmall, Unsupported
+from hwq.errors import (
+    InsufficientMemory,
+    Reducible,
+    ThetaOutOfRange,
+    TruncationTooSmall,
+    Unsupported,
+)
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
 from hwq.exact import (
     _GTH_MAX_WORK,
     _POWER_MAX_ITERS,
     _POWER_TOL_REL,
+    _check_band_fits,
+    _check_key_range,
     _envelope,
     _gth_band,
     _power_iteration,
@@ -35,6 +45,7 @@ from hwq.exact import (
     scaled_poisson_mgf,
     stationary,
 )
+from hwq.verify import default_truncation
 
 MM2 = build_config([ClassParams(1.0, 1.0, 0.0)], 1.0, 1.0)  # N = 2
 TWO_CLASS_AB = build_config(
@@ -56,7 +67,7 @@ def test_enumerate_two_class_lattice_count():
 def test_enumerate_nonpreemptive_pairs():
     cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=1)
     idx = enumerate_states(cfg, NONPREEMPTIVE, 1)
-    keys = {idx.key(idx.z[i], idx.psi[i]) for i in range(idx.n_states)}
+    keys = {(tuple(idx.z[i]), tuple(idx.psi[i])) for i in range(idx.n_states)}
     assert keys == {
         ((0, 0), (0, 0)),
         ((1, 0), (1, 0)),
@@ -69,6 +80,65 @@ def test_enumerate_rejects_fifo_and_small_K():
         enumerate_states(MM2, FIFO, 10)
     with pytest.raises(TruncationTooSmall):
         enumerate_states(MM2, PREEMPTIVE, 1)
+
+
+def test_index_of_round_trips_every_state():
+    for cfg in (TWO_CLASS_AB, dataclasses.replace(TWO_CLASS_AB, n_servers=3)):
+        for kind in (PREEMPTIVE, NONPREEMPTIVE):
+            idx = enumerate_states(cfg, kind, 30)
+            assert np.array_equal(idx.positions(idx.z, idx.psi), np.arange(idx.n_states))
+            for i in range(idx.n_states):
+                assert idx.index_of(tuple(idx.z[i]), tuple(idx.psi[i])) == i
+            with pytest.raises(KeyError):
+                idx.index_of((31, 0), (0, 0))  # one level above K
+
+
+def test_state_key_range_refusal():
+    # (K+2)^digits must fit int64: non-preemptive 2, 3 and 6 classes have
+    # 4, 6 and 12 digits; 2 preemptive classes have 2
+    for K, digits in ((55107, 4), (1447, 6), (37, 12)):
+        _check_key_range(K - 1, digits)
+        with pytest.raises(Unsupported, match="overflow"):
+            _check_key_range(K, digits)
+    _check_key_range(3_000_000_000, 2)
+
+
+def test_band_memory_refusal():
+    _check_band_fits(3655, 85)  # the exact_banded band, 5 MB
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = phys // 24  # width 1: 8 * (n + 1) * 3 bytes, just over physical memory
+    with pytest.raises(InsufficientMemory):
+        _check_band_fits(n, 1)
+
+
+_REPLAY_SYSTEMS = {
+    "1 class": build_config([ClassParams(1.0, 1.0, 0.5)], 4.0, 1.0),
+    "2 classes, nu_0 = 0": build_config(
+        [ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0),
+    "3 classes, nu_1 = 0": build_config(
+        [ClassParams(0.2, 1.0, 0.3), ClassParams(0.6, 2.0, 0.0),
+         ClassParams(0.25, 0.5, 0.4)], 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+@pytest.mark.parametrize("system", list(_REPLAY_SYSTEMS))
+@pytest.mark.parametrize("K_of", ["N", "N+3", "default"])
+def test_generator_matches_policy_replay(kind, system, K_of):
+    """Every array of the assembled generator equals the one built by
+    replaying the simulators' policy operations state by state."""
+    cfg = _REPLAY_SYSTEMS[system]
+    K = {"N": cfg.n_servers, "N+3": cfg.n_servers + 3,
+         "default": default_truncation(cfg)}[K_of]
+    idx = enumerate_states(cfg, kind, K)
+    gen, oracle = build_generator(idx), replay_generator(idx)
+    for field in ("src", "rate", "dst", "dst_z", "dst_psi", "row_ptr",
+                  "boundary_mask", "dropped_rate"):
+        got, want = getattr(gen, field), getattr(oracle, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(gen.Q, field), getattr(oracle.Q, field)), field
+    assert gen.max_exit_rate == oracle.max_exit_rate
 
 
 def test_generator_is_mmn_birth_death():
