@@ -5,8 +5,10 @@
 # utilization is 1 - a/(sqrt(r)+a) -> 1 as r grows while spare capacity
 # a*sqrt(r) grows too.
 
-from hwq import ClassParams, MacroState, build_config, nominal_utilization, scale_state
-from hwq.model import validate_macro_state
+import numpy as np
+
+from hwq import ClassParams, build_config, nominal_utilization
+from hwq.model import scale_arrays
 
 classes = [ClassParams(lam=0.5, mu=1.0, nu=0.0), ClassParams(lam=1.0, mu=2.0, nu=0.0)]
 
@@ -18,14 +20,13 @@ for r in (25, 100, 400, 1600, 10_000):
 cfg = build_config(classes, 100.0, 1.0)
 print(f"\nr=100: N={cfg.n_servers}, rho*r={cfg.rho_r}, effective spare capacity={cfg.a_eff}")
 
-# a state with 10 extra class-0 customers: z_hat=(1, 0), workload phi_hat=1
-s = MacroState(z=(60, 50), psi=(60, 50))
-sc = scale_state(s, cfg)
-print(f"state z={s.z}: z_hat={sc.z_hat}, phi_hat={sc.phi_hat}, q_hat={sc.q_hat}")
+# a state with 10 extra class-0 customers: z_hat=(1, 0), workload phi_hat=1;
+# the scaling takes one state per row
+z, psi = (60, 50), (60, 50)
+sc = scale_arrays(np.array([z]), np.array([psi]), cfg)
+print(f"state z={z}: z_hat={sc.z_hat[0].tolist()}, phi_hat={sc.phi_hat[0]}, q_hat={sc.q_hat[0]}")
 
-# the validator reports broken invariants instead of raising; here one
-# customer waits while a server idles (sum psi = 109 < min(N, sum z) = 110)
-bad = MacroState(z=(60, 50), psi=(59, 50))
-print("\nviolations for an idling state:")
-for v in validate_macro_state(bad, cfg):
-    print("  -", v)
+# a non-idling policy keeps sum(psi) = min(N, sum(z)); this state breaks
+# that, as one customer waits while a server idles
+psi = (59, 50)
+print(f"\nnon-idling at z={z}, psi={psi}: {sum(psi) == min(cfg.n_servers, sum(z))}")

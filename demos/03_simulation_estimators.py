@@ -8,7 +8,7 @@ import math
 
 from hwq import ClassParams, build_config
 from hwq.policy import FIFO, PREEMPTIVE
-from hwq.simulate import RngStream, batch_means_estimate, regenerative_estimate, run
+from hwq.simulate import RngStream, batch_means_multi, regenerative_estimate, run
 
 
 def z_total(z, psi, cfg):
@@ -21,9 +21,9 @@ est_r = regenerative_estimate(mm2, PREEMPTIVE, z_total, n_cycles=20_000, rng=Rng
 print(f"regenerative  E[Z] = {est_r.value:.5f} +- {est_r.half_width:.5f} "
       f"({est_r.cycles_or_batches} cycles)")
 
-est_b = batch_means_estimate(mm2, PREEMPTIVE, z_total, n_batches=20,
-                             events_per_batch=30_000, warmup_events=2_000,
-                             rng=RngStream(1, 1))
+est_b = batch_means_multi(mm2, PREEMPTIVE, {"z": z_total}, n_batches=20,
+                          events_per_batch=30_000, warmup_events=2_000,
+                          rng=RngStream(1, 1))["z"]
 print(f"batch means   E[Z] = {est_b.value:.5f} +- {est_b.half_width:.5f} "
       f"({est_b.cycles_or_batches} batches)")
 print(f"truth 4/3   = {4/3:.5f}")

@@ -9,7 +9,6 @@ and Poisson tail bounds that govern their steady-state behavior.
 
 from .errors import (
     CycleTimeout,
-    DegenerateState,
     EmptySource,
     HypothesisViolated,
     InsufficientMemory,
@@ -26,23 +25,18 @@ from .errors import (
 from .model import (
     ClassParams,
     MacroState,
-    ScaledObservables,
     SystemConfig,
     build_config,
     nominal_utilization,
-    scale_state,
-    validate_macro_state,
 )
 from .policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
 from .simulate import (
     RngStream,
     StationaryEstimate,
-    batch_means_estimate,
     jumps,
     regenerative_estimate,
     run,
     step,
-    total_rate,
 )
 from .coupling import (
     InfServerChain,
@@ -63,7 +57,6 @@ from .verify import (
     FunctionalSpec,
     drift_bounds_abandon_check,
     drift_identity_check,
-    drift_phi,
     generator_identity_check,
     lyapunov_pointwise_check,
     sweep,

@@ -43,7 +43,6 @@ import scipy
 from . import __version__
 from .errors import (
     CycleTimeout,
-    DegenerateState,
     EmptySource,
     HypothesisViolated,
     InsufficientMemory,
@@ -62,6 +61,7 @@ from .policy import KINDS
 from .simulate import (
     RngStream,
     batch_means_multi,
+    check_event_counts,
     choose_estimator,
     default_warmup,
     fan_out,
@@ -92,10 +92,18 @@ _SECTION_KEYS = {
     "sweep": {"functionals", "estimator", "K", "n_batches", "events_per_batch",
               "warmup_events"},
 }
+# the values a section key may take; the first is its default
+_CHOICES = {
+    ("simulate", "estimator"): ("auto", "regenerative", "batch_means"),
+    ("sweep", "estimator"): ("auto", "exact", "batch_means"),
+    ("couple", "coupling"): ("infserver", "monotone"),
+    ("exact", "method"): ("auto",),  # the solver follows the chain's size
+}
+_CHECKS = ("drift_identity", "lyapunov", "abandon_bounds", "generator_identity")
 
 _CONFIG_ERRORS = (
     SchemaError, NonUnitLoad, InvalidRate, HypothesisViolated, Unsupported,
-    TruncationTooSmall, ThetaOutOfRange, DegenerateState, EmptySource, InsufficientMemory,
+    TruncationTooSmall, ThetaOutOfRange, EmptySource, InsufficientMemory,
 )
 _NUMERIC_ERRORS = (NotConverged, CycleTimeout, Reducible)
 
@@ -218,11 +226,22 @@ def parse_config(source) -> ExperimentConfig:
             )
         if sec.get("K") is not None and _require(sec, cmd, "K", int) < n_servers:
             raise _fail(f"{cmd}.K", f"must be null or at least n_servers = {n_servers}")
-    kind = sections["couple"].get("coupling", "infserver")
-    if kind not in ("infserver", "monotone"):
-        raise _fail("couple.coupling", f"expected 'infserver' or 'monotone', got {kind!r}")
-    if _require(sections["exact"], "exact", "method", str, default="auto") != "auto":
-        raise _fail("exact.method", "only 'auto' is accepted; the solver follows the chain's size")
+    for (cmd, key), choices in _CHOICES.items():
+        val = sections[cmd].get(key, choices[0])
+        if val not in choices:
+            raise _fail(f"{cmd}.{key}", f"expected one of {list(choices)}, got {val!r}")
+    checks = sections["verify"].get("checks", ["drift_identity"])
+    if not isinstance(checks, list) or any(c not in _CHECKS for c in checks):
+        raise _fail("verify.checks", f"expected a list of names from {list(_CHECKS)}")
+    couple = sections["couple"]
+    n_events = _require(couple, "couple", "n_events", int, default=100_000)
+    warmup = _require(couple, "couple", "warmup_events", int, default=0)
+    try:
+        check_event_counts(n_events, warmup)
+    except ValueError as exc:
+        raise _fail("couple.n_events", str(exc)) from None
+    if _require(couple, "couple", "n_seeds", int, default=1) < 1:
+        raise _fail("couple.n_seeds", "must be at least 1")
     return ExperimentConfig(
         raw=raw, seed=seed, policy=policy, a=a,
         r_values=r_values, systems=systems, sections=sections,
@@ -403,8 +422,6 @@ def _cmd_verify(cfg, out_dir, jobs, record):
                 rows.append([sc.r, sc.a, cfg.policy, cfg.seed, check, row.functional,
                              gen.idx.n_states, int(not row.ok), row.residual,
                              row.bound])
-        else:
-            raise SchemaError(f"verify.checks: unknown check {check!r}")
     path = out_dir / "verify.csv"
     _write_csv(path, PROVENANCE + ("label", "n_states", "violations",
                                    "residual_or_err", "bound_or_slack"), rows)

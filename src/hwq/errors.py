@@ -21,10 +21,6 @@ class HypothesisViolated(ValueError):
     """A coupling was requested outside its hypothesis (e.g. nu_i > mu_i)."""
 
 
-class DegenerateState(ValueError):
-    """Thinning probability requested at a state where no departure can occur."""
-
-
 class OrderingViolation(RuntimeError):
     """A pathwise ordering failed during a coupled run.  Never expected;
     indicates an implementation bug, so it is fatal."""

@@ -10,7 +10,7 @@ in a tractable way and is excluded.
 Truncation drops arrival transitions out of the top level, which keeps row
 sums at zero and yields a proper chain; the neglected stationary mass is
 bounded by a geometric argument and reported.  The operator application
-``abar_apply`` does NOT truncate: it evaluates the test function at target
+``abar_vector`` does NOT truncate: it evaluates the test function at target
 states beyond K as well, so pointwise drift identities are exact at every
 indexed state, boundary included.
 
@@ -37,7 +37,7 @@ from .errors import (
     TruncationTooSmall,
     Unsupported,
 )
-from .model import MacroState, SystemConfig
+from .model import SystemConfig
 from .policy import NONPREEMPTIVE, PREEMPTIVE
 
 # GTH is used wherever affordable, for its componentwise accuracy.  Band GTH
@@ -376,24 +376,6 @@ def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
     vals_dst = np.asarray(f_vec(gen.dst_z, gen.dst_psi, gen.idx.cfg), dtype=float)
     contrib = gen.rate * (vals_dst - vals_src[gen.src])
     return np.bincount(gen.src, weights=contrib, minlength=gen.idx.n_states)
-
-
-def abar_apply(F, x: MacroState, gen: SparseGenerator) -> float:
-    """(A_bar F)(x) = sum over out-transitions of rate * (F(y) - F(x)).
-
-    ``F`` takes (MacroState, cfg).  ``x`` must be an indexed state; targets
-    may lie beyond the truncation.
-    """
-    i = gen.idx.index_of(x.z, x.psi)  # psi is not part of a preemptive key
-    cfg = gen.idx.cfg
-    fx = F(x, cfg)
-    lo, hi = gen.row_ptr[i], gen.row_ptr[i + 1]
-    total = 0.0
-    for t in range(lo, hi):
-        y = MacroState(z=tuple(int(v) for v in gen.dst_z[t]),
-                       psi=tuple(int(v) for v in gen.dst_psi[t]))
-        total += gen.rate[t] * (F(y, cfg) - fx)
-    return total
 
 
 def expectation(pi: np.ndarray, values: np.ndarray) -> float:

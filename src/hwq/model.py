@@ -138,78 +138,14 @@ class MacroState:
     z: tuple[int, ...]
     psi: tuple[int, ...]
 
-    @property
-    def q(self) -> tuple[int, ...]:
-        return tuple(zi - pi for zi, pi in zip(self.z, self.psi))
-
-    @property
-    def z_total(self) -> int:
-        return sum(self.z)
-
-
-@dataclass(frozen=True)
-class ScaledObservables:
-    """Diffusion-scaled view of a macro state."""
-
-    z_hat: tuple[float, ...]
-    z_hat_total: float
-    phi_hat: float
-    q_hat: float
-    z_hat_a: float
-
-
-def scale_state(s: MacroState, cfg: SystemConfig) -> ScaledObservables:
-    """Center counts at rho_i*r and divide by sqrt(r).
-
-    ``phi_hat`` is the scaled workload ``sum_i z_hat_i / mu_i`` and
-    ``z_hat_a = min(z_hat_total, a_eff)``.
-    """
-    inv = 1.0 / cfg.sqrt_r
-    z_hat = tuple((zi - ri) * inv for zi, ri in zip(s.z, cfg.rho_r))
-    z_hat_total = sum(z_hat)
-    phi_hat = sum(zh / mu for zh, mu in zip(z_hat, cfg.mus))
-    q_hat = sum(zi - pi for zi, pi in zip(s.z, s.psi)) * inv
-    return ScaledObservables(
-        z_hat=z_hat,
-        z_hat_total=z_hat_total,
-        phi_hat=phi_hat,
-        q_hat=q_hat,
-        z_hat_a=min(z_hat_total, cfg.a_eff),
-    )
-
-
-def validate_macro_state(s: MacroState, cfg: SystemConfig) -> list[str]:
-    """Return every violated state invariant (empty list means valid)."""
-    problems = []
-    if len(s.z) != cfg.n_classes or len(s.psi) != cfg.n_classes:
-        problems.append(
-            f"state has {len(s.z)}/{len(s.psi)} components, expected {cfg.n_classes}"
-        )
-        return problems
-    for i, (zi, pi) in enumerate(zip(s.z, s.psi)):
-        if zi < 0:
-            problems.append(f"z[{i}] = {zi} < 0")
-        if pi < 0:
-            problems.append(f"psi[{i}] = {pi} < 0")
-        if pi > zi:
-            problems.append(f"psi[{i}] = {pi} > z[{i}] = {zi}")
-    total_z = sum(s.z)
-    total_psi = sum(s.psi)
-    expected = min(cfg.n_servers, total_z)
-    if total_psi != expected:
-        problems.append(
-            f"non-idling broken: sum(psi) = {total_psi}, "
-            f"min(N, sum(z)) = {expected}"
-        )
-    return problems
-
 
 @dataclass(frozen=True)
 class ScaledArrays:
-    """Vectorized :class:`ScaledObservables` over an array of states.
+    """Diffusion-scaled observables of an array of macro states (one per row).
 
-    All entries are 1-d float arrays of length n_states except ``z_hat``
-    which is (n_states, n_classes).
+    ``phi_hat`` is the scaled workload ``sum_i z_hat_i / mu_i`` and ``z_hat_a
+    = min(z_hat_total, a_eff)``.  Entries are 1-d float arrays of length
+    n_states except ``z_hat``, which is (n_states, n_classes).
     """
 
     z_hat: np.ndarray

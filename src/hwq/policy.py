@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import EmptySource, Unsupported
-from .model import MacroState, SystemConfig
+from .model import SystemConfig
 
 PREEMPTIVE = "preemptive_priority"
 NONPREEMPTIVE = "nonpreemptive_priority"
@@ -76,9 +76,6 @@ class PreemptivePriorityState:
         self.z = list(z)
         self._realloc()
 
-    def project(self) -> MacroState:
-        return MacroState(z=tuple(self.z), psi=tuple(self.psi))
-
     def apply_arrival(self, cls: int, rng=None) -> "PreemptivePriorityState":
         self.z[cls] += 1
         self._realloc()
@@ -119,9 +116,6 @@ class NonPreemptivePriorityState:
     def set_counts(self, z, psi) -> None:
         self.z = list(z)
         self.psi = list(psi)
-
-    def project(self) -> MacroState:
-        return MacroState(z=tuple(self.z), psi=tuple(self.psi))
 
     def apply_arrival(self, cls: int, rng=None) -> "NonPreemptivePriorityState":
         self.z[cls] += 1
@@ -171,9 +165,6 @@ class FifoState:
         new.psi = list(self.psi)
         new.queue = deque(self.queue)
         return new
-
-    def project(self) -> MacroState:
-        return MacroState(z=tuple(self.z), psi=tuple(self.psi))
 
     def apply_arrival(self, cls: int, rng=None) -> "FifoState":
         self.z[cls] += 1

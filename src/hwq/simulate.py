@@ -35,6 +35,9 @@ from .errors import CycleTimeout
 from .model import MacroState, SystemConfig
 from .policy import QUEUE, SERVICE, init_state
 
+_REGENERATIVE_MAX_R = 50.0  # choose_estimator's limits on r and nu_max
+_REGENERATIVE_MAX_NU = 2.0
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -219,19 +222,8 @@ class _Probe(PolicyChain):
         self.k = k
 
 
-def event_rates(z, psi, cfg: SystemConfig) -> list[float]:
-    """Per-category rates: arrivals, then service completions, then
-    abandonments, each by class index."""
-    return list(PolicyChain(MacroState(z=z, psi=psi), cfg).rates())
-
-
-def total_rate(s: MacroState, cfg: SystemConfig) -> float:
-    """Total transition rate out of a macro state."""
-    return sum(event_rates(s.z, s.psi, cfg))
-
-
 def sample_event(z, psi, cfg: SystemConfig, rng: random.Random):
-    """Draw (kind, cls, total_rate) for the next event at the given counts.
+    """Draw (kind, cls, total rate) for the next event at the given counts.
 
     The draw goes through the jump kernel and changes no state.
     """
@@ -377,25 +369,17 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     return out
 
 
-def batch_means_estimate(cfg: SystemConfig, kind: str, functional, n_batches: int,
-                         events_per_batch: int, warmup_events: int, rng) -> StationaryEstimate:
-    return batch_means_multi(
-        cfg, kind, {"f": functional}, n_batches, events_per_batch, warmup_events, rng
-    )["f"]
-
-
 def default_warmup(cfg: SystemConfig) -> int:
     """Crude relaxation-time proxy: 10 events per server."""
     return 10 * cfg.n_servers
 
 
-def choose_estimator(cfg: SystemConfig, r_threshold: float = 50.0,
-                     nu_threshold: float = 2.0) -> str:
+def choose_estimator(cfg: SystemConfig) -> str:
     """Regenerative for small r with modest abandonment, batch means otherwise.
 
     Empty-state returns become astronomically rare as r grows, which starves
     the regenerative method.
     """
-    if cfg.r <= r_threshold and cfg.nu_max <= nu_threshold:
+    if cfg.r <= _REGENERATIVE_MAX_R and cfg.nu_max <= _REGENERATIVE_MAX_NU:
         return "regenerative"
     return "batch_means"

@@ -43,7 +43,7 @@ from .exact import (
     expectation,
     stationary,
 )
-from .model import MacroState, SystemConfig, build_config, scale_arrays, scale_state
+from .model import SystemConfig, build_config, scale_arrays
 from .policy import FIFO
 from .simulate import RngStream, batch_means_multi, default_warmup, fan_out
 
@@ -56,17 +56,8 @@ def default_truncation(cfg: SystemConfig) -> int:
     return math.ceil(cfg.r + 12.0 * math.sqrt(cfg.r)) + cfg.n_servers
 
 
-def drift_phi(x: MacroState, cfg: SystemConfig) -> float:
-    """Closed-form (A_bar phi_hat)(x); equals the transition sum exactly."""
-    s = scale_state(x, cfg)
-    aband = sum(
-        cfg.nus[i] / cfg.mus[i] * (x.z[i] - x.psi[i]) for i in range(cfg.n_classes)
-    ) / cfg.sqrt_r
-    return -s.z_hat_a - aband
-
-
 def drift_phi_arrays(Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Vectorized :func:`drift_phi` over state arrays."""
+    """Closed-form (A_bar phi_hat)(x) per state row x; equals the transition sum exactly."""
     sa = scale_arrays(Z, PSI, cfg)
     ratio = np.asarray(cfg.nus) / np.asarray(cfg.mus)
     aband = ((Z - PSI) * ratio).sum(axis=1) / cfg.sqrt_r
@@ -453,10 +444,3 @@ def fit_log_slope(points) -> tuple[float, float]:
     sxx = (w * (xs - xbar) ** 2).sum()
     slope = (w * (xs - xbar) * ys).sum() / sxx
     return float(slope), float(1.0 / math.sqrt(sxx))
-
-
-def no_growth(points, z: float = 1.96) -> bool:
-    """True when the fitted log-log slope is statistically indistinguishable
-    from zero."""
-    slope, se = fit_log_slope(points)
-    return abs(slope) <= z * se

@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles (cumulative
 products, direct summation) and does not touch the solver/simulator code
 paths under test.  ``replay_generator`` is the one exception: it drives the
 policy objects the simulators use, so that the exact generator is checked
-against them.
+against them.  ``validate_macro_state`` is the invariant oracle for the
+policy states.
 """
 
 import math
@@ -186,3 +187,30 @@ def replay_generator(idx):
         dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
+
+
+def validate_macro_state(s, cfg):
+    """Every state invariant that ``s`` (anything with per-class ``z`` and
+    ``psi``) violates; an empty list means valid."""
+    problems = []
+    if len(s.z) != cfg.n_classes or len(s.psi) != cfg.n_classes:
+        problems.append(
+            f"state has {len(s.z)}/{len(s.psi)} components, expected {cfg.n_classes}"
+        )
+        return problems
+    for i, (zi, pi) in enumerate(zip(s.z, s.psi)):
+        if zi < 0:
+            problems.append(f"z[{i}] = {zi} < 0")
+        if pi < 0:
+            problems.append(f"psi[{i}] = {pi} < 0")
+        if pi > zi:
+            problems.append(f"psi[{i}] = {pi} > z[{i}] = {zi}")
+    total_z = sum(s.z)
+    total_psi = sum(s.psi)
+    expected = min(cfg.n_servers, total_z)
+    if total_psi != expected:
+        problems.append(
+            f"non-idling broken: sum(psi) = {total_psi}, "
+            f"min(N, sum(z)) = {expected}"
+        )
+    return problems

@@ -1,11 +1,22 @@
-"""The benchmark under ``bench/`` calls into hwq by name; keep those names.
+"""The benchmark under ``bench/`` and the demos call into hwq by name; keep
+those names.
 
 ``bench/spans.py`` swaps the functions named in ``TARGETS`` for traced
 wrappers, and ``bench/micro.py`` imports per-event entry points directly,
 so an API change that breaks ``bench/run.py --trace 1`` fails here first.
 """
 
+import ast
 import importlib
+import random
+from pathlib import Path
+
+from hwq.model import ClassParams, build_config
+from hwq.policy import FIFO, init_state
+from hwq.simulate import RngStream, batch_means_multi, sample_event, step
+from hwq.verify import FunctionalSpec
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_span_targets_resolve():
@@ -23,3 +34,31 @@ def test_microbenchmarks_import():
     for name in ("policy_and_sampling", "simulate_throughput",
                  "coupling_throughput", "scale_arrays_ms"):
         assert callable(getattr(micro, name))
+
+
+def test_microbenchmark_calls_still_work():
+    # micro.py reaches FunctionalSpec.scalar as an attribute, so importing
+    # it does not show that these calls still exist with these signatures
+    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+    rng = random.Random(1)
+    state = init_state(cfg, FIFO)
+    for _ in range(50):
+        assert step(state, cfg, rng) > 0.0
+    kind, cls, total = sample_event(list(state.z), list(state.psi), cfg, rng)
+    assert kind in ("arrival", "service_completion", "abandonment")
+    assert 0 <= cls < cfg.n_classes and total > 0.0
+    spec = FunctionalSpec("exp_sum_zhat_plus", theta=0.1)
+    fns = {spec.label(): spec.scalar(cfg)}
+    ests = batch_means_multi(cfg, FIFO, fns, 10, 100, 20, RngStream(1, 0))
+    assert set(ests) == {spec.label()} and ests[spec.label()].value >= 1.0
+
+
+def test_demo_imports_resolve():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) == 7
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hwq"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"

@@ -382,6 +382,28 @@ def test_unknown_section_key_exits_one(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, values, path", [
+    ("verify", {"checks": "drift_identity"}, "verify.checks"),
+    ("verify", {"checks": ["drift_identity", "bogus"]}, "verify.checks"),
+    ("simulate", {"estimator": "bogus"}, "simulate.estimator"),
+    ("sweep", {"estimator": "regenerative"}, "sweep.estimator"),
+    ("couple", {"n_seeds": 0}, "couple.n_seeds"),
+    ("couple", {"n_events": 0}, "couple.n_events"),
+    ("couple", {"n_events": 500, "warmup_events": 500}, "couple.n_events"),
+    ("couple", {"warmup_events": -1}, "couple.n_events"),
+], ids=["checks-string", "checks-unknown", "simulate-estimator", "sweep-estimator",
+        "n_seeds-zero", "n_events-zero", "warmup-at-n_events", "warmup-negative"])
+def test_bad_section_value_exits_one_before_output(tmp_path, capsys, section, values, path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
+                                           **{section: values})))
+    rc = main([section, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert path in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_use_known_keys():
     root = Path(__file__).resolve().parent.parent
     paths = sorted((root / "demos" / "configs").glob("*.json")) \

@@ -21,7 +21,7 @@ from hwq.errors import (
     TruncationTooSmall,
     Unsupported,
 )
-from hwq.model import ClassParams, MacroState, build_config
+from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
 from hwq.exact import (
     _GTH_MAX_WORK,
@@ -32,7 +32,6 @@ from hwq.exact import (
     _envelope,
     _gth_band,
     _power_iteration,
-    abar_apply,
     abar_vector,
     build_generator,
     enumerate_states,
@@ -289,19 +288,20 @@ def test_abar_constant_is_zero():
     gen = build_generator(enumerate_states(TWO_CLASS_AB, PREEMPTIVE, 40))
     out = abar_vector(gen, lambda Z, PSI, c: np.ones(Z.shape[0]))
     assert np.abs(out).max() == 0.0
-    x = MacroState(z=(3, 2), psi=(3, 2))
-    assert abar_apply(lambda s, c: 5.0, x, gen) == 0.0
+    five = abar_vector(gen, lambda Z, PSI, c: np.full(Z.shape[0], 5.0))
+    assert five[gen.idx.index_of((3, 2))] == 0.0
 
 
 def test_abar_apply_matches_hand_sum():
     # Abar phi_hat at an interior state of M/M/2: (lam - mu*min(z,N))/sqrt(r)
     gen = build_generator(enumerate_states(MM2, PREEMPTIVE, 30))
 
-    def phi_hat(s, cfg):
-        return sum((zi - ri) / mu for zi, ri, mu in zip(s.z, cfg.rho_r, cfg.mus))
+    def phi_hat(Z, PSI, cfg):
+        return ((Z - np.asarray(cfg.rho_r)) / np.asarray(cfg.mus)).sum(axis=1)
 
+    abar = abar_vector(gen, phi_hat)
     for z in (0, 1, 2, 5):
-        got = abar_apply(phi_hat, MacroState(z=(z,), psi=(min(z, 2),)), gen)
+        got = abar[gen.idx.index_of((z,), (min(z, 2),))]
         assert got == pytest.approx(1.0 - min(z, 2), abs=1e-12)
 
 

@@ -1,13 +1,14 @@
+import numpy as np
 import pytest
 
+from helpers import validate_macro_state
 from hwq.errors import InvalidRate, NonUnitLoad
 from hwq.model import (
     ClassParams,
     MacroState,
     build_config,
     nominal_utilization,
-    scale_state,
-    validate_macro_state,
+    scale_arrays,
 )
 
 ONE_CLASS = [ClassParams(1.0, 1.0, 0.0)]
@@ -64,39 +65,44 @@ def test_utilization_below_one():
             assert nominal_utilization(build_config(ONE_CLASS, r, a)) < 1.0
 
 
+def scale_row(z, psi, cfg):
+    """scale_arrays on the one-row arrays of a single state."""
+    return scale_arrays(np.array([z]), np.array([psi]), cfg)
+
+
 def test_scale_state_single_class():
     cfg = build_config(ONE_CLASS, 100.0, 1.0)
-    sc = scale_state(MacroState(z=(110,), psi=(110,)), cfg)
-    assert sc.z_hat == (1.0,)
-    assert sc.z_hat_a == 1.0  # min(1, a_eff=1)
+    sc = scale_row((110,), (110,), cfg)
+    assert tuple(sc.z_hat[0]) == (1.0,)
+    assert sc.z_hat_a[0] == 1.0  # min(1, a_eff=1)
 
 
 def test_scale_state_centering():
     cfg = build_config(TWO_CLASS, 100.0, 1.0)
-    sc = scale_state(MacroState(z=(50, 50), psi=(50, 50)), cfg)
-    assert sc.z_hat == (0.0, 0.0)
-    assert sc.phi_hat == 0.0
+    sc = scale_row((50, 50), (50, 50), cfg)
+    assert tuple(sc.z_hat[0]) == (0.0, 0.0)
+    assert sc.phi_hat[0] == 0.0
 
 
 def test_scale_state_two_class_hand_value():
     # mu=(1,2), rho=(.5,.5), r=100, Z=(60,50): z_hat=(1,0), phi_hat=1
     cfg = build_config(TWO_CLASS, 100.0, 1.0)
-    sc = scale_state(MacroState(z=(60, 50), psi=(60, 50)), cfg)
-    assert sc.z_hat == pytest.approx((1.0, 0.0))
-    assert sc.phi_hat == pytest.approx(1.0)
+    sc = scale_row((60, 50), (60, 50), cfg)
+    assert tuple(sc.z_hat[0]) == pytest.approx((1.0, 0.0))
+    assert sc.phi_hat[0] == pytest.approx(1.0)
 
 
 def test_scale_state_affine_shift():
     cfg = build_config(TWO_CLASS, 50.0, 1.0)
-    base = scale_state(MacroState(z=(30, 20), psi=(30, 20)), cfg)
+    base = scale_row((30, 20), (30, 20), cfg)
     for ell in range(2):
         z = [30, 20]
         z[ell] += 1
-        shifted = scale_state(MacroState(z=tuple(z), psi=(30, 20)), cfg)
+        shifted = scale_row(z, (30, 20), cfg)
         for i in range(2):
             expected = 1.0 / cfg.sqrt_r if i == ell else 0.0
-            assert shifted.z_hat[i] - base.z_hat[i] == pytest.approx(expected, abs=1e-12)
-        assert shifted.phi_hat - base.phi_hat == pytest.approx(
+            assert shifted.z_hat[0, i] - base.z_hat[0, i] == pytest.approx(expected, abs=1e-12)
+        assert shifted.phi_hat[0] - base.phi_hat[0] == pytest.approx(
             1.0 / (cfg.mus[ell] * cfg.sqrt_r), abs=1e-12
         )
 
@@ -113,8 +119,8 @@ def test_qhat_below_zhat_plus():
         psi = (psi_total - p1, p1)
         if any(p > zi for p, zi in zip(psi, z)):
             continue
-        sc = scale_state(MacroState(z=z, psi=psi), cfg)
-        assert sc.q_hat <= max(sc.z_hat_total, 0.0) + 1e-12
+        sc = scale_row(z, psi, cfg)
+        assert sc.q_hat[0] <= max(sc.z_hat_total[0], 0.0) + 1e-12
 
 
 def test_validate_macro_state_ok():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from helpers import validate_macro_state
 from hwq.errors import EmptySource, Unsupported
-from hwq.model import ClassParams, build_config, validate_macro_state
+from hwq.model import ClassParams, build_config
 from hwq.policy import (
     FIFO,
     KINDS,
@@ -32,9 +33,8 @@ def test_init_state_empty():
     cfg = build_config(TWO_CLASS, 16.0, 1.0)
     for kind in KINDS:
         st = init_state(cfg, kind)
-        m = st.project()
-        assert m.z == (0, 0) and m.psi == (0, 0)
-        assert validate_macro_state(m, cfg) == []
+        assert st.z == [0, 0] and st.psi == [0, 0]
+        assert validate_macro_state(st, cfg) == []
     assert not init_state(cfg, FIFO).queue
 
 
@@ -42,6 +42,10 @@ def test_unknown_kind():
     cfg = build_config(TWO_CLASS, 16.0, 1.0)
     with pytest.raises(Unsupported):
         init_state(cfg, "round_robin")
+
+
+def queued(st):
+    return [zi - pi for zi, pi in zip(st.z, st.psi)]
 
 
 def fifo_after_arrivals(cfg, labels):
@@ -54,8 +58,7 @@ def fifo_after_arrivals(cfg, labels):
 def test_fifo_project():
     # arrivals [hi, lo, lo] with 2 servers: first two served
     st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
-    m = st.project()
-    assert m.z == (2, 1) and m.psi == (1, 1) and m.q == (1, 0)
+    assert st.z == [2, 1] and st.psi == [1, 1] and queued(st) == [1, 0]
     assert list(st.queue) == [0]
 
 
@@ -63,23 +66,21 @@ def test_preemptive_project_examples():
     cfg = cfg_with_servers(2)
     st = init_state(cfg, PREEMPTIVE)
     st.set_counts([2, 1])
-    m = st.project()
-    assert m.psi == (1, 1) and m.q == (1, 0)
+    assert st.psi == [1, 1] and queued(st) == [1, 0]
 
     cfg4 = cfg_with_servers(4)
     st = init_state(cfg4, PREEMPTIVE)
     st.set_counts([5, 3])
-    m = st.project()
-    assert m.psi == (1, 3) and m.q == (4, 0)
+    assert st.psi == [1, 3] and queued(st) == [4, 0]
 
 
 def test_fifo_arrival_appends():
     st = fifo_after_arrivals(cfg_with_servers(2), [0])
     st.apply_arrival(1)  # a free server takes it
-    assert st.project().psi == (1, 1) and not st.queue
+    assert st.psi == [1, 1] and not st.queue
     st.apply_arrival(1)
     st.apply_arrival(0)  # all busy: both wait, in arrival order
-    assert st.project().psi == (1, 1)
+    assert st.psi == [1, 1]
     assert list(st.queue) == [1, 0]
 
 
@@ -88,8 +89,7 @@ def test_preemptive_arrival_displaces():
     st = init_state(cfg, PREEMPTIVE)
     st.set_counts([1, 0])
     st.apply_arrival(1)
-    m = st.project()
-    assert m.z == (1, 1) and m.psi == (0, 1)  # the low class got pushed out
+    assert st.z == [1, 1] and st.psi == [0, 1]  # the low class got pushed out
 
 
 def test_nonpreemptive_arrival_waits():
@@ -97,22 +97,21 @@ def test_nonpreemptive_arrival_waits():
     st = init_state(cfg, NONPREEMPTIVE)
     st.set_counts([1, 0], [1, 0])
     st.apply_arrival(1)
-    m = st.project()
-    assert m.psi == (1, 0) and m.q == (0, 1)  # no preemption
+    assert st.psi == [1, 0] and queued(st) == [0, 1]  # no preemption
 
 
 def test_fifo_service_completion_promotes_head():
     st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
     st.apply_departure(1, SERVICE)
     assert not st.queue
-    assert st.project().psi == (2, 0)
+    assert st.psi == [2, 0]
 
 
 def test_fifo_abandonment_removes_queued():
     st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 1, 0, 1])
     st.apply_departure(0, QUEUE, random.Random(0))  # the only queued class 0
     assert list(st.queue) == [1, 1]
-    assert st.project().q == (0, 2)
+    assert queued(st) == [0, 2]
 
 
 def test_fifo_abandonment_needs_rng():
@@ -120,7 +119,7 @@ def test_fifo_abandonment_needs_rng():
     st = fifo_after_arrivals(cfg_with_servers(2), [1, 0, 0])
     with pytest.raises(ValueError, match="rng"):
         st.apply_departure(0, QUEUE)
-    assert st.project().z == (2, 1)
+    assert st.z == [2, 1]
 
 
 def test_fifo_uniform_choice_is_seeded():
@@ -141,7 +140,7 @@ def test_fifo_uniform_choice_is_seeded():
     st = fifo_after_arrivals(cfg, [0, 0, 1, 0])
     st.apply_departure(0, SERVICE, rng)
     assert rng.getstate() == before
-    assert st.project().psi == (1, 1) and list(st.queue) == [0]
+    assert st.psi == [1, 1] and list(st.queue) == [0]
 
 
 def test_nonpreemptive_refill_takes_priority():
@@ -149,8 +148,7 @@ def test_nonpreemptive_refill_takes_priority():
     st = init_state(cfg, NONPREEMPTIVE)
     st.set_counts([2, 1], [1, 0])
     st.apply_departure(0, SERVICE)
-    m = st.project()
-    assert m.z == (1, 1) and m.psi == (0, 1)  # server takes the high class
+    assert st.z == [1, 1] and st.psi == [0, 1]  # server takes the high class
 
 
 def test_empty_source_errors():
@@ -182,15 +180,14 @@ def test_invariants_along_trajectories(kind):
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(3)
     st = init_state(cfg, kind)
-    prev = st.project()
+    prev = list(st.z)
     for _ in range(350_000):
         assert step(st, cfg, rng) > 0.0
-        m = st.project()
-        assert validate_macro_state(m, cfg) == []
-        diffs = [m.z[i] - prev.z[i] for i in range(cfg.n_classes)]
+        assert validate_macro_state(st, cfg) == []
+        diffs = [st.z[i] - prev[i] for i in range(cfg.n_classes)]
         changed = [d for d in diffs if d != 0]
         assert len(changed) == 1 and changed[0] in (-1, 1)
-        prev = m
+        prev = list(st.z)
 
 
 def test_fifo_z_law_equals_preemptive_single_class():
@@ -206,8 +203,8 @@ def test_fifo_z_law_equals_preemptive_single_class():
     K = 60
 
     def fifo_departure_rate(z):
-        m = fifo_after_arrivals(cfg, [0] * z).project()
-        return cfg.mus[0] * m.psi[0] + cfg.nus[0] * (m.z[0] - m.psi[0])
+        st = fifo_after_arrivals(cfg, [0] * z)
+        return cfg.mus[0] * st.psi[0] + cfg.nus[0] * (st.z[0] - st.psi[0])
 
     fifo_pi = birth_death_stationary(
         lambda z: cfg.arrival_rates[0], fifo_departure_rate, K

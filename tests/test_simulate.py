@@ -10,17 +10,16 @@ from hwq.errors import CycleTimeout
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, PREEMPTIVE, init_state
 from hwq.simulate import (
+    PolicyChain,
     RngStream,
-    batch_means_estimate,
+    batch_means_multi,
     choose_estimator,
     default_warmup,
-    event_rates,
     fan_out,
     regenerative_estimate,
     run,
     sample_event,
     step,
-    total_rate,
     usable_cores,
 )
 
@@ -42,12 +41,14 @@ def test_rng_stream_reproducible_and_distinct():
 
 def test_total_rate_empty_state():
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 100.0, 1.0)
-    assert total_rate(MacroState(z=(0,), psi=(0,)), cfg) == pytest.approx(100.0)
+    rates = PolicyChain(MacroState(z=(0,), psi=(0,)), cfg).rates()
+    assert sum(rates) == pytest.approx(100.0)
 
 
 def test_total_rate_full_system():
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 100.0, 1.0)  # N=110
-    assert total_rate(MacroState(z=(110,), psi=(110,)), cfg) == pytest.approx(210.0)
+    rates = PolicyChain(MacroState(z=(110,), psi=(110,)), cfg).rates()
+    assert sum(rates) == pytest.approx(210.0)
 
 
 def test_total_rate_two_class_hand_sum():
@@ -55,11 +56,9 @@ def test_total_rate_two_class_hand_sum():
     cfg = build_config(
         [ClassParams(0.5, 1.0, 1.0), ClassParams(1.0, 2.0, 0.5)], 4.0, 1.0
     )
-    s = MacroState(z=(3, 2), psi=(2, 2))
-    assert total_rate(s, cfg) == pytest.approx(13.0)
-    # the same state gives P(abandonment class 0) = nu*q/total = 1/13
-    rates = event_rates([3, 2], [2, 2], cfg)
+    rates = PolicyChain(MacroState(z=(3, 2), psi=(2, 2)), cfg).rates()
     assert sum(rates) == pytest.approx(13.0)
+    # the same state gives P(abandonment class 0) = nu*q/total = 1/13
     assert rates[4] / sum(rates) == pytest.approx(1.0 / 13.0)
 
 
@@ -88,7 +87,7 @@ def test_event_category_frequencies_match_rates():
         [ClassParams(0.5, 1.0, 1.0), ClassParams(1.0, 2.0, 0.5)], 4.0, 1.0
     )
     z, psi = [3, 2], [2, 2]
-    rates = event_rates(z, psi, cfg)
+    rates = PolicyChain(MacroState(z=z, psi=psi), cfg).rates()
     rng = random.Random(99)
     n = 100_000
     counts = {}
@@ -111,14 +110,13 @@ def test_step_applies_sampled_event():
     st = init_state(cfg, PREEMPTIVE)
     probe_rng = random.Random()
     for _ in range(5000):
-        before = st.project()
+        before_z = list(st.z)
         # the same random numbers make sample_event draw the event step applies
         probe_rng.setstate(rng.getstate())
-        kind, cls, _ = sample_event(before.z, before.psi, cfg, probe_rng)
+        kind, cls, _ = sample_event(before_z, list(st.psi), cfg, probe_rng)
         holding = step(st, cfg, rng)
-        after = st.project()
         assert holding > 0
-        delta = [a - b for a, b in zip(after.z, before.z)]
+        delta = [a - b for a, b in zip(st.z, before_z)]
         expected = [0] * cfg.n_classes
         expected[cls] = 1 if kind == "arrival" else -1
         assert delta == expected
@@ -127,15 +125,16 @@ def test_step_applies_sampled_event():
 def test_run_mm2_mean():
     summary = run(MM2, PREEMPTIVE, 400_000, 5_000, RngStream(1, 0), {"z": z_total})
     # compare against an independent batch-means CI on the same functional
-    est = batch_means_estimate(MM2, PREEMPTIVE, z_total, 20, 20_000, 5_000, RngStream(1, 1))
+    est = batch_means_multi(MM2, PREEMPTIVE, {"z": z_total}, 20, 20_000, 5_000,
+                            RngStream(1, 1))["z"]
     assert abs(summary.time_averages["z"] - 4.0 / 3.0) <= 3 * est.half_width
 
 
 def test_run_poisson_instance_mean():
     # nu = mu: stationary Z is Poisson(r), mean r
     cfg = build_config([ClassParams(1.0, 1.0, 1.0)], 25.0, 1.0)
-    est = batch_means_estimate(cfg, PREEMPTIVE, z_total, 20, 20_000,
-                               default_warmup(cfg), RngStream(2, 0))
+    est = batch_means_multi(cfg, PREEMPTIVE, {"z": z_total}, 20, 20_000,
+                            default_warmup(cfg), RngStream(2, 0))["z"]
     assert covers(est, 25.0)
 
 
@@ -172,13 +171,15 @@ def test_regenerative_timeout_in_heavy_traffic():
 
 
 def test_batch_means_mm2():
-    est = batch_means_estimate(MM2, PREEMPTIVE, z_total, 20, 20_000, 2_000, RngStream(5, 0))
+    est = batch_means_multi(MM2, PREEMPTIVE, {"z": z_total}, 20, 20_000, 2_000,
+                            RngStream(5, 0))["z"]
     assert est.method == "batch_means"
     assert covers(est, 4.0 / 3.0)
 
 
 def test_batch_means_constant_functional():
-    est = batch_means_estimate(MM2, PREEMPTIVE, lambda z, psi, c: 2.5, 10, 500, 0, RngStream(5, 1))
+    est = batch_means_multi(MM2, PREEMPTIVE, {"c": lambda z, psi, c: 2.5}, 10, 500, 0,
+                            RngStream(5, 1))["c"]
     assert est.value == pytest.approx(2.5)
     assert est.half_width == pytest.approx(0.0)
 
@@ -198,8 +199,8 @@ def test_batch_means_matches_exact_mgf():
         zh = (sum(z) - c.rho_r_total) / c.sqrt_r
         return math.exp(0.1 * zh) if zh > 0.0 else 1.0
 
-    est = batch_means_estimate(cfg, PREEMPTIVE, f, 20, 20_000,
-                               default_warmup(cfg), RngStream(6, 0))
+    est = batch_means_multi(cfg, PREEMPTIVE, {"f": f}, 20, 20_000,
+                            default_warmup(cfg), RngStream(6, 0))["f"]
     assert covers(est, truth)
 
 
@@ -208,10 +209,10 @@ def test_work_conservation_under_no_abandonment():
     from hwq.model import nominal_utilization
 
     cfg = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 16.0, 1.0)
-    est = batch_means_estimate(
-        cfg, FIFO, lambda z, psi, c: sum(psi) / c.n_servers, 20, 25_000,
+    est = batch_means_multi(
+        cfg, FIFO, {"busy": lambda z, psi, c: sum(psi) / c.n_servers}, 20, 25_000,
         default_warmup(cfg), RngStream(8, 0),
-    )
+    )["busy"]
     assert covers(est, nominal_utilization(cfg))
 
 
@@ -219,8 +220,8 @@ def test_ci_coverage_over_seeds():
     # reported 95% CIs must cover the truth for most of 100 seeds
     hits = 0
     for s in range(100):
-        est = batch_means_estimate(MM2, PREEMPTIVE, z_total, 20, 1_500, 500,
-                                   RngStream(424242, s))
+        est = batch_means_multi(MM2, PREEMPTIVE, {"z": z_total}, 20, 1_500, 500,
+                                RngStream(424242, s))["z"]
         if abs(est.value - 4.0 / 3.0) <= est.half_width:
             hits += 1
     # Binomial(100, .95): P(X <= 88) < 1%

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from hwq.errors import HypothesisViolated, ThetaOutOfRange
-from hwq.model import ClassParams, MacroState, build_config
+from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
-from hwq.exact import abar_apply, build_generator, enumerate_states
+from hwq.exact import abar_vector, build_generator, enumerate_states
 from hwq.verify import (
     FunctionalSpec,
     drift_bounds_abandon_check,
     drift_identity_check,
-    drift_phi,
+    drift_phi_arrays,
     fit_log_slope,
     generator_identity_check,
     lyapunov_constant,
     lyapunov_pointwise_check,
-    no_growth,
     sweep,
 )
 
@@ -31,36 +30,37 @@ NU0_TWO = build_config(
 )
 
 
+def drift_phi_row(z, psi, cfg):
+    """drift_phi_arrays on the one-row arrays of a single state."""
+    return drift_phi_arrays(np.array([z]), np.array([psi]), cfg)[0]
+
+
 def test_drift_phi_below_spare_capacity():
     # z_hat = 0.5 < a: drift is -0.5 (no abandonment, z = 18 of 20 servers)
-    s = MacroState(z=(18,), psi=(18,))
-    assert drift_phi(s, NU0_ONE) == pytest.approx(-0.5)
+    assert drift_phi_row((18,), (18,), NU0_ONE) == pytest.approx(-0.5)
 
 
 def test_drift_phi_capped_at_spare_capacity():
-    s = MacroState(z=(28,), psi=(20,))  # z_hat = 3 > a = 1
-    assert drift_phi(s, NU0_ONE) == pytest.approx(-1.0)
+    # z_hat = 3 > a = 1
+    assert drift_phi_row((28,), (20,), NU0_ONE) == pytest.approx(-1.0)
 
 
 def test_drift_phi_with_abandonment_term():
     # z_hat = 2, q_hat = 0.2, nu = mu = 1: -1 - 0.2
-    s = MacroState(z=(35,), psi=(34,))
-    assert drift_phi(s, AB_ONE) == pytest.approx(-1.2)
+    assert drift_phi_row((35,), (34,), AB_ONE) == pytest.approx(-1.2)
 
 
 def test_drift_phi_matches_abar_single_state():
     gen = build_generator(enumerate_states(AB_TWO, PREEMPTIVE, 40))
 
-    def phi_hat(s, cfg):
-        return sum(
-            (zi - ri) / mu for zi, ri, mu in zip(s.z, cfg.rho_r, cfg.mus)
-        ) / cfg.sqrt_r
+    def phi_hat(Z, PSI, cfg):
+        return ((Z - np.asarray(cfg.rho_r)) / np.asarray(cfg.mus)).sum(axis=1) / cfg.sqrt_r
 
+    abar = abar_vector(gen, phi_hat)
+    closed = drift_phi_arrays(gen.idx.z, gen.idx.psi, AB_TWO)
     for z in [(0, 0), (5, 3), (10, 12), (20, 19)]:
-        st = MacroState(z=z, psi=tuple(gen.idx.psi[gen.idx.index_of(z)]))
-        assert abar_apply(phi_hat, st, gen) == pytest.approx(
-            drift_phi(st, AB_TWO), abs=1e-12
-        )
+        i = gen.idx.index_of(z)
+        assert abar[i] == pytest.approx(closed[i], abs=1e-12)
 
 
 @pytest.mark.parametrize("cfg,kind", [
@@ -117,9 +117,8 @@ def test_abandon_bounds_zero_violations():
 def test_abandon_bounds_equality_at_empty_queue():
     # with q = 0 the abandonment terms vanish: drift is exactly -z_hat_a
     for z in [(3, 2), (10, 8)]:
-        st = MacroState(z=z, psi=z)
         sc_total = (sum(z) - AB_TWO.rho_r_total) / AB_TWO.sqrt_r
-        assert drift_phi(st, AB_TWO) == pytest.approx(
+        assert drift_phi_row(z, z, AB_TWO) == pytest.approx(
             -min(sc_total, AB_TWO.a_eff), abs=1e-12
         )
 
@@ -245,10 +244,11 @@ def test_fit_log_slope_recovers_power_law():
     pts = [(r, 2.0 * r ** 0.5, 1e-6) for r in (10, 100, 1000)]
     slope, se = fit_log_slope(pts)
     assert slope == pytest.approx(0.5, abs=1e-6)
-    assert not no_growth(pts)
+    assert abs(slope) > 1.96 * se  # growth is detected
 
 
 def test_no_growth_on_flat_noisy_points():
     rng = random.Random(23)
     pts = [(r, 1.05 * (1 + 0.002 * rng.gauss(0, 1)), 0.02) for r in (25, 100, 400)]
-    assert no_growth(pts)
+    slope, se = fit_log_slope(pts)
+    assert abs(slope) <= 1.96 * se
