@@ -17,7 +17,8 @@ def z_total(z, psi, cfg):
 
 mm2 = build_config([ClassParams(1.0, 1.0, 0.0)], r=1.0, a=1.0)  # M/M/2, E[Z]=4/3
 
-est_r = regenerative_estimate(mm2, PREEMPTIVE, z_total, n_cycles=20_000, rng=RngStream(1, 0))
+est_r = regenerative_estimate(mm2, PREEMPTIVE, {"z": z_total}, n_cycles=20_000,
+                              rng=RngStream(1, 0))["z"]
 print(f"regenerative  E[Z] = {est_r.value:.5f} +- {est_r.half_width:.5f} "
       f"({est_r.cycles_or_batches} cycles)")
 

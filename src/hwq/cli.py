@@ -99,6 +99,17 @@ _CHOICES = {
     ("couple", "coupling"): ("infserver", "monotone"),
     ("exact", "method"): ("auto",),  # the solver follows the chain's size
 }
+# the least value of each estimator count; warmup_events may also be null
+_COUNT_MINIMA = {
+    ("simulate", "n_batches"): 10,
+    ("simulate", "events_per_batch"): 1,
+    ("simulate", "warmup_events"): 0,
+    ("simulate", "n_cycles"): 2,
+    ("simulate", "max_events_per_cycle"): 1,
+    ("sweep", "n_batches"): 10,
+    ("sweep", "events_per_batch"): 1,
+    ("sweep", "warmup_events"): 0,
+}
 _CHECKS = ("drift_identity", "lyapunov", "abandon_bounds", "generator_identity")
 
 _CONFIG_ERRORS = (
@@ -167,11 +178,14 @@ def parse_config(source) -> ExperimentConfig:
         raw = source
     else:
         text = str(source)
-        p = Path(text)
-        if p.exists():
-            text = p.read_text()
-        elif "{" not in text:  # looks like a path, not inline JSON
-            raise SchemaError(f"config file not found: {source}")
+        # inline JSON never reaches the filesystem: it may exceed the name limit
+        if not text.lstrip().startswith("{"):
+            try:
+                text = Path(text).read_text()
+            except FileNotFoundError:
+                raise SchemaError(f"config file not found: {source}") from None
+            except OSError as exc:
+                raise SchemaError(f"config file not readable: {exc.strerror}") from None
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -242,6 +256,12 @@ def parse_config(source) -> ExperimentConfig:
         raise _fail("couple.n_events", str(exc)) from None
     if _require(couple, "couple", "n_seeds", int, default=1) < 1:
         raise _fail("couple.n_seeds", "must be at least 1")
+    for (cmd, key), least in _COUNT_MINIMA.items():
+        if key == "warmup_events" and sections[cmd].get(key) is None:
+            continue  # null takes the default warm-up
+        val = _require(sections[cmd], cmd, key, int, default=least)
+        if val < least:
+            raise _fail(f"{cmd}.{key}", f"must be at least {least}, got {val}")
     return ExperimentConfig(
         raw=raw, seed=seed, policy=policy, a=a,
         r_values=r_values, systems=systems, sections=sections,
@@ -327,14 +347,13 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
         method = choose_estimator(sc)
     warmup = sec.get("warmup_events")
     warmup = default_warmup(sc) if warmup is None else warmup
+    fns = {spec.label(): spec.scalar(sc) for spec in specs}
     if method == "regenerative":
-        ests = {spec.label(): regenerative_estimate(
-            sc, cfg.policy, spec.scalar(sc), sec.get("n_cycles", 1000),
-            RngStream(cfg.seed, 0),
+        ests = regenerative_estimate(
+            sc, cfg.policy, fns, sec.get("n_cycles", 1000), RngStream(cfg.seed, 0),
             max_events_per_cycle=sec.get("max_events_per_cycle", 1_000_000),
-        ) for spec in specs}
+        )
     else:
-        fns = {spec.label(): spec.scalar(sc) for spec in specs}
         ests = batch_means_multi(
             sc, cfg.policy, fns, sec.get("n_batches", 20),
             sec.get("events_per_batch", 50_000), warmup, RngStream(cfg.seed, 0),

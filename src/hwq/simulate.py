@@ -14,8 +14,17 @@ state recurs quickly, i.e. small r) and batch means (the default in heavy
 traffic).  All averages are time weighted: stationary expectations of a CTMC
 are time averages, not event averages.
 
+The estimators do not evaluate functionals along the path.  Per batch or
+regenerative cycle they accumulate an occupancy measure (:func:`occupancy`):
+the holding time spent in each visited state ``(z, psi)``.  Each functional
+is then evaluated once per distinct visited state and integrated against
+that measure.  The sample path and the random stream are those of a
+per-event evaluation; only the order of summation differs.  Memory grows
+with the number of distinct states in a batch or cycle, which is at most
+its event count, not with the length of the run.
+
 Functionals passed to the estimators take ``(z, psi, cfg)`` where ``z`` and
-``psi`` are per-class count lists.
+``psi`` are per-class count sequences.
 """
 
 from __future__ import annotations
@@ -175,6 +184,41 @@ def time_integrals(events, n_events: int, observe, grid_dt: float = 0.0):
     return acc, span, grid
 
 
+def occupancy(events, n_events: int, z, psi, until_empty: bool = False):
+    """Holding time per visited state over the next ``n_events`` jumps.
+
+    ``z`` and ``psi`` are the per-class count lists the jumps update in
+    place.  Returns ``(occ, span)``: ``occ`` maps each visited state
+    ``(*z, *psi)`` to the time spent in it, in order of first visit, so it
+    has at most ``n_events`` entries; ``span`` is the elapsed time.  With
+    ``until_empty`` it also stops after the first jump into the empty state.
+    """
+    occ = {}
+    get = occ.get
+    span = 0.0
+    key = (*z, *psi)
+    for holding in islice(events, n_events):
+        occ[key] = get(key, 0.0) + holding
+        span += holding
+        if until_empty and not any(z):
+            break
+        key = (*z, *psi)
+    return occ, span
+
+
+def _integrate(occ: dict, funcs, cfg: SystemConfig) -> list[float]:
+    """``sum_s f(s) * occ[s]`` for each ``f`` in ``funcs``: each functional
+    is called once per state of the occupancy measure."""
+    nc = cfg.n_classes
+    acc = [0.0] * len(funcs)
+    for key, held in occ.items():
+        z = key[:nc]
+        psi = key[nc:]
+        for j, f in enumerate(funcs):
+            acc[j] += f(z, psi, cfg) * held
+    return acc
+
+
 EVENT_KINDS = ("arrival", "service_completion", "abandonment")
 
 
@@ -272,27 +316,24 @@ def run(cfg: SystemConfig, kind: str, n_events: int, warmup_events: int,
     """
     check_event_counts(n_events, warmup_events)
     state, events = _policy_events(cfg, kind, rng)
-    names = list(functionals)
-    funcs = [functionals[n] for n in names]
-    z = state.z
-    psi = state.psi
     advance(events, warmup_events)
-    acc, span, _ = time_integrals(
-        events, n_events - warmup_events, lambda: [f(z, psi, cfg) for f in funcs]
-    )
+    occ, span = occupancy(events, n_events - warmup_events, state.z, state.psi)
     if span <= 0.0:
         raise ValueError("post-warmup span has zero length")
+    acc = _integrate(occ, list(functionals.values()), cfg)
     return RunSummary(
-        time_averages={n: a / span for n, a in zip(names, acc)},
+        time_averages={n: a / span for n, a in zip(functionals, acc)},
         events=n_events,
         warmup_events=warmup_events,
         sim_time=span,
     )
 
 
-def regenerative_estimate(cfg: SystemConfig, kind: str, functional, n_cycles: int,
-                          rng, max_events_per_cycle: int = 1_000_000) -> StationaryEstimate:
-    """Ratio estimator over i.i.d. excursions between visits to the empty state.
+def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
+                          n_cycles: int, rng,
+                          max_events_per_cycle: int = 1_000_000) -> dict:
+    """Ratio estimators over i.i.d. excursions between visits to the empty
+    state, for several functionals from a single trajectory.
 
     Feasible only when the empty state recurs within the event budget, which
     in practice means small r.  Raises :class:`CycleTimeout` otherwise.
@@ -301,37 +342,32 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functional, n_cycles: in
         raise ValueError("need at least 2 regenerative cycles")
     state, events = _policy_events(cfg, kind, rng)  # empty state regenerates
     z = state.z
-    psi = state.psi
-    ys = []
+    funcs = list(functionals.values())
+    ys = []  # per cycle, the integral of each functional
     taus = []
     for c in range(n_cycles):
-        y = 0.0
-        tau = 0.0
-        v = functional(z, psi, cfg)
-        for holding in islice(events, max_events_per_cycle):
-            y += v * holding
-            tau += holding
-            if not any(z):
-                break
-            v = functional(z, psi, cfg)
-        else:
+        occ, tau = occupancy(events, max_events_per_cycle, z, state.psi, until_empty=True)
+        if any(z):
             raise CycleTimeout(
                 f"cycle {c} did not return to the empty state within "
                 f"{max_events_per_cycle} events"
             )
-        ys.append(y)
+        ys.append(_integrate(occ, funcs, cfg))
         taus.append(tau)
     total_tau = sum(taus)
-    est = sum(ys) / total_tau
     mean_tau = total_tau / n_cycles
-    resid = [y - est * t for y, t in zip(ys, taus)]
-    s2 = sum(v * v for v in resid) / (n_cycles - 1)
     tcrit = float(stdtrit(n_cycles - 1, 0.975))
-    half = tcrit * (s2 ** 0.5) / (mean_tau * n_cycles ** 0.5)
-    return StationaryEstimate(
-        value=est, half_width=half, method="regenerative",
-        cycles_or_batches=n_cycles, warmup_events=0,
-    )
+    out = {}
+    for j, name in enumerate(functionals):
+        est = sum(y[j] for y in ys) / total_tau
+        resid = [y[j] - est * t for y, t in zip(ys, taus)]
+        s2 = sum(v * v for v in resid) / (n_cycles - 1)
+        half = tcrit * (s2 ** 0.5) / (mean_tau * n_cycles ** 0.5)
+        out[name] = StationaryEstimate(
+            value=est, half_width=half, method="regenerative",
+            cycles_or_batches=n_cycles, warmup_events=0,
+        )
+    return out
 
 
 def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
@@ -341,24 +377,16 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
     state, events = _policy_events(cfg, kind, rng)
-    names = list(functionals)
-    funcs = [functionals[n] for n in names]
-    z = state.z
-    psi = state.psi
-
-    def observe():
-        return [f(z, psi, cfg) for f in funcs]
-
+    funcs = list(functionals.values())
     advance(events, warmup_events)
-    batch_means = [[] for _ in funcs]
+    batch_means = []  # per batch, the time average of each functional
     for _ in range(n_batches):
-        acc, span, _ = time_integrals(events, events_per_batch, observe)
-        for j, a in enumerate(acc):
-            batch_means[j].append(a / span)
+        occ, span = occupancy(events, events_per_batch, state.z, state.psi)
+        batch_means.append([a / span for a in _integrate(occ, funcs, cfg)])
     tcrit = float(stdtrit(n_batches - 1, 0.975))
     out = {}
-    for j, name in enumerate(names):
-        bm = batch_means[j]
+    for j, name in enumerate(functionals):
+        bm = [b[j] for b in batch_means]
         mean = sum(bm) / n_batches
         var = sum((b - mean) ** 2 for b in bm) / (n_batches - 1)
         half = tcrit * (var ** 0.5) / n_batches ** 0.5

@@ -41,6 +41,7 @@ from .exact import (
     build_generator,
     enumerate_states,
     expectation,
+    generator_identity,
     stationary,
 )
 from .model import SystemConfig, build_config, scale_arrays
@@ -242,7 +243,7 @@ def generator_identity_check(cfg: SystemConfig, kind: str, theta: float = 0.2,
     rows = tuple(
         IdentityRow(
             functional=label,
-            residual=abs(float(sv.pi @ abar_vector(gen, f))),
+            residual=generator_identity(gen, sv.pi, f),
             bound=bound,
         )
         for label, f in fs

@@ -2,19 +2,22 @@
 
 Everything here is deliberately written from first principles (cumulative
 products, direct summation) and does not touch the solver/simulator code
-paths under test.  ``replay_generator`` is the one exception: it drives the
+paths under test.  ``replay_generator`` is one exception: it drives the
 policy objects the simulators use, so that the exact generator is checked
-against them.  ``validate_macro_state`` is the invariant oracle for the
-policy states.
+against them.  The ``per_event_*`` estimators are the other: they run the
+simulators' jump kernel and evaluate every functional at every event, the
+oracle for the occupancy-measure estimators.  ``validate_macro_state`` is
+the invariant oracle for the policy states.
 """
 
 import math
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, stats
 
 from hwq.exact import SparseGenerator
 from hwq.policy import PREEMPTIVE, QUEUE, SERVICE, init_state
+from hwq.simulate import PolicyChain, advance, jumps, time_integrals
 
 
 def birth_death_stationary(birth, death, K):
@@ -214,3 +217,70 @@ def validate_macro_state(s, cfg):
             f"min(N, sum(z)) = {expected}"
         )
     return problems
+
+
+def _per_event_path(cfg, kind, stream, functionals):
+    """The empty chain of ``kind`` driven by the jump kernel on ``stream``,
+    and an ``observe`` closure that calls every functional on its state."""
+    rng = stream.make()
+    state = init_state(cfg, kind)
+    events = jumps(PolicyChain(state, cfg, rng), rng)
+    funcs = list(functionals.values())
+
+    def observe():
+        return [f(state.z, state.psi, cfg) for f in funcs]
+
+    return state, events, observe
+
+
+def per_event_run(cfg, kind, n_events, warmup_events, stream, functionals):
+    """Post-warmup time averages with every functional evaluated per event."""
+    _, events, observe = _per_event_path(cfg, kind, stream, functionals)
+    advance(events, warmup_events)
+    acc, span, _ = time_integrals(events, n_events - warmup_events, observe)
+    return {name: a / span for name, a in zip(functionals, acc)}
+
+
+def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
+                          warmup_events, stream):
+    """``{name: (mean, 95% half-width)}`` of batch means evaluated per event."""
+    _, events, observe = _per_event_path(cfg, kind, stream, functionals)
+    advance(events, warmup_events)
+    batches = []
+    for _ in range(n_batches):
+        acc, span, _ = time_integrals(events, events_per_batch, observe)
+        batches.append([a / span for a in acc])
+    tcrit = stats.t.ppf(0.975, n_batches - 1)
+    out = {}
+    for j, name in enumerate(functionals):
+        bm = [b[j] for b in batches]
+        mean = sum(bm) / n_batches
+        var = sum((b - mean) ** 2 for b in bm) / (n_batches - 1)
+        out[name] = (mean, tcrit * math.sqrt(var / n_batches))
+    return out
+
+
+def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
+    """``{name: (ratio estimate, 95% half-width)}`` over cycles between
+    visits to the empty state, evaluated per event."""
+    state, events, observe = _per_event_path(cfg, kind, stream, functionals)
+    ys, taus = [], []
+    for _ in range(n_cycles):
+        y = [0.0] * len(functionals)
+        tau = 0.0
+        while True:
+            acc, span, _ = time_integrals(events, 1, observe)
+            y = [a + b for a, b in zip(y, acc)]
+            tau += span
+            if not any(state.z):
+                break
+        ys.append(y)
+        taus.append(tau)
+    total = sum(taus)
+    tcrit = stats.t.ppf(0.975, n_cycles - 1)
+    out = {}
+    for j, name in enumerate(functionals):
+        est = sum(y[j] for y in ys) / total
+        s2 = sum((y[j] - est * t) ** 2 for y, t in zip(ys, taus)) / (n_cycles - 1)
+        out[name] = (est, tcrit * math.sqrt(s2) / (total / n_cycles * math.sqrt(n_cycles)))
+    return out

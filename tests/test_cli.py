@@ -391,8 +391,20 @@ def test_unknown_section_key_exits_one(tmp_path, capsys, section, key):
     ("couple", {"n_events": 0}, "couple.n_events"),
     ("couple", {"n_events": 500, "warmup_events": 500}, "couple.n_events"),
     ("couple", {"warmup_events": -1}, "couple.n_events"),
+    ("simulate", {"n_batches": 5}, "simulate.n_batches"),
+    ("simulate", {"events_per_batch": "x"}, "simulate.events_per_batch"),
+    ("simulate", {"warmup_events": -1}, "simulate.warmup_events"),
+    ("simulate", {"n_cycles": 1}, "simulate.n_cycles"),
+    ("simulate", {"max_events_per_cycle": 0}, "simulate.max_events_per_cycle"),
+    ("sweep", {"n_batches": 9.5}, "sweep.n_batches"),
+    ("sweep", {"events_per_batch": 0}, "sweep.events_per_batch"),
+    ("sweep", {"warmup_events": "none"}, "sweep.warmup_events"),
 ], ids=["checks-string", "checks-unknown", "simulate-estimator", "sweep-estimator",
-        "n_seeds-zero", "n_events-zero", "warmup-at-n_events", "warmup-negative"])
+        "n_seeds-zero", "n_events-zero", "warmup-at-n_events", "warmup-negative",
+        "simulate-n_batches-five", "simulate-events_per_batch-string",
+        "simulate-warmup-negative", "simulate-n_cycles-one",
+        "simulate-max_events_per_cycle-zero", "sweep-n_batches-float",
+        "sweep-events_per_batch-zero", "sweep-warmup-string"])
 def test_bad_section_value_exits_one_before_output(tmp_path, capsys, section, values, path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
@@ -402,6 +414,36 @@ def test_bad_section_value_exits_one_before_output(tmp_path, capsys, section, va
     err = capsys.readouterr().err
     assert path in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_null_warmup_takes_default():
+    cfg = parse_config(_config(simulate={"warmup_events": None},
+                               sweep={"warmup_events": None}))
+    assert cfg.sections["simulate"]["warmup_events"] is None
+
+
+def test_long_inline_config_is_parsed(tmp_path, capsys):
+    text = json.dumps(_config(simulate={"estimator": "batch_means", "n_batches": 10,
+                                        "events_per_batch": 100, "warmup_events": 0,
+                                        "functionals": [{"id": "z_total"}]}))
+    text += " " * (300 - len(text))
+    assert len(text) == 300
+    assert parse_config(text).seed == 7
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", text, "--out", str(out), "--jobs", "1"]) == 0
+    assert (out / "simulate.csv").exists()
+    bad = text.replace('"policy": "fifo"', '"policy": "lifo"')
+    assert main(["simulate", "--config", bad, "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert "policy" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_long_config_path_exits_one(tmp_path, capsys):
+    rc = main(["validate", "--config", "x" * 300, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config file" in err and len(err.strip().splitlines()) == 1
 
 
 def test_shipped_configs_use_known_keys():

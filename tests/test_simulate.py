@@ -5,10 +5,11 @@ import random
 import pytest
 from scipy import stats
 
-from helpers import covers
+from helpers import covers, per_event_batch_means, per_event_regenerative, per_event_run
 from hwq.errors import CycleTimeout
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, PREEMPTIVE, init_state
+from hwq.verify import FunctionalSpec
 from hwq.simulate import (
     PolicyChain,
     RngStream,
@@ -16,6 +17,8 @@ from hwq.simulate import (
     choose_estimator,
     default_warmup,
     fan_out,
+    jumps,
+    occupancy,
     regenerative_estimate,
     run,
     sample_event,
@@ -152,13 +155,15 @@ def test_run_deterministic_given_stream():
 
 
 def test_regenerative_mm2():
-    est = regenerative_estimate(MM2, PREEMPTIVE, z_total, 10_000, RngStream(3, 0))
+    est = regenerative_estimate(MM2, PREEMPTIVE, {"z": z_total}, 10_000,
+                                RngStream(3, 0))["z"]
     assert est.method == "regenerative"
     assert abs(est.value - 4.0 / 3.0) <= est.half_width
 
 
 def test_regenerative_constant_functional():
-    est = regenerative_estimate(MM2, PREEMPTIVE, lambda z, psi, c: 1.0, 50, RngStream(3, 1))
+    est = regenerative_estimate(MM2, PREEMPTIVE, {"c": lambda z, psi, c: 1.0}, 50,
+                                RngStream(3, 1))["c"]
     assert est.value == pytest.approx(1.0)
     assert est.half_width == pytest.approx(0.0)
 
@@ -166,8 +171,54 @@ def test_regenerative_constant_functional():
 def test_regenerative_timeout_in_heavy_traffic():
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 400.0, 1.0)
     with pytest.raises(CycleTimeout):
-        regenerative_estimate(cfg, PREEMPTIVE, z_total, 3, RngStream(4, 0),
+        regenerative_estimate(cfg, PREEMPTIVE, {"z": z_total}, 3, RngStream(4, 0),
                               max_events_per_cycle=200_000)
+
+
+TWO_CLASS = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+ORACLE_FNS = {spec.label(): spec.scalar(TWO_CLASS) for spec in (
+    FunctionalSpec("exp_sum_zhat_plus", theta=0.2), FunctionalSpec("qhat_tail", x=0.25),
+    FunctionalSpec("psi_share"))}
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_run_and_batch_means_equal_per_event_oracle(kind):
+    fns = ORACLE_FNS
+    summary = run(TWO_CLASS, kind, 30_000, 1_000, RngStream(11, 2), fns)
+    oracle = per_event_run(TWO_CLASS, kind, 30_000, 1_000, RngStream(11, 2), fns)
+    for name in fns:
+        assert _rel(summary.time_averages[name], oracle[name]) <= 1e-12, name
+
+    ests = batch_means_multi(TWO_CLASS, kind, fns, 12, 2_500, 500, RngStream(12, 0))
+    oracle = per_event_batch_means(TWO_CLASS, kind, fns, 12, 2_500, 500, RngStream(12, 0))
+    for name, (value, half) in oracle.items():
+        assert _rel(ests[name].value, value) <= 1e-12, name
+        assert _rel(ests[name].half_width, half) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_regenerative_equals_per_event_oracle(kind):
+    fns = ORACLE_FNS
+    ests = regenerative_estimate(TWO_CLASS, kind, fns, 300, RngStream(13, 0))
+    oracle = per_event_regenerative(TWO_CLASS, kind, fns, 300, RngStream(13, 0))
+    for name, (value, half) in oracle.items():
+        assert _rel(ests[name].value, value) <= 1e-12, name
+        assert _rel(ests[name].half_width, half) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_occupancy_has_at_most_one_state_per_event(kind):
+    rng = random.Random(14)
+    state = init_state(TWO_CLASS, kind)
+    events = jumps(PolicyChain(state, TWO_CLASS, rng), rng)
+    occ, span = occupancy(events, 5_000, state.z, state.psi)
+    assert 1 < len(occ) <= 5_000
+    assert sum(occ.values()) == pytest.approx(span, rel=1e-12)
+    assert all(len(key) == 2 * TWO_CLASS.n_classes for key in occ)
 
 
 def test_batch_means_mm2():
