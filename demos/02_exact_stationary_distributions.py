@@ -29,7 +29,7 @@ print(f"\nnu = mu, r = {r:g}: total variation vs Poisson({r:g}) = {tv:.2e}")
 
 # --- Which solver stationary picks ------------------------------------------
 # GTH elimination on the level band while its work n * b^2 stays small (b is
-# the envelope width), uniformized power iteration for wide bands.
+# the envelope width), Jacobi-preconditioned BiCGSTAB for wide bands.
 classes = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
 for kind, r, K in ((PREEMPTIVE, 9.0, 40), (NONPREEMPTIVE, 16.0, 50)):
     gen = build_generator(enumerate_states(build_config(classes, r, 1.0), kind, K))

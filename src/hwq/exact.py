@@ -15,7 +15,8 @@ states beyond K as well, so pointwise drift identities are exact at every
 indexed state, boundary included.
 
 Stationary solves: GTH elimination (subtraction-free, componentwise stable)
-inside the level band, or uniformized power iteration where the band is wide.
+inside the level band, or Jacobi-preconditioned BiCGSTAB on the balance
+equations pinned at the empty state where the band is wide.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import bicgstab
 from scipy.special import gammaln
 
 from .errors import (
@@ -43,8 +45,7 @@ from .policy import NONPREEMPTIVE, PREEMPTIVE
 # GTH is used wherever affordable, for its componentwise accuracy.  Band GTH
 # costs about 1.6 ns * n * b^2 on a 2-core x86 box (b the envelope width).
 _GTH_MAX_WORK = 1e9
-_POWER_TOL_REL = 1e-13
-_POWER_MAX_ITERS = 2_000_000
+_KRYLOV_TOL_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,6 @@ class StateIndex:
         keys = _state_keys(self.kind, self.K, Z, PSI)
         j = np.minimum(np.searchsorted(self.keys, keys), self.n_states - 1)
         return np.where(self.keys[j] == keys, self.order[j], -1)
-
-    def index_of(self, z, psi=None) -> int:
-        i = int(self.positions(np.array([z]), np.array([psi]))[0])
-        if i < 0:
-            raise KeyError((tuple(z), psi))
-        return i
 
 
 def _state_keys(kind: str, K: int, Z, PSI) -> np.ndarray:
@@ -228,7 +223,7 @@ class StationaryVector:
 
     pi: np.ndarray
     residual: float  # max |pi @ Q|
-    method: str  # "gth" | "power"
+    method: str  # "gth" | "bicgstab"
     iterations: int
     deficit_estimate: float
     envelope_width: int  # b, the widest reach of an elimination step
@@ -288,31 +283,41 @@ def _gth_band(Q: sparse.spmatrix, lo: np.ndarray, b: int) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _power_iteration(Q: sparse.csr_matrix, max_exit_rate: float,
-                     tol: float, max_iters: int):
-    """Uniformized power iteration: pi <- pi (I + Q/Lam)."""
-    n = Q.shape[0]
-    lam = 1.02 * max_exit_rate
+class _ContractMet(Exception):
+    """Carries the BiCGSTAB iterate that met the residual contract."""
+
+
+def _bicgstab(Q: sparse.csr_matrix, tol: float) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned BiCGSTAB on QT[1:, 1:] x = -QT[1:, 0], pi = (1, x).
+
+    That submatrix of an irreducible generator is a nonsingular M-matrix, so
+    its diagonal is nonzero.  The pinned solution sums to 1/pi[0], which no
+    absolute tolerance can follow: every tenth iterate is clipped, normalized
+    and held to ``max|pi Q| <= tol`` instead, and scipy's exit code is ignored.
+    """
     QT = Q.T.tocsr()
-    pi = np.full(n, 1.0 / n)
-    check_every = 50
-    for it in range(1, max_iters + 1):
-        pi = pi + (QT @ pi) / lam
-        if it % check_every == 0:
-            np.maximum(pi, 0.0, out=pi)
-            pi /= pi.sum()
-            resid = float(np.abs(QT @ pi).max())
-            if resid <= tol:
-                return pi, it, resid
-    raise NotConverged(
-        f"power iteration did not reach residual {tol:g} in {max_iters} steps"
-    )
+    A, iterations = QT[1:, 1:], 0
+
+    def normalized(x):
+        pi = np.maximum(np.concatenate([[1.0], x]), 0.0)
+        return pi / pi.sum()
+
+    def check(x):
+        nonlocal iterations
+        iterations += 1
+        if iterations % 10 == 0 and np.abs(QT @ normalized(x)).max() <= tol:
+            raise _ContractMet(x)
+
+    try:
+        x, _ = bicgstab(A, -QT[1:, 0].toarray().ravel(), rtol=0.0,
+                        M=sparse.diags(1.0 / A.diagonal()), callback=check)
+    except _ContractMet as met:
+        x = met.args[0]
+    return normalized(x), iterations
 
 
 def _check_irreducible(Q: sparse.csr_matrix) -> None:
-    n_comp, _ = csgraph.connected_components(
-        Q, directed=True, connection="strong"
-    )
+    n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
     if n_comp != 1:
         raise Reducible(f"truncated chain has {n_comp} strongly connected components")
 
@@ -325,13 +330,11 @@ def _deficit_estimate(gen: SparseGenerator, pi: np.ndarray) -> float:
     rate on the boundary.
     """
     b = gen.boundary_mask
-    if not b.any():
-        return 0.0
     boundary_mass = float(pi[b].sum())
     if boundary_mass == 0.0:
         return 0.0
-    exit_down = np.asarray(gen.Q[b].multiply(gen.Q[b] > 0).sum(axis=1)).ravel()
-    d_min = float(exit_down.min())
+    Qb = gen.Q[b]
+    d_min = float(np.asarray(Qb.multiply(Qb > 0).sum(axis=1)).min())
     lam_drop = float(gen.dropped_rate[b].max())
     if d_min <= lam_drop:
         return float("inf")
@@ -342,24 +345,21 @@ def _deficit_estimate(gen: SparseGenerator, pi: np.ndarray) -> float:
 def stationary(gen: SparseGenerator) -> StationaryVector:
     """Solve pi Q = 0, sum(pi) = 1 on the truncated set.
 
-    Band GTH when its work n * b^2 is at most ``_GTH_MAX_WORK``, uniformized
-    power iteration above.  The result is checked against the residual
-    contract ``max|pi Q| <= 1e-10 * max exit rate``.
+    Band GTH when its work n * b^2 is at most ``_GTH_MAX_WORK``, BiCGSTAB
+    above.  The result must meet the residual contract ``max|pi Q| <= tol *
+    max exit rate``, tol = 1e-10 for GTH and ``_KRYLOV_TOL_REL`` for BiCGSTAB.
     """
     _check_irreducible(gen.Q)
     lo, b = _envelope(gen.Q)
     if gen.idx.n_states * b * b <= _GTH_MAX_WORK:
-        method, pi, iterations = "gth", _gth_band(gen.Q, lo, b), 0
+        method, pi, iterations, tol = "gth", _gth_band(gen.Q, lo, b), 0, 1e-10
     else:
-        method = "power"
-        pi, iterations, _ = _power_iteration(
-            gen.Q, gen.max_exit_rate, _POWER_TOL_REL * gen.max_exit_rate, _POWER_MAX_ITERS)
+        method, tol = "bicgstab", _KRYLOV_TOL_REL
+        pi, iterations = _bicgstab(gen.Q, tol * gen.max_exit_rate)
     residual = float(np.abs(gen.Q.T @ pi).max())
-    if residual > 1e-10 * gen.max_exit_rate:
-        raise NotConverged(
-            f"residual {residual:g} exceeds 1e-10 * max rate "
-            f"({1e-10 * gen.max_exit_rate:g})"
-        )
+    if residual > tol * gen.max_exit_rate:
+        raise NotConverged(f"{method} residual {residual:g} exceeds {tol:g} * max rate "
+                           f"({tol * gen.max_exit_rate:g})")
     return StationaryVector(pi=pi, residual=residual, method=method, iterations=iterations,
                             deficit_estimate=_deficit_estimate(gen, pi), envelope_width=b)
 

@@ -210,10 +210,6 @@ class GeneratorIdentityReport:
     deficit: float
     solver_residual: float
 
-    @property
-    def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
 
 def generator_identity_check(cfg: SystemConfig, kind: str, theta: float = 0.2,
                              k: float = 5.0, K: int | None = None,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -14,8 +15,11 @@ from helpers import (
     poisson_pmf_ref,
     replay_generator,
 )
+from hwq import exact
+from hwq.cli import main
 from hwq.errors import (
     InsufficientMemory,
+    NotConverged,
     Reducible,
     ThetaOutOfRange,
     TruncationTooSmall,
@@ -25,13 +29,12 @@ from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
 from hwq.exact import (
     _GTH_MAX_WORK,
-    _POWER_MAX_ITERS,
-    _POWER_TOL_REL,
+    _KRYLOV_TOL_REL,
+    _bicgstab,
     _check_band_fits,
     _check_key_range,
     _envelope,
     _gth_band,
-    _power_iteration,
     abar_vector,
     build_generator,
     enumerate_states,
@@ -81,15 +84,15 @@ def test_enumerate_rejects_fifo_and_small_K():
         enumerate_states(MM2, PREEMPTIVE, 1)
 
 
-def test_index_of_round_trips_every_state():
+def test_positions_round_trip_every_state():
     for cfg in (TWO_CLASS_AB, dataclasses.replace(TWO_CLASS_AB, n_servers=3)):
         for kind in (PREEMPTIVE, NONPREEMPTIVE):
             idx = enumerate_states(cfg, kind, 30)
             assert np.array_equal(idx.positions(idx.z, idx.psi), np.arange(idx.n_states))
             for i in range(idx.n_states):
-                assert idx.index_of(tuple(idx.z[i]), tuple(idx.psi[i])) == i
-            with pytest.raises(KeyError):
-                idx.index_of((31, 0), (0, 0))  # one level above K
+                assert idx.positions(idx.z[i:i + 1], idx.psi[i:i + 1])[0] == i
+            # one level above K
+            assert idx.positions(np.array([[31, 0]]), np.array([[0, 0]]))[0] == -1
 
 
 def test_state_key_range_refusal():
@@ -158,7 +161,8 @@ def test_generator_preemption_rates():
     cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=1)
     idx = enumerate_states(cfg, PREEMPTIVE, 6)
     gen = build_generator(idx)
-    i = idx.index_of((1, 1))
+    i = idx.positions(np.array([[1, 1]]), None)[0]
+    assert i >= 0
     lo, hi = gen.row_ptr[i], gen.row_ptr[i + 1]
     departures = {
         tuple(gen.dst_z[t]): gen.rate[t]
@@ -204,14 +208,27 @@ def test_gth_single_state():
     assert _gth_band(Q, *_envelope(Q)) == pytest.approx([1.0])
 
 
-def test_gth_power_agreement():
-    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0)
-    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 40))
+THREE_CLASS_AB = build_config(
+    [ClassParams(0.3, 1.0, 0.5), ClassParams(0.8, 2.0, 1.0), ClassParams(0.9, 3.0, 2.0)],
+    4.0, 1.0)
+
+
+@pytest.mark.parametrize("cfg, kind, K, tv_max, abs_max", [
+    (build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0),
+     PREEMPTIVE, 40, 1e-9, None),
+    (TWO_CLASS_AB, PREEMPTIVE, 84, 1e-9, None),  # the exact_banded benchmark chain
+    (THREE_CLASS_AB, NONPREEMPTIVE, 10, None, 1e-10),
+], ids=["r9_K40", "banded_r16_K84", "three_class_np"])
+def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
+    gen = build_generator(enumerate_states(cfg, kind, K))
     pi_gth = _gth_band(gen.Q, *_envelope(gen.Q))
-    pi_power, _, _ = _power_iteration(gen.Q, gen.max_exit_rate,
-                                      _POWER_TOL_REL * gen.max_exit_rate, _POWER_MAX_ITERS)
-    tv = 0.5 * np.abs(pi_gth - pi_power).sum()
-    assert tv <= 1e-9
+    pi_k, iterations = _bicgstab(gen.Q, _KRYLOV_TOL_REL * gen.max_exit_rate)
+    assert iterations > 0
+    assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
+    if tv_max is not None:
+        assert 0.5 * np.abs(pi_gth - pi_k).sum() <= tv_max
+    if abs_max is not None:
+        assert np.abs(pi_gth - pi_k).max() <= abs_max
 
 
 @pytest.mark.parametrize("kind, n_servers, K", [
@@ -254,8 +271,8 @@ def test_gth_band_reducible():
 
 def test_stationary_solver_follows_band_work():
     # the preemptive benchmark instance (n = 3655, b = 85) stays on GTH;
-    # a non-preemptive chain with a wide band goes to power iteration
-    cases = [(PREEMPTIVE, 84, "gth"), (NONPREEMPTIVE, 50, "power")]
+    # a non-preemptive chain with a wide band goes to BiCGSTAB
+    cases = [(PREEMPTIVE, 84, "gth"), (NONPREEMPTIVE, 50, "bicgstab")]
     for kind, K, method in cases:
         gen = build_generator(enumerate_states(TWO_CLASS_AB, kind, K))
         _, b = _envelope(gen.Q)
@@ -263,7 +280,44 @@ def test_stationary_solver_follows_band_work():
         assert (work <= _GTH_MAX_WORK) == (method == "gth")
         sv = stationary(gen)
         assert sv.method == method
-        assert (sv.iterations > 0) == (method == "power")
+        assert (sv.iterations > 0) == (method == "bicgstab")
+
+
+def _wide_generator():
+    """The wide non-preemptive chain above, which stationary hands to BiCGSTAB."""
+    return build_generator(enumerate_states(TWO_CLASS_AB, NONPREEMPTIVE, 50))
+
+
+def test_bicgstab_missing_contract_raises(tmp_path, capsys, monkeypatch):
+    # scipy reports success (info 0) after 5 steps; the residual decides
+    real = exact.bicgstab
+    monkeypatch.setattr(exact, "bicgstab",
+                        lambda A, b, **kw: (real(A, b, maxiter=5, M=kw["M"])[0], 0))
+    with pytest.raises(NotConverged, match="bicgstab residual"):
+        stationary(_wide_generator())
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({
+        "schema_version": "hwq-config/1", "seed": 1, "policy": "nonpreemptive_priority",
+        "system": {"classes": [{"lambda": 0.5, "mu": 1.0, "nu": 0.5},
+                               {"lambda": 1.0, "mu": 2.0, "nu": 1.0}], "r": 16.0, "a": 1.0},
+        "exact": {"K": 50, "functionals": [{"id": "z_total"}]},
+    }))
+    rc = main(["exact", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--jobs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bicgstab residual" in err and len(err.strip().splitlines()) == 1
+
+
+def test_bicgstab_breakdown_with_true_solution_is_accepted(monkeypatch):
+    gen = _wide_generator()
+    expected = stationary(gen).pi
+    x_true = expected[1:] / expected[0]
+    monkeypatch.setattr(exact, "bicgstab", lambda A, b, **kw: (x_true.copy(), -11))
+    sv = stationary(gen)
+    assert sv.method == "bicgstab" and sv.iterations == 0
+    assert sv.residual <= _KRYLOV_TOL_REL * gen.max_exit_rate
+    assert np.abs(sv.pi - expected).max() <= 1e-15
 
 
 def test_nonpreemptive_solve_single_class_matches_mmn():
@@ -289,7 +343,8 @@ def test_abar_constant_is_zero():
     out = abar_vector(gen, lambda Z, PSI, c: np.ones(Z.shape[0]))
     assert np.abs(out).max() == 0.0
     five = abar_vector(gen, lambda Z, PSI, c: np.full(Z.shape[0], 5.0))
-    assert five[gen.idx.index_of((3, 2))] == 0.0
+    i = gen.idx.positions(np.array([[3, 2]]), None)[0]
+    assert i >= 0 and five[i] == 0.0
 
 
 def test_abar_apply_matches_hand_sum():
@@ -300,9 +355,11 @@ def test_abar_apply_matches_hand_sum():
         return ((Z - np.asarray(cfg.rho_r)) / np.asarray(cfg.mus)).sum(axis=1)
 
     abar = abar_vector(gen, phi_hat)
-    for z in (0, 1, 2, 5):
-        got = abar[gen.idx.index_of((z,), (min(z, 2),))]
-        assert got == pytest.approx(1.0 - min(z, 2), abs=1e-12)
+    z = np.array([[0], [1], [2], [5]])
+    rows = gen.idx.positions(z, np.minimum(z, 2))
+    assert (rows >= 0).all()
+    got = abar[rows]
+    assert got == pytest.approx(1.0 - np.minimum(z[:, 0], 2), abs=1e-12)
 
 
 def test_generator_identity_truncated_functional():
