@@ -5,11 +5,12 @@ Commands::
     hwq validate|exact|simulate|couple|verify|sweep --config FILE --out DIR
         [--seed N] [--jobs M]
 
-The config is a single JSON document (schema documented in the README and
-enforced here before any computation).  Every CSV row carries the
-(r, a, policy, seed, method) provenance columns.  Given the same config and
-seed the emitted CSVs are byte-identical across runs; the manifest echoes
-everything needed to reproduce them.
+The config is a single JSON document, documented in the README.  ``_SCHEMA``
+declares each section key's check and default once; ``parse_config`` checks
+every key, and the rules that need the system, before any computation.
+Every CSV row carries the (r, a, policy, seed, method) provenance columns.
+Given the same config and seed the emitted CSVs are byte-identical across
+runs; the manifest echoes everything needed to reproduce them.
 
 ``--jobs M`` (``HWQ_JOBS`` as fallback, a positive integer; default every
 usable core) runs the independent units of ``couple`` (the streams) and
@@ -57,11 +58,10 @@ from .errors import (
     Unsupported,
 )
 from .model import ClassParams, SystemConfig, build_config, nominal_utilization
-from .policy import KINDS
+from .policy import FIFO, KINDS
 from .simulate import (
     RngStream,
     batch_means_multi,
-    check_event_counts,
     choose_estimator,
     default_warmup,
     fan_out,
@@ -82,35 +82,6 @@ from .verify import (
 
 SCHEMA_VERSION = "hwq-config/1"
 COMMANDS = ("validate", "exact", "simulate", "couple", "verify", "sweep")
-# the keys each command's section may hold: those its _cmd_* function reads
-_SECTION_KEYS = {
-    "exact": {"functionals", "K", "method"},
-    "simulate": {"functionals", "estimator", "warmup_events", "n_cycles",
-                 "max_events_per_cycle", "n_batches", "events_per_batch"},
-    "couple": {"coupling", "n_events", "nu_prime", "warmup_events", "n_seeds"},
-    "verify": {"checks", "K", "theta_list", "k", "theta"},
-    "sweep": {"functionals", "estimator", "K", "n_batches", "events_per_batch",
-              "warmup_events"},
-}
-# the values a section key may take; the first is its default
-_CHOICES = {
-    ("simulate", "estimator"): ("auto", "regenerative", "batch_means"),
-    ("sweep", "estimator"): ("auto", "exact", "batch_means"),
-    ("couple", "coupling"): ("infserver", "monotone"),
-    ("exact", "method"): ("auto",),  # the solver follows the chain's size
-}
-# the least value of each estimator count; warmup_events may also be null
-_COUNT_MINIMA = {
-    ("simulate", "n_batches"): 10,
-    ("simulate", "events_per_batch"): 1,
-    ("simulate", "warmup_events"): 0,
-    ("simulate", "n_cycles"): 2,
-    ("simulate", "max_events_per_cycle"): 1,
-    ("sweep", "n_batches"): 10,
-    ("sweep", "events_per_batch"): 1,
-    ("sweep", "warmup_events"): 0,
-}
-_CHECKS = ("drift_identity", "lyapunov", "abandon_bounds", "generator_identity")
 
 _CONFIG_ERRORS = (
     SchemaError, NonUnitLoad, InvalidRate, HypothesisViolated, Unsupported,
@@ -123,39 +94,116 @@ def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
 
 
+# A check takes (value, path), raises a SchemaError naming the path, and
+# returns the value to run with: numbers stay as written, since labels print them.
+def _typed(typ):
+    """A check that the value is a typ; an int counts as a float, a bool as neither."""
+    def check(val, path):
+        if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
+            raise _fail(path, f"expected {typ.__name__}, got {type(val).__name__}")
+        return val
+    return check
+
+
 def _require(obj, path, key, typ, default=None, required=False):
     if key not in obj:
         if required:
             raise _fail(f"{path}.{key}", "missing required field")
         return default
-    val = obj[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
-        raise _fail(f"{path}.{key}", f"expected {typ.__name__}, got {type(val).__name__}")
-    return val
+    val = _typed(typ)(obj[key], f"{path}.{key}")
+    return float(val) if typ is float else val
 
 
-def _parse_functionals(raw, path) -> list[FunctionalSpec]:
-    if not isinstance(raw, list) or not raw:
-        raise _fail(path, "expected a non-empty list of functional objects")
-    specs = []
-    for i, item in enumerate(raw):
-        here = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(here, "expected an object")
-        fid = _require(item, here, "id", str, required=True)
-        try:
-            spec = FunctionalSpec(
-                fid=fid,
-                theta=_require(item, here, "theta", float),
-                k=_require(item, here, "k", float),
-                x=_require(item, here, "x", float),
-            )
-        except ValueError as exc:
-            raise _fail(here, str(exc)) from None
-        specs.append(spec)
-    return specs
+def _count(least):
+    def check(val, path):
+        if _typed(int)(val, path) < least:
+            raise _fail(path, f"must be at least {least}, got {val}")
+        return val
+    return check
+
+
+def _one_of(*choices):
+    def check(val, path):
+        if val not in choices:
+            raise _fail(path, f"expected one of {list(choices)}, got {val!r}")
+        return val
+    return check
+
+
+def _list_of(item, nonempty=False):
+    def check(val, path):
+        if not _typed(list)(val, path) and nonempty:
+            raise _fail(path, "must be non-empty")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(val)]
+    return check
+
+
+def _or_null(check):
+    return lambda val, path: None if val is None else check(val, path)
+
+
+def _class(c, path) -> ClassParams:
+    lam = _require(_typed(dict)(c, path), path, "lambda", float, required=True)
+    return ClassParams(lam=lam, mu=_require(c, path, "mu", float, required=True),
+                       nu=_require(c, path, "nu", float, default=0.0))
+
+
+def _functional(item, path) -> FunctionalSpec:
+    fid = _require(_typed(dict)(item, path), path, "id", str, required=True)
+    params = {name: _require(item, path, name, float) for name in ("theta", "k", "x")}
+    try:
+        return FunctionalSpec(fid=fid, **params)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+
+
+_number = _typed(float)
+_FUNCTIONALS = _list_of(_functional, nonempty=True)
+_Z_TOTAL = (FunctionalSpec("z_total"),)
+_TRUNCATION = (_or_null(_count(1)), None)  # null: default_truncation; >= n_servers below
+_BATCH_MEANS = {
+    "n_batches": (_count(10), 20),
+    "events_per_batch": (_count(1), 50_000),
+    "warmup_events": (_or_null(_count(0)), None),  # null: default_warmup
+}
+# section -> key -> (check, default): the keys each command's section may
+# hold; defaults are shared by every parse, so they are immutable
+_SCHEMA = {
+    "exact": {
+        "functionals": (_FUNCTIONALS, _Z_TOTAL),
+        "K": _TRUNCATION,
+        "method": (_one_of("auto"), "auto"),  # the solver follows the chain's size
+    },
+    "simulate": {
+        "functionals": (_FUNCTIONALS, _Z_TOTAL),
+        "estimator": (_one_of("auto", "regenerative", "batch_means"), "auto"),
+        **_BATCH_MEANS,
+        "n_cycles": (_count(2), 1000),
+        "max_events_per_cycle": (_count(1), 1_000_000),
+    },
+    "couple": {
+        "coupling": (_one_of("infserver", "monotone"), "infserver"),
+        "n_events": (_count(1), 100_000),
+        "warmup_events": (_count(0), 0),
+        "n_seeds": (_count(1), 1),
+        "nu_prime": (_or_null(_list_of(_number)), None),  # null: the system's nu
+    },
+    "verify": {
+        "checks": (_list_of(_one_of("drift_identity", "lyapunov", "abandon_bounds",
+                                    "generator_identity")), ("drift_identity",)),
+        "K": _TRUNCATION,
+        "theta_list": (_list_of(_number), (0.05, 0.1, 0.2, 0.5)),
+        "k": (_number, 5.0),
+        "theta": (_number, 0.2),
+    },
+    "sweep": {
+        "functionals": (_FUNCTIONALS, (FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
+                                       FunctionalSpec("exp_sum_zhat_minus", theta=0.1))),
+        "estimator": (_one_of("auto", "exact", "batch_means"), "auto"),
+        "K": _TRUNCATION,
+        **_BATCH_MEANS,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -173,7 +221,8 @@ class ExperimentConfig:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a path, JSON text, or dict."""
+    """Parse and validate a config from a path, JSON text, or dict; every
+    section key passes its ``_SCHEMA`` check, and absent keys take its default."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -197,22 +246,12 @@ def parse_config(source) -> ExperimentConfig:
         raise _fail("schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
 
     system = _require(raw, "", "system", dict, required=True)
-    classes_raw = _require(system, "system", "classes", list, required=True)
-    classes = []
-    for i, c in enumerate(classes_raw):
-        here = f"system.classes[{i}]"
-        if not isinstance(c, dict):
-            raise _fail(here, "expected an object")
-        classes.append(ClassParams(
-            lam=_require(c, here, "lambda", float, required=True),
-            mu=_require(c, here, "mu", float, required=True),
-            nu=_require(c, here, "nu", float, default=0.0),
-        ))
+    classes = _list_of(_class)(_require(system, "system", "classes", list, required=True),
+                               "system.classes")
     a = _require(system, "system", "a", float, required=True)
     if "r_list" in system:
-        r_values = tuple(float(v) for v in _require(system, "system", "r_list", list))
-        if not r_values:
-            raise _fail("system.r_list", "must be non-empty")
+        r_list = _list_of(_number, nonempty=True)(system["r_list"], "system.r_list")
+        r_values = tuple(map(float, r_list))
     elif "r" in system:
         r_values = (_require(system, "system", "r", float),)
     else:
@@ -226,58 +265,28 @@ def parse_config(source) -> ExperimentConfig:
     systems = tuple(build_config(classes, r, a) for r in r_values)
     n_servers = max(sc.n_servers for sc in systems)
     sections = {}
-    for cmd, known in _SECTION_KEYS.items():
+    for cmd, schema in _SCHEMA.items():
         sec = raw.get(cmd, {})
         if not isinstance(sec, dict):
             raise _fail(cmd, "expected an object")
-        for key in sorted(set(sec) - known):
-            raise _fail(f"{cmd}.{key}", f"unknown key; known keys: {sorted(known)}")
-        sections[cmd] = sec
-        if "functionals" in sec:
-            sections[cmd] = dict(sec)
-            sections[cmd]["functionals"] = _parse_functionals(
-                sec["functionals"], f"{cmd}.functionals"
-            )
-        if sec.get("K") is not None and _require(sec, cmd, "K", int) < n_servers:
+        for key in sorted(set(sec) - set(schema)):
+            raise _fail(f"{cmd}.{key}", f"unknown key; known keys: {sorted(schema)}")
+        sections[cmd] = {key: check(sec[key], f"{cmd}.{key}") if key in sec else default
+                         for key, (check, default) in schema.items()}
+    for cmd, sec in sections.items():
+        if sec.get("K") is not None and sec["K"] < n_servers:
             raise _fail(f"{cmd}.K", f"must be null or at least n_servers = {n_servers}")
-    for (cmd, key), choices in _CHOICES.items():
-        val = sections[cmd].get(key, choices[0])
-        if val not in choices:
-            raise _fail(f"{cmd}.{key}", f"expected one of {list(choices)}, got {val!r}")
-    checks = sections["verify"].get("checks", ["drift_identity"])
-    if not isinstance(checks, list) or any(c not in _CHECKS for c in checks):
-        raise _fail("verify.checks", f"expected a list of names from {list(_CHECKS)}")
     couple = sections["couple"]
-    n_events = _require(couple, "couple", "n_events", int, default=100_000)
-    warmup = _require(couple, "couple", "warmup_events", int, default=0)
-    try:
-        check_event_counts(n_events, warmup)
-    except ValueError as exc:
-        raise _fail("couple.n_events", str(exc)) from None
-    if _require(couple, "couple", "n_seeds", int, default=1) < 1:
-        raise _fail("couple.n_seeds", "must be at least 1")
-    for (cmd, key), least in _COUNT_MINIMA.items():
-        if key == "warmup_events" and sections[cmd].get(key) is None:
-            continue  # null takes the default warm-up
-        val = _require(sections[cmd], cmd, key, int, default=least)
-        if val < least:
-            raise _fail(f"{cmd}.{key}", f"must be at least {least}, got {val}")
+    if couple["n_events"] <= couple["warmup_events"]:
+        raise _fail("couple.n_events", "must exceed couple.warmup_events")
+    if couple["nu_prime"] is not None and len(couple["nu_prime"]) != len(classes):
+        raise _fail("couple.nu_prime", f"expected one entry per class, {len(classes)}")
+    if policy == FIFO and sections["sweep"]["estimator"] == "exact":
+        raise _fail("sweep.estimator", "no exact solve for FIFO; use auto or batch_means")
     return ExperimentConfig(
         raw=raw, seed=seed, policy=policy, a=a,
         r_values=r_values, systems=systems, sections=sections,
     )
-
-
-def emit(cfg: ExperimentConfig) -> str:
-    """Canonical JSON text; parse(emit(cfg)) reproduces cfg."""
-    return json.dumps(cfg.raw, indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    csv_paths: tuple[str, ...]
-    manifest_path: str
-    violations: int
 
 
 PROVENANCE = ("r", "a", "policy", "seed", "method")
@@ -316,10 +325,9 @@ def _generator(sc, policy, K, record):
 
 def _cmd_exact(cfg, out_dir, jobs, record):
     sec = cfg.sections["exact"]
-    specs = sec.get("functionals", [FunctionalSpec("z_total")])
     rows = []
     for sc in cfg.systems:
-        gen, phases = _generator(sc, cfg.policy, sec.get("K"), record)
+        gen, phases = _generator(sc, cfg.policy, sec["K"], record)
         started = time.perf_counter()
         sv = stationary(gen)
         phases["solve_s"] = time.perf_counter() - started
@@ -327,7 +335,7 @@ def _cmd_exact(cfg, out_dir, jobs, record):
             r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz, envelope_width=sv.envelope_width,
             method=sv.method, iterations=sv.iterations, residual=sv.residual,
             deficit=sv.deficit_estimate))
-        for spec in specs:
+        for spec in sec["functionals"]:
             vals = spec.vector(sc)(gen.idx.z, gen.idx.psi, sc)
             rows.append([sc.r, sc.a, cfg.policy, cfg.seed, sv.method,
                          spec.label(), spec.theta, spec.k, spec.x,
@@ -341,22 +349,21 @@ def _cmd_exact(cfg, out_dir, jobs, record):
 def _cmd_simulate(cfg, out_dir, jobs, record):
     sec = cfg.sections["simulate"]
     sc = cfg.system()
-    specs = sec.get("functionals", [FunctionalSpec("z_total")])
-    method = sec.get("estimator", "auto")
+    specs = sec["functionals"]
+    method = sec["estimator"]
     if method == "auto":
         method = choose_estimator(sc)
-    warmup = sec.get("warmup_events")
-    warmup = default_warmup(sc) if warmup is None else warmup
+    warmup = default_warmup(sc) if sec["warmup_events"] is None else sec["warmup_events"]
     fns = {spec.label(): spec.scalar(sc) for spec in specs}
     if method == "regenerative":
         ests = regenerative_estimate(
-            sc, cfg.policy, fns, sec.get("n_cycles", 1000), RngStream(cfg.seed, 0),
-            max_events_per_cycle=sec.get("max_events_per_cycle", 1_000_000),
+            sc, cfg.policy, fns, sec["n_cycles"], RngStream(cfg.seed, 0),
+            max_events_per_cycle=sec["max_events_per_cycle"],
         )
     else:
         ests = batch_means_multi(
-            sc, cfg.policy, fns, sec.get("n_batches", 20),
-            sec.get("events_per_batch", 50_000), warmup, RngStream(cfg.seed, 0),
+            sc, cfg.policy, fns, sec["n_batches"],
+            sec["events_per_batch"], warmup, RngStream(cfg.seed, 0),
         )
     rows = []
     for spec in specs:
@@ -383,11 +390,10 @@ def _couple_stream(sc, kind, coupling, nu_prime, n_events, warmup, seed, stream)
 def _cmd_couple(cfg, out_dir, jobs, record):
     sec = cfg.sections["couple"]
     sc = cfg.system()
-    coupling = sec.get("coupling", "infserver")
-    n_events = sec.get("n_events", 100_000)
-    nu_prime = sec.get("nu_prime", list(sc.nus))
-    streams = [(sc, cfg.policy, coupling, nu_prime, n_events, sec.get("warmup_events", 0),
-                cfg.seed, stream) for stream in range(sec.get("n_seeds", 1))]
+    coupling, n_events = sec["coupling"], sec["n_events"]
+    nu_prime = sc.nus if sec["nu_prime"] is None else sec["nu_prime"]
+    streams = [(sc, cfg.policy, coupling, nu_prime, n_events, sec["warmup_events"],
+                cfg.seed, stream) for stream in range(sec["n_seeds"])]
     results = fan_out(_couple_stream, streams, jobs, record)
 
     nc = sc.n_classes
@@ -408,20 +414,17 @@ def _cmd_couple(cfg, out_dir, jobs, record):
 def _cmd_verify(cfg, out_dir, jobs, record):
     sec = cfg.sections["verify"]
     sc = cfg.system()
-    checks = sec.get("checks", ["drift_identity"])
-    theta_list = sec.get("theta_list", [0.05, 0.1, 0.2, 0.5])
-    k = sec.get("k", 5.0)
-    gen, _ = _generator(sc, cfg.policy, sec.get("K"), record)
+    gen, _ = _generator(sc, cfg.policy, sec["K"], record)
     rows = []
     violations = 0
-    for check in checks:
+    for check in sec["checks"]:
         if check == "drift_identity":
             rep = drift_identity_check(sc, cfg.policy, gen=gen)
             violations += rep.violations
             rows.append([sc.r, sc.a, cfg.policy, cfg.seed, check, "phi_hat",
                          rep.n_states, rep.violations, rep.max_rel_err, None])
         elif check == "lyapunov":
-            for theta in theta_list:
+            for theta in sec["theta_list"]:
                 rep = lyapunov_pointwise_check(sc, cfg.policy, theta, gen=gen)
                 violations += rep.violations
                 rows.append([sc.r, sc.a, cfg.policy, cfg.seed, check, rep.label,
@@ -433,8 +436,8 @@ def _cmd_verify(cfg, out_dir, jobs, record):
                 rows.append([sc.r, sc.a, cfg.policy, cfg.seed, check, side.label,
                              side.n_states, side.violations, None, side.worst_slack])
         elif check == "generator_identity":
-            theta = sec.get("theta", 0.2)
-            rep = generator_identity_check(sc, cfg.policy, theta=theta, k=k, gen=gen)
+            rep = generator_identity_check(sc, cfg.policy, theta=sec["theta"], k=sec["k"],
+                                           gen=gen)
             for row in rep.rows:
                 if not row.ok:
                     violations += 1
@@ -449,16 +452,13 @@ def _cmd_verify(cfg, out_dir, jobs, record):
 
 def _cmd_sweep(cfg, out_dir, jobs, record):
     sec = cfg.sections["sweep"]
-    specs = sec.get("functionals", [FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
-                                    FunctionalSpec("exp_sum_zhat_minus", theta=0.1)])
-    classes = cfg.system().classes
     rows = sweep(
-        classes, cfg.a, cfg.r_values, cfg.policy, specs, cfg.seed,
-        estimator=sec.get("estimator", "auto"),
-        K=sec.get("K"),
-        n_batches=sec.get("n_batches", 20),
-        events_per_batch=sec.get("events_per_batch", 50_000),
-        warmup_events=sec.get("warmup_events"),
+        cfg.system().classes, cfg.a, cfg.r_values, cfg.policy, sec["functionals"], cfg.seed,
+        estimator=sec["estimator"],
+        K=sec["K"],
+        n_batches=sec["n_batches"],
+        events_per_batch=sec["events_per_batch"],
+        warmup_events=sec["warmup_events"],
         jobs=jobs,
         record=record,
     )
@@ -513,9 +513,9 @@ _DISPATCH = {
 }
 
 
-def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> ReportBundle:
+def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     """Run one command on up to ``jobs`` worker processes; write its CSVs and
-    the run manifest."""
+    the run manifest.  Returns the number of invariant violations."""
     if command not in _DISPATCH:
         raise SchemaError(f"unknown command {command!r}; valid: {COMMANDS}")
     out_dir = Path(out_dir)
@@ -540,13 +540,9 @@ def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Rep
         },
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return ReportBundle(
-        csv_paths=tuple(str(p) for p in paths),
-        manifest_path=str(manifest_path),
-        violations=violations,
-    )
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(manifest_text)
+    return violations
 
 
 class _Parser(argparse.ArgumentParser):
@@ -589,7 +585,7 @@ def main(argv=None) -> int:
             raw = dict(cfg.raw)
             raw["seed"] = args.seed
             cfg = parse_config(raw)
-        bundle = dispatch(args.command, cfg, args.out, jobs=jobs)
+        violations = dispatch(args.command, cfg, args.out, jobs=jobs)
     except _CONFIG_ERRORS as exc:
         print(f"hwq: config error: {exc}", file=sys.stderr)
         return 1
@@ -599,8 +595,8 @@ def main(argv=None) -> int:
     except OrderingViolation as exc:
         print(f"hwq: invariant violation: {exc}", file=sys.stderr)
         return 3
-    if bundle.violations > 0:
-        print(f"hwq: {bundle.violations} invariant violation(s); see reports",
+    if violations > 0:
+        print(f"hwq: {violations} invariant violation(s); see reports",
               file=sys.stderr)
         return 3
     return 0

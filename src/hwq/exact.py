@@ -233,9 +233,11 @@ def _envelope(Q: sparse.spmatrix) -> tuple[np.ndarray, int]:
     """lo(k), the monotone hull (min over m >= k) of the lowest index coupled
     to k in either direction, and the width b = max(k - lo(k)).  GTH fill-in
     from eliminating k stays inside [lo(k), k) x [lo(k), k)."""
-    coo = Q.tocoo()
     lo = np.arange(Q.shape[0])
-    np.minimum.at(lo, np.maximum(coo.row, coo.col), np.minimum(coo.row, coo.col))
+    # the first stored column of each non-empty row of Q and of Q.T
+    for M in (Q.tocsr().sorted_indices(), Q.T.tocsr().sorted_indices()):
+        rows = np.flatnonzero(np.diff(M.indptr))
+        lo[rows] = np.minimum(lo[rows], M.indices[M.indptr[rows]])
     lo = np.minimum.accumulate(lo[::-1])[::-1]
     return lo, int((np.arange(Q.shape[0]) - lo).max())
 

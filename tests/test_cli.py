@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hwq.errors import OrderingViolation, SchemaError
-from hwq.cli import emit, main, parse_config
+from hwq.cli import _SCHEMA, main, parse_config
 from hwq.simulate import usable_cores
 
 MINIMAL = {
@@ -34,7 +35,7 @@ def test_parse_minimal_config():
 
 def test_parse_round_trip():
     cfg = parse_config(_config())
-    again = parse_config(emit(cfg))
+    again = parse_config(json.dumps(cfg.raw))
     assert again.raw == cfg.raw
     assert again.r_values == cfg.r_values
 
@@ -390,7 +391,7 @@ def test_unknown_section_key_exits_one(tmp_path, capsys, section, key):
     ("couple", {"n_seeds": 0}, "couple.n_seeds"),
     ("couple", {"n_events": 0}, "couple.n_events"),
     ("couple", {"n_events": 500, "warmup_events": 500}, "couple.n_events"),
-    ("couple", {"warmup_events": -1}, "couple.n_events"),
+    ("couple", {"warmup_events": -1}, "couple.warmup_events"),
     ("simulate", {"n_batches": 5}, "simulate.n_batches"),
     ("simulate", {"events_per_batch": "x"}, "simulate.events_per_batch"),
     ("simulate", {"warmup_events": -1}, "simulate.warmup_events"),
@@ -406,14 +407,117 @@ def test_unknown_section_key_exits_one(tmp_path, capsys, section, key):
         "simulate-max_events_per_cycle-zero", "sweep-n_batches-float",
         "sweep-events_per_batch-zero", "sweep-warmup-string"])
 def test_bad_section_value_exits_one_before_output(tmp_path, capsys, section, values, path):
+    raw = _config(policy="preemptive_priority", **{section: values})
+    _assert_exits_one_before_output(tmp_path, capsys, section, raw, path)
+
+
+def _assert_exits_one_before_output(tmp_path, capsys, command, raw, path):
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
-                                           **{section: values})))
-    rc = main([section, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    cfg_file.write_text(json.dumps(raw))
+    rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert path in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# one bad value for every key of the schema table: a key added to _SCHEMA
+# without a value here fails test_every_schema_key_rejects_a_bad_value
+BAD_VALUES = {
+    ("exact", "functionals"): [],
+    ("exact", "K"): "50",
+    ("exact", "method"): "power",
+    ("simulate", "functionals"): [{"id": "exp_sum_zhat_plus", "theta": "x"}],
+    ("simulate", "estimator"): "exact",
+    ("simulate", "n_batches"): 9,
+    ("simulate", "events_per_batch"): 0,
+    ("simulate", "warmup_events"): -1,
+    ("simulate", "n_cycles"): 1,
+    ("simulate", "max_events_per_cycle"): True,
+    ("couple", "coupling"): "bogus",
+    ("couple", "n_events"): 0,
+    ("couple", "warmup_events"): None,
+    ("couple", "n_seeds"): 0,
+    ("couple", "nu_prime"): ["a", "b"],
+    ("verify", "checks"): ["drift_identity", "bogus"],
+    ("verify", "K"): 2.5,
+    ("verify", "theta_list"): "x",
+    ("verify", "k"): "x",
+    ("verify", "theta"): "x",
+    ("sweep", "functionals"): [{"id": "bogus"}],
+    ("sweep", "estimator"): "regenerative",
+    ("sweep", "K"): 0,
+    ("sweep", "n_batches"): 9.5,
+    ("sweep", "events_per_batch"): "x",
+    ("sweep", "warmup_events"): "none",
+}
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s in _SCHEMA for k in _SCHEMA[s]])
+def test_every_schema_key_rejects_a_bad_value(tmp_path, capsys, section, key):
+    raw = _config(policy="preemptive_priority", **{section: {key: BAD_VALUES[section, key]}})
+    _assert_exits_one_before_output(tmp_path, capsys, section, raw, f"{section}.{key}")
+
+
+def test_bad_values_name_only_schema_keys():
+    assert set(BAD_VALUES) == {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
+
+
+@pytest.mark.parametrize("command, overrides, path", [
+    ("validate", {"system": {"classes": [{"lambda": 1.0, "mu": 1.0}], "r_list": ["x"],
+                             "a": 1.0}}, "system.r_list[0]"),
+    ("verify", {"verify": {"theta_list": [0.1, "x"]}}, "verify.theta_list[1]"),
+    ("couple", {"couple": {"coupling": "monotone", "nu_prime": [0.0, 0.0]}},
+     "couple.nu_prime"),
+    ("couple", {"couple": {"n_events": 500, "warmup_events": 500}}, "couple.n_events"),
+    ("sweep", {"policy": "fifo", "sweep": {"estimator": "exact"}}, "sweep.estimator"),
+], ids=["r_list-string", "theta_list-string-entry", "nu_prime-per-class",
+        "warmup-at-n_events", "sweep-exact-fifo"])
+def test_rules_beyond_one_key_exit_one_before_output(tmp_path, capsys, command, overrides,
+                                                     path):
+    raw = _config(**{"policy": "preemptive_priority", **overrides})
+    _assert_exits_one_before_output(tmp_path, capsys, command, raw, path)
+
+
+@pytest.mark.parametrize("functional", [{"id": "z_total", "theta": "x"},
+                                        {"id": "exp_sum_zhat_plus"}])
+def test_functional_error_names_its_path_once(functional):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(_config(exact={"functionals": [functional]}))
+    assert str(exc.value).count("exact.functionals[0]") == 1
+
+
+def test_absent_keys_take_the_defaults():
+    from hwq.verify import FunctionalSpec
+
+    z_total = [FunctionalSpec("z_total")]
+    batch_means = {"n_batches": 20, "events_per_batch": 50_000, "warmup_events": None}
+    sections = parse_config(_config()).sections
+    assert {cmd: {key: list(v) if isinstance(v, tuple) else v for key, v in sec.items()}
+            for cmd, sec in sections.items()} == {
+        "exact": {"functionals": z_total, "K": None, "method": "auto"},
+        "simulate": {"functionals": z_total, "estimator": "auto", **batch_means,
+                     "n_cycles": 1000, "max_events_per_cycle": 1_000_000},
+        "couple": {"coupling": "infserver", "n_events": 100_000, "warmup_events": 0,
+                   "n_seeds": 1, "nu_prime": None},
+        "verify": {"checks": ["drift_identity"], "K": None,
+                   "theta_list": [0.05, 0.1, 0.2, 0.5], "k": 5.0, "theta": 0.2},
+        "sweep": {"functionals": [FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
+                                  FunctionalSpec("exp_sum_zhat_minus", theta=0.1)],
+                  "estimator": "auto", "K": None, **batch_means},
+    }
+
+
+def test_readme_schema_lists_each_section_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config schema")[1].split("```jsonc")[1].split("```")[0]
+    # an entry starts at a two-space indent and runs until the next one; the
+    # keys of a section are the quoted names before a colon outside its lists
+    entries = re.split(r'^  "(\w+)":', block, flags=re.M)[1:]
+    listed = {name: set(re.findall(r'"(\w+)":', re.sub(r"\[[^\]]*\]", "", body)))
+              for name, body in zip(entries[::2], entries[1::2])}
+    for section, keys in _SCHEMA.items():
+        assert listed[section] == set(keys), section
 
 
 def test_null_warmup_takes_default():

@@ -244,20 +244,56 @@ def test_gth_band_matches_dense_oracle(kind, n_servers, K):
     assert np.abs(_gth_band(gen.Q, lo, b) - oracle).max() <= 1e-14
 
 
-def test_gth_band_general_pattern_matches_dense_oracle():
-    # a ring plus seeded random rates: the lowest index coupled to each state
-    # is not monotone here, so elimination needs the hull of lo
+def _ring_generator(n=12):
+    """A ring plus seeded random rates, as a dense generator."""
     rng = np.random.default_rng(3)
-    n = 12
     R = np.where(rng.random((n, n)) < 0.2, rng.random((n, n)), 0.0)
     R[np.arange(n), (np.arange(n) + 1) % n] += 1.0
     np.fill_diagonal(R, 0.0)
-    Q = R - np.diag(R.sum(axis=1))
+    return R - np.diag(R.sum(axis=1))
+
+
+def test_gth_band_general_pattern_matches_dense_oracle():
+    # the lowest index coupled to each state of the ring is not monotone, so
+    # elimination needs the hull of lo
+    Q = _ring_generator()
+    n = Q.shape[0]
     raw = [min([k] + [j for j in range(n) if Q[k, j] or Q[j, k]]) for k in range(n)]
     assert any(a > b for a, b in zip(raw, raw[1:]))
     Q_sparse = sparse.csr_matrix(Q)
     pi = _gth_band(Q_sparse, *_envelope(Q_sparse))
     assert np.abs(pi - dense_stationary(Q)).max() <= 1e-14
+
+
+def _unsorted(Q):
+    """Q as a CSR matrix whose column indices run backwards in every row."""
+    Q = sparse.csr_matrix(Q)
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                            for lo, hi in zip(Q.indptr[:-1], Q.indptr[1:])]).astype(int)
+    M = sparse.csr_matrix((Q.data[order], Q.indices[order], Q.indptr), shape=Q.shape)
+    assert Q.nnz < 2 or not M.has_sorted_indices
+    return M
+
+
+@pytest.mark.parametrize("make_Q", [
+    lambda: sparse.csr_matrix((1, 1)),
+    lambda: sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]])),
+    lambda: sparse.csr_matrix(_ring_generator()),
+    lambda: _unsorted(_ring_generator()),
+    lambda: build_generator(enumerate_states(TWO_CLASS_AB, PREEMPTIVE, 84)).Q,
+    lambda: build_generator(enumerate_states(TWO_CLASS_AB, NONPREEMPTIVE, 84)).Q,
+], ids=["single_state", "zero_row", "ring", "ring_unsorted", "exact_banded", "exact_wide"])
+def test_envelope_matches_scatter_minimum(make_Q):
+    Q = make_Q()
+    n = Q.shape[0]
+    # the oracle: scatter min(i, j) onto max(i, j) for every stored (i, j)
+    coo = Q.tocoo()
+    lo = np.arange(n)
+    np.minimum.at(lo, np.maximum(coo.row, coo.col), np.minimum(coo.row, coo.col))
+    lo = np.minimum.accumulate(lo[::-1])[::-1]
+    got_lo, got_b = _envelope(Q)
+    assert np.array_equal(got_lo, lo)
+    assert got_b == int((np.arange(n) - lo).max())
 
 
 def test_gth_band_reducible():
