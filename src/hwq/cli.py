@@ -6,8 +6,10 @@ Commands::
         [--seed N] [--jobs M]
 
 The config is a single JSON document, documented in the README.  ``_SCHEMA``
-declares each section key's check and default once; ``parse_config`` checks
-every key, and the rules that need the system, before any computation.
+declares every key at every level of it, each with its check and default;
+``parse_config`` checks every key, and the rules that span keys, before any
+computation.  ``dispatch`` checks the running command's hypotheses on the
+system before it creates the output directory.
 Every CSV row carries the (r, a, policy, seed, method) provenance columns.
 Given the same config and seed the emitted CSVs are byte-identical across
 runs; the manifest echoes everything needed to reproduce them.
@@ -68,10 +70,11 @@ from .simulate import (
     regenerative_estimate,
     usable_cores,
 )
-from .coupling import run_infserver_coupled, run_monotone_coupled
+from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
 from .exact import build_generator, enumerate_states, expectation, stationary
 from .verify import (
     FunctionalSpec,
+    bound_applies,
     default_truncation,
     drift_bounds_abandon_check,
     drift_identity_check,
@@ -91,27 +94,29 @@ _NUMERIC_ERRORS = (NotConverged, CycleTimeout, Reducible)
 
 
 def _fail(path: str, message: str) -> SchemaError:
-    return SchemaError(f"{path}: {message}")
+    return SchemaError(f"{path or 'config root'}: {message}")
 
 
 # A check takes (value, path), raises a SchemaError naming the path, and
 # returns the value to run with: numbers stay as written, since labels print them.
 def _typed(typ):
-    """A check that the value is a typ; an int counts as a float, a bool as neither."""
+    """A check that the value is a typ; an int counts as a float, a bool as
+    neither, and a float must be finite (an int too, within float range)."""
     def check(val, path):
         if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
             raise _fail(path, f"expected {typ.__name__}, got {type(val).__name__}")
+        if typ is float and not abs(val) <= sys.float_info.max:
+            raise _fail(path, "expected a finite number")
         return val
     return check
 
 
-def _require(obj, path, key, typ, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise _fail(f"{path}.{key}", "missing required field")
-        return default
-    val = _typed(typ)(obj[key], f"{path}.{key}")
-    return float(val) if typ is float else val
+_number = _typed(float)
+_REQUIRED = object()  # the default of a key the config must hold
+
+
+def _real(val, path):  # the system's numbers and a functional's run as floats
+    return float(_number(val, path))
 
 
 def _count(least):
@@ -135,6 +140,7 @@ def _list_of(item, nonempty=False):
         if not _typed(list)(val, path) and nonempty:
             raise _fail(path, "must be non-empty")
         return [item(v, f"{path}[{i}]") for i, v in enumerate(val)]
+    check.item = item
     return check
 
 
@@ -142,23 +148,36 @@ def _or_null(check):
     return lambda val, path: None if val is None else check(val, path)
 
 
-def _class(c, path) -> ClassParams:
-    lam = _require(_typed(dict)(c, path), path, "lambda", float, required=True)
-    return ClassParams(lam=lam, mu=_require(c, path, "mu", float, required=True),
-                       nu=_require(c, path, "nu", float, default=0.0))
+def _object(schema, make=dict):
+    """A check that the value is an object holding only the keys of schema
+    (key -> (check, default)).  A present key passes its check; an absent one
+    takes its default, fails if that is _REQUIRED, and is checked as {} if
+    that is {}.  make(fields) builds the value to run with."""
+    def check(val, path):
+        prefix = f"{path}." if path else ""
+        for key in _typed(dict)(val, path):
+            if key not in schema:
+                raise _fail(f"{prefix}{key}", f"unknown key; known keys: {sorted(schema)}")
+        fields = {}
+        for key, (item, default) in schema.items():
+            if key in val or isinstance(default, dict):
+                fields[key] = item(val.get(key, default), prefix + key)
+            elif default is _REQUIRED:
+                raise _fail(prefix + key, "missing required field")
+            else:
+                fields[key] = default
+        try:
+            return make(fields)
+        except ValueError as exc:  # a FunctionalSpec refuses its id or parameters
+            raise _fail(path, str(exc)) from None
+    check.schema = schema
+    return check
 
 
-def _functional(item, path) -> FunctionalSpec:
-    fid = _require(_typed(dict)(item, path), path, "id", str, required=True)
-    params = {name: _require(item, path, name, float) for name in ("theta", "k", "x")}
-    try:
-        return FunctionalSpec(fid=fid, **params)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
-
-
-_number = _typed(float)
-_FUNCTIONALS = _list_of(_functional, nonempty=True)
+_FUNCTIONALS = _list_of(_object({
+    "id": (_typed(str), _REQUIRED),
+    **{name: (_real, None) for name in ("theta", "k", "x")},
+}, make=lambda fields: FunctionalSpec(fields.pop("id"), **fields)), nonempty=True)
 _Z_TOTAL = (FunctionalSpec("z_total"),)
 _TRUNCATION = (_or_null(_count(1)), None)  # null: default_truncation; >= n_servers below
 _BATCH_MEANS = {
@@ -166,43 +185,56 @@ _BATCH_MEANS = {
     "events_per_batch": (_count(1), 50_000),
     "warmup_events": (_or_null(_count(0)), None),  # null: default_warmup
 }
-# section -> key -> (check, default): the keys each command's section may
-# hold; defaults are shared by every parse, so they are immutable
+# key -> (check, default) at every level of the config: the keys each
+# object may hold; defaults are shared by every parse, so they are immutable
 _SCHEMA = {
-    "exact": {
+    "schema_version": (_one_of(SCHEMA_VERSION), SCHEMA_VERSION),
+    "system": (_object({
+        "classes": (_list_of(_object({
+            "lambda": (_real, _REQUIRED),
+            "mu": (_real, _REQUIRED),
+            "nu": (_real, 0.0),
+        }, make=lambda rates: ClassParams(*rates.values()))), _REQUIRED),
+        "a": (_real, _REQUIRED),
+        "r": (_real, None),  # exactly one of r and r_list, checked below
+        "r_list": (_list_of(_real, nonempty=True), None),
+    }), _REQUIRED),
+    "policy": (_one_of(*KINDS), _REQUIRED),
+    "seed": (_typed(int), 0),
+    "exact": (_object({
         "functionals": (_FUNCTIONALS, _Z_TOTAL),
         "K": _TRUNCATION,
         "method": (_one_of("auto"), "auto"),  # the solver follows the chain's size
-    },
-    "simulate": {
+    }), {}),
+    "simulate": (_object({
         "functionals": (_FUNCTIONALS, _Z_TOTAL),
         "estimator": (_one_of("auto", "regenerative", "batch_means"), "auto"),
         **_BATCH_MEANS,
         "n_cycles": (_count(2), 1000),
         "max_events_per_cycle": (_count(1), 1_000_000),
-    },
-    "couple": {
+    }), {}),
+    "couple": (_object({
         "coupling": (_one_of("infserver", "monotone"), "infserver"),
         "n_events": (_count(1), 100_000),
         "warmup_events": (_count(0), 0),
         "n_seeds": (_count(1), 1),
         "nu_prime": (_or_null(_list_of(_number)), None),  # null: the system's nu
-    },
-    "verify": {
+    }), {}),
+    "verify": (_object({
         "checks": (_list_of(_one_of("drift_identity", "lyapunov", "abandon_bounds",
                                     "generator_identity")), ("drift_identity",)),
         "K": _TRUNCATION,
         "theta_list": (_list_of(_number), (0.05, 0.1, 0.2, 0.5)),
         "k": (_number, 5.0),
         "theta": (_number, 0.2),
-    },
-    "sweep": {
+    }), {}),
+    "sweep": (_object({
         "functionals": (_FUNCTIONALS, (FunctionalSpec("exp_sum_zhat_plus", theta=0.1),
                                        FunctionalSpec("exp_sum_zhat_minus", theta=0.1))),
         "estimator": (_one_of("auto", "exact", "batch_means"), "auto"),
         "K": _TRUNCATION,
         **_BATCH_MEANS,
-    },
+    }), {}),
 }
 
 
@@ -222,7 +254,8 @@ class ExperimentConfig:
 
 def parse_config(source) -> ExperimentConfig:
     """Parse and validate a config from a path, JSON text, or dict; every
-    section key passes its ``_SCHEMA`` check, and absent keys take its default."""
+    key at every level passes its ``_SCHEMA`` check, and absent keys take
+    its default."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -239,40 +272,22 @@ def parse_config(source) -> ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("config root must be a JSON object")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise _fail("schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
-
-    system = _require(raw, "", "system", dict, required=True)
-    classes = _list_of(_class)(_require(system, "system", "classes", list, required=True),
-                               "system.classes")
-    a = _require(system, "system", "a", float, required=True)
-    if "r_list" in system:
-        r_list = _list_of(_number, nonempty=True)(system["r_list"], "system.r_list")
-        r_values = tuple(map(float, r_list))
-    elif "r" in system:
-        r_values = (_require(system, "system", "r", float),)
-    else:
-        raise _fail("system", "needs either 'r' or 'r_list'")
-
-    policy = _require(raw, "", "policy", str, required=True)
-    if policy not in KINDS:
-        raise _fail("policy", f"unknown policy {policy!r}; valid kinds: {list(KINDS)}")
-    seed = _require(raw, "", "seed", int, default=0)
-
-    systems = tuple(build_config(classes, r, a) for r in r_values)
+    doc = _object(_SCHEMA)(raw, "")
+    classes, a, r, r_list = (doc["system"][key] for key in ("classes", "a", "r", "r_list"))
+    if (r is None) == (r_list is None):
+        raise _fail("system", "needs exactly one of 'r' and 'r_list'")
+    r_values = tuple(r_list or [r])
+    systems = []
+    for i, scale in enumerate(r_values):
+        try:
+            systems.append(build_config(classes, scale, a))
+        except (InvalidRate, NonUnitLoad) as exc:  # its message starts with the argument
+            key, _, message = str(exc).partition(": ")
+            if key == "r" and r_list is not None:
+                key = f"r_list[{i}]"
+            raise type(exc)(f"system.{key}: {message}") from None
     n_servers = max(sc.n_servers for sc in systems)
-    sections = {}
-    for cmd, schema in _SCHEMA.items():
-        sec = raw.get(cmd, {})
-        if not isinstance(sec, dict):
-            raise _fail(cmd, "expected an object")
-        for key in sorted(set(sec) - set(schema)):
-            raise _fail(f"{cmd}.{key}", f"unknown key; known keys: {sorted(schema)}")
-        sections[cmd] = {key: check(sec[key], f"{cmd}.{key}") if key in sec else default
-                         for key, (check, default) in schema.items()}
+    sections = {cmd: doc[cmd] for cmd in COMMANDS if cmd in doc}
     for cmd, sec in sections.items():
         if sec.get("K") is not None and sec["K"] < n_servers:
             raise _fail(f"{cmd}.K", f"must be null or at least n_servers = {n_servers}")
@@ -281,11 +296,11 @@ def parse_config(source) -> ExperimentConfig:
         raise _fail("couple.n_events", "must exceed couple.warmup_events")
     if couple["nu_prime"] is not None and len(couple["nu_prime"]) != len(classes):
         raise _fail("couple.nu_prime", f"expected one entry per class, {len(classes)}")
-    if policy == FIFO and sections["sweep"]["estimator"] == "exact":
+    if doc["policy"] == FIFO and sections["sweep"]["estimator"] == "exact":
         raise _fail("sweep.estimator", "no exact solve for FIFO; use auto or batch_means")
     return ExperimentConfig(
-        raw=raw, seed=seed, policy=policy, a=a,
-        r_values=r_values, systems=systems, sections=sections,
+        raw=raw, seed=doc["seed"], policy=doc["policy"], a=a,
+        r_values=r_values, systems=tuple(systems), sections=sections,
     )
 
 
@@ -503,6 +518,29 @@ def _plot_sweep(rows, out_dir):
     return path
 
 
+def _check_hypotheses(command, cfg):
+    """Refuse, before any output exists, a verify check or a coupling whose
+    hypotheses the system fails, by the predicates the library calls use."""
+    sc, sec = cfg.system(), cfg.sections.get(command)
+    if command == "verify":
+        for i, check in enumerate(sec["checks"]):
+            if not bound_applies(check, sc):
+                raise _fail(f"verify.checks[{i}]", f"{check} is not stated for nu = {sc.nus}")
+            for j, theta in enumerate(sec["theta_list"] if check == "lyapunov" else ()):
+                if not bound_applies(check, sc, theta):
+                    raise _fail(f"verify.theta_list[{j}]",
+                                f"lyapunov is proved for theta in [0, 1], got {theta}")
+    elif command == "couple" and sec["coupling"] == "infserver":
+        if not all(coupling_applies(sc, i) for i in range(sc.n_classes)):
+            raise _fail("couple.coupling",
+                        f"infserver needs nu <= mu; nu = {sc.nus}, mu = {sc.mus}")
+    elif command == "couple":
+        for i, nu_prime in enumerate(sec["nu_prime"] or ()):
+            if not coupling_applies(sc, i, nu_prime):
+                raise _fail(f"couple.nu_prime[{i}]",
+                            f"monotone needs 0 <= nu' <= nu = {sc.nus[i]}, got {nu_prime}")
+
+
 _DISPATCH = {
     "validate": _cmd_validate,
     "exact": _cmd_exact,
@@ -518,6 +556,7 @@ def dispatch(command: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int
     the run manifest.  Returns the number of invariant violations."""
     if command not in _DISPATCH:
         raise SchemaError(f"unknown command {command!r}; valid: {COMMANDS}")
+    _check_hypotheses(command, cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

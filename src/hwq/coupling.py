@@ -53,6 +53,12 @@ from .simulate import (
 )
 
 
+def coupling_applies(cfg: SystemConfig, i: int, nu_prime: float | None = None) -> bool:
+    """Whether class i meets a coupling's hypothesis: the infinite-server one
+    (nu_prime None) needs nu <= mu, the monotone one 0 <= nu_prime <= nu."""
+    return cfg.nus[i] <= cfg.mus[i] if nu_prime is None else 0.0 <= nu_prime <= cfg.nus[i]
+
+
 class InfServerChain:
     """Primary policy state plus infinite-server counters G as a jump chain.
 
@@ -71,7 +77,7 @@ class InfServerChain:
     def __init__(self, cfg: SystemConfig, kind: str, rng):
         nc = cfg.n_classes
         for i in range(nc):
-            if cfg.nus[i] > cfg.mus[i]:
+            if not coupling_applies(cfg, i):
                 raise HypothesisViolated(
                     f"infinite-server comparison needs nu <= mu; class {i} has "
                     f"nu = {cfg.nus[i]}, mu = {cfg.mus[i]}"
@@ -206,7 +212,7 @@ class MonotoneChain:
         if len(nu_prime) != nc:
             raise HypothesisViolated(f"nu' must have {nc} entries")
         for i in range(nc):
-            if nu_prime[i] < 0.0 or nu_prime[i] > cfg.nus[i]:
+            if not coupling_applies(cfg, i, nu_prime[i]):
                 raise HypothesisViolated(
                     f"need 0 <= nu' <= nu per class; class {i}: "
                     f"nu' = {nu_prime[i]}, nu = {cfg.nus[i]}"

@@ -34,13 +34,14 @@ class ClassParams:
     mu: float
     nu: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self, where: str = "") -> None:
+        """Raise InvalidRate, its message prefixed by where, for a rate out of range."""
         if not self.lam > 0.0:
-            raise InvalidRate(f"arrival rate must be positive, got {self.lam}")
+            raise InvalidRate(f"{where}arrival rate must be positive, got {self.lam}")
         if not self.mu > 0.0:
-            raise InvalidRate(f"service rate must be positive, got {self.mu}")
+            raise InvalidRate(f"{where}service rate must be positive, got {self.mu}")
         if self.nu < 0.0:
-            raise InvalidRate(f"abandonment rate must be >= 0, got {self.nu}")
+            raise InvalidRate(f"{where}abandonment rate must be >= 0, got {self.nu}")
 
     @property
     def rho(self) -> float:
@@ -102,21 +103,22 @@ def build_config(classes, r: float, a: float) -> SystemConfig:
     Raises :class:`InvalidRate` for out-of-range class rates and
     :class:`NonUnitLoad` when ``sum(lam_i/mu_i)`` strays from 1 by more than
     ``LOAD_TOL``.  The load condition is enforced rather than assumed: silent
-    drift in the utilization would invalidate every downstream bound.
+    drift in the utilization would invalidate every downstream bound.  A
+    message starts with the argument it names: ``classes[i]: ``, ``r: ``...
     """
     classes = tuple(classes)
     if not classes:
-        raise InvalidRate("at least one customer class is required")
-    for c in classes:
-        c.validate()
+        raise InvalidRate("classes: at least one customer class is required")
+    for i, c in enumerate(classes):
+        c.validate(f"classes[{i}]: ")
     if r < 1.0:
-        raise InvalidRate(f"scale r must be >= 1, got {r}")
+        raise InvalidRate(f"r: scale r must be >= 1, got {r}")
     if not a > 0.0:
-        raise InvalidRate(f"spare capacity a must be > 0, got {a}")
+        raise InvalidRate(f"a: spare capacity a must be > 0, got {a}")
     load = sum(c.rho for c in classes)
     if abs(load - 1.0) > LOAD_TOL:
         raise NonUnitLoad(
-            f"sum of offered loads must be 1 within {LOAD_TOL}, got {load!r} "
+            f"classes: sum of offered loads must be 1 within {LOAD_TOL}, got {load!r} "
             f"(rho = {[c.rho for c in classes]!r})"
         )
     n_servers = math.ceil(r + a * math.sqrt(r))

@@ -143,13 +143,19 @@ def drift_identity_check(cfg: SystemConfig, kind: str, K: int | None = None,
     )
 
 
+def bound_applies(check: str, cfg: SystemConfig, theta: float = 0.0) -> bool:
+    """Whether the bound a verify check scans is stated for cfg and theta."""
+    return {"lyapunov": cfg.nu_max == 0.0 and 0.0 <= theta <= 1.0,
+            "abandon_bounds": cfg.nu_min > 0.0}.get(check, True)
+
+
 def lyapunov_pointwise_check(cfg: SystemConfig, kind: str, theta: float,
                              K: int | None = None,
                              gen: SparseGenerator | None = None) -> DriftReport:
     """Exhaustive scan of the exponential-Lyapunov drift bound (nu == 0)."""
-    if cfg.nu_max > 0.0:
+    if not bound_applies("lyapunov", cfg):
         raise HypothesisViolated("the exponential drift bound is stated for nu == 0")
-    if not 0.0 <= theta <= 1.0:
+    if not bound_applies("lyapunov", cfg, theta):
         raise ThetaOutOfRange(f"bound proved for theta in [0, 1], got {theta}")
     gen = _prepare(cfg, kind, K, gen)
     c1 = lyapunov_constant(cfg)
@@ -174,7 +180,7 @@ class DriftBoundsReport:
 def drift_bounds_abandon_check(cfg: SystemConfig, kind: str, K: int | None = None,
                                gen: SparseGenerator | None = None) -> DriftBoundsReport:
     """Exhaustive two-sided drift bounds for systems with abandonment."""
-    if cfg.nu_min <= 0.0:
+    if not bound_applies("abandon_bounds", cfg):
         raise HypothesisViolated("abandonment drift bounds need nu_i > 0 for all i")
     gen = _prepare(cfg, kind, K, gen)
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)

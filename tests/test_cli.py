@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hwq.errors import OrderingViolation, SchemaError
-from hwq.cli import _SCHEMA, main, parse_config
+from hwq.cli import _SCHEMA, COMMANDS, main, parse_config
 from hwq.simulate import usable_cores
 
 MINIMAL = {
@@ -412,22 +412,65 @@ def test_bad_section_value_exits_one_before_output(tmp_path, capsys, section, va
 
 
 def _assert_exits_one_before_output(tmp_path, capsys, command, raw, path):
+    """raw (a dict, or JSON text) under command exits 1 with one line that
+    starts with path, and leaves no output directory."""
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps(raw))
+    cfg_file.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert path in err and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"hwq: config error: {path}") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
-# one bad value for every key of the schema table: a key added to _SCHEMA
-# without a value here fails test_every_schema_key_rejects_a_bad_value
+def _schema_keys(schema, parent=""):
+    """(path of the object, key) for every key at every level of the schema
+    table; a list of objects is walked at its first entry."""
+    for key, (check, _) in schema.items():
+        yield parent, key
+        path = f"{parent}.{key}" if parent else key
+        item = getattr(check, "item", None)
+        if hasattr(item, "schema"):
+            yield from _schema_keys(item.schema, f"{path}[0]")
+        elif hasattr(check, "schema"):
+            yield from _schema_keys(check.schema, path)
+
+
+SCHEMA_KEYS = list(_schema_keys(_SCHEMA))
+NAN, INF = float("nan"), float("inf")
+
+# one bad value for every key of the schema table, by (path of its object,
+# key): a key added without a value here fails
+# test_every_schema_key_rejects_a_bad_value
 BAD_VALUES = {
+    ("", "schema_version"): "hwq-config/2",
+    ("", "system"): [],
+    ("", "policy"): "lifo",
+    ("", "seed"): 1.5,
+    ("", "exact"): [],
+    ("", "simulate"): None,
+    ("", "couple"): 1,
+    ("", "verify"): "drift_identity",
+    ("", "sweep"): 0,
+    ("system", "classes"): {},
+    ("system", "a"): INF,
+    ("system", "r"): NAN,
+    ("system", "r_list"): [],
+    ("system.classes[0]", "lambda"): "x",
+    ("system.classes[0]", "mu"): None,
+    ("system.classes[0]", "nu"): True,
     ("exact", "functionals"): [],
+    ("exact.functionals[0]", "id"): 5,
+    ("exact.functionals[0]", "theta"): "x",
+    ("exact.functionals[0]", "k"): None,
+    ("exact.functionals[0]", "x"): NAN,
     ("exact", "K"): "50",
     ("exact", "method"): "power",
     ("simulate", "functionals"): [{"id": "exp_sum_zhat_plus", "theta": "x"}],
+    ("simulate.functionals[0]", "id"): None,
+    ("simulate.functionals[0]", "theta"): 10 ** 400,
+    ("simulate.functionals[0]", "k"): [],
+    ("simulate.functionals[0]", "x"): "1",
     ("simulate", "estimator"): "exact",
     ("simulate", "n_batches"): 9,
     ("simulate", "events_per_batch"): 0,
@@ -445,6 +488,10 @@ BAD_VALUES = {
     ("verify", "k"): "x",
     ("verify", "theta"): "x",
     ("sweep", "functionals"): [{"id": "bogus"}],
+    ("sweep.functionals[0]", "id"): [],
+    ("sweep.functionals[0]", "theta"): -INF,
+    ("sweep.functionals[0]", "k"): "5",
+    ("sweep.functionals[0]", "x"): True,
     ("sweep", "estimator"): "regenerative",
     ("sweep", "K"): 0,
     ("sweep", "n_batches"): 9.5,
@@ -453,14 +500,49 @@ BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("section, key", [(s, k) for s in _SCHEMA for k in _SCHEMA[s]])
-def test_every_schema_key_rejects_a_bad_value(tmp_path, capsys, section, key):
-    raw = _config(policy="preemptive_priority", **{section: {key: BAD_VALUES[section, key]}})
-    _assert_exits_one_before_output(tmp_path, capsys, section, raw, f"{section}.{key}")
+def _with_value(parent, key, value):
+    """The preemptive MINIMAL config with value at parent.key; a section or a
+    functional list on the way is made when absent, with one z_total entry."""
+    raw = _config(policy="preemptive_priority")
+    obj = raw
+    for name, index in re.findall(r"(\w+)(?:\[(\d+)\])?", parent):
+        obj = obj.setdefault(name, [{"id": "z_total"}] if index else {})
+        obj = obj[int(index)] if index else obj
+    obj[key] = value
+    return raw
+
+
+def _command_for(path):
+    """The command whose section holds path; validate for the other keys."""
+    section = path.split(".")[0]
+    return section if section in COMMANDS else "validate"
+
+
+@pytest.mark.parametrize("parent, key", SCHEMA_KEYS,
+                         ids=[f"{p}-{k}" if p else k for p, k in SCHEMA_KEYS])
+def test_every_schema_key_rejects_a_bad_value(tmp_path, capsys, parent, key):
+    path = f"{parent}.{key}" if parent else key
+    raw = _with_value(parent, key, BAD_VALUES[parent, key])
+    _assert_exits_one_before_output(tmp_path, capsys, _command_for(path), raw, path)
 
 
 def test_bad_values_name_only_schema_keys():
-    assert set(BAD_VALUES) == {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
+    assert set(BAD_VALUES) == set(SCHEMA_KEYS)
+    assert {p for p, _ in SCHEMA_KEYS} >= {"", "system", "system.classes[0]",
+                                           "exact.functionals[0]"}
+
+
+@pytest.mark.parametrize("parent, key", [
+    ("", "simualte"),
+    ("system", "r_lst"),
+    ("system.classes[0]", "Nu"),
+    ("exact.functionals[0]", "tehta"),
+])
+def test_unknown_key_at_every_level_exits_one(tmp_path, capsys, parent, key):
+    path = f"{parent}.{key}" if parent else key
+    raw = _with_value(parent, key, 0.5)
+    _assert_exits_one_before_output(tmp_path, capsys, _command_for(path), raw,
+                                    f"{path}: unknown key")
 
 
 @pytest.mark.parametrize("command, overrides, path", [
@@ -477,6 +559,91 @@ def test_rules_beyond_one_key_exit_one_before_output(tmp_path, capsys, command, 
                                                      path):
     raw = _config(**{"policy": "preemptive_priority", **overrides})
     _assert_exits_one_before_output(tmp_path, capsys, command, raw, path)
+
+
+TWO_CLASS_SYSTEM = {"classes": [{"lambda": 0.5, "mu": 1.0, "nu": 0.5}] * 2, "r": 4.0,
+                    "a": 1.0}
+
+
+@pytest.mark.parametrize("command, overrides, literal, path", [
+    ("validate", {"system": {**MINIMAL["system"], "r": "@"}}, "Infinity", "system.r"),
+    ("validate", {"system": {**MINIMAL["system"], "r": "@"}}, "1e400", "system.r"),
+    ("validate", {"system": {**MINIMAL["system"], "r": "@"}}, "NaN", "system.r"),
+    ("validate", {"system": {**MINIMAL["system"], "a": "@"}}, "Infinity", "system.a"),
+    ("validate", {"system": {**MINIMAL["system"], "a": "@"}}, "1" + "0" * 400, "system.a"),
+    ("couple", {"system": TWO_CLASS_SYSTEM,
+                "couple": {"coupling": "monotone", "nu_prime": ["@", 0.1]}}, "NaN",
+     "couple.nu_prime[0]"),
+    ("verify", {"verify": {"checks": ["generator_identity"], "theta": "@"}}, "NaN",
+     "verify.theta"),
+    ("exact", {"exact": {"functionals": [{"id": "qhat_tail", "x": "@"}]}}, "NaN",
+     "exact.functionals[0].x"),
+], ids=["r-inf", "r-1e400", "r-nan", "a-inf", "a-huge-int", "nu_prime-nan", "theta-nan",
+        "functional-x-nan"])
+def test_non_finite_number_exits_one_before_output(tmp_path, capsys, command, overrides,
+                                                   literal, path):
+    text = json.dumps(_config(**{"policy": "preemptive_priority", **overrides}))
+    _assert_exits_one_before_output(tmp_path, capsys, command,
+                                    text.replace('"@"', literal), f"{path}: expected a finite")
+
+
+@pytest.mark.parametrize("system, path", [
+    ({"classes": [{"lambda": -1, "mu": 1}], "r": 4, "a": 1}, "system.classes[0]: arrival"),
+    ({"classes": [{"lambda": 1, "mu": 0}], "r": 4, "a": 1}, "system.classes[0]: service"),
+    ({"classes": [{"lambda": 2, "mu": 1}], "r": 4, "a": 1}, "system.classes: sum"),
+    ({"classes": [{"lambda": 1, "mu": 1}], "r": 0.5, "a": 1}, "system.r: scale"),
+    ({"classes": [{"lambda": 1, "mu": 1}], "r_list": [4, 0.5], "a": 1},
+     "system.r_list[1]: scale"),
+    ({"classes": [{"lambda": 1, "mu": 1}], "r": 4, "a": 0}, "system.a: spare"),
+    ({"classes": [], "r": 4, "a": 1}, "system.classes: at least one"),
+    ({"classes": [{"lambda": 1, "mu": 1}], "r": 4, "r_list": [9], "a": 1},
+     "system: needs exactly one"),
+    ({"classes": [{"lambda": 1, "mu": 1}], "a": 1}, "system: needs exactly one"),
+], ids=["lambda-negative", "mu-zero", "load-two", "r-half", "r_list-entry-half", "a-zero",
+        "no-classes", "r-and-r_list", "neither-r-nor-r_list"])
+def test_system_rule_names_its_path(tmp_path, capsys, system, path):
+    _assert_exits_one_before_output(tmp_path, capsys, "validate", _config(system=system), path)
+
+
+@pytest.mark.parametrize("command, overrides, path", [
+    ("verify", {"system": TWO_CLASS_SYSTEM, "verify": {"checks": ["lyapunov"], "K": 20}},
+     "verify.checks[0]"),
+    ("verify", {"verify": {"checks": ["drift_identity", "lyapunov"], "theta_list": [2.0]}},
+     "verify.theta_list[0]"),
+    ("verify", {"system": {"classes": [{"lambda": 0.5, "mu": 1.0, "nu": 0.5},
+                                       {"lambda": 0.5, "mu": 1.0}], "r": 4.0, "a": 1.0},
+                "verify": {"checks": ["abandon_bounds"]}}, "verify.checks[0]"),
+    ("couple", {"system": TWO_CLASS_SYSTEM,
+                "couple": {"coupling": "monotone", "nu_prime": [0.5, 0.75]}},
+     "couple.nu_prime[1]"),
+    ("couple", {"system": {"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 2.0}], "r": 4.0,
+                           "a": 1.0}}, "couple.coupling"),
+], ids=["lyapunov-nu-positive", "lyapunov-theta-two", "abandon-bounds-nu-zero",
+        "monotone-nu_prime-above-nu", "infserver-nu-above-mu"])
+def test_command_hypotheses_exit_one_before_output(tmp_path, capsys, command, overrides,
+                                                   path):
+    raw = _config(**{"policy": "preemptive_priority", **overrides})
+    parse_config(raw)  # the config itself is valid: only the command refuses it
+    _assert_exits_one_before_output(tmp_path, capsys, command, raw, path)
+
+
+def test_hypotheses_of_other_commands_are_not_checked(tmp_path):
+    # nu > mu refuses the default infserver coupling, but simulate does not need it;
+    # theta_list outside [0, 1] matters only when lyapunov runs
+    raw = _config(system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 2.0}], "r": 4.0,
+                          "a": 1.0},
+                  simulate={"estimator": "batch_means", "n_batches": 10,
+                            "events_per_batch": 200, "warmup_events": 0},
+                  verify={"theta_list": [2.0]})
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    for command in ("simulate", "validate"):
+        argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / command)]
+        assert main(argv + ["--jobs", "1"]) == 0
+    raw.update(policy="preemptive_priority", system={**MINIMAL["system"], "r": 16.0})
+    cfg_file.write_text(json.dumps(raw))
+    argv = ["verify", "--config", str(cfg_file), "--out", str(tmp_path / "verify")]
+    assert main(argv + ["--jobs", "1"]) == 0
 
 
 @pytest.mark.parametrize("functional", [{"id": "z_total", "theta": "x"},
@@ -511,13 +678,22 @@ def test_absent_keys_take_the_defaults():
 def test_readme_schema_lists_each_section_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("### Config schema")[1].split("```jsonc")[1].split("```")[0]
-    # an entry starts at a two-space indent and runs until the next one; the
-    # keys of a section are the quoted names before a colon outside its lists
+
+    def keys(text):  # the quoted names before a colon outside the lists in text
+        return set(re.findall(r'"(\w+)":', re.sub(r"\[[^\]]*\]", "", text)))
+
+    # an entry starts at a two-space indent and runs until the next one
     entries = re.split(r'^  "(\w+)":', block, flags=re.M)[1:]
-    listed = {name: set(re.findall(r'"(\w+)":', re.sub(r"\[[^\]]*\]", "", body)))
-              for name, body in zip(entries[::2], entries[1::2])}
-    for section, keys in _SCHEMA.items():
-        assert listed[section] == set(keys), section
+    listed = dict(zip(entries[::2], map(keys, entries[1::2])))
+    assert set(listed) == set(_SCHEMA)
+    for name, (check, _) in _SCHEMA.items():
+        if hasattr(check, "schema"):
+            assert listed[name] == set(check.schema), name
+    system = _SCHEMA["system"][0].schema
+    classes = re.search(r'"classes": \[(.*?)\]', block, flags=re.S).group(1)
+    assert keys(classes) == set(system["classes"][0].item.schema)
+    functional = re.search(r'"functionals" is (\{.*?\})', block).group(1)
+    assert keys(functional) == set(_SCHEMA["exact"][0].schema["functionals"][0].item.schema)
 
 
 def test_null_warmup_takes_default():

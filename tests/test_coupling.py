@@ -245,6 +245,8 @@ def test_monotone_rejects_larger_nu_prime():
         run_monotone_coupled(TWO_CLASS, [1.0, 2.0], FIFO, 10, RngStream(0, 0))
     with pytest.raises(HypothesisViolated):
         run_monotone_coupled(TWO_CLASS, [0.5], FIFO, 10, RngStream(0, 0))
+    with pytest.raises(HypothesisViolated):  # NaN is no rate
+        run_monotone_coupled(TWO_CLASS, [math.nan, 0.1], FIFO, 10, RngStream(0, 0))
 
 
 def test_poisson_fit_pvalue_calibration():
