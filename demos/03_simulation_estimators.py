@@ -4,15 +4,19 @@
 # (i.i.d. cycles, clean CIs, only viable at small r); batch means is the
 # workhorse in heavy traffic where the empty state is effectively never seen.
 
-import math
+# A functional takes the per-class count arrays Z and PSI of shape
+# (n_states, n_classes) and returns one value per row; the estimators call it
+# once per batch (or group of cycles) on the states visited there.
+
+import numpy as np
 
 from hwq import ClassParams, build_config
 from hwq.policy import FIFO, PREEMPTIVE
-from hwq.simulate import RngStream, batch_means_multi, regenerative_estimate, run
+from hwq.simulate import RngStream, batch_means_multi, regenerative_estimate
 
 
-def z_total(z, psi, cfg):
-    return float(sum(z))
+def z_total(Z, PSI, cfg):
+    return Z.sum(axis=1).astype(float)
 
 
 mm2 = build_config([ClassParams(1.0, 1.0, 0.0)], r=1.0, a=1.0)  # M/M/2, E[Z]=4/3
@@ -33,23 +37,22 @@ print(f"truth 4/3   = {4/3:.5f}")
 cfg = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 100.0, 1.0)
 
 
-def q_hat(z, psi, c):
-    return (sum(z) - sum(psi)) / c.sqrt_r
+def q_hat(Z, PSI, c):
+    return (Z - PSI).sum(axis=1) / c.sqrt_r
 
 
-def exp_zhat_plus(z, psi, c):
-    s = sum(max(zi - ri, 0.0) for zi, ri in zip(z, c.rho_r)) / c.sqrt_r
-    return math.exp(0.1 * s)
+def exp_zhat_plus(Z, PSI, c):
+    return np.exp(0.1 * np.maximum(Z - np.asarray(c.rho_r), 0.0).sum(axis=1) / c.sqrt_r)
 
 
-summary = run(cfg, FIFO, n_events=400_000, warmup_events=20_000,
-              rng=RngStream(2, 0), functionals={"q_hat": q_hat, "mgf+": exp_zhat_plus})
-print(f"\nFIFO r=100 over {summary.events} events "
-      f"(time span {summary.sim_time:.0f}):")
-for name, value in summary.time_averages.items():
-    print(f"  time-avg {name} = {value:.5f}")
+fns = {"q_hat": q_hat, "mgf+": exp_zhat_plus}
+ests = batch_means_multi(cfg, FIFO, fns, n_batches=20, events_per_batch=19_000,
+                         warmup_events=20_000, rng=RngStream(2, 0))
+print("\nFIFO r=100, batch means over 20 x 19,000 events after 20,000 warm-up:")
+for name, est in ests.items():
+    print(f"  {name} = {est.value:.5f} +- {est.half_width:.5f}")
 
 # the same stream reproduces the trajectory bit for bit
-again = run(cfg, FIFO, n_events=400_000, warmup_events=20_000,
-            rng=RngStream(2, 0), functionals={"q_hat": q_hat, "mgf+": exp_zhat_plus})
-print("bit-exact replay:", summary == again)
+again = batch_means_multi(cfg, FIFO, fns, n_batches=20, events_per_batch=19_000,
+                          warmup_events=20_000, rng=RngStream(2, 0))
+print("bit-exact replay:", ests == again)

@@ -35,7 +35,6 @@ from .simulate import (
     StationaryEstimate,
     jumps,
     regenerative_estimate,
-    run,
     step,
 )
 from .coupling import (

@@ -73,6 +73,7 @@ from .simulate import (
 from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
 from .exact import build_generator, enumerate_states, expectation, stationary
 from .verify import (
+    BOUND_HYPOTHESES,
     FunctionalSpec,
     bound_applies,
     default_truncation,
@@ -369,7 +370,7 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
     if method == "auto":
         method = choose_estimator(sc)
     warmup = default_warmup(sc) if sec["warmup_events"] is None else sec["warmup_events"]
-    fns = {spec.label(): spec.scalar(sc) for spec in specs}
+    fns = {spec.label(): spec.vector(sc) for spec in specs}
     if method == "regenerative":
         ests = regenerative_estimate(
             sc, cfg.policy, fns, sec["n_cycles"], RngStream(cfg.seed, 0),
@@ -525,7 +526,10 @@ def _check_hypotheses(command, cfg):
     if command == "verify":
         for i, check in enumerate(sec["checks"]):
             if not bound_applies(check, sc):
-                raise _fail(f"verify.checks[{i}]", f"{check} is not stated for nu = {sc.nus}")
+                raise _fail(f"verify.checks[{i}]",
+                            f"{check} is stated for {BOUND_HYPOTHESES[check]}; got nu = "
+                            f"{sc.nus}, n_servers = {sc.n_servers}, r*(1+a) = "
+                            f"{sc.r * (1.0 + sc.a):g}")
             for j, theta in enumerate(sec["theta_list"] if check == "lyapunov" else ()):
                 if not bound_applies(check, sc, theta):
                     raise _fail(f"verify.theta_list[{j}]",

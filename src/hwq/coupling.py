@@ -140,19 +140,17 @@ class InfServerReport:
     violations: int  # always 0; a violation raises instead
     g_time_avg: tuple[float, ...]
     z_time_avg: tuple[float, ...]
-    functional_time_avg: dict
     g_samples: list[tuple[int, ...]] = field(repr=False, default_factory=list)
 
 
 def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
-                          warmup_events: int = 0, g_sample_dt: float = 0.0,
-                          functionals: dict | None = None) -> InfServerReport:
+                          warmup_events: int = 0,
+                          g_sample_dt: float = 0.0) -> InfServerReport:
     """Run the joint (primary, M/M/inf) chain, asserting G_i <= Z_i throughout.
 
-    Optional ``functionals`` map names to ``f(z, psi, g, cfg)`` and are time
-    averaged over the post-warmup span; ``g_sample_dt > 0`` additionally
-    records G snapshots every that many units of simulated time after the
-    warmup.  Snapshots are taken on the time grid (not at event indices):
+    G and Z are time averaged over the post-warmup span; ``g_sample_dt > 0``
+    also records G snapshots every that many units of simulated time after
+    the warmup.  Snapshots are taken on the time grid (not at event indices):
     the state holding at each grid instant is an unbiased stationary draw,
     whereas event-indexed states follow the jump-chain law.
     """
@@ -164,19 +162,9 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     events = jumps(chain, rng)
     g = chain.g
     z = chain.state.z
-    psi = chain.state.psi
-    functionals = functionals or {}
-    fn_names = list(functionals)
-    fns = [functionals[k] for k in fn_names]
-
-    def observe():
-        if fns:
-            return g + z + [f(z, psi, g, cfg) for f in fns]
-        return g + z
-
     advance(events, warmup_events)
-    acc, span, grid = time_integrals(events, n_events - warmup_events, observe,
-                                     g_sample_dt)
+    acc, span, grid = time_integrals(events, n_events - warmup_events,
+                                     lambda: g + z, g_sample_dt)
     avg = [a / span for a in acc]
     return InfServerReport(
         events=n_events,
@@ -184,8 +172,7 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
         ordering_checks=chain.checks,
         violations=0,
         g_time_avg=tuple(avg[:nc]),
-        z_time_avg=tuple(avg[nc:2 * nc]),
-        functional_time_avg=dict(zip(fn_names, avg[2 * nc:])),
+        z_time_avg=tuple(avg[nc:]),
         g_samples=[tuple(v[:nc]) for v in grid],
     )
 

@@ -35,13 +35,14 @@ class ClassParams:
     nu: float = 0.0
 
     def validate(self, where: str = "") -> None:
-        """Raise InvalidRate, its message prefixed by where, for a rate out of range."""
-        if not self.lam > 0.0:
-            raise InvalidRate(f"{where}arrival rate must be positive, got {self.lam}")
-        if not self.mu > 0.0:
-            raise InvalidRate(f"{where}service rate must be positive, got {self.mu}")
-        if self.nu < 0.0:
-            raise InvalidRate(f"{where}abandonment rate must be >= 0, got {self.nu}")
+        """Raise InvalidRate, its message prefixed by where, for a rate out of
+        range or not finite (NaN fails every comparison)."""
+        if not 0.0 < self.lam < math.inf:
+            raise InvalidRate(f"{where}arrival rate must be positive and finite, got {self.lam}")
+        if not 0.0 < self.mu < math.inf:
+            raise InvalidRate(f"{where}service rate must be positive and finite, got {self.mu}")
+        if not 0.0 <= self.nu < math.inf:
+            raise InvalidRate(f"{where}abandonment rate must be >= 0 and finite, got {self.nu}")
 
     @property
     def rho(self) -> float:
@@ -100,21 +101,22 @@ class SystemConfig:
 def build_config(classes, r: float, a: float) -> SystemConfig:
     """Validate parameters and fix the server count ``ceil(r + a*sqrt(r))``.
 
-    Raises :class:`InvalidRate` for out-of-range class rates and
-    :class:`NonUnitLoad` when ``sum(lam_i/mu_i)`` strays from 1 by more than
-    ``LOAD_TOL``.  The load condition is enforced rather than assumed: silent
-    drift in the utilization would invalidate every downstream bound.  A
-    message starts with the argument it names: ``classes[i]: ``, ``r: ``...
+    Raises :class:`InvalidRate` for a rate, ``r`` or ``a`` out of range or
+    not finite, and :class:`NonUnitLoad` when ``sum(lam_i/mu_i)`` strays
+    from 1 by more than ``LOAD_TOL``.  The load condition is enforced
+    rather than assumed: silent drift in the utilization would invalidate
+    every downstream bound.  A message starts with the argument it names:
+    ``classes[i]: ``, ``r: ``...
     """
     classes = tuple(classes)
     if not classes:
         raise InvalidRate("classes: at least one customer class is required")
     for i, c in enumerate(classes):
         c.validate(f"classes[{i}]: ")
-    if r < 1.0:
-        raise InvalidRate(f"r: scale r must be >= 1, got {r}")
-    if not a > 0.0:
-        raise InvalidRate(f"a: spare capacity a must be > 0, got {a}")
+    if not 1.0 <= r < math.inf:
+        raise InvalidRate(f"r: scale r must be >= 1 and finite, got {r}")
+    if not 0.0 < a < math.inf:
+        raise InvalidRate(f"a: spare capacity a must be > 0 and finite, got {a}")
     load = sum(c.rho for c in classes)
     if abs(load - 1.0) > LOAD_TOL:
         raise NonUnitLoad(

@@ -16,15 +16,18 @@ are time averages, not event averages.
 
 The estimators do not evaluate functionals along the path.  Per batch or
 regenerative cycle they accumulate an occupancy measure (:func:`occupancy`):
-the holding time spent in each visited state ``(z, psi)``.  Each functional
-is then evaluated once per distinct visited state and integrated against
-that measure.  The sample path and the random stream are those of a
-per-event evaluation; only the order of summation differs.  Memory grows
-with the number of distinct states in a batch or cycle, which is at most
-its event count, not with the length of the run.
+the holding time spent in each visited state ``(z, psi)``.  The distinct
+states of a batch, or of a group of cycles, are stacked into int64 arrays,
+each functional is called once on them, and its values are integrated
+against the measure.  The sample path and the random stream are those of a
+per-event evaluation; only the order of summation differs.  Memory holds
+one batch, or one group of cycles that closes at the first cycle bringing
+it to ``GROUP_STATES`` distinct states, never the whole run.
 
-Functionals passed to the estimators take ``(z, psi, cfg)`` where ``z`` and
-``psi`` are per-class count sequences.
+Functionals take the array form ``f(Z, PSI, cfg)`` of
+:meth:`hwq.verify.FunctionalSpec.vector` and of the exact path: ``Z`` and
+``PSI`` are int64 arrays of shape (n_states, n_classes), and ``f`` returns
+one float per row.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
+import numpy as np
 from scipy.special import stdtrit
 
 from .errors import CycleTimeout
@@ -46,6 +50,7 @@ from .policy import QUEUE, SERVICE, init_state
 
 _REGENERATIVE_MAX_R = 50.0  # choose_estimator's limits on r and nu_max
 _REGENERATIVE_MAX_NU = 2.0
+GROUP_STATES = 2 ** 16  # regenerative cycles are integrated in groups of this many states
 
 
 @dataclass(frozen=True)
@@ -206,17 +211,21 @@ def occupancy(events, n_events: int, z, psi, until_empty: bool = False):
     return occ, span
 
 
-def _integrate(occ: dict, funcs, cfg: SystemConfig) -> list[float]:
-    """``sum_s f(s) * occ[s]`` for each ``f`` in ``funcs``: each functional
-    is called once per state of the occupancy measure."""
+def _integrate(occs, funcs, cfg: SystemConfig) -> list[list[float]]:
+    """``sum_s f(s) * occ[s]`` for each ``f`` in ``funcs`` and each ``occ``
+    in ``occs``, one list per measure.  The states of all the measures are
+    stacked into one pair of int64 arrays, and each functional is called
+    once on them."""
     nc = cfg.n_classes
-    acc = [0.0] * len(funcs)
-    for key, held in occ.items():
-        z = key[:nc]
-        psi = key[nc:]
-        for j, f in enumerate(funcs):
-            acc[j] += f(z, psi, cfg) * held
-    return acc
+    sizes = [len(occ) for occ in occs]
+    n = sum(sizes)
+    states = np.fromiter(chain.from_iterable(chain.from_iterable(occs)), np.int64,
+                         n * 2 * nc).reshape(n, 2 * nc)
+    held = np.fromiter(chain.from_iterable(occ.values() for occ in occs), float, n)
+    Z, PSI = states[:, :nc], states[:, nc:]
+    starts = np.cumsum([0] + sizes[:-1])
+    sums = [np.add.reduceat(f(Z, PSI, cfg) * held, starts) for f in funcs]
+    return np.reshape(sums, (len(funcs), len(occs))).T.tolist()
 
 
 EVENT_KINDS = ("arrival", "service_completion", "abandonment")
@@ -299,36 +308,6 @@ def check_event_counts(n_events: int, warmup_events: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    time_averages: dict
-    events: int
-    warmup_events: int
-    sim_time: float
-
-
-def run(cfg: SystemConfig, kind: str, n_events: int, warmup_events: int,
-        rng, functionals: dict) -> RunSummary:
-    """Time-averaged functionals over the post-warmup span of one trajectory.
-
-    ``rng`` may be an :class:`RngStream` or a ``random.Random``.  The result
-    is a deterministic function of the stream.
-    """
-    check_event_counts(n_events, warmup_events)
-    state, events = _policy_events(cfg, kind, rng)
-    advance(events, warmup_events)
-    occ, span = occupancy(events, n_events - warmup_events, state.z, state.psi)
-    if span <= 0.0:
-        raise ValueError("post-warmup span has zero length")
-    acc = _integrate(occ, list(functionals.values()), cfg)
-    return RunSummary(
-        time_averages={n: a / span for n, a in zip(functionals, acc)},
-        events=n_events,
-        warmup_events=warmup_events,
-        sim_time=span,
-    )
-
-
 def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
                           n_cycles: int, rng,
                           max_events_per_cycle: int = 1_000_000) -> dict:
@@ -337,6 +316,9 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
 
     Feasible only when the empty state recurs within the event budget, which
     in practice means small r.  Raises :class:`CycleTimeout` otherwise.
+    Cycles are integrated in groups of at least ``GROUP_STATES`` distinct
+    states (the last group may be smaller), one call per functional and
+    group.
     """
     if n_cycles < 2:
         raise ValueError("need at least 2 regenerative cycles")
@@ -345,6 +327,8 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     funcs = list(functionals.values())
     ys = []  # per cycle, the integral of each functional
     taus = []
+    group = []  # occupancy measures of the cycles not yet integrated
+    stacked = 0
     for c in range(n_cycles):
         occ, tau = occupancy(events, max_events_per_cycle, z, state.psi, until_empty=True)
         if any(z):
@@ -352,8 +336,13 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
                 f"cycle {c} did not return to the empty state within "
                 f"{max_events_per_cycle} events"
             )
-        ys.append(_integrate(occ, funcs, cfg))
+        group.append(occ)
         taus.append(tau)
+        stacked += len(occ)
+        if stacked >= GROUP_STATES or c == n_cycles - 1:
+            ys += _integrate(group, funcs, cfg)
+            group = []
+            stacked = 0
     total_tau = sum(taus)
     mean_tau = total_tau / n_cycles
     tcrit = float(stdtrit(n_cycles - 1, 0.975))
@@ -382,7 +371,7 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     batch_means = []  # per batch, the time average of each functional
     for _ in range(n_batches):
         occ, span = occupancy(events, events_per_batch, state.z, state.psi)
-        batch_means.append([a / span for a in _integrate(occ, funcs, cfg)])
+        batch_means.append([a / span for a in _integrate([occ], funcs, cfg)[0]])
     tcrit = float(stdtrit(n_batches - 1, 0.975))
     out = {}
     for j, name in enumerate(functionals):

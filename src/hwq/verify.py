@@ -66,12 +66,8 @@ def drift_phi_arrays(Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig) -> np.nd
 
 
 def lyapunov_constant(cfg: SystemConfig) -> float:
-    """c1 of the exponential-Lyapunov drift bound (valid for theta <= 1)."""
-    if cfg.n_servers > cfg.r * (1.0 + cfg.a):
-        # the (1+a) factor caps N/r; only violated at extreme rounding
-        raise HypothesisViolated(
-            f"n_servers = {cfg.n_servers} exceeds r*(1+a) = {cfg.r * (1 + cfg.a)}"
-        )
+    """c1 of the exponential-Lyapunov drift bound (valid for theta <= 1 and
+    the systems ``bound_applies("lyapunov", cfg)`` accepts)."""
     return (
         (cfg.lam_total + (1.0 + cfg.a) * cfg.mu_max)
         / cfg.mu_min ** 2
@@ -143,9 +139,19 @@ def drift_identity_check(cfg: SystemConfig, kind: str, K: int | None = None,
     )
 
 
+# the system each bound is stated for, as bound_applies tests it
+BOUND_HYPOTHESES = {"lyapunov": "nu = 0 in every class and n_servers <= r*(1+a)",
+                    "abandon_bounds": "nu > 0 in every class"}
+
+
 def bound_applies(check: str, cfg: SystemConfig, theta: float = 0.0) -> bool:
-    """Whether the bound a verify check scans is stated for cfg and theta."""
-    return {"lyapunov": cfg.nu_max == 0.0 and 0.0 <= theta <= 1.0,
+    """Whether the bound a verify check scans is stated for cfg and theta.
+
+    The lyapunov constant's ``(1+a)`` factor caps ``n_servers/r``, which the
+    rounding up of ``n_servers`` breaks only at small r.
+    """
+    return {"lyapunov": (cfg.nu_max == 0.0 and cfg.n_servers <= cfg.r * (1.0 + cfg.a)
+                         and 0.0 <= theta <= 1.0),
             "abandon_bounds": cfg.nu_min > 0.0}.get(check, True)
 
 
@@ -154,7 +160,8 @@ def lyapunov_pointwise_check(cfg: SystemConfig, kind: str, theta: float,
                              gen: SparseGenerator | None = None) -> DriftReport:
     """Exhaustive scan of the exponential-Lyapunov drift bound (nu == 0)."""
     if not bound_applies("lyapunov", cfg):
-        raise HypothesisViolated("the exponential drift bound is stated for nu == 0")
+        raise HypothesisViolated(
+            f"the exponential drift bound is stated for {BOUND_HYPOTHESES['lyapunov']}")
     if not bound_applies("lyapunov", cfg, theta):
         raise ThetaOutOfRange(f"bound proved for theta in [0, 1], got {theta}")
     gen = _prepare(cfg, kind, K, gen)
@@ -181,7 +188,8 @@ def drift_bounds_abandon_check(cfg: SystemConfig, kind: str, K: int | None = Non
                                gen: SparseGenerator | None = None) -> DriftBoundsReport:
     """Exhaustive two-sided drift bounds for systems with abandonment."""
     if not bound_applies("abandon_bounds", cfg):
-        raise HypothesisViolated("abandonment drift bounds need nu_i > 0 for all i")
+        raise HypothesisViolated(
+            f"abandonment drift bounds are stated for {BOUND_HYPOTHESES['abandon_bounds']}")
     gen = _prepare(cfg, kind, K, gen)
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)
     abar_phi = abar_vector(gen, lambda Z, PSI, c: scale_arrays(Z, PSI, c).phi_hat)
@@ -273,9 +281,19 @@ _SPEC_PARAMS = {
 class FunctionalSpec:
     """A steady-state functional identified by id plus parameters.
 
-    Ids: ``exp_sum_zhat_plus`` / ``exp_sum_zhat_minus`` (need theta),
-    ``exp_zhat_plus_sq_trunc`` (theta and k), ``qhat_tail`` (x),
-    ``z_total``, ``psi_share``.
+    With ``z_hat_i = (z_i - rho_i*r)/sqrt(r)``, ``z_hat = sum_i z_hat_i``,
+    ``phi_hat = sum_i z_hat_i/mu_i`` and ``q_hat = sum_i (z_i - psi_i)/sqrt(r)``,
+    the ids are:
+
+    * ``exp_sum_zhat_plus`` (theta): ``exp(theta * sum_i max(z_hat_i, 0))``;
+    * ``exp_sum_zhat_minus`` (theta): ``exp(theta * sum_i max(-z_hat_i, 0))``;
+    * ``exp_zhat_plus_sq_trunc`` (theta, k): ``exp(theta * max(z_hat, 0)**2)``
+      where ``phi_hat <= k``, and exactly 0 where ``phi_hat > k``;
+    * ``qhat_tail`` (x): 1 where ``q_hat >= x``, else 0;
+    * ``z_total``: ``sum_i z_i``;
+    * ``psi_share``: ``sum_i psi_i / n_servers``.
+
+    :meth:`vector` is the one implementation of each.
     """
 
     fid: str
@@ -300,55 +318,14 @@ class FunctionalSpec:
                 parts.append(f"{name}={v:g}")
         return "[" + ",".join(parts) + "]" if len(parts) > 1 else self.fid
 
-    def scalar(self, cfg: SystemConfig):
-        """Fast per-event callable f(z, psi, cfg) bound to this config."""
-        rho_r = cfg.rho_r
-        inv = 1.0 / cfg.sqrt_r
-        nc = cfg.n_classes
-        rng_nc = range(nc)
-        theta, k, x = self.theta, self.k, self.x
-        if self.fid == "exp_sum_zhat_plus":
-            def f(z, psi, c):
-                s = 0.0
-                for i in rng_nc:
-                    d = z[i] - rho_r[i]
-                    if d > 0.0:
-                        s += d
-                return math.exp(theta * s * inv)
-            return f
-        if self.fid == "exp_sum_zhat_minus":
-            def f(z, psi, c):
-                s = 0.0
-                for i in rng_nc:
-                    d = rho_r[i] - z[i]
-                    if d > 0.0:
-                        s += d
-                return math.exp(theta * s * inv)
-            return f
-        if self.fid == "exp_zhat_plus_sq_trunc":
-            mus = cfg.mus
-            rho_r_total = cfg.rho_r_total
-            def f(z, psi, c):
-                phi = 0.0
-                for i in rng_nc:
-                    phi += (z[i] - rho_r[i]) / mus[i]
-                phi *= inv
-                if phi > k:
-                    return 0.0
-                zh = (sum(z) - rho_r_total) * inv
-                return math.exp(theta * zh * zh) if zh > 0.0 else 1.0
-            return f
-        if self.fid == "qhat_tail":
-            def f(z, psi, c):
-                return 1.0 if (sum(z) - sum(psi)) * inv >= x else 0.0
-            return f
-        if self.fid == "z_total":
-            return lambda z, psi, c: float(sum(z))
-        n_srv = cfg.n_servers  # psi_share
-        return lambda z, psi, c: sum(psi) / n_srv
-
     def vector(self, cfg: SystemConfig):
-        """Vectorized twin of :meth:`scalar` over state arrays."""
+        """The functional as ``f(Z, PSI, cfg)``: one float per row of the
+        int64 count arrays ``Z`` and ``PSI`` (n_states, n_classes).
+
+        The one form of each functional: the exact path applies it to the
+        enumerated states, and the estimators of :mod:`hwq.simulate` to the
+        states a batch or group of regenerative cycles visited.
+        """
         theta, k, x = self.theta, self.k, self.x
         if self.fid == "exp_sum_zhat_plus":
             return lambda Z, PSI, c: np.exp(
@@ -362,13 +339,19 @@ class FunctionalSpec:
             def f(Z, PSI, c):
                 sa = scale_arrays(Z, PSI, c)
                 zp = np.maximum(sa.z_hat_total, 0.0)
-                return np.exp(theta * zp * zp) * (sa.phi_hat <= k)
+                # exp(-inf) makes a truncated state exactly 0, even where
+                # theta*zp^2 would overflow
+                return np.exp(np.where(sa.phi_hat <= k, theta * zp * zp, -np.inf))
             return f
         if self.fid == "qhat_tail":
             return lambda Z, PSI, c: (scale_arrays(Z, PSI, c).q_hat >= x).astype(float)
         if self.fid == "z_total":
             return lambda Z, PSI, c: Z.sum(axis=1).astype(float)
         return lambda Z, PSI, c: PSI.sum(axis=1) / c.n_servers  # psi_share
+
+    # bench/micro.py and tests/test_bench_contract.py call this old name of
+    # vector; ROADMAP item 1 moves them off it and deletes it
+    scalar = vector
 
 
 @dataclass(frozen=True)
@@ -421,7 +404,7 @@ def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, estimator:
                          half_width=0.0, method="exact")
                 for spec in specs]
     warm = default_warmup(cfg) if warmup_events is None else warmup_events
-    fns = {spec.label(): spec.scalar(cfg) for spec in specs}
+    fns = {spec.label(): spec.vector(cfg) for spec in specs}
     ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng)
     return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
                      estimate=ests[spec.label()].value,

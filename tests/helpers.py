@@ -5,8 +5,9 @@ products, direct summation) and does not touch the solver/simulator code
 paths under test.  ``replay_generator`` is one exception: it drives the
 policy objects the simulators use, so that the exact generator is checked
 against them.  The ``per_event_*`` estimators are the other: they run the
-simulators' jump kernel and evaluate every functional at every event, the
-oracle for the occupancy-measure estimators.  ``validate_macro_state`` is
+simulators' jump kernel, record every event's state and holding time
+without merging repeated states, and evaluate each functional once over
+that path: the oracle for the occupancy-measure estimators.  ``validate_macro_state`` is
 the invariant oracle for the policy states.
 """
 
@@ -17,7 +18,7 @@ from scipy import sparse, stats
 
 from hwq.exact import SparseGenerator
 from hwq.policy import PREEMPTIVE, QUEUE, SERVICE, init_state
-from hwq.simulate import PolicyChain, advance, jumps, time_integrals
+from hwq.simulate import PolicyChain, advance, jumps
 
 
 def birth_death_stationary(birth, death, K):
@@ -219,37 +220,49 @@ def validate_macro_state(s, cfg):
     return problems
 
 
-def _per_event_path(cfg, kind, stream, functionals):
-    """The empty chain of ``kind`` driven by the jump kernel on ``stream``,
-    and an ``observe`` closure that calls every functional on its state."""
+def _per_event_path(cfg, kind, stream):
+    """The empty chain of ``kind`` and the jump kernel driving it on ``stream``."""
     rng = stream.make()
     state = init_state(cfg, kind)
-    events = jumps(PolicyChain(state, cfg, rng), rng)
-    funcs = list(functionals.values())
-
-    def observe():
-        return [f(state.z, state.psi, cfg) for f in funcs]
-
-    return state, events, observe
+    return state, jumps(PolicyChain(state, cfg, rng), rng)
 
 
-def per_event_run(cfg, kind, n_events, warmup_events, stream, functionals):
-    """Post-warmup time averages with every functional evaluated per event."""
-    _, events, observe = _per_event_path(cfg, kind, stream, functionals)
-    advance(events, warmup_events)
-    acc, span, _ = time_integrals(events, n_events - warmup_events, observe)
-    return {name: a / span for name, a in zip(functionals, acc)}
+def _record(state, events, n_events, until_empty=False):
+    """``(z, psi, holding)`` of each of the next ``n_events`` jumps, one per
+    event with no merging of repeated states; with ``until_empty`` it also
+    stops after the first jump into the empty state."""
+    path = []
+    for _ in range(n_events):
+        z, psi = tuple(state.z), tuple(state.psi)
+        path.append((z, psi, next(events)))
+        if until_empty and not any(state.z):
+            break
+    return path
+
+
+def _integrals(path, functionals, cfg, ends):
+    """Per segment ``path[start:end]`` (``ends`` closes each), the integral
+    of each functional and the time spent, each summed by ``math.fsum``.
+    Each functional is evaluated once, in its array form, over the whole
+    path."""
+    Z = np.array([z for z, _, _ in path], dtype=np.int64)
+    PSI = np.array([psi for _, psi, _ in path], dtype=np.int64)
+    held = [h for _, _, h in path]
+    vals = [f(Z, PSI, cfg) for f in functionals.values()]
+    return [([math.fsum(float(v[k]) * held[k] for k in range(s, e)) for v in vals],
+             math.fsum(held[s:e]))
+            for s, e in zip([0] + ends[:-1], ends)]
 
 
 def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
                           warmup_events, stream):
     """``{name: (mean, 95% half-width)}`` of batch means evaluated per event."""
-    _, events, observe = _per_event_path(cfg, kind, stream, functionals)
+    state, events = _per_event_path(cfg, kind, stream)
     advance(events, warmup_events)
-    batches = []
-    for _ in range(n_batches):
-        acc, span, _ = time_integrals(events, events_per_batch, observe)
-        batches.append([a / span for a in acc])
+    path = _record(state, events, n_batches * events_per_batch)
+    ends = [events_per_batch * (b + 1) for b in range(n_batches)]
+    batches = [[a / span for a in acc]
+               for acc, span in _integrals(path, functionals, cfg, ends)]
     tcrit = stats.t.ppf(0.975, n_batches - 1)
     out = {}
     for j, name in enumerate(functionals):
@@ -263,19 +276,12 @@ def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
 def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
     """``{name: (ratio estimate, 95% half-width)}`` over cycles between
     visits to the empty state, evaluated per event."""
-    state, events, observe = _per_event_path(cfg, kind, stream, functionals)
-    ys, taus = [], []
+    state, events = _per_event_path(cfg, kind, stream)
+    path, ends = [], []
     for _ in range(n_cycles):
-        y = [0.0] * len(functionals)
-        tau = 0.0
-        while True:
-            acc, span, _ = time_integrals(events, 1, observe)
-            y = [a + b for a, b in zip(y, acc)]
-            tau += span
-            if not any(state.z):
-                break
-        ys.append(y)
-        taus.append(tau)
+        path += _record(state, events, 1_000_000, until_empty=True)
+        ends.append(len(path))
+    ys, taus = zip(*_integrals(path, functionals, cfg, ends))
     total = sum(taus)
     tcrit = stats.t.ppf(0.975, n_cycles - 1)
     out = {}

@@ -16,7 +16,8 @@ from hwq.policy import FIFO, init_state
 from hwq.simulate import RngStream, batch_means_multi, sample_event, step
 from hwq.verify import FunctionalSpec
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_span_targets_resolve():
@@ -51,6 +52,23 @@ def test_microbenchmark_calls_still_work():
     fns = {spec.label(): spec.scalar(cfg)}
     ests = batch_means_multi(cfg, FIFO, fns, 10, 100, 20, RngStream(1, 0))
     assert set(ests) == {spec.label()} and ests[spec.label()].value >= 1.0
+
+
+def test_scalar_is_only_an_alias_for_bench():
+    # FunctionalSpec.scalar stays only because bench/micro.py calls it; no
+    # other caller may appear before the benchmark moves off it
+    assert FunctionalSpec.scalar is FunctionalSpec.vector
+    here = Path(__file__).resolve()
+    callers = []
+    for top in ("src/hwq", "demos", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.resolve() == here:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "scalar"):
+                    callers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert callers == []
 
 
 def test_demo_imports_resolve():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -127,6 +128,23 @@ def test_exact_command(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(open(tmp_path / "out" / "exact.csv")))
     assert abs(float(rows[0]["estimate"]) - 16.0) < 1e-6  # Poisson(16) mean
+
+
+def test_exact_truncated_square_mgf_is_finite(tmp_path):
+    # most states have phi_hat > k = 1 and 20 * z_hat**2 beyond exp's range;
+    # truncated states must add 0, not inf * 0 = nan
+    raw = _config(
+        policy="preemptive_priority",
+        system={"classes": [{"lambda": 0.5, "mu": 1.0, "nu": 0.0},
+                            {"lambda": 1.0, "mu": 2.0, "nu": 0.0}], "r": 16.0, "a": 1.0},
+        exact={"functionals": [{"id": "exp_zhat_plus_sq_trunc", "theta": 20, "k": 1}]},
+    )
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    rc = main(["exact", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "exact.csv")))
+    assert math.isfinite(float(rows[0]["estimate"]))
 
 
 def _couple_file(tmp_path, n_seeds=4, n_events=5_000):
@@ -625,6 +643,19 @@ def test_command_hypotheses_exit_one_before_output(tmp_path, capsys, command, ov
     raw = _config(**{"policy": "preemptive_priority", **overrides})
     parse_config(raw)  # the config itself is valid: only the command refuses it
     _assert_exits_one_before_output(tmp_path, capsys, command, raw, path)
+
+
+def test_lyapunov_server_rule_exits_one_before_output(tmp_path, capsys):
+    # r = 1, a = 0.1: n_servers = ceil(1.1) = 2 > r*(1+a) = 1.1
+    raw = _config(system={"classes": [{"lambda": 1.0, "mu": 1.0}], "r": 1.0, "a": 0.1},
+                  verify={"checks": ["lyapunov"]})
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and not (tmp_path / "out").exists()
+    assert err.startswith("hwq: config error: verify.checks[0]")
+    assert "n_servers <= r*(1+a)" in err
 
 
 def test_hypotheses_of_other_commands_are_not_checked(tmp_path):

@@ -41,6 +41,7 @@ def test_non_unit_load_rejected():
     ClassParams(0.0, 1.0, 0.0),
     ClassParams(1.0, 0.0, 0.0),
     ClassParams(1.0, 1.0, -0.5),
+    ClassParams(1.0, 1.0, float("nan")),
 ])
 def test_invalid_rates_rejected(bad):
     with pytest.raises(InvalidRate):
@@ -52,6 +53,10 @@ def test_invalid_scale_and_capacity():
         build_config(ONE_CLASS, 0.5, 1.0)
     with pytest.raises(InvalidRate):
         build_config(ONE_CLASS, 16.0, 0.0)
+    with pytest.raises(InvalidRate):
+        build_config(ONE_CLASS, float("nan"), 1.0)
+    with pytest.raises(InvalidRate):
+        build_config(ONE_CLASS, 16.0, float("inf"))
 
 
 def test_nominal_utilization_values():

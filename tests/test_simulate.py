@@ -2,25 +2,28 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import covers, per_event_batch_means, per_event_regenerative, per_event_run
+from helpers import covers, per_event_batch_means, per_event_regenerative
 from hwq.errors import CycleTimeout
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, PREEMPTIVE, init_state
+from hwq import simulate
 from hwq.verify import FunctionalSpec
 from hwq.simulate import (
+    GROUP_STATES,
     PolicyChain,
     RngStream,
     batch_means_multi,
+    check_event_counts,
     choose_estimator,
     default_warmup,
     fan_out,
     jumps,
     occupancy,
     regenerative_estimate,
-    run,
     sample_event,
     step,
     usable_cores,
@@ -29,8 +32,12 @@ from hwq.simulate import (
 MM2 = build_config([ClassParams(1.0, 1.0, 0.0)], 1.0, 1.0)  # N=2
 
 
-def z_total(z, psi, cfg):
-    return float(sum(z))
+def z_total(Z, PSI, cfg):
+    return Z.sum(axis=1).astype(float)
+
+
+def constant(value):
+    return lambda Z, PSI, cfg: np.full(len(Z), value)
 
 
 def test_rng_stream_reproducible_and_distinct():
@@ -125,14 +132,6 @@ def test_step_applies_sampled_event():
         assert delta == expected
 
 
-def test_run_mm2_mean():
-    summary = run(MM2, PREEMPTIVE, 400_000, 5_000, RngStream(1, 0), {"z": z_total})
-    # compare against an independent batch-means CI on the same functional
-    est = batch_means_multi(MM2, PREEMPTIVE, {"z": z_total}, 20, 20_000, 5_000,
-                            RngStream(1, 1))["z"]
-    assert abs(summary.time_averages["z"] - 4.0 / 3.0) <= 3 * est.half_width
-
-
 def test_run_poisson_instance_mean():
     # nu = mu: stationary Z is Poisson(r), mean r
     cfg = build_config([ClassParams(1.0, 1.0, 1.0)], 25.0, 1.0)
@@ -142,16 +141,20 @@ def test_run_poisson_instance_mean():
 
 
 def test_run_zero_span_rejected():
-    with pytest.raises(ValueError):
-        run(MM2, PREEMPTIVE, 100, 100, RngStream(0, 0), {"z": z_total})
+    # the coupling runners' guard: no events left after the warm-up
+    for n_events, warmup in ((100, 100), (100, 200), (100, -1)):
+        with pytest.raises(ValueError):
+            check_event_counts(n_events, warmup)
+    check_event_counts(101, 100)
 
 
 def test_run_deterministic_given_stream():
-    a = run(MM2, FIFO, 20_000, 100, RngStream(7, 3), {"z": z_total})
-    b = run(MM2, FIFO, 20_000, 100, RngStream(7, 3), {"z": z_total})
-    c = run(MM2, FIFO, 20_000, 100, RngStream(7, 4), {"z": z_total})
-    assert a == b
-    assert a.time_averages != c.time_averages
+    def run(stream):
+        return batch_means_multi(MM2, FIFO, {"z": z_total}, 10, 2_000, 100, stream)
+
+    a = run(RngStream(7, 3))
+    assert a == run(RngStream(7, 3))
+    assert a["z"].value != run(RngStream(7, 4))["z"].value
 
 
 def test_regenerative_mm2():
@@ -162,7 +165,7 @@ def test_regenerative_mm2():
 
 
 def test_regenerative_constant_functional():
-    est = regenerative_estimate(MM2, PREEMPTIVE, {"c": lambda z, psi, c: 1.0}, 50,
+    est = regenerative_estimate(MM2, PREEMPTIVE, {"c": constant(1.0)}, 50,
                                 RngStream(3, 1))["c"]
     assert est.value == pytest.approx(1.0)
     assert est.half_width == pytest.approx(0.0)
@@ -176,7 +179,7 @@ def test_regenerative_timeout_in_heavy_traffic():
 
 
 TWO_CLASS = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
-ORACLE_FNS = {spec.label(): spec.scalar(TWO_CLASS) for spec in (
+ORACLE_FNS = {spec.label(): spec.vector(TWO_CLASS) for spec in (
     FunctionalSpec("exp_sum_zhat_plus", theta=0.2), FunctionalSpec("qhat_tail", x=0.25),
     FunctionalSpec("psi_share"))}
 
@@ -188,11 +191,6 @@ def _rel(a, b):
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
 def test_run_and_batch_means_equal_per_event_oracle(kind):
     fns = ORACLE_FNS
-    summary = run(TWO_CLASS, kind, 30_000, 1_000, RngStream(11, 2), fns)
-    oracle = per_event_run(TWO_CLASS, kind, 30_000, 1_000, RngStream(11, 2), fns)
-    for name in fns:
-        assert _rel(summary.time_averages[name], oracle[name]) <= 1e-12, name
-
     ests = batch_means_multi(TWO_CLASS, kind, fns, 12, 2_500, 500, RngStream(12, 0))
     oracle = per_event_batch_means(TWO_CLASS, kind, fns, 12, 2_500, 500, RngStream(12, 0))
     for name, (value, half) in oracle.items():
@@ -208,6 +206,34 @@ def test_regenerative_equals_per_event_oracle(kind):
     for name, (value, half) in oracle.items():
         assert _rel(ests[name].value, value) <= 1e-12, name
         assert _rel(ests[name].half_width, half) <= 1e-12, name
+
+
+def _counting(calls):
+    """z_total that appends the number of rows of each call to ``calls``."""
+    def f(Z, PSI, cfg):
+        calls.append(len(Z))
+        return z_total(Z, PSI, cfg)
+    return f
+
+
+def test_estimators_call_each_functional_once_per_batch_or_group(monkeypatch):
+    calls = []
+    batch_means_multi(TWO_CLASS, FIFO, {"z": _counting(calls)}, 12, 2_000, 100,
+                      RngStream(15, 0))
+    assert len(calls) == 12
+
+    # the two-class sweep system at r = 4
+    cfg = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 4.0, 1.0)
+    calls = []
+    ests = regenerative_estimate(cfg, FIFO, {"z": _counting(calls)}, 3_000, RngStream(15, 1))
+    assert len(calls) <= sum(calls) / GROUP_STATES + 1
+    # smaller groups: more calls, still far fewer than cycles, same estimate
+    monkeypatch.setattr(simulate, "GROUP_STATES", 2_000)
+    calls = []
+    small = regenerative_estimate(cfg, FIFO, {"z": _counting(calls)}, 3_000, RngStream(15, 1))
+    assert 1 < len(calls) <= sum(calls) / 2_000 + 1 < 3_000
+    assert _rel(small["z"].value, ests["z"].value) <= 1e-12
+    assert _rel(small["z"].half_width, ests["z"].half_width) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
@@ -229,7 +255,7 @@ def test_batch_means_mm2():
 
 
 def test_batch_means_constant_functional():
-    est = batch_means_multi(MM2, PREEMPTIVE, {"c": lambda z, psi, c: 2.5}, 10, 500, 0,
+    est = batch_means_multi(MM2, PREEMPTIVE, {"c": constant(2.5)}, 10, 500, 0,
                             RngStream(5, 1))["c"]
     assert est.value == pytest.approx(2.5)
     assert est.half_width == pytest.approx(0.0)
@@ -238,7 +264,6 @@ def test_batch_means_constant_functional():
 def test_batch_means_matches_exact_mgf():
     # functional exp(0.1 * zhat^+) on the nu = mu instance, r = 25
     from hwq.exact import build_generator, enumerate_states, expectation, stationary
-    import numpy as np
 
     cfg = build_config([ClassParams(1.0, 1.0, 1.0)], 25.0, 1.0)
     gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 115))
@@ -246,9 +271,8 @@ def test_batch_means_matches_exact_mgf():
     zhat = (gen.idx.z.sum(axis=1) - cfg.rho_r_total) / cfg.sqrt_r
     truth = expectation(sv.pi, np.exp(0.1 * np.maximum(zhat, 0.0)))
 
-    def f(z, psi, c):
-        zh = (sum(z) - c.rho_r_total) / c.sqrt_r
-        return math.exp(0.1 * zh) if zh > 0.0 else 1.0
+    def f(Z, PSI, c):
+        return np.exp(0.1 * np.maximum((Z.sum(axis=1) - c.rho_r_total) / c.sqrt_r, 0.0))
 
     est = batch_means_multi(cfg, PREEMPTIVE, {"f": f}, 20, 20_000,
                             default_warmup(cfg), RngStream(6, 0))["f"]
@@ -261,7 +285,7 @@ def test_work_conservation_under_no_abandonment():
 
     cfg = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 16.0, 1.0)
     est = batch_means_multi(
-        cfg, FIFO, {"busy": lambda z, psi, c: sum(psi) / c.n_servers}, 20, 25_000,
+        cfg, FIFO, {"busy": lambda Z, PSI, c: PSI.sum(axis=1) / c.n_servers}, 20, 25_000,
         default_warmup(cfg), RngStream(8, 0),
     )["busy"]
     assert covers(est, nominal_utilization(cfg))

@@ -173,26 +173,43 @@ def test_subgaussian_contrast_tail_convexity():
     assert drop3 < drop2 < drop1  # strictly convex decay, not exponential
 
 
-def test_functional_specs_scalar_vector_agree():
+def _by_definition(spec, z, psi, cfg):
+    """The functional at one state, written from FunctionalSpec's docstring."""
+    zh = [(zi - lam * cfg.r / mu) / math.sqrt(cfg.r)
+          for zi, lam, mu in zip(z, (c.lam for c in cfg.classes), cfg.mus)]
+    phi = sum(v / mu for v, mu in zip(zh, cfg.mus))
+    qh = (sum(z) - sum(psi)) / math.sqrt(cfg.r)
+    return {
+        "exp_sum_zhat_plus": lambda: math.exp(spec.theta * sum(max(v, 0.0) for v in zh)),
+        "exp_sum_zhat_minus": lambda: math.exp(spec.theta * sum(max(-v, 0.0) for v in zh)),
+        "exp_zhat_plus_sq_trunc": lambda: (
+            math.exp(spec.theta * max(sum(zh), 0.0) ** 2) if phi <= spec.k else 0.0),
+        "qhat_tail": lambda: 1.0 if qh >= spec.x else 0.0,
+        "z_total": lambda: float(sum(z)),
+        "psi_share": lambda: sum(psi) / cfg.n_servers,
+    }[spec.fid]()
+
+
+def test_functional_spec_vector_hand_values():
+    # AB_TWO: rho*r = (8, 8), sqrt(r) = 4, mu = (1, 2), N = 20.  z_hat, phi_hat
+    # and q_hat are (-1.25, 0.5), -1, 0; then (1, 1.5), 1.75, 1.5 (on qhat_tail's
+    # boundary); then (8, 0), 8, 7 (truncated, and 20 * 8**2 overflows exp)
     cfg = AB_TWO
+    states = [((3, 10), (3, 10)), ((12, 14), (6, 14)), ((40, 8), (12, 8))]
+    Z = np.array([z for z, _ in states], dtype=np.int64)
+    PSI = np.array([psi for _, psi in states], dtype=np.int64)
     specs = [
         FunctionalSpec("exp_sum_zhat_plus", theta=0.3),
         FunctionalSpec("exp_sum_zhat_minus", theta=0.7),
-        FunctionalSpec("exp_zhat_plus_sq_trunc", theta=0.05, k=2.0),
-        FunctionalSpec("qhat_tail", x=0.5),
+        FunctionalSpec("exp_zhat_plus_sq_trunc", theta=20.0, k=2.0),
+        FunctionalSpec("qhat_tail", x=1.5),
         FunctionalSpec("z_total"),
         FunctionalSpec("psi_share"),
     ]
-    idx = enumerate_states(cfg, PREEMPTIVE, 30)
-    rng = random.Random(17)
-    rows = rng.sample(range(idx.n_states), 50)
     for spec in specs:
-        scalar = spec.scalar(cfg)
-        vec = spec.vector(cfg)(idx.z, idx.psi, cfg)
-        for i in rows:
-            z = list(idx.z[i])
-            psi = list(idx.psi[i])
-            assert scalar(z, psi, cfg) == pytest.approx(vec[i], rel=1e-12), spec
+        got = spec.vector(cfg)(Z, PSI, cfg)
+        want = [_by_definition(spec, z, psi, cfg) for z, psi in states]
+        assert got.tolist() == pytest.approx(want, rel=1e-12), spec
 
 
 def test_functional_spec_validation():
