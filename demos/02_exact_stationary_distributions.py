@@ -28,8 +28,8 @@ tv = 0.5 * (np.abs(sv.pi - pois).sum() + max(0.0, 1.0 - pois.sum()))
 print(f"\nnu = mu, r = {r:g}: total variation vs Poisson({r:g}) = {tv:.2e}")
 
 # --- Which solver stationary picks ------------------------------------------
-# GTH elimination on the level band while its work n * b^2 stays small (b is
-# the envelope width), Jacobi-preconditioned BiCGSTAB for wide bands.
+# Block GTH over population levels while its work n * w^2 stays small (w is
+# the widest level), Jacobi-preconditioned BiCGSTAB for wide levels.
 classes = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
 for kind, r, K in ((PREEMPTIVE, 9.0, 40), (NONPREEMPTIVE, 16.0, 50)):
     gen = build_generator(enumerate_states(build_config(classes, r, 1.0), kind, K))

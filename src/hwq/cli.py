@@ -348,7 +348,7 @@ def _cmd_exact(cfg, out_dir, jobs, record):
         sv = stationary(gen)
         phases["solve_s"] = time.perf_counter() - started
         record["counters"].append(dict(
-            r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz, envelope_width=sv.envelope_width,
+            r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz, level_width=sv.level_width,
             method=sv.method, iterations=sv.iterations, residual=sv.residual,
             deficit=sv.deficit_estimate))
         for spec in sec["functionals"]:

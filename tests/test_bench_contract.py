@@ -11,8 +11,9 @@ import importlib
 import random
 from pathlib import Path
 
+from hwq.exact import build_generator, enumerate_states, stationary
 from hwq.model import ClassParams, build_config
-from hwq.policy import FIFO, init_state
+from hwq.policy import FIFO, PREEMPTIVE, init_state
 from hwq.simulate import RngStream, batch_means_multi, sample_event, step
 from hwq.verify import FunctionalSpec
 
@@ -52,6 +53,14 @@ def test_microbenchmark_calls_still_work():
     fns = {spec.label(): spec.scalar(cfg)}
     ests = batch_means_multi(cfg, FIFO, fns, 10, 100, 20, RngStream(1, 0))
     assert set(ests) == {spec.label()} and ests[spec.label()].value >= 1.0
+
+
+def test_stationary_vector_has_span_metric_fields():
+    # span_metrics in bench/run.py reads these off every traced exact.solve
+    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+    sv = stationary(build_generator(enumerate_states(cfg, PREEMPTIVE, 20)))
+    assert sv.pi.size == 231 and sv.method == "gth"
+    assert isinstance(sv.iterations, int) and isinstance(sv.residual, float)
 
 
 def test_scalar_is_only_an_alias_for_bench():

@@ -781,7 +781,7 @@ def test_manifest_explains_exact_and_verify(tmp_path):
     for phases in manifest["phases"]:
         assert set(phases) == {"r", "enumerate_s", "build_s", "solve_s"}
     assert [set(c) for c in manifest["counters"]] == [{
-        "r", "n_states", "nnz", "envelope_width", "method", "iterations",
+        "r", "n_states", "nnz", "level_width", "method", "iterations",
         "residual", "deficit"}] * 2
     assert manifest["counters"][0]["method"] == "gth"
 
@@ -792,7 +792,7 @@ def test_manifest_explains_exact_and_verify(tmp_path):
 
 
 def test_band_beyond_memory_exits_one(tmp_path, capsys, monkeypatch):
-    # a machine of 100 bytes: the band of the smallest chain does not fit
+    # a machine of 100 bytes: the level blocks of the smallest chain do not fit
     monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else 100)
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(_config(policy="preemptive_priority")))

@@ -31,10 +31,9 @@ from hwq.exact import (
     _GTH_MAX_WORK,
     _KRYLOV_TOL_REL,
     _bicgstab,
-    _check_band_fits,
     _check_key_range,
-    _envelope,
-    _gth_band,
+    _check_levels_fit,
+    _gth_levels,
     abar_vector,
     build_generator,
     enumerate_states,
@@ -106,11 +105,11 @@ def test_state_key_range_refusal():
 
 
 def test_band_memory_refusal():
-    _check_band_fits(3655, 85)  # the exact_banded band, 5 MB
+    _check_levels_fit(np.arange(1, 86))  # the exact_banded levels, 3.3 MB
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    n = phys // 24  # width 1: 8 * (n + 1) * 3 bytes, just over physical memory
-    with pytest.raises(InsufficientMemory):
-        _check_band_fits(n, 1)
+    w = math.isqrt(phys // 8) + 1  # one level whose LU factor alone outgrows memory
+    with pytest.raises(InsufficientMemory, match="physical memory"):
+        _check_levels_fit([1, w])
 
 
 _REPLAY_SYSTEMS = {
@@ -205,7 +204,43 @@ def test_stationary_erlang_a_oracle():
 
 def test_gth_single_state():
     Q = sparse.csr_matrix((1, 1))
-    assert _gth_band(Q, *_envelope(Q)) == pytest.approx([1.0])
+    assert _gth_levels(Q, np.zeros(1, dtype=np.int64)) == pytest.approx([1.0])
+
+
+def _levels(gen):
+    return gen.idx.z.sum(axis=1)
+
+
+def test_gth_levels_erlang_a_relative():
+    # one class: the chain is the Erlang-A birth-death chain, whose far tail
+    # is reached only through the ratios of its rates
+    cfg = build_config([ClassParams(1.0, 1.0, 0.5)], 16.0, 1.0)
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 120))
+    oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, 120))
+    assert oracle.min() < 1e-40
+    pi = _gth_levels(gen.Q, _levels(gen))
+    assert (np.abs(pi - oracle) / oracle).max() <= 1e-12
+
+
+def test_gth_levels_level_marginal_is_one_class_law():
+    # equal mu and equal nu: the total count is the one-class Erlang-A chain
+    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(0.5, 1.0, 0.5)], 16.0, 1.0)
+    K = 120
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, K))
+    marginal = np.bincount(_levels(gen), weights=_gth_levels(gen.Q, _levels(gen)))
+    oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, K))
+    assert (np.abs(marginal - oracle) / oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("Q, level", [
+    # states 1 and 2 share level 1 and trade rates
+    (np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]), np.array([0, 1, 1])),
+    # state 0 jumps from level 0 straight to level 2
+    (np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0, 1, 2])),
+], ids=["same_level", "two_levels"])
+def test_gth_levels_refuses_non_level_transitions(Q, level):
+    with pytest.raises(Unsupported, match="moves"):
+        _gth_levels(sparse.csr_matrix(Q), level)
 
 
 THREE_CLASS_AB = build_config(
@@ -221,7 +256,7 @@ THREE_CLASS_AB = build_config(
 ], ids=["r9_K40", "banded_r16_K84", "three_class_np"])
 def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
     gen = build_generator(enumerate_states(cfg, kind, K))
-    pi_gth = _gth_band(gen.Q, *_envelope(gen.Q))
+    pi_gth = _gth_levels(gen.Q, _levels(gen))
     pi_k, iterations = _bicgstab(gen.Q, _KRYLOV_TOL_REL * gen.max_exit_rate)
     assert iterations > 0
     assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
@@ -238,84 +273,31 @@ def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
 def test_gth_band_matches_dense_oracle(kind, n_servers, K):
     cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=n_servers)
     gen = build_generator(enumerate_states(cfg, kind, K))
-    lo, b = _envelope(gen.Q)
-    assert b > 1
+    assert np.bincount(_levels(gen)).max() > 1
     oracle = dense_stationary(gen.Q.toarray())
-    assert np.abs(_gth_band(gen.Q, lo, b) - oracle).max() <= 1e-14
-
-
-def _ring_generator(n=12):
-    """A ring plus seeded random rates, as a dense generator."""
-    rng = np.random.default_rng(3)
-    R = np.where(rng.random((n, n)) < 0.2, rng.random((n, n)), 0.0)
-    R[np.arange(n), (np.arange(n) + 1) % n] += 1.0
-    np.fill_diagonal(R, 0.0)
-    return R - np.diag(R.sum(axis=1))
-
-
-def test_gth_band_general_pattern_matches_dense_oracle():
-    # the lowest index coupled to each state of the ring is not monotone, so
-    # elimination needs the hull of lo
-    Q = _ring_generator()
-    n = Q.shape[0]
-    raw = [min([k] + [j for j in range(n) if Q[k, j] or Q[j, k]]) for k in range(n)]
-    assert any(a > b for a, b in zip(raw, raw[1:]))
-    Q_sparse = sparse.csr_matrix(Q)
-    pi = _gth_band(Q_sparse, *_envelope(Q_sparse))
-    assert np.abs(pi - dense_stationary(Q)).max() <= 1e-14
-
-
-def _unsorted(Q):
-    """Q as a CSR matrix whose column indices run backwards in every row."""
-    Q = sparse.csr_matrix(Q)
-    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
-                            for lo, hi in zip(Q.indptr[:-1], Q.indptr[1:])]).astype(int)
-    M = sparse.csr_matrix((Q.data[order], Q.indices[order], Q.indptr), shape=Q.shape)
-    assert Q.nnz < 2 or not M.has_sorted_indices
-    return M
-
-
-@pytest.mark.parametrize("make_Q", [
-    lambda: sparse.csr_matrix((1, 1)),
-    lambda: sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]])),
-    lambda: sparse.csr_matrix(_ring_generator()),
-    lambda: _unsorted(_ring_generator()),
-    lambda: build_generator(enumerate_states(TWO_CLASS_AB, PREEMPTIVE, 84)).Q,
-    lambda: build_generator(enumerate_states(TWO_CLASS_AB, NONPREEMPTIVE, 84)).Q,
-], ids=["single_state", "zero_row", "ring", "ring_unsorted", "exact_banded", "exact_wide"])
-def test_envelope_matches_scatter_minimum(make_Q):
-    Q = make_Q()
-    n = Q.shape[0]
-    # the oracle: scatter min(i, j) onto max(i, j) for every stored (i, j)
-    coo = Q.tocoo()
-    lo = np.arange(n)
-    np.minimum.at(lo, np.maximum(coo.row, coo.col), np.minimum(coo.row, coo.col))
-    lo = np.minimum.accumulate(lo[::-1])[::-1]
-    got_lo, got_b = _envelope(Q)
-    assert np.array_equal(got_lo, lo)
-    assert got_b == int((np.arange(n) - lo).max())
+    assert np.abs(_gth_levels(gen.Q, _levels(gen)) - oracle).max() <= 1e-14
 
 
 def test_gth_band_reducible():
-    # state 2 has no way back: elimination finds a zero row sum
+    # state 2, alone on level 2, cannot move down: its censored row sums to zero
     Q = sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0],
                                     [1.0, -2.0, 1.0],
                                     [0.0, 0.0, 0.0]]))
-    with pytest.raises(Reducible):
-        _gth_band(Q, *_envelope(Q))
+    with pytest.raises(Reducible, match="state 2"):
+        _gth_levels(Q, np.arange(3))
 
 
 def test_stationary_solver_follows_band_work():
-    # the preemptive benchmark instance (n = 3655, b = 85) stays on GTH;
-    # a non-preemptive chain with a wide band goes to BiCGSTAB
+    # the preemptive benchmark instance (n = 3655, w = 85) stays on GTH;
+    # a non-preemptive chain with wide levels goes to BiCGSTAB
     cases = [(PREEMPTIVE, 84, "gth"), (NONPREEMPTIVE, 50, "bicgstab")]
     for kind, K, method in cases:
         gen = build_generator(enumerate_states(TWO_CLASS_AB, kind, K))
-        _, b = _envelope(gen.Q)
-        work = gen.idx.n_states * b * b
+        w = int(np.bincount(_levels(gen)).max())
+        work = gen.idx.n_states * w * w
         assert (work <= _GTH_MAX_WORK) == (method == "gth")
         sv = stationary(gen)
-        assert sv.method == method
+        assert sv.method == method and sv.level_width == w
         assert (sv.iterations > 0) == (method == "bicgstab")
 
 
