@@ -193,13 +193,15 @@ def test_stationary_poisson_at_nu_eq_mu():
 
 
 def test_stationary_erlang_a_oracle():
-    # independent-recursion oracle for a case with nu != mu
+    # independent-recursion oracle for a case with nu != mu, entry by entry
+    # down to the far tail, which the solve reaches only through rate ratios
     cfg = build_config([ClassParams(1.0, 1.0, 0.5)], 16.0, 1.0)
     K = 120
     gen = build_generator(enumerate_states(cfg, PREEMPTIVE, K))
     sv = stationary(gen)
-    oracle = erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, K)
-    assert np.abs(sv.pi - np.array(oracle)).max() <= 1e-12
+    oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, K))
+    assert sv.method == "gth" and oracle.min() < 1e-40
+    assert (np.abs(sv.pi - oracle) / oracle).max() <= 1e-12
 
 
 def test_gth_single_state():
@@ -209,17 +211,6 @@ def test_gth_single_state():
 
 def _levels(gen):
     return gen.idx.z.sum(axis=1)
-
-
-def test_gth_levels_erlang_a_relative():
-    # one class: the chain is the Erlang-A birth-death chain, whose far tail
-    # is reached only through the ratios of its rates
-    cfg = build_config([ClassParams(1.0, 1.0, 0.5)], 16.0, 1.0)
-    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 120))
-    oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, 120))
-    assert oracle.min() < 1e-40
-    pi = _gth_levels(gen.Q, _levels(gen))
-    assert (np.abs(pi - oracle) / oracle).max() <= 1e-12
 
 
 def test_gth_levels_level_marginal_is_one_class_law():
@@ -279,7 +270,7 @@ def test_gth_band_matches_dense_oracle(kind, n_servers, K):
 
 
 def test_gth_band_reducible():
-    # state 2, alone on level 2, cannot move down: its censored row sums to zero
+    # state 2, alone on level 2, cannot move down: its level block is singular
     Q = sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0],
                                     [1.0, -2.0, 1.0],
                                     [0.0, 0.0, 0.0]]))
