@@ -29,8 +29,12 @@ ascending class index, which keeps Psi_i <= Psi'_i and the shadow non-idling.
 Each comparison is a chain object (:class:`InfServerChain`,
 :class:`MonotoneChain`) holding the joint rate table, the jump rules and the
 per-event ordering checks; the jump kernel of :mod:`hwq.simulate` drives
-it.  Both raise :class:`OrderingViolation` the moment an ordering fails;
-that never happens by construction, so a raise means an implementation bug.
+it.  ``rates()`` builds the table once, when the kernel starts; after that
+each ``jump`` applies its event and, in one pass over the classes, checks
+every ordering and rewrites every class's rates in the same list, so a
+chain's state may be edited only before the kernel starts.  Both raise
+:class:`OrderingViolation` the moment an ordering fails; that never happens
+by construction, so a raise means an implementation bug.
 """
 
 from __future__ import annotations
@@ -66,8 +70,10 @@ class InfServerChain:
     customer of class i, in service first: ``m_s = min(G_i, psi_i)`` and
     ``m_q = G_i - m_s``.  The rate table has six blocks of ``n_classes``
     categories, in the order of the block constants below; the shared and
-    Z-only deaths are split by where the primary customer sits.  Every jump
-    checks ``G_i <= Z_i`` for all classes.
+    Z-only deaths are split by where the primary customer sits.  ``rates()``
+    builds the table; every jump then checks ``G_i <= Z_i`` and rewrites the
+    rates of each class in one pass, since a FIFO service completion or a
+    preemptive reallocation moves the psi of other classes too.
     """
 
     ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
@@ -124,12 +130,25 @@ class InfServerChain:
             if block == 1 or block == 3:  # shared death
                 g[i] -= 1
         self.checks += 1
+        # one pass: check G <= Z and rewrite the class's rates
         z = st.z
-        for j, gj in enumerate(g):
-            if gj > z[j]:
+        psi = st.psi
+        r = self._rates
+        for j, mu, nu, ss, zs, sq, zq, go in self._rows:
+            gj = g[j]
+            zj = z[j]
+            if gj > zj:
                 raise OrderingViolation(
-                    f"G[{j}] = {gj} > Z[{j}] = {z[j]} after event {self.checks}"
+                    f"G[{j}] = {gj} > Z[{j}] = {zj} after event {self.checks}"
                 )
+            pj = psi[j]
+            ms = gj if gj < pj else pj
+            mq = gj - ms
+            r[ss] = mu * ms
+            r[zs] = mu * (pj - ms)
+            r[sq] = nu * mq
+            r[zq] = nu * (zj - pj - mq)
+            r[go] = (mu - nu) * mq
 
 
 @dataclass(frozen=True)
@@ -186,12 +205,15 @@ class MonotoneChain:
     four blocks of ``n_classes`` categories: coupled arrivals, primary
     service completions, primary abandonments (both followed by the shadow
     unless thinned, see :meth:`thinning_probability`), and shadow-only
-    departures.  Every jump checks the orderings and both systems'
-    non-idling.
+    departures.  ``rates()`` builds the table; every jump then calls
+    :meth:`allocate_shadow`, which can move psi' of every class, and in one
+    pass over the classes checks ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'``
+    and the primary's non-idling and rewrites each class's rates; the
+    shadow's non-idling is checked last.
     """
 
     __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks",
-                 "_nc", "_rows", "_rates")
+                 "_nc", "_n_srv", "_rows", "_rates")
 
     def __init__(self, cfg: SystemConfig, nu_prime, kind: str, rng):
         nc = cfg.n_classes
@@ -212,6 +234,7 @@ class MonotoneChain:
         self.psip = [0] * nc
         self.checks = 0
         self._nc = nc
+        self._n_srv = cfg.n_servers
         # per class: its index, mu, nu, nu', and its slots in the death blocks
         self._rows = [(i, cfg.mus[i], cfg.nus[i], nu_prime[i], *range(nc + i, 4 * nc, nc))
                       for i in range(nc)]
@@ -226,7 +249,9 @@ class MonotoneChain:
         psi = self.state.psi
         zp = self.zp
         psip = self.psip
-        rem = min(self.cfg.n_servers, sum(zp)) - sum(psi)
+        n_srv = self._n_srv
+        total = sum(zp)
+        rem = (total if total < n_srv else n_srv) - sum(psi)  # min() costs a call per event
         for i, pi in enumerate(psi):
             extra = zp[i] - pi
             if extra > rem:
@@ -276,33 +301,48 @@ class MonotoneChain:
             zp[j] -= 1
         self.allocate_shadow()
         self.checks += 1
-
-        n = self.checks
-        n_srv = self.cfg.n_servers
+        # one pass: check every ordering of the class and rewrite its rates
+        n_srv = self._n_srv
         z = st.z
         psi = st.psi
         psip = self.psip
+        r = self._rates
         total_psi = sum(psi)
-        for i in range(self._nc):
-            if z[i] > zp[i]:
+        idle = total_psi < n_srv
+        for i, mu, nu, nup, svc, ab, shadow in self._rows:
+            zi = z[i]
+            zpi = zp[i]
+            if zi > zpi:
                 raise OrderingViolation(
-                    f"Z[{i}] = {z[i]} > Z'[{i}] = {zp[i]} after event {n}"
+                    f"Z[{i}] = {zi} > Z'[{i}] = {zpi} after event {self.checks}"
                 )
-            if psi[i] > psip[i]:
+            pi = psi[i]
+            ppi = psip[i]
+            if pi > ppi:
                 raise OrderingViolation(
-                    f"psi[{i}] = {psi[i]} > psi'[{i}] = {psip[i]} after event {n}"
+                    f"psi[{i}] = {pi} > psi'[{i}] = {ppi} after event {self.checks}"
                 )
-            if (z[i] - psi[i]) > (zp[i] - psip[i]):
+            qi = zi - pi
+            qpi = zpi - ppi
+            if qi > qpi:
                 raise OrderingViolation(
-                    f"Q[{i}] > Q'[{i}] after event {n}"
+                    f"Q[{i}] = {qi} > Q'[{i}] = {qpi} after event {self.checks}"
                 )
-            if total_psi < n_srv and z[i] - psi[i] != 0:
+            if idle and qi != 0:
                 raise OrderingViolation(
                     f"primary idles with a queue: psi sums to {total_psi} < "
-                    f"{n_srv} but Q[{i}] > 0 (event {n})"
+                    f"{n_srv} but Q[{i}] > 0 (event {self.checks})"
                 )
-        if sum(psip) != min(n_srv, sum(zp)):
-            raise OrderingViolation(f"shadow allocation not non-idling at event {n}")
+            r[svc] = mu * pi
+            r[ab] = nu * qi
+            r[shadow] = nup * (qpi - qi) + mu * (ppi - pi)
+        busy = sum(psip)
+        total = sum(zp)
+        if busy != (total if total < n_srv else n_srv):
+            raise OrderingViolation(
+                f"shadow idles: psi' sums to {busy}, not min(N, sum Z') = "
+                f"min({n_srv}, {sum(zp)}) (event {self.checks})"
+            )
 
 
 @dataclass(frozen=True)

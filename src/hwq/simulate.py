@@ -1,9 +1,11 @@
 """Exact continuous-time jump simulation and steady-state estimators.
 
 One jump kernel (:func:`jumps`) drives every simulator in the package: the
-estimators here and both coupling runners.  A chain object supplies its
-per-category rates and applies a jump; the kernel draws the holding time
-at the total rate and the category proportionally to the rates.  For a
+estimators here and both coupling runners.  A chain object builds its
+table of per-category rates once, when the kernel starts, and each jump
+applies an event and then rewrites that table in place, so a chain's state
+may be edited only before the kernel starts.  The kernel draws the holding
+time at the total rate and the category proportionally to the rates.  For a
 policy chain the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i +
 nu_i*q_i)``; rates depend only on the per-class counts, so each event costs
 O(n_classes).
@@ -40,6 +42,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
+from math import log
 
 import numpy as np
 from scipy.special import stdtrit
@@ -129,24 +132,25 @@ class StationaryEstimate:
 def jumps(chain, rng: random.Random):
     """The jump kernel: an endless generator of holding times of ``chain``.
 
-    ``chain`` provides ``rates()``, its list of per-category rates at the
-    current state, and ``jump(k)``, which applies an event of category
-    ``k``.  Each step draws the holding time at the total rate, then picks
-    a category with probability proportional to its rate and applies it;
-    the jump itself may draw further numbers from the same ``rng``.  The
-    holding time is yielded after the jump, so a caller that needs the
-    state the chain held during it must read that state before advancing
-    the generator.
+    ``chain`` provides ``rates()``, which builds its list of per-category
+    rates at the current state and returns it, and ``jump(k)``, which
+    applies an event of category ``k`` and then rewrites that same list in
+    place for the new state.  The kernel calls ``rates()`` once, when the
+    generator starts, and afterwards reads only the live list, so a chain's
+    state may be edited only before then.  Each step draws the holding time
+    at the total rate, then picks a category with probability proportional
+    to its rate and applies it; the jump itself may draw further numbers
+    from the same ``rng``.  The holding time is yielded after the jump, so
+    a caller that needs the state the chain held during it must read that
+    state before advancing the generator.
     """
-    rates = chain.rates
     jump = chain.jump
     u01 = rng.random
-    expov = rng.expovariate
-    r = rates()
+    r = chain.rates()
     last = len(r) - 1
     while True:
         total = sum(r)
-        holding = expov(total)
+        holding = -log(1.0 - u01()) / total  # random.expovariate(total), inlined
         u = u01() * total
         k = 0
         acc = r[0]
@@ -155,7 +159,6 @@ def jumps(chain, rng: random.Random):
             acc += r[k]
         jump(k)
         yield holding
-        r = rates()
 
 
 def advance(events, n: int) -> None:
@@ -236,6 +239,9 @@ class PolicyChain:
 
     Categories are arrivals, then service completions, then abandonments,
     each by class index; rates depend only on the per-class counts.
+    ``jump`` rewrites every class's rates after the policy operation, since
+    a FIFO service completion or a preemptive reallocation moves the psi of
+    classes other than the one that jumped.
     """
 
     __slots__ = ("state", "rng", "_nc", "_rows", "_rates")
@@ -260,14 +266,23 @@ class PolicyChain:
 
     def jump(self, k: int) -> None:
         cat, i = divmod(k, self._nc)
+        st = self.state
         if cat == 0:
-            self.state.apply_arrival(i, self.rng)
+            st.apply_arrival(i, self.rng)
         else:
-            self.state.apply_departure(i, SERVICE if cat == 1 else QUEUE, self.rng)
+            st.apply_departure(i, SERVICE if cat == 1 else QUEUE, self.rng)
+        z = st.z
+        psi = st.psi
+        r = self._rates
+        for j, mu, nu, svc, ab in self._rows:
+            pj = psi[j]
+            r[svc] = mu * pj
+            r[ab] = nu * (z[j] - pj)
 
 
 class _Probe(PolicyChain):
-    """Policy rates at fixed counts; a jump only records its category."""
+    """Policy rates at fixed counts; a jump only records its category, so
+    the table ``rates()`` built stays current."""
 
     __slots__ = ("k",)
 

@@ -6,10 +6,10 @@ import statistics
 import pytest
 
 from helpers import birth_death_mean
-from hwq.errors import HypothesisViolated
+from hwq.errors import HypothesisViolated, OrderingViolation
 from hwq.model import ClassParams, build_config
-from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
-from hwq.simulate import RngStream, jumps
+from hwq.policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
+from hwq.simulate import PolicyChain, RngStream, jumps
 from hwq.exact import build_generator, enumerate_states, expectation, scaled_poisson_mgf, stationary
 from hwq.coupling import (
     InfServerChain,
@@ -193,6 +193,96 @@ def test_shadow_allocation_rules():
         psi, psip, zp = chain.state.psi, chain.psip, chain.zp
         assert all(p <= pp <= zz for p, pp, zz in zip(psi, psip, zp))
         assert sum(psip) == min(TWO_CLASS.n_servers, sum(zp))
+
+
+# r = 4 (6 servers): queues form often, so every block of each table moves
+SMALL = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+
+CHAINS = {
+    "policy": lambda kind, rng: PolicyChain(init_state(SMALL, kind), SMALL, rng),
+    "infserver": lambda kind, rng: InfServerChain(SMALL, kind, rng),
+    "monotone": lambda kind, rng: MonotoneChain(SMALL, [0.0, 0.5], kind, rng),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CHAINS)
+def test_live_rate_table_matches_recompute(name, kind):
+    # jump rewrites the table the kernel reads; after every event it must
+    # equal, exactly, the table rates() recomputes from the state
+    rng = random.Random(8)
+    chain = CHAINS[name](kind, rng)
+    live = chain.rates()
+    events = jumps(chain, rng)
+    moved = [False] * len(live)
+    before = list(live)
+    for _ in range(5_000):
+        next(events)
+        after = list(live)
+        assert after == chain.rates()  # rates() refills the same list
+        moved = [m or a != b for m, a, b in zip(moved, after, before)]
+        before = after
+    assert all(moved[SMALL.n_classes:])  # every departure rate changed at least once
+
+
+def _ordering_case(chain_kind, z, psi, n_servers=4, **extra):
+    """A chain on one class with the given counts, edited before any jump."""
+    cfg = dataclasses.replace(build_config([ClassParams(1.0, 1.0, 0.5)], 1.0, 1.0),
+                              n_servers=n_servers)
+    if chain_kind == "infserver":
+        chain = InfServerChain(cfg, NONPREEMPTIVE, random.Random(0))
+        chain.g[:] = extra["g"]
+    else:
+        chain = MonotoneChain(cfg, [0.0], NONPREEMPTIVE, random.Random(0))
+        chain.zp[:] = extra["zp"]
+    chain.state.set_counts(z, psi)
+    return chain
+
+
+def test_ordering_check_g_le_z():
+    chain = _ordering_case("infserver", [2], [2], g=[4])
+    with pytest.raises(OrderingViolation, match=r"G\[0\] = 3 > Z\[0\] = 2"):
+        chain.jump(InfServerChain.G_ONLY)  # G-only death: 4 -> 3, still > 2
+
+
+def test_ordering_check_z_le_zprime():
+    # an arrival moves both to Z = 4 > Z' = 3
+    chain = _ordering_case("monotone", [3], [3], zp=[2])
+    with pytest.raises(OrderingViolation, match=r"Z\[0\] = 4 > Z'\[0\] = 3"):
+        chain.jump(0)
+
+
+def test_ordering_check_psi_le_psiprime():
+    # three in service on two servers; the shadow, capped at two, serves fewer
+    chain = _ordering_case("monotone", [3], [3], n_servers=2, zp=[4])
+    with pytest.raises(OrderingViolation, match=r"psi\[0\] = 3 > psi'\[0\] = 2"):
+        chain.jump(3)  # shadow-only departure: Z' = 3
+
+
+def test_ordering_check_q_le_qprime():
+    # the primary serves 1 of 3 and the shadow 3 of 3 after its departure;
+    # a larger Q without Z > Z' or psi > psi' needs an idle primary, so the
+    # idling check would fail too, but the Q check comes first
+    chain = _ordering_case("monotone", [3], [1], zp=[4])
+    with pytest.raises(OrderingViolation, match=r"Q\[0\] = 2 > Q'\[0\] = 0"):
+        chain.jump(3)
+
+
+def test_ordering_check_primary_non_idling():
+    # one of four servers busy with two waiting; the shadow's queue is longer
+    chain = _ordering_case("monotone", [3], [1], zp=[8])
+    with pytest.raises(OrderingViolation, match=r"psi sums to 1 < 4 but Q\[0\] > 0"):
+        chain.jump(3)
+
+
+def test_ordering_check_shadow_non_idling(monkeypatch):
+    # a shadow allocation that leaves psi' as set by hand: one of two
+    # shadow customers served while four servers are free
+    monkeypatch.setattr(MonotoneChain, "allocate_shadow", lambda self: None)
+    chain = _ordering_case("monotone", [1], [1], zp=[3])
+    chain.psip[:] = [1]
+    with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
+        chain.jump(3)
 
 
 def test_monotone_identical_rates_degenerate():

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hwq.simulate import (
     GROUP_STATES,
     PolicyChain,
     RngStream,
+    _Probe,
     batch_means_multi,
     check_event_counts,
     choose_estimator,
@@ -80,15 +82,27 @@ def test_empty_system_next_event_is_arrival():
 
 
 def test_mean_holding_time_at_empty():
+    # the kernel on a frozen chain at the empty state, as sample_event drives it
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 100.0, 1.0)
     rng = random.Random(2024)
+    events = jumps(_Probe(MacroState(z=[0], psi=[0]), cfg), rng)
     n = 100_000
-    acc = 0.0
-    for _ in range(n):
-        acc += rng.expovariate(100.0)
-    mean = acc / n
+    mean = sum(islice(events, n)) / n
     # Exp(100): mean 0.01, sd of the sample mean = 0.01/sqrt(n)
     assert abs(mean - 0.01) <= 3 * 0.01 / math.sqrt(n)
+
+
+def test_kernel_holding_time_is_expovariate():
+    # the inlined draw is random.expovariate's expression, so the stream is
+    # unchanged: the first holding time equals expovariate(total) at the seed
+    cfg = build_config(
+        [ClassParams(0.5, 1.0, 1.0), ClassParams(1.0, 2.0, 0.5)], 4.0, 1.0
+    )
+    probe = _Probe(MacroState(z=[3, 2], psi=[2, 2]), cfg)
+    total = sum(probe.rates())
+    for seed in range(20):
+        assert next(jumps(probe, random.Random(seed))) == \
+            random.Random(seed).expovariate(total)
 
 
 def test_event_category_frequencies_match_rates():
