@@ -225,36 +225,28 @@ def test_live_rate_table_matches_recompute(name, kind):
     assert all(moved[SMALL.n_classes:])  # every departure rate changed at least once
 
 
-def _ordering_case(chain_kind, z, psi, n_servers=4, **extra):
-    """A chain on one class with the given counts, edited before any jump."""
-    cfg = dataclasses.replace(build_config([ClassParams(1.0, 1.0, 0.5)], 1.0, 1.0),
-                              n_servers=n_servers)
-    if chain_kind == "infserver":
-        chain = InfServerChain(cfg, NONPREEMPTIVE, random.Random(0))
-        chain.g[:] = extra["g"]
-    else:
-        chain = MonotoneChain(cfg, [0.0], NONPREEMPTIVE, random.Random(0))
-        chain.zp[:] = extra["zp"]
-    chain.state.set_counts(z, psi)
-    return chain
-
-
 def test_ordering_check_g_le_z():
-    chain = _ordering_case("infserver", [2], [2], g=[4])
+    cfg = dataclasses.replace(TWO_CLASS, n_servers=4)
+    chain = InfServerChain(cfg, NONPREEMPTIVE, random.Random(0))
+    chain.state.set_counts([2, 0], [2, 0])
+    chain.g[:] = [4, 0]
     with pytest.raises(OrderingViolation, match=r"G\[0\] = 3 > Z\[0\] = 2"):
-        chain.jump(InfServerChain.G_ONLY)  # G-only death: 4 -> 3, still > 2
+        chain.jump(InfServerChain.G_ONLY * 2)  # G-only death: 4 -> 3, still > 2
+
+
+ONE_CLASS = [ClassParams(1.0, 1.0, 0.5)]
 
 
 def test_ordering_check_z_le_zprime():
     # an arrival moves both to Z = 4 > Z' = 3
-    chain = _ordering_case("monotone", [3], [3], zp=[2])
+    chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [3], [2])
     with pytest.raises(OrderingViolation, match=r"Z\[0\] = 4 > Z'\[0\] = 3"):
         chain.jump(0)
 
 
 def test_ordering_check_psi_le_psiprime():
     # three in service on two servers; the shadow, capped at two, serves fewer
-    chain = _ordering_case("monotone", [3], [3], n_servers=2, zp=[4])
+    chain = _monotone_chain(ONE_CLASS, 2, [0.0], [3], [3], [4])
     with pytest.raises(OrderingViolation, match=r"psi\[0\] = 3 > psi'\[0\] = 2"):
         chain.jump(3)  # shadow-only departure: Z' = 3
 
@@ -263,14 +255,14 @@ def test_ordering_check_q_le_qprime():
     # the primary serves 1 of 3 and the shadow 3 of 3 after its departure;
     # a larger Q without Z > Z' or psi > psi' needs an idle primary, so the
     # idling check would fail too, but the Q check comes first
-    chain = _ordering_case("monotone", [3], [1], zp=[4])
+    chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [4])
     with pytest.raises(OrderingViolation, match=r"Q\[0\] = 2 > Q'\[0\] = 0"):
         chain.jump(3)
 
 
 def test_ordering_check_primary_non_idling():
     # one of four servers busy with two waiting; the shadow's queue is longer
-    chain = _ordering_case("monotone", [3], [1], zp=[8])
+    chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [8])
     with pytest.raises(OrderingViolation, match=r"psi sums to 1 < 4 but Q\[0\] > 0"):
         chain.jump(3)
 
@@ -279,7 +271,7 @@ def test_ordering_check_shadow_non_idling(monkeypatch):
     # a shadow allocation that leaves psi' as set by hand: one of two
     # shadow customers served while four servers are free
     monkeypatch.setattr(MonotoneChain, "allocate_shadow", lambda self: None)
-    chain = _ordering_case("monotone", [1], [1], zp=[3])
+    chain = _monotone_chain(ONE_CLASS, 4, [0.0], [1], [1], [3])
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
         chain.jump(3)
