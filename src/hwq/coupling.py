@@ -35,6 +35,9 @@ every ordering and rewrites every class's rates in the same list, so a
 chain's state may be edited only before the kernel starts.  Both raise
 :class:`OrderingViolation` the moment an ordering fails; that never happens
 by construction, so a raise means an implementation bug.
+
+scipy is imported by the functions that call it (the chi-square tail of
+:func:`poisson_fit_pvalue`), so the runners never load it.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import HypothesisViolated, OrderingViolation
-from .exact import poisson_pmf
 from .model import SystemConfig
 from .policy import QUEUE, SERVICE, init_state
 from .simulate import (
@@ -240,24 +241,27 @@ class MonotoneChain:
                       for i in range(nc)]
         self._rates = list(cfg.arrival_rates) + [0.0] * (3 * nc)
 
-    def allocate_shadow(self) -> None:
+    def allocate_shadow(self) -> tuple[int, int]:
         """Set psi' from psi and Z': mirror the primary, fill upward by class.
 
         Gives psi_i <= psi'_i <= Z'_i and sum(psi') = min(N, sum(Z')) while
-        Z <= Z' holds coordinatewise.
+        Z <= Z' holds coordinatewise.  Returns ``(sum(Z'), sum(psi))``, which
+        :meth:`jump`'s checks reuse.
         """
         psi = self.state.psi
         zp = self.zp
         psip = self.psip
         n_srv = self._n_srv
         total = sum(zp)
-        rem = (total if total < n_srv else n_srv) - sum(psi)  # min() costs a call per event
+        total_psi = sum(psi)
+        rem = (total if total < n_srv else n_srv) - total_psi  # min() costs a call per event
         for i, pi in enumerate(psi):
             extra = zp[i] - pi
             if extra > rem:
                 extra = rem
             psip[i] = pi + extra
             rem -= extra
+        return total, total_psi
 
     def thinning_probability(self, j: int) -> float:
         """Probability that the shadow keeps its customer on a primary
@@ -299,7 +303,7 @@ class MonotoneChain:
                 zp[j] -= 1
         else:  # shadow-only departure
             zp[j] -= 1
-        self.allocate_shadow()
+        total, total_psi = self.allocate_shadow()
         self.checks += 1
         # one pass: check every ordering of the class and rewrite its rates
         n_srv = self._n_srv
@@ -307,7 +311,6 @@ class MonotoneChain:
         psi = st.psi
         psip = self.psip
         r = self._rates
-        total_psi = sum(psi)
         idle = total_psi < n_srv
         for i, mu, nu, nup, svc, ab, shadow in self._rows:
             zi = z[i]
@@ -337,11 +340,10 @@ class MonotoneChain:
             r[ab] = nu * qi
             r[shadow] = nup * (qpi - qi) + mu * (ppi - pi)
         busy = sum(psip)
-        total = sum(zp)
         if busy != (total if total < n_srv else n_srv):
             raise OrderingViolation(
                 f"shadow idles: psi' sums to {busy}, not min(N, sum Z') = "
-                f"min({n_srv}, {sum(zp)}) (event {self.checks})"
+                f"min({n_srv}, {total}) (event {self.checks})"
             )
 
 
@@ -390,6 +392,10 @@ def poisson_fit_pvalue(samples, mean: float, min_expected: float = 5.0) -> float
     Bins with expected count below ``min_expected`` are pooled into the
     tails; dof = bins - 1 (the mean is given, not estimated).
     """
+    from scipy.special import chdtrc
+
+    from .exact import poisson_pmf
+
     samples = np.asarray(samples, dtype=int)
     n = samples.size
     hi = max(int(samples.max()), int(mean + 10 * mean ** 0.5))

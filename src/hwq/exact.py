@@ -21,6 +21,9 @@ equations pinned at the empty state where the levels are wide.  The level
 solver's accuracy is what the oracle tests check (1e-12 relative, entry by
 entry, against birth-death laws with entries below 1e-40); LU factoring is
 not subtraction-free.
+
+scipy is imported by the functions that call it, so importing this module
+costs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,13 +31,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csgraph
-from scipy.sparse.linalg import bicgstab
-from scipy.special import gammaln
 
 from .errors import (
     InsufficientMemory,
@@ -46,6 +45,9 @@ from .errors import (
 )
 from .model import SystemConfig
 from .policy import NONPREEMPTIVE, PREEMPTIVE
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # The level solver is used wherever affordable, for its accuracy.  On a 2-vCPU
 # x86 host it costs 0.07-0.5 ns * n * w^2 (w the widest level) once n * w^2
@@ -174,6 +176,8 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     operations state by state and check that every array here equals the
     replay's, which keeps the exact chain and the simulated chain together.
     """
+    from scipy import sparse
+
     cfg, Z, PSI = idx.cfg, idx.z, idx.psi
     n, nc = Z.shape
     tz = np.repeat(Z[:, None, :], 3 * nc, axis=1)  # (state, slot, class)
@@ -266,6 +270,9 @@ def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
     pi_l = pi_{l-1} U_{l-1} (-S_l)^{-1}.  Only the off-diagonal rates are
     read, and no n x n array is formed.
     """
+    from scipy import sparse
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     n = Q.shape[0]
     if (np.diff(level) < 0).any():
         raise Unsupported("the level solver needs states numbered level by level")
@@ -331,6 +338,9 @@ def _bicgstab(Q: sparse.csr_matrix, tol: float) -> tuple[np.ndarray, int]:
     absolute tolerance can follow: every tenth iterate is clipped, normalized
     and held to ``max|pi Q| <= tol`` instead, and scipy's exit code is ignored.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import bicgstab
+
     QT = Q.T.tocsr()
     A, iterations = QT[1:, 1:], 0
 
@@ -353,6 +363,8 @@ def _bicgstab(Q: sparse.csr_matrix, tol: float) -> tuple[np.ndarray, int]:
 
 
 def _check_irreducible(Q: sparse.csr_matrix) -> None:
+    from scipy.sparse import csgraph
+
     n_comp, _ = csgraph.connected_components(Q, directed=True, connection="strong")
     if n_comp != 1:
         raise Reducible(f"truncated chain has {n_comp} strongly connected components")
@@ -437,6 +449,8 @@ def poisson_logpmf(p: float, n) -> np.ndarray:
     Accurate to ~1e-11 relative at p ~ 1e4 (three ~1e5-magnitude terms
     cancel); use :func:`poisson_pmf` where tighter accuracy matters.
     """
+    from scipy.special import gammaln
+
     n_arr = np.asarray(n, dtype=float)
     return n_arr * math.log(p) - p - gammaln(n_arr + 1.0)
 

@@ -30,6 +30,10 @@ Functionals take the array form ``f(Z, PSI, cfg)`` of
 :meth:`hwq.verify.FunctionalSpec.vector` and of the exact path: ``Z`` and
 ``PSI`` are int64 arrays of shape (n_states, n_classes), and ``f`` returns
 one float per row.
+
+scipy is imported by the functions that call it (the t quantile of the
+confidence intervals), so the jump kernel and the coupling runners never
+load it.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from itertools import chain, islice
 from math import log
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import CycleTimeout
 from .model import MacroState, SystemConfig
@@ -95,13 +98,15 @@ def fan_out(fn, items, jobs: int = 1, record: dict | None = None) -> list:
     ``min(jobs, len(items), usable_cores())`` workers are forked, so they
     inherit the imported modules: a forked pool of two starts in about
     20 ms, a spawned one re-imports numpy and scipy in each worker and
-    takes about 1 s.  Fork only from a process that runs no other Python
-    threads; the CLI starts none.  With one worker, or where ``fork`` is not
-    available, the calls run in this process.  Results come back in input
-    order, and each unit draws from its own :class:`RngStream`, so they do
-    not depend on the worker count.  When ``record`` is a dict it receives
-    ``jobs``, the workers used, and ``unit_wall_s``, each unit's wall time
-    in input order.
+    takes about 1 s.  The caller must import what its units import before
+    it calls this: a module a worker imports itself is imported again in
+    every worker of every run (scipy.special costs about 0.3 s).  Fork only
+    from a process that runs no other Python threads; the CLI starts none.
+    With one worker, or where ``fork`` is not available, the calls run in
+    this process.  Results come back in input order, and each unit draws
+    from its own :class:`RngStream`, so they do not depend on the worker
+    count.  When ``record`` is a dict it receives ``jobs``, the workers
+    used, and ``unit_wall_s``, each unit's wall time in input order.
     """
     items = list(items)
     workers = min(jobs, len(items), usable_cores())
@@ -323,6 +328,13 @@ def check_event_counts(n_events: int, warmup_events: int) -> None:
         )
 
 
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` degrees of freedom."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.975))
+
+
 def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
                           n_cycles: int, rng,
                           max_events_per_cycle: int = 1_000_000) -> dict:
@@ -360,7 +372,7 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
             stacked = 0
     total_tau = sum(taus)
     mean_tau = total_tau / n_cycles
-    tcrit = float(stdtrit(n_cycles - 1, 0.975))
+    tcrit = _t975(n_cycles - 1)
     out = {}
     for j, name in enumerate(functionals):
         est = sum(y[j] for y in ys) / total_tau
@@ -387,7 +399,7 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     for _ in range(n_batches):
         occ, span = occupancy(events, events_per_batch, state.z, state.psi)
         batch_means.append([a / span for a in _integrate([occ], funcs, cfg)[0]])
-    tcrit = float(stdtrit(n_batches - 1, 0.975))
+    tcrit = _t975(n_batches - 1)
     out = {}
     for j, name in enumerate(functionals):
         bm = [b[j] for b in batch_means]

@@ -384,6 +384,12 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     points = [(build_config(classes, r, a), kind, specs, RngStream(seed, pos), estimator,
                K, n_batches, events_per_batch, warmup_events)
               for pos, r in enumerate(r_list)]
+    # import here what the points import, so forked workers inherit it
+    import scipy.special  # noqa: F401  (the batch-means t quantile)
+    if kind != FIFO and estimator != "batch_means":  # the exact solve
+        import scipy.linalg.lapack  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
     return [row for rows in fan_out(_sweep_point, points, jobs, record) for row in rows]
 
 

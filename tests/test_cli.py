@@ -147,10 +147,10 @@ def test_exact_truncated_square_mgf_is_finite(tmp_path):
     assert math.isfinite(float(rows[0]["estimate"]))
 
 
-def _couple_file(tmp_path, n_seeds=4, n_events=5_000):
+def _couple_file(tmp_path, n_seeds=4, n_events=5_000, coupling="infserver"):
     raw = _config(
         system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.5}], "r": 4.0, "a": 1.0},
-        couple={"coupling": "infserver", "n_events": n_events, "n_seeds": n_seeds},
+        couple={"coupling": coupling, "n_events": n_events, "n_seeds": n_seeds},
     )
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(raw))
@@ -381,6 +381,76 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+# scipy submodules that cost about 0.35 s to import; the commands that call
+# no exact solve or t quantile must not load them
+_HEAVY = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
+
+
+def _run_fresh(code, *args):
+    """Standard output of ``python -c code args`` on this test's import path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_import_loads_no_heavy_scipy():
+    code = f"import sys, hwq, hwq.cli; print([m for m in {_HEAVY!r} if m in sys.modules])"
+    assert _run_fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("coupling", ["infserver", "monotone"])
+def test_couple_command_loads_no_heavy_scipy(tmp_path, coupling):
+    cfg_file = _couple_file(tmp_path, n_seeds=2, n_events=2_000, coupling=coupling)
+    code = ("import sys, hwq.cli\n"
+            "rc = hwq.cli.main(['couple', '--config', sys.argv[1], '--out', sys.argv[2],"
+            " '--jobs', '1'])\n"
+            f"print(rc, [m for m in {_HEAVY!r} if m in sys.modules])")
+    out = _run_fresh(code, str(cfg_file), str(tmp_path / "out"))
+    assert out.strip() == "0 []"
+    assert (tmp_path / "out" / "couple.csv").exists()
+
+
+# Routes every sweep point through a probe that writes, to a file of its own,
+# the scipy modules the point imported itself; forked workers inherit the
+# patched name.
+_SWEEP_PROBE = """
+import json, os, sys
+import hwq.verify
+from hwq.model import ClassParams
+from hwq.verify import FunctionalSpec, sweep
+
+point = hwq.verify._sweep_point
+
+
+def probe(*args):
+    inherited = set(sys.modules)
+    rows = point(*args)
+    new = sorted(m for m in set(sys.modules) - inherited if m.startswith("scipy"))
+    with open(os.path.join(sys.argv[3], f"r{args[0].r}.json"), "w") as f:
+        json.dump({"pid": os.getpid(), "new": new}, f)
+    return rows
+
+
+hwq.verify._sweep_point = probe
+record = {}
+rows = sweep([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 1.0, [4.0, 9.0],
+             sys.argv[1], [FunctionalSpec("z_total")], 7, estimator=sys.argv[2],
+             n_batches=10, events_per_batch=500, warmup_events=100, jobs=2, record=record)
+print(json.dumps({"parent": os.getpid(), "jobs": record["jobs"], "rows": len(rows)}))
+"""
+
+
+@pytest.mark.parametrize("kind, estimator", [("fifo", "batch_means"),
+                                             ("preemptive_priority", "exact")])
+def test_sweep_workers_import_no_scipy(tmp_path, kind, estimator):
+    parent = json.loads(_run_fresh(_SWEEP_PROBE, kind, estimator, str(tmp_path)))
+    units = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("r*.json"))]
+    assert parent["jobs"] == min(2, usable_cores()) and parent["rows"] == 2
+    assert [u["new"] for u in units] == [[], []]
+    if parent["jobs"] > 1:
+        assert parent["parent"] not in {u["pid"] for u in units}
 
 
 @pytest.mark.parametrize("section, key", [

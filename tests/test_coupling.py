@@ -269,8 +269,10 @@ def test_ordering_check_primary_non_idling():
 
 def test_ordering_check_shadow_non_idling(monkeypatch):
     # a shadow allocation that leaves psi' as set by hand: one of two
-    # shadow customers served while four servers are free
-    monkeypatch.setattr(MonotoneChain, "allocate_shadow", lambda self: None)
+    # shadow customers served while four servers are free; it returns the
+    # totals (sum Z', sum psi) as the real one does
+    monkeypatch.setattr(MonotoneChain, "allocate_shadow",
+                        lambda self: (sum(self.zp), sum(self.state.psi)))
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [1], [1], [3])
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
