@@ -35,7 +35,6 @@ from .simulate import (
     StationaryEstimate,
     jumps,
     regenerative_estimate,
-    step,
 )
 from .coupling import (
     InfServerChain,

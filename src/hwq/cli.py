@@ -483,40 +483,7 @@ def _cmd_sweep(cfg, out_dir, jobs, record):
     path = out_dir / "sweep.csv"
     _write_csv(path, PROVENANCE + ("functional", "theta", "estimate", "half_width"),
                out_rows)
-    paths = [path]
-    svg = _plot_sweep(rows, out_dir)
-    if svg is not None:
-        paths.append(svg)
-    return paths, 0
-
-
-def _plot_sweep(rows, out_dir):
-    """Log-log estimate-vs-r plot; skipped when matplotlib is unavailable."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
-    by_fn = {}
-    for row in rows:
-        by_fn.setdefault(row.functional, []).append(row)
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for fn, pts in sorted(by_fn.items()):
-        pts.sort(key=lambda p: p.r)
-        rs = [p.r for p in pts]
-        es = [p.estimate for p in pts]
-        errs = [p.half_width for p in pts]
-        ax.errorbar(rs, es, yerr=errs, marker="o", label=fn)
-    ax.set_xscale("log")
-    ax.set_yscale("log")
-    ax.set_xlabel("r")
-    ax.set_ylabel("estimate")
-    ax.legend(fontsize=7)
-    path = out_dir / "sweep.svg"
-    fig.savefig(path, metadata={"Date": None})
-    plt.close(fig)
-    return path
+    return [path], 0
 
 
 def _check_hypotheses(command, cfg):

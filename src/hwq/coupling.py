@@ -36,6 +36,13 @@ chain's state may be edited only before the kernel starts.  Both raise
 :class:`OrderingViolation` the moment an ordering fails; that never happens
 by construction, so a raise means an implementation bug.
 
+Both runners share one body (:func:`_run_coupled`): after the warm-up they
+accumulate the holding time per visited pair of observed count lists,
+``(G, Z)`` or ``(Z, Z')``, with :func:`hwq.simulate.occupancy`, the
+accumulator of the estimators, and take every coordinate's time average in
+one numpy pass over the distinct states.  The infinite-server runner's G
+snapshots on a time grid come from the same accumulator.
+
 scipy is imported by the functions that call it (the chi-square tail of
 :func:`poisson_fit_pvalue`), so the runners never load it.
 """
@@ -54,7 +61,8 @@ from .simulate import (
     advance,
     check_event_counts,
     jumps,
-    time_integrals,
+    occupancy,
+    stack_states,
 )
 
 
@@ -152,6 +160,32 @@ class InfServerChain:
             r[go] = (mu - nu) * mq
 
 
+def _run_coupled(make_chain, observed, n_events: int, rng, warmup_events: int,
+                 grid_dt: float = 0.0):
+    """Run ``make_chain(rng)`` for ``warmup_events`` jumps, then integrate
+    the two count lists ``observed(chain)`` over the other jumps.
+
+    Returns ``(chain, span, first, second, grid)``: the elapsed time after
+    the warm-up, the time average of each coordinate of either list, and
+    the joint states occupying the multiples of ``grid_dt`` after the
+    warm-up (see :func:`hwq.simulate.occupancy`).
+    """
+    if isinstance(rng, RngStream):
+        rng = rng.make()
+    chain = make_chain(rng)
+    check_event_counts(n_events, warmup_events)
+    if not 0.0 <= grid_dt < float("inf"):
+        raise ValueError(f"g_sample_dt must be finite and >= 0, got {grid_dt}")
+    a, b = observed(chain)
+    events = jumps(chain, rng)
+    advance(events, warmup_events)
+    occ, span, grid = occupancy(events, n_events - warmup_events, a, b, grid_dt=grid_dt)
+    states, held = stack_states([occ], len(a) + len(b))
+    # summed row by row, so equal columns give bit-equal averages
+    avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
+    return chain, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
+
+
 @dataclass(frozen=True)
 class InfServerReport:
     events: int
@@ -168,32 +202,26 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
                           g_sample_dt: float = 0.0) -> InfServerReport:
     """Run the joint (primary, M/M/inf) chain, asserting G_i <= Z_i throughout.
 
-    G and Z are time averaged over the post-warmup span; ``g_sample_dt > 0``
-    also records G snapshots every that many units of simulated time after
-    the warmup.  Snapshots are taken on the time grid (not at event indices):
-    the state holding at each grid instant is an unbiased stationary draw,
-    whereas event-indexed states follow the jump-chain law.
+    G and Z are time averaged over the post-warmup span by the occupancy
+    measure of the pairs ``(G, Z)``.  ``g_sample_dt > 0`` also records G
+    at every multiple of that many units of simulated time after the
+    warmup; a negative or non-finite value raises ``ValueError``.
+    Snapshots are taken on the time grid (not at event indices): the state
+    holding at each grid instant is an unbiased stationary draw, whereas
+    event-indexed states follow the jump-chain law.
     """
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    chain = InfServerChain(cfg, kind, rng)
-    check_event_counts(n_events, warmup_events)
+    chain, span, g_avg, z_avg, grid = _run_coupled(
+        lambda rng: InfServerChain(cfg, kind, rng), lambda c: (c.g, c.state.z),
+        n_events, rng, warmup_events, g_sample_dt)
     nc = cfg.n_classes
-    events = jumps(chain, rng)
-    g = chain.g
-    z = chain.state.z
-    advance(events, warmup_events)
-    acc, span, grid = time_integrals(events, n_events - warmup_events,
-                                     lambda: g + z, g_sample_dt)
-    avg = [a / span for a in acc]
     return InfServerReport(
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
         violations=0,
-        g_time_avg=tuple(avg[:nc]),
-        z_time_avg=tuple(avg[nc:]),
-        g_samples=[tuple(v[:nc]) for v in grid],
+        g_time_avg=g_avg,
+        z_time_avg=z_avg,
+        g_samples=[key[:nc] for key in grid],
     )
 
 
@@ -363,26 +391,19 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
 
     Asserts Z_i <= Z'_i, psi_i <= psi'_i, Q_i <= Q'_i, shadow non-idling, and
     the primary's own non-idling implication (idle servers force empty
-    queues) after every event.
+    queues) after every event.  Z and Z' are time averaged over the
+    post-warmup span by the occupancy measure of the pairs ``(Z, Z')``.
     """
-    if isinstance(rng, RngStream):
-        rng = rng.make()
-    chain = MonotoneChain(cfg, nu_prime, kind, rng)
-    check_event_counts(n_events, warmup_events)
-    nc = cfg.n_classes
-    events = jumps(chain, rng)
-    z = chain.state.z
-    zp = chain.zp
-    advance(events, warmup_events)
-    acc, span, _ = time_integrals(events, n_events - warmup_events,
-                                  lambda: z + zp)
+    chain, span, z_avg, zp_avg, _ = _run_coupled(
+        lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), lambda c: (c.state.z, c.zp),
+        n_events, rng, warmup_events)
     return MonotoneReport(
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
         violations=0,
-        z_time_avg=tuple(a / span for a in acc[:nc]),
-        z_prime_time_avg=tuple(a / span for a in acc[nc:]),
+        z_time_avg=z_avg,
+        z_prime_time_avg=zp_avg,
     )
 
 
@@ -398,6 +419,8 @@ def poisson_fit_pvalue(samples, mean: float, min_expected: float = 5.0) -> float
 
     samples = np.asarray(samples, dtype=int)
     n = samples.size
+    if n == 0:
+        raise ValueError("poisson_fit_pvalue got empty samples; nothing to test")
     hi = max(int(samples.max()), int(mean + 10 * mean ** 0.5))
     support = np.arange(0, hi + 1)
     probs = poisson_pmf(mean, support)

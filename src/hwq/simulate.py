@@ -16,15 +16,18 @@ state recurs quickly, i.e. small r) and batch means (the default in heavy
 traffic).  All averages are time weighted: stationary expectations of a CTMC
 are time averages, not event averages.
 
-The estimators do not evaluate functionals along the path.  Per batch or
-regenerative cycle they accumulate an occupancy measure (:func:`occupancy`):
-the holding time spent in each visited state ``(z, psi)``.  The distinct
-states of a batch, or of a group of cycles, are stacked into int64 arrays,
-each functional is called once on them, and its values are integrated
-against the measure.  The sample path and the random stream are those of a
-per-event evaluation; only the order of summation differs.  Memory holds
-one batch, or one group of cycles that closes at the first cycle bringing
-it to ``GROUP_STATES`` distinct states, never the whole run.
+Every time average in the package, here and in :mod:`hwq.coupling`, comes
+from one accumulator, the occupancy measure (:func:`occupancy`): the
+holding time spent in each visited state, keyed by two per-class count
+lists (``(z, psi)`` for the estimators).  Nothing is evaluated along the
+path.  Per batch or regenerative cycle, the distinct states are stacked
+into int64 arrays, each functional is called once on them, and its values
+are integrated against the measure.  The sample path and the random stream
+are those of a per-event evaluation; only the order of summation differs.
+Memory holds one batch, or one group of cycles that closes at the first
+cycle bringing it to ``GROUP_STATES`` distinct states, never the whole run.
+On request the accumulator also records the state holding at each point of
+a time grid, which the infinite-server coupling samples.
 
 Functionals take the array form ``f(Z, PSI, cfg)`` of
 :meth:`hwq.verify.FunctionalSpec.vector` and of the exact path: ``Z`` and
@@ -171,52 +174,47 @@ def advance(events, n: int) -> None:
     next(islice(events, n, n), None)
 
 
-def time_integrals(events, n_events: int, observe, grid_dt: float = 0.0):
-    """Integrate ``observe()`` over the next ``n_events`` jumps.
-
-    ``observe`` returns a list of floats read from the current state.
-    Returns ``(integrals, span, grid)``: the time integral of each entry,
-    the elapsed time, and, when ``grid_dt > 0``, the observed list holding
-    at each multiple of ``grid_dt`` (measured from the start).  The state
-    holding at a grid instant is an unbiased stationary draw, whereas
-    event-indexed states follow the jump-chain law.
-    """
-    vals = observe()
-    acc = [0.0] * len(vals)
-    span = 0.0
-    grid = []
-    next_grid = grid_dt if grid_dt > 0.0 else float("inf")
-    for holding in islice(events, n_events):
-        span += holding
-        for j, v in enumerate(vals):
-            acc[j] += v * holding
-        while next_grid <= span:  # the pre-jump state occupies the instant
-            grid.append(vals)
-            next_grid += grid_dt
-        vals = observe()
-    return acc, span, grid
-
-
-def occupancy(events, n_events: int, z, psi, until_empty: bool = False):
+def occupancy(events, n_events: int, a, b, until_empty: bool = False,
+              grid_dt: float = 0.0):
     """Holding time per visited state over the next ``n_events`` jumps.
 
-    ``z`` and ``psi`` are the per-class count lists the jumps update in
-    place.  Returns ``(occ, span)``: ``occ`` maps each visited state
-    ``(*z, *psi)`` to the time spent in it, in order of first visit, so it
-    has at most ``n_events`` entries; ``span`` is the elapsed time.  With
-    ``until_empty`` it also stops after the first jump into the empty state.
+    ``a`` and ``b`` are per-class count lists the jumps update in place:
+    a policy's ``z`` and ``psi``, or the two observed lists of a coupling.
+    Returns ``(occ, span, grid)``: ``occ`` maps each visited state
+    ``(*a, *b)`` to the time spent in it, in order of first visit, so it has
+    at most ``n_events`` entries; ``span`` is the elapsed time; ``grid``
+    holds, when ``grid_dt > 0``, the state occupying each multiple of
+    ``grid_dt`` (measured from the start), and is empty otherwise.  The
+    state holding at a grid instant is an unbiased stationary draw, whereas
+    event-indexed states follow the jump-chain law.  With ``until_empty`` it
+    also stops after the first jump that empties ``a``.
     """
     occ = {}
     get = occ.get
     span = 0.0
-    key = (*z, *psi)
+    grid = []
+    next_grid = grid_dt if grid_dt > 0.0 else float("inf")
+    key = (*a, *b)
     for holding in islice(events, n_events):
         occ[key] = get(key, 0.0) + holding
         span += holding
-        if until_empty and not any(z):
+        while next_grid <= span:  # the pre-jump state occupies the instant
+            grid.append(key)
+            next_grid += grid_dt
+        if until_empty and not any(a):
             break
-        key = (*z, *psi)
-    return occ, span
+        key = (*a, *b)
+    return occ, span, grid
+
+
+def stack_states(occs, width: int):
+    """The states of the occupancy measures ``occs``, stacked into one int64
+    array of shape (n, ``width``), and their holding times, row for row."""
+    n = sum(len(occ) for occ in occs)
+    states = np.fromiter(chain.from_iterable(chain.from_iterable(occs)), np.int64,
+                         n * width).reshape(n, width)
+    held = np.fromiter(chain.from_iterable(occ.values() for occ in occs), float, n)
+    return states, held
 
 
 def _integrate(occs, funcs, cfg: SystemConfig) -> list[list[float]]:
@@ -225,13 +223,9 @@ def _integrate(occs, funcs, cfg: SystemConfig) -> list[list[float]]:
     stacked into one pair of int64 arrays, and each functional is called
     once on them."""
     nc = cfg.n_classes
-    sizes = [len(occ) for occ in occs]
-    n = sum(sizes)
-    states = np.fromiter(chain.from_iterable(chain.from_iterable(occs)), np.int64,
-                         n * 2 * nc).reshape(n, 2 * nc)
-    held = np.fromiter(chain.from_iterable(occ.values() for occ in occs), float, n)
+    states, held = stack_states(occs, 2 * nc)
     Z, PSI = states[:, :nc], states[:, nc:]
-    starts = np.cumsum([0] + sizes[:-1])
+    starts = np.cumsum([0] + [len(occ) for occ in occs[:-1]])
     sums = [np.add.reduceat(f(Z, PSI, cfg) * held, starts) for f in funcs]
     return np.reshape(sums, (len(funcs), len(occs))).T.tolist()
 
@@ -357,7 +351,8 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     group = []  # occupancy measures of the cycles not yet integrated
     stacked = 0
     for c in range(n_cycles):
-        occ, tau = occupancy(events, max_events_per_cycle, z, state.psi, until_empty=True)
+        occ, tau, _ = occupancy(events, max_events_per_cycle, z, state.psi,
+                                 until_empty=True)
         if any(z):
             raise CycleTimeout(
                 f"cycle {c} did not return to the empty state within "
@@ -397,7 +392,7 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     advance(events, warmup_events)
     batch_means = []  # per batch, the time average of each functional
     for _ in range(n_batches):
-        occ, span = occupancy(events, events_per_batch, state.z, state.psi)
+        occ, span, _ = occupancy(events, events_per_batch, state.z, state.psi)
         batch_means.append([a / span for a in _integrate([occ], funcs, cfg)[0]])
     tcrit = _t975(n_batches - 1)
     out = {}

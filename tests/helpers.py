@@ -7,11 +7,14 @@ policy objects the simulators use, so that the exact generator is checked
 against them.  The ``per_event_*`` estimators are the other: they run the
 simulators' jump kernel, record every event's state and holding time
 without merging repeated states, and evaluate each functional once over
-that path: the oracle for the occupancy-measure estimators.  ``validate_macro_state`` is
+that path: the oracle for the occupancy-measure estimators.
+``per_event_coupled`` does the same for the two coupling runners, with the
+time grid walked over the recorded event end times.  ``validate_macro_state`` is
 the invariant oracle for the policy states.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse, stats
@@ -227,15 +230,16 @@ def _per_event_path(cfg, kind, stream):
     return state, jumps(PolicyChain(state, cfg, rng), rng)
 
 
-def _record(state, events, n_events, until_empty=False):
-    """``(z, psi, holding)`` of each of the next ``n_events`` jumps, one per
-    event with no merging of repeated states; with ``until_empty`` it also
-    stops after the first jump into the empty state."""
+def _record(a, b, events, n_events, until_empty=False):
+    """``(a, b, holding)`` of each of the next ``n_events`` jumps, read from
+    the live count lists ``a`` and ``b`` (a policy's ``z`` and ``psi``, or a
+    coupling's observed pair) before the jump, one per event with no
+    merging of repeated states; with ``until_empty`` it also stops after
+    the first jump that empties ``a``."""
     path = []
     for _ in range(n_events):
-        z, psi = tuple(state.z), tuple(state.psi)
-        path.append((z, psi, next(events)))
-        if until_empty and not any(state.z):
+        path.append((tuple(a), tuple(b), next(events)))
+        if until_empty and not any(a):
             break
     return path
 
@@ -259,7 +263,7 @@ def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
     """``{name: (mean, 95% half-width)}`` of batch means evaluated per event."""
     state, events = _per_event_path(cfg, kind, stream)
     advance(events, warmup_events)
-    path = _record(state, events, n_batches * events_per_batch)
+    path = _record(state.z, state.psi, events, n_batches * events_per_batch)
     ends = [events_per_batch * (b + 1) for b in range(n_batches)]
     batches = [[a / span for a in acc]
                for acc, span in _integrals(path, functionals, cfg, ends)]
@@ -279,7 +283,7 @@ def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
     state, events = _per_event_path(cfg, kind, stream)
     path, ends = [], []
     for _ in range(n_cycles):
-        path += _record(state, events, 1_000_000, until_empty=True)
+        path += _record(state.z, state.psi, events, 1_000_000, until_empty=True)
         ends.append(len(path))
     ys, taus = zip(*_integrals(path, functionals, cfg, ends))
     total = sum(taus)
@@ -290,3 +294,27 @@ def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
         s2 = sum((y[j] - est * t) ** 2 for y, t in zip(ys, taus)) / (n_cycles - 1)
         out[name] = (est, tcrit * math.sqrt(s2) / (total / n_cycles * math.sqrt(n_cycles)))
     return out
+
+
+def per_event_coupled(chain, rng, observed, n_events, warmup_events, grid_dt=0.0):
+    """``(first, second, span, grid)`` of a coupling chain evaluated per
+    event: after ``warmup_events`` jumps of the kernel, the time average of
+    each coordinate of the two live count lists ``observed`` over the other
+    jumps, each by ``math.fsum`` over the unmerged path, the time spent,
+    and the first list's value holding at each multiple ``k * grid_dt``
+    (when ``grid_dt > 0``), found by walking the event end times."""
+    events = jumps(chain, rng)
+    a, b = observed
+    advance(events, warmup_events)
+    path = _record(a, b, events, n_events - warmup_events)
+    span = math.fsum(h for _, _, h in path)
+    first = [math.fsum(x[j] * h for x, _, h in path) / span for j in range(len(a))]
+    second = [math.fsum(y[j] * h for _, y, h in path) / span for j in range(len(b))]
+    grid = []
+    if grid_dt > 0.0:
+        k = 1
+        for (x, _, _), end in zip(path, accumulate(h for _, _, h in path)):
+            while k * grid_dt <= end:
+                grid.append(x)
+                k += 1
+    return first, second, span, grid

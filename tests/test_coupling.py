@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from helpers import birth_death_mean
+from helpers import birth_death_mean, per_event_coupled
 from hwq.errors import HypothesisViolated, OrderingViolation
 from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
@@ -152,6 +152,51 @@ def test_infserver_scaled_mgf_matches_closed_form():
                                     for g in rep.g_samples))
     half = 2.78 * statistics.stdev(vals) / math.sqrt(5)
     assert abs(statistics.mean(vals) - truth) <= half
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("coupling, g_sample_dt", [("infserver", 0.0), ("infserver", 0.5),
+                                                   ("monotone", 0.0)])
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_runners_match_per_event_oracle(coupling, g_sample_dt, kind):
+    # the occupancy-measure averages and the time grid against one record
+    # per event, on the same stream
+    n, warmup, stream = 30_000, 3_000, RngStream(81, 0)
+    rng = stream.make()
+    if coupling == "infserver":
+        rep = run_infserver_coupled(TWO_CLASS, kind, n, stream, warmup_events=warmup,
+                                    g_sample_dt=g_sample_dt)
+        chain = InfServerChain(TWO_CLASS, kind, rng)
+        avgs = (rep.g_time_avg, rep.z_time_avg)
+        observed = (chain.g, chain.state.z)
+    else:
+        nu_prime = [0.0, 0.5]
+        rep = run_monotone_coupled(TWO_CLASS, nu_prime, kind, n, stream, warmup_events=warmup)
+        chain = MonotoneChain(TWO_CLASS, nu_prime, kind, rng)
+        avgs = (rep.z_time_avg, rep.z_prime_time_avg)
+        observed = (chain.state.z, chain.zp)
+    first, second, span, grid = per_event_coupled(chain, rng, observed, n, warmup, g_sample_dt)
+    assert _rel(rep.sim_time, span) <= 1e-12
+    for got, want in zip(avgs, (first, second)):
+        assert len(got) == len(want) == 2
+        assert all(_rel(g, w) <= 1e-12 for g, w in zip(got, want))
+    if coupling == "infserver":
+        assert rep.g_samples == grid
+        assert (len(grid) > 100) == (g_sample_dt > 0.0)
+
+
+def test_bad_grid_step_and_empty_samples_raise():
+    for dt in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="g_sample_dt"):
+            run_infserver_coupled(TWO_CLASS, FIFO, 100, RngStream(0, 0), g_sample_dt=dt)
+    # a valid step longer than the run samples nothing, and the fit says so
+    rep = run_infserver_coupled(TWO_CLASS, FIFO, 100, RngStream(0, 0), g_sample_dt=1e9)
+    assert rep.g_samples == []
+    with pytest.raises(ValueError, match="empty samples"):
+        poisson_fit_pvalue([g[0] for g in rep.g_samples], TWO_CLASS.rho_r[0])
 
 
 def _monotone_chain(classes, n_servers, nu_prime, z, psi, zp):

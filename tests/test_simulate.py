@@ -252,13 +252,17 @@ def test_estimators_call_each_functional_once_per_batch_or_group(monkeypatch):
 
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
 def test_occupancy_has_at_most_one_state_per_event(kind):
-    rng = random.Random(14)
-    state = init_state(TWO_CLASS, kind)
-    events = jumps(PolicyChain(state, TWO_CLASS, rng), rng)
-    occ, span = occupancy(events, 5_000, state.z, state.psi)
-    assert 1 < len(occ) <= 5_000
-    assert sum(occ.values()) == pytest.approx(span, rel=1e-12)
-    assert all(len(key) == 2 * TWO_CLASS.n_classes for key in occ)
+    for grid_dt in (0.0, 0.5):
+        rng = random.Random(14)
+        state = init_state(TWO_CLASS, kind)
+        events = jumps(PolicyChain(state, TWO_CLASS, rng), rng)
+        occ, span, grid = occupancy(events, 5_000, state.z, state.psi, grid_dt=grid_dt)
+        assert 1 < len(occ) <= 5_000
+        assert sum(occ.values()) == pytest.approx(span, rel=1e-12)
+        assert all(len(key) == 2 * TWO_CLASS.n_classes for key in occ)
+        # one visited state per grid instant in (0, span]
+        assert len(grid) == (math.floor(span / grid_dt) if grid_dt else 0)
+        assert all(key in occ for key in grid)
 
 
 def test_batch_means_mm2():
