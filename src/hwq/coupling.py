@@ -205,7 +205,9 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     G and Z are time averaged over the post-warmup span by the occupancy
     measure of the pairs ``(G, Z)``.  ``g_sample_dt > 0`` also records G
     at every multiple of that many units of simulated time after the
-    warmup; a negative or non-finite value raises ``ValueError``.
+    warmup; a negative or non-finite value raises ``ValueError``, and so
+    does a step that would sample more instants than there are events
+    after the warmup.
     Snapshots are taken on the time grid (not at event indices): the state
     holding at each grid instant is an unbiased stationary draw, whereas
     event-indexed states follow the jump-chain law.

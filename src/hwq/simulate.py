@@ -186,8 +186,11 @@ def occupancy(events, n_events: int, a, b, until_empty: bool = False,
     holds, when ``grid_dt > 0``, the state occupying each multiple of
     ``grid_dt`` (measured from the start), and is empty otherwise.  The
     state holding at a grid instant is an unbiased stationary draw, whereas
-    event-indexed states follow the jump-chain law.  With ``until_empty`` it
-    also stops after the first jump that empties ``a``.
+    event-indexed states follow the jump-chain law.  The grid holds at most
+    ``n_events`` entries: a step that would record more raises
+    ``ValueError`` (naming ``g_sample_dt``, the runner option that sets it)
+    at the first sample beyond that.  With ``until_empty`` it also stops
+    after the first jump that empties ``a``.
     """
     occ = {}
     get = occ.get
@@ -199,6 +202,9 @@ def occupancy(events, n_events: int, a, b, until_empty: bool = False,
         occ[key] = get(key, 0.0) + holding
         span += holding
         while next_grid <= span:  # the pre-jump state occupies the instant
+            if len(grid) == n_events:
+                raise ValueError(f"g_sample_dt = {grid_dt:g} samples more grid instants "
+                                 f"than the run's {n_events} events")
             grid.append(key)
             next_grid += grid_dt
         if until_empty and not any(a):

@@ -42,6 +42,7 @@ from .exact import (
     enumerate_states,
     expectation,
     generator_identity,
+    import_scipy,
     stationary,
 )
 from .model import SystemConfig, build_config, scale_arrays
@@ -386,10 +387,8 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
               for pos, r in enumerate(r_list)]
     # import here what the points import, so forked workers inherit it
     import scipy.special  # noqa: F401  (the batch-means t quantile)
-    if kind != FIFO and estimator != "batch_means":  # the exact solve
-        import scipy.linalg.lapack  # noqa: F401
-        import scipy.sparse.csgraph  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
+    if kind != FIFO and estimator != "batch_means":
+        import_scipy()
     return [row for rows in fan_out(_sweep_point, points, jobs, record) for row in rows]
 
 

@@ -841,7 +841,8 @@ def test_manifest_explains_exact_and_verify(tmp_path):
         policy="preemptive_priority",
         system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 1.0}], "r_list": [4.0, 9.0],
                 "a": 1.0},
-        verify={"K": 40},
+        verify={"K": 40,
+                "checks": ["drift_identity", "abandon_bounds", "generator_identity"]},
     )
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(raw))
@@ -857,8 +858,12 @@ def test_manifest_explains_exact_and_verify(tmp_path):
 
     assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "v")]) == 0
     manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
-    assert [set(p) for p in manifest["phases"]] == [{"r", "enumerate_s", "build_s"}]
-    assert manifest["counters"] == []
+    assert [set(p) for p in manifest["phases"]] == [{
+        "r", "enumerate_s", "build_s", "drift_identity_s", "abandon_bounds_s",
+        "generator_identity_s"}]
+    assert all(v >= 0.0 for v in manifest["phases"][0].values())
+    # the first system's chain: 41 states and 40 rates up, 40 down, 41 diagonal
+    assert manifest["counters"] == [{"r": 4.0, "n_states": 41, "nnz": 121}]
 
 
 def test_band_beyond_memory_exits_one(tmp_path, capsys, monkeypatch):

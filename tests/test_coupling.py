@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import statistics
+import time
 
 import pytest
 
@@ -192,6 +193,12 @@ def test_bad_grid_step_and_empty_samples_raise():
     for dt in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="g_sample_dt"):
             run_infserver_coupled(TWO_CLASS, FIFO, 100, RngStream(0, 0), g_sample_dt=dt)
+    # 200 events at a step of 1e-6 would sample about 2.7 million instants;
+    # the grid stops at the first sample beyond the event count
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="g_sample_dt"):
+        run_infserver_coupled(TWO_CLASS, FIFO, 200, RngStream(0, 0), g_sample_dt=1e-6)
+    assert time.perf_counter() - started < 1.0
     # a valid step longer than the run samples nothing, and the fit says so
     rep = run_infserver_coupled(TWO_CLASS, FIFO, 100, RngStream(0, 0), g_sample_dt=1e9)
     assert rep.g_samples == []

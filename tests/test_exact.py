@@ -269,6 +269,28 @@ def test_gth_band_matches_dense_oracle(kind, n_servers, K):
     assert np.abs(_gth_levels(gen.Q, _levels(gen)) - oracle).max() <= 1e-14
 
 
+def test_gth_levels_state_without_upward_rate():
+    # the first, a middle and the last state of level 4 lose their arrivals;
+    # their rows of the fill U_4 X must stay zero
+    cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=3)
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 9))
+    level = _levels(gen)
+    mute = np.flatnonzero(level == 4)[[0, 2, -1]]
+    Q = gen.Q.tolil()
+    for i in mute:
+        for j in np.flatnonzero(level == 5):
+            Q[i, j] = 0.0
+        Q[i, i] = 0.0
+        Q[i, i] = -Q[i].sum()
+    Q = Q.tocsr()
+    Q.eliminate_zeros()
+    assert all(Q[i, level == 5].nnz == 0 for i in mute)
+    assert all(Q[i, level == 5].nnz > 0 for i in np.flatnonzero(level == 4)
+               if i not in mute)
+    oracle = dense_stationary(Q.toarray())
+    assert np.abs(_gth_levels(Q, level) - oracle).max() <= 1e-14
+
+
 def test_gth_band_reducible():
     # state 2, alone on level 2, cannot move down: its level block is singular
     Q = sparse.csr_matrix(np.array([[-1.0, 1.0, 0.0],
@@ -370,6 +392,36 @@ def test_abar_apply_matches_hand_sum():
     assert (rows >= 0).all()
     got = abar[rows]
     assert got == pytest.approx(1.0 - np.minimum(z[:, 0], 2), abs=1e-12)
+
+
+def _abar_all_targets(gen, f_vec):
+    """Abar F with F evaluated on every transition target."""
+    cfg = gen.idx.cfg
+    vals_src = np.asarray(f_vec(gen.idx.z, gen.idx.psi, cfg), dtype=float)
+    vals_dst = np.asarray(f_vec(gen.dst_z, gen.dst_psi, cfg), dtype=float)
+    return np.bincount(gen.src, weights=gen.rate * (vals_dst - vals_src[gen.src]),
+                       minlength=gen.idx.n_states)
+
+
+@pytest.mark.parametrize("kind, K", [(PREEMPTIVE, 84), (NONPREEMPTIVE, 30)])
+def test_abar_matches_all_targets_oracle(kind, K):
+    gen = build_generator(enumerate_states(TWO_CLASS_AB, kind, K))
+    assert (gen.dst < 0).any()
+
+    def phi(Z, PSI, c):
+        return ((Z - np.asarray(c.rho_r)) / np.asarray(c.mus)).sum(axis=1) / c.sqrt_r
+
+    functionals = (
+        phi,
+        lambda Z, PSI, c: np.exp(0.2 * np.minimum(phi(Z, PSI, c), 5.0)),
+        lambda Z, PSI, c: np.exp(-0.2 * phi(Z, PSI, c)),
+        lambda Z, PSI, c: (Z - PSI).sum(axis=1) ** 2.0,
+    )
+    for f in functionals:
+        assert np.array_equal(abar_vector(gen, f), _abar_all_targets(gen, f))
+    # a functional that is nonzero only above K sees the dropped arrivals alone
+    above = abar_vector(gen, lambda Z, PSI, c: (Z.sum(axis=1) > K).astype(float))
+    assert np.array_equal(above, np.where(gen.boundary_mask, gen.dropped_rate, 0.0))
 
 
 def test_generator_identity_truncated_functional():
