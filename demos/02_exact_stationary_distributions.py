@@ -29,7 +29,9 @@ print(f"\nnu = mu, r = {r:g}: total variation vs Poisson({r:g}) = {tv:.2e}")
 
 # --- Which solver stationary picks ------------------------------------------
 # Block GTH over population levels while its work n * w^2 stays small (w is
-# the widest level), Jacobi-preconditioned BiCGSTAB for wide levels.
+# the widest level).  For wide levels, the odd levels are eliminated exactly
+# (an odd-level state jumps only to even levels) and Jacobi-preconditioned
+# BiCGSTAB solves the chain censored to the even levels.
 classes = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
 for kind, r, K in ((PREEMPTIVE, 9.0, 40), (NONPREEMPTIVE, 16.0, 50)):
     gen = build_generator(enumerate_states(build_config(classes, r, 1.0), kind, K))

@@ -14,13 +14,16 @@ bounded by a geometric argument and reported.  The operator application
 enumerated state and once more at each target beyond K, so pointwise drift
 identities are exact at every indexed state, boundary included.
 
-Stationary solves: block GTH over population levels (every transition
-moves one level, so the top level is censored out one at a time, each level
-block factored by LAPACK, at a fixed cost of about 16 us per level), or
-Jacobi-preconditioned BiCGSTAB on the balance equations pinned at the empty
-state where the levels are wide.  The level solver's accuracy is what the
-oracle tests check (1e-12 relative, entry by entry, against birth-death laws
-with entries below 1e-40); LU factoring is not subtraction-free.
+Stationary solves: every transition moves one population level, and both
+solvers censor levels out exactly.  Block GTH censors the top level out one
+at a time, each level block factored by LAPACK, at a fixed cost of about
+16 us per level.  Where the levels are wide, the odd levels are censored out
+at once (an odd-level state jumps only to even levels, so no factoring is
+needed) and Jacobi-preconditioned BiCGSTAB solves the balance equations of
+the even-level chain, pinned at the empty state; the odd levels follow in
+one step.  The level solver's accuracy is what the oracle tests check
+(1e-12 relative, entry by entry, against birth-death laws with entries
+below 1e-40); LU factoring is not subtraction-free.
 
 scipy is imported by the functions that call it, so importing this module
 costs numpy alone.
@@ -96,8 +99,13 @@ class StateIndex:
 
 
 def _state_keys(kind: str, K: int, Z, PSI) -> np.ndarray:
-    digits = Z if kind == PREEMPTIVE else np.hstack([Z, PSI])
-    return digits @ (K + 2) ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    """Each row's key by Horner's rule, one digit column at a time, in place."""
+    keys = np.zeros(Z.shape[0], dtype=np.int64)
+    for digits in (Z,) if kind == PREEMPTIVE else (Z, PSI):
+        for column in digits.T:
+            keys *= K + 2
+            keys += column
+    return keys
 
 
 def _check_key_range(K: int, n_digits: int) -> None:
@@ -269,6 +277,23 @@ def _check_levels_fit(widths) -> None:
         )
 
 
+def _level_moves(Q: sparse.csr_matrix, level: np.ndarray):
+    """The off-diagonal entries of ``Q`` in row order, as (row, col, rate),
+    and the level step of each; refuse a rate that moves other than one
+    level, which both stationary solvers rely on."""
+    coo = Q.tocoo(copy=False)
+    off = coo.row != coo.col
+    row, col, rate = coo.row[off], coo.col[off], coo.data[off]
+    level = level.astype(Q.indices.dtype)  # levels are below n: the narrow index type
+    step = level[col]
+    step -= level[row]
+    bad = (step != 1) & (step != -1)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise Unsupported(f"the transition {row[k]} -> {col[k]} moves {step[k]} levels, not one")
+    return row, col, rate, step
+
+
 def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
     """Block GTH over population levels (linear level reduction).
 
@@ -293,13 +318,7 @@ def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
     if widths[0] != 1:
         raise Unsupported(f"the lowest level holds {widths[0]} states, not one")
     _check_levels_fit(widths)
-    coo = Q.tocoo()  # in row order
-    off = coo.row != coo.col
-    row, col, rate = coo.row[off], coo.col[off], coo.data[off]
-    step = level[col] - level[row]
-    if (np.abs(step) != 1).any():
-        k = np.flatnonzero(np.abs(step) != 1)[0]
-        raise Unsupported(f"the transition {row[k]} -> {col[k]} moves {step[k]} levels, not one")
+    row, col, rate, step = _level_moves(Q, level)
     blk = np.repeat(np.arange(widths.size), widths)  # the level block of each state
 
     # every downward block, dense, in one buffer: block b is w_b x w_{b-1}
@@ -351,19 +370,23 @@ class _ContractMet(Exception):
     """Carries the BiCGSTAB iterate that met the residual contract."""
 
 
-def _bicgstab(Q: sparse.csr_matrix, tol: float) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned BiCGSTAB on QT[1:, 1:] x = -QT[1:, 0], pi = (1, x).
+def _bicgstab(QT: sparse.spmatrix, tol: float) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned BiCGSTAB on QT[1:, 1:] x = -QT[1:, 0], pi = (1, x),
+    for the transpose QT of a generator.
 
     That submatrix of an irreducible generator is a nonsingular M-matrix, so
-    its diagonal is nonzero.  The pinned solution sums to 1/pi[0], which no
-    absolute tolerance can follow: every tenth iterate is clipped, normalized
-    and held to ``max|pi Q| <= tol`` instead, and scipy's exit code is ignored.
+    its diagonal is nonzero.  It is applied as QT to (0, x), which adds
+    exact zeros only, so no submatrix is copied.  The pinned solution sums
+    to 1/pi[0], which no absolute tolerance can follow: every tenth iterate
+    is clipped, normalized and held to ``max|pi Q| <= tol`` instead, and
+    scipy's exit code is ignored.
     """
     from scipy import sparse
-    from scipy.sparse.linalg import bicgstab
+    from scipy.sparse.linalg import LinearOperator, bicgstab
 
-    QT = Q.T.tocsr()
-    A, iterations = QT[1:, 1:], 0
+    n, iterations = QT.shape[0], 0
+    A = LinearOperator((n - 1, n - 1), dtype=float,
+                       matvec=lambda x: (QT @ np.concatenate([[0.0], x.ravel()]))[1:])
 
     def normalized(x):
         pi = np.maximum(np.concatenate([[1.0], x]), 0.0)
@@ -377,10 +400,80 @@ def _bicgstab(Q: sparse.csr_matrix, tol: float) -> tuple[np.ndarray, int]:
 
     try:
         x, _ = bicgstab(A, -QT[1:, 0].toarray().ravel(), rtol=0.0,
-                        M=sparse.diags(1.0 / A.diagonal()), callback=check)
+                        M=sparse.diags(1.0 / QT.diagonal()[1:]), callback=check)
     except _ContractMet as met:
         x = met.args[0]
     return normalized(x), iterations
+
+
+def _censor_odd_levels(Q: sparse.csr_matrix, level: np.ndarray):
+    """The generator of the chain censored to the even levels.
+
+    Every off-diagonal rate must move one level, so the odd-level states O
+    jump only to even-level states E and are eliminated exactly, with D_O
+    the exit rates of O: Q_E = Q_EE + Q_EO D_O^{-1} Q_OE (the stochastic
+    complement; Meyer, SIAM Review 31, 1989).  Q_EE is diagonal, so the
+    off-diagonal part of Q_E is that of one product,
+    [Q_EO | I] [D_O^{-1} Q_OE ; I], whose blocks are laid out straight from
+    the rates in row order.  The unit path through a dummy state stores
+    every diagonal entry of the product, and each is then overwritten, as
+    in GTH, by minus its row's off-diagonal sum, so the self-returns
+    E -> O -> E drop out.  Returns Q_E and D_O.  The flat arrays are freed
+    before the product and the factors after it, so the peak stays below
+    that of :func:`build_generator`.
+    """
+    from scipy import sparse
+
+    row, col, rate, _ = _level_moves(Q, level)
+    even = level % 2 == 0
+    n_even = int(even.sum())
+    n_odd = even.size - n_even
+    pos = np.empty(even.size, dtype=Q.indices.dtype)  # index within E or within O
+    pos[even], pos[~even] = np.arange(n_even), np.arange(n_odd)
+    eo = even[row]  # the rates of Q_EO; the others are Q_OE's
+    oe = ~eo
+    src, dst = pos[row], pos[col]
+    del row, col, pos
+    exit_odd = np.bincount(src[oe], weights=rate[oe], minlength=n_odd)
+
+    def block(mask, vals, shape):  # rows in order already: no sort
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(src[mask], minlength=shape[0]))])
+        return sparse.csr_matrix((vals, dst[mask], ptr), shape=shape)
+
+    unit = sparse.identity(n_even, format="csr")
+    left = sparse.hstack([block(eo, rate[eo], (n_even, n_odd)), unit], format="csr")
+    right = sparse.vstack([block(oe, rate[oe] / exit_odd[src[oe]], (n_odd, n_even)), unit],
+                          format="csr")
+    del src, dst, rate, eo, oe
+    QE = left @ right
+    del left, right
+    rows = np.repeat(np.arange(n_even, dtype=QE.indices.dtype), np.diff(QE.indptr))
+    diag = QE.indices == rows  # one per row, in row order
+    QE.data[diag] = 0.0
+    QE.data[diag] = -np.bincount(rows, weights=QE.data, minlength=n_even)
+    return QE, exit_odd
+
+
+def _bicgstab_even(Q: sparse.csr_matrix, level: np.ndarray, tol: float):
+    """BiCGSTAB on the chain censored to the even levels, then the odd levels.
+
+    pi_E solves Q_E (see :func:`_censor_odd_levels`) by :func:`_bicgstab`,
+    pinned at the first even-level state (the empty state, where states are
+    numbered level by level), and pi_O = pi_E Q_EO D_O^{-1}; then pi is
+    normalized.  (pi Q)_O = 0 by construction and (pi Q)_E = pi_E Q_E, and
+    normalizing over O as well only divides, so the contract
+    ``max|pi Q| <= tol`` met on Q_E holds on Q.  Half the
+    states are solved for, and the Jacobi iteration of this two-cyclic
+    system has the square of the full one's spectrum (cyclic reduction), so
+    it takes about half the iterations.
+    """
+    QE, exit_odd = _censor_odd_levels(Q, level)
+    pi_even, iterations = _bicgstab(QE.T, tol)  # QE.T is a CSC view: no copy
+    odd = level % 2 == 1
+    pi = np.zeros(odd.size)
+    pi[~odd] = pi_even
+    pi[odd] = (Q.T @ pi)[odd] / exit_odd  # pi_E Q_EO, as pi is 0 on O
+    return pi / pi.sum(), iterations
 
 
 def _check_irreducible(Q: sparse.csr_matrix) -> None:
@@ -416,9 +509,11 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
 
     Block GTH over population levels, the level blocks factored by LAPACK,
     when its work n * w^2 (w the widest level) is at most ``_GTH_MAX_WORK``;
-    BiCGSTAB above.  The result must meet the residual contract
-    ``max|pi Q| <= tol * max exit rate``, tol = 1e-10 for GTH and
-    ``_KRYLOV_TOL_REL`` for BiCGSTAB.
+    above, BiCGSTAB on the chain censored to the even levels, with the odd
+    levels eliminated exactly (:func:`_bicgstab_even`).  Both refuse a rate
+    that moves other than one level.  The result must meet the residual
+    contract ``max|pi Q| <= tol * max exit rate`` on the full ``Q``,
+    tol = 1e-10 for GTH and ``_KRYLOV_TOL_REL`` for BiCGSTAB.
     """
     _check_irreducible(gen.Q)
     level = gen.idx.z.sum(axis=1)
@@ -427,7 +522,7 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
         method, pi, iterations, tol = "gth", _gth_levels(gen.Q, level), 0, 1e-10
     else:
         method, tol = "bicgstab", _KRYLOV_TOL_REL
-        pi, iterations = _bicgstab(gen.Q, tol * gen.max_exit_rate)
+        pi, iterations = _bicgstab_even(gen.Q, level, tol * gen.max_exit_rate)
     residual = float(np.abs(gen.Q.T @ pi).max())
     if residual > tol * gen.max_exit_rate:
         raise NotConverged(f"{method} residual {residual:g} exceeds {tol:g} * max rate "

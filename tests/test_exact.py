@@ -30,7 +30,7 @@ from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
 from hwq.exact import (
     _GTH_MAX_WORK,
     _KRYLOV_TOL_REL,
-    _bicgstab,
+    _bicgstab_even,
     _check_key_range,
     _check_levels_fit,
     _gth_levels,
@@ -239,22 +239,54 @@ THREE_CLASS_AB = build_config(
     4.0, 1.0)
 
 
+TWO_CLASS_R9 = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0)
+
+
+def _assert_close(pi, oracle, tv_max, abs_max):
+    if tv_max is not None:
+        assert 0.5 * np.abs(oracle - pi).sum() <= tv_max
+    if abs_max is not None:
+        assert np.abs(oracle - pi).max() <= abs_max
+
+
 @pytest.mark.parametrize("cfg, kind, K, tv_max, abs_max", [
-    (build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0),
-     PREEMPTIVE, 40, 1e-9, None),
+    (TWO_CLASS_R9, PREEMPTIVE, 40, 1e-9, None),
     (TWO_CLASS_AB, PREEMPTIVE, 84, 1e-9, None),  # the exact_banded benchmark chain
     (THREE_CLASS_AB, NONPREEMPTIVE, 10, None, 1e-10),
-], ids=["r9_K40", "banded_r16_K84", "three_class_np"])
+    (TWO_CLASS_R9, NONPREEMPTIVE, 29, 1e-9, 1e-10),  # odd top level: odd states on it
+    (TWO_CLASS_R9, NONPREEMPTIVE, 30, 1e-9, 1e-10),  # even top level
+], ids=["r9_K40", "banded_r16_K84", "three_class_np", "r9_np_K29", "r9_np_K30"])
 def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
     gen = build_generator(enumerate_states(cfg, kind, K))
     pi_gth = _gth_levels(gen.Q, _levels(gen))
-    pi_k, iterations = _bicgstab(gen.Q, _KRYLOV_TOL_REL * gen.max_exit_rate)
+    pi_k, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate)
     assert iterations > 0
     assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
-    if tv_max is not None:
-        assert 0.5 * np.abs(pi_gth - pi_k).sum() <= tv_max
-    if abs_max is not None:
-        assert np.abs(pi_gth - pi_k).max() <= abs_max
+    _assert_close(pi_k, pi_gth, tv_max, abs_max)
+
+
+@pytest.mark.parametrize("K", [120, 121])
+def test_bicgstab_even_erlang_a_oracle(K):
+    # one state per level: the even levels form a birth-death chain of their own
+    cfg = build_config([ClassParams(1.0, 1.0, 0.5)], 16.0, 1.0)
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, K))
+    pi, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate)
+    assert iterations > 0
+    oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, K))
+    _assert_close(pi, oracle, 1e-9, 1e-10)
+
+
+@pytest.mark.parametrize("max_work", [0, _GTH_MAX_WORK], ids=["bicgstab", "gth"])
+def test_stationary_refuses_two_level_jump(monkeypatch, max_work):
+    # the empty state jumps straight to level 2; either solver must refuse it
+    monkeypatch.setattr("hwq.exact._GTH_MAX_WORK", max_work)
+    gen = build_generator(enumerate_states(TWO_CLASS_R9, NONPREEMPTIVE, 12))
+    j = np.flatnonzero(_levels(gen) == 2)[0]
+    Q = gen.Q.tolil()
+    Q[0, j] = 1.0
+    Q[0, 0] -= 1.0
+    with pytest.raises(Unsupported, match=f"the transition 0 -> {j} moves 2 levels, not one"):
+        stationary(dataclasses.replace(gen, Q=Q.tocsr()))
 
 
 @pytest.mark.parametrize("kind, n_servers, K", [
@@ -343,7 +375,8 @@ def test_bicgstab_missing_contract_raises(tmp_path, capsys, monkeypatch):
 def test_bicgstab_breakdown_with_true_solution_is_accepted(monkeypatch):
     gen = _wide_generator()
     expected = stationary(gen).pi
-    x_true = expected[1:] / expected[0]
+    # the solve runs on the even levels, pinned at the empty state
+    x_true = expected[_levels(gen) % 2 == 0][1:] / expected[0]
     monkeypatch.setattr(scipy.sparse.linalg, "bicgstab",
                         lambda A, b, **kw: (x_true.copy(), -11))
     sv = stationary(gen)
