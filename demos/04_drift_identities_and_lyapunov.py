@@ -12,6 +12,7 @@ from hwq import ClassParams, build_config
 from hwq.exact import build_generator, enumerate_states
 from hwq.policy import NONPREEMPTIVE, PREEMPTIVE
 from hwq.verify import (
+    default_truncation,
     drift_bounds_abandon_check,
     drift_identity_check,
     generator_identity_check,
@@ -21,22 +22,26 @@ from hwq.verify import (
 two_ab = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 16.0, 1.0)
 two_nu0 = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 16.0, 1.0)
 
-rep = drift_identity_check(two_ab, PREEMPTIVE)
-print(f"drift identity over {rep.n_states} states: "
-      f"max relative error {rep.max_rel_err:.2e}, violations {rep.violations}")
+# every check takes the truncated generator and returns the rows hwq verify
+# writes: label, n_states, violations, residual_or_err, bound_or_slack
+gen = build_generator(enumerate_states(two_ab, PREEMPTIVE, default_truncation(two_ab)))
+[row] = drift_identity_check(gen)
+print(f"drift identity over {row.n_states} states: "
+      f"max relative error {row.residual_or_err:.2e}, violations {row.violations}")
 
 gen = build_generator(enumerate_states(two_nu0, NONPREEMPTIVE, 60))
 print("\nexponential Lyapunov bound (nu = 0, non-preemptive):")
 for theta in (0.1, 0.5, 1.0):
-    r = lyapunov_pointwise_check(two_nu0, NONPREEMPTIVE, theta, gen=gen)
-    print(f"  theta={theta:<4} violations={r.violations} worst slack={r.worst_slack:.4f}")
+    [row] = lyapunov_pointwise_check(gen, theta)
+    print(f"  theta={theta:<4} violations={row.violations} worst slack={row.bound_or_slack:.4f}")
 
-rep = drift_bounds_abandon_check(two_ab, PREEMPTIVE, K=60)
-print(f"\nabandonment drift bounds: violations={rep.violations} "
-      f"(upper slack >= {rep.upper.worst_slack:.2e}, lower slack >= {rep.lower.worst_slack:.2e})")
+print("\nabandonment drift bounds:")
+for row in drift_bounds_abandon_check(build_generator(enumerate_states(two_ab, PREEMPTIVE, 60))):
+    print(f"  {row.label}: violations={row.violations} worst slack={row.bound_or_slack:.2e}")
 
-# stationarity makes E_pi[Abar F] vanish for exponential test functions
-rep = generator_identity_check(two_ab, PREEMPTIVE, theta=0.2, k=3.0, K=50)
-print(f"\ngenerator identity (deficit ~ {rep.deficit:.1e}):")
-for row in rep.rows:
-    print(f"  E_pi[Abar {row.functional}] = {row.residual:.2e} (bound {row.bound:.2e})")
+# stationarity makes E_pi[Abar F] vanish for exponential test functions;
+# the bound is 1e-8 plus the truncation deficit
+print("\ngenerator identity:")
+gen = build_generator(enumerate_states(two_ab, PREEMPTIVE, 50))
+for row in generator_identity_check(gen, theta=0.2, k=3.0):
+    print(f"  E_pi[Abar {row.label}] = {row.residual_or_err:.2e} (bound {row.bound_or_slack:.2e})")

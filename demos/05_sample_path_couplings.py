@@ -22,8 +22,9 @@ cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 25.
 
 rep = run_infserver_coupled(cfg, FIFO, n_events=600_000, rng=RngStream(7, 0),
                             warmup_events=20_000, g_sample_dt=8.0)
+# a violated ordering raises OrderingViolation, so a report means none failed
 print(f"infinite-server coupling, FIFO, r=25: {rep.ordering_checks} ordering "
-      f"checks, {rep.violations} violations")
+      f"checks held")
 for i in range(2):
     p = poisson_fit_pvalue([g[i] for g in rep.g_samples], cfg.rho_r[i])
     print(f"  class {i}: time-avg G = {rep.g_time_avg[i]:7.4f} "
@@ -35,7 +36,7 @@ rep = run_monotone_coupled(cfg, nu_prime=[0.0, 0.0], kind=FIFO,
                            n_events=600_000, rng=RngStream(7, 1),
                            warmup_events=20_000)
 print(f"\nmonotone coupling (nu' = 0), FIFO, r=25: {rep.ordering_checks} "
-      f"ordering checks, {rep.violations} violations")
+      f"ordering checks held")
 for i in range(2):
     print(f"  class {i}: time-avg Z = {rep.z_time_avg[i]:7.4f}  "
           f"Z' = {rep.z_prime_time_avg[i]:7.4f}")

@@ -191,7 +191,6 @@ class InfServerReport:
     events: int
     sim_time: float
     ordering_checks: int
-    violations: int  # always 0; a violation raises instead
     g_time_avg: tuple[float, ...]
     z_time_avg: tuple[float, ...]
     g_samples: list[tuple[int, ...]] = field(repr=False, default_factory=list)
@@ -220,7 +219,6 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
-        violations=0,
         g_time_avg=g_avg,
         z_time_avg=z_avg,
         g_samples=[key[:nc] for key in grid],
@@ -382,7 +380,6 @@ class MonotoneReport:
     events: int
     sim_time: float
     ordering_checks: int
-    violations: int  # always 0; a violation raises instead
     z_time_avg: tuple[float, ...]
     z_prime_time_avg: tuple[float, ...]
 
@@ -403,7 +400,6 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
-        violations=0,
         z_time_avg=z_avg,
         z_prime_time_avg=zp_avg,
     )

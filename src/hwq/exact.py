@@ -164,9 +164,9 @@ class SparseGenerator:
     ``Q`` holds the kept transitions with diagonal = -(row sum), so every
     row sums to zero.  The flat arrays (src, rate, dst, dst_z, dst_psi) list
     ALL transitions of the original chain out of indexed states, including
-    arrivals that leave the truncated set (dst == -1); ``row_ptr`` slices
-    them per source state.  Boundary rows (those with a dropped arrival) are
-    flagged, with the dropped rate recorded.
+    arrivals that leave the truncated set (dst == -1), grouped by source
+    state in ascending order.  Boundary rows (those with a dropped arrival)
+    are flagged, with the dropped rate recorded.
     """
 
     idx: StateIndex
@@ -176,7 +176,6 @@ class SparseGenerator:
     dst: np.ndarray
     dst_z: np.ndarray
     dst_psi: np.ndarray
-    row_ptr: np.ndarray
     boundary_mask: np.ndarray
     dropped_rate: np.ndarray
     max_exit_rate: float
@@ -225,7 +224,6 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     dst_z = tz.reshape(-1, nc)[keep]
     dst_psi = tpsi.reshape(-1, nc)[keep]
     dst = idx.positions(dst_z, dst_psi)
-    row_ptr = np.concatenate([[0], np.cumsum(can.sum(axis=1))])
     lost = src[(dst < 0) & (Z.sum(axis=1) < idx.K)[src]]
     if lost.size:
         raise AssertionError(f"interior state {lost[0]} produced an unindexed target")
@@ -239,7 +237,7 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     np.add.at(dropped, src[~kept], rate[~kept])
     return SparseGenerator(
         idx=idx, Q=Q, src=src, rate=rate, dst=dst, dst_z=dst_z, dst_psi=dst_psi,
-        row_ptr=row_ptr, boundary_mask=dropped > 0.0, dropped_rate=dropped,
+        boundary_mask=dropped > 0.0, dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
 
@@ -602,12 +600,13 @@ def _pmf_range(p: float, n_max: int) -> np.ndarray:
 
 
 def poisson_pmf(p: float, n) -> np.ndarray:
-    """P(H = n) for H ~ Poisson(p); sums to 1 within 1e-12 out to p + 12*sqrt(p)."""
+    """P(H = n) for H ~ Poisson(p), 0 for n < 0; sums to 1 within 1e-12 out
+    to p + 12*sqrt(p)."""
     if p <= 0.0:
         raise ValueError(f"Poisson mean must be positive, got {p}")
     n_arr = np.asarray(n, dtype=np.int64)
-    h = _pmf_range(p, int(n_arr.max()))
-    out = h[n_arr]
+    h = _pmf_range(p, int(n_arr.max(initial=0)))
+    out = np.where(n_arr >= 0, h[np.maximum(n_arr, 0)], 0.0)
     return float(out) if np.ndim(n) == 0 else out
 
 

@@ -25,12 +25,17 @@ abandonment rates positive the drift is bracketed by
 where c1' = nu_min*mu_min/mu_max, c2 = nu_min/mu_max, c3 = c2 * a_eff,
 c25 = nu_max/mu_min.  The checks below scan every enumerated state and
 count violations (expected: zero).
+
+Each check takes the truncated generator, whose state index carries the
+system and the policy, plus the check's own parameters, and returns a list
+of :class:`CheckRow`: the rows ``hwq verify`` writes to ``verify.csv``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,68 +81,44 @@ def lyapunov_constant(cfg: SystemConfig) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DriftReport:
-    """Per-state comparison of an operator value against a closed-form bound."""
+class CheckRow(NamedTuple):
+    """One result of a verify check: the ``verify.csv`` columns after the
+    provenance columns.  A column a check does not fill is None."""
 
     label: str
     n_states: int
     violations: int
-    worst_slack: float  # min over states of (bound - value); >= -tol when clean
-    value: np.ndarray = field(repr=False)
-    bound: np.ndarray = field(repr=False)
-    slack: np.ndarray = field(repr=False)
+    residual_or_err: float | None
+    bound_or_slack: float | None
 
 
-def _one_sided(label: str, value: np.ndarray, bound: np.ndarray) -> DriftReport:
+def _one_sided(label: str, value: np.ndarray, bound: np.ndarray) -> CheckRow:
+    """The row of ``value <= bound`` scanned state by state, with the worst
+    slack ``min(bound - value)`` (>= -tol when clean)."""
     slack = bound - value
     scale = np.maximum(1.0, np.maximum(np.abs(value), np.abs(bound)))
     violations = int((slack < -SLACK_TOL * scale).sum())
-    return DriftReport(
-        label=label,
-        n_states=value.size,
-        violations=violations,
-        worst_slack=float(slack.min()),
-        value=value,
-        bound=bound,
-        slack=slack,
-    )
+    return CheckRow(label, value.size, violations, None, float(slack.min()))
 
 
-def _prepare(cfg, kind, K, gen):
-    if gen is not None:
-        return gen
-    K = default_truncation(cfg) if K is None else K
-    return build_generator(enumerate_states(cfg, kind, K))
+def _phi_hat(Z, PSI, cfg):
+    return scale_arrays(Z, PSI, cfg).phi_hat
 
 
-@dataclass(frozen=True)
-class DriftIdentityReport:
-    n_states: int
-    max_abs_err: float
-    max_rel_err: float
-    violations: int  # states beyond 1e-12 relative (floored) error
-
-
-def drift_identity_check(cfg: SystemConfig, kind: str, K: int | None = None,
-                         gen: SparseGenerator | None = None) -> DriftIdentityReport:
+def drift_identity_check(gen: SparseGenerator) -> list[CheckRow]:
     """Compare the transition-sum drift of phi_hat with the closed form.
 
     Both are finite sums of the same terms, so they must agree to rounding
-    at every state (the operator is evaluated without truncation).
+    at every state (the operator is evaluated without truncation).  One
+    row, ``phi_hat``: the states beyond 1e-12 relative (floored) error and
+    the largest such error.
     """
-    gen = _prepare(cfg, kind, K, gen)
-    abar = abar_vector(gen, lambda Z, PSI, c: scale_arrays(Z, PSI, c).phi_hat)
-    closed = drift_phi_arrays(gen.idx.z, gen.idx.psi, cfg)
-    err = np.abs(abar - closed)
+    abar = abar_vector(gen, _phi_hat)
+    closed = drift_phi_arrays(gen.idx.z, gen.idx.psi, gen.idx.cfg)
     scale = np.maximum(1.0, np.maximum(np.abs(abar), np.abs(closed)))
-    rel = err / scale
-    return DriftIdentityReport(
-        n_states=gen.idx.n_states,
-        max_abs_err=float(err.max()),
-        max_rel_err=float(rel.max()),
-        violations=int((rel > 1e-12).sum()),
-    )
+    rel = np.abs(abar - closed) / scale
+    return [CheckRow("phi_hat", gen.idx.n_states, int((rel > 1e-12).sum()),
+                     float(rel.max()), None)]
 
 
 # the system each bound is stated for, as bound_applies tests it
@@ -156,44 +137,39 @@ def bound_applies(check: str, cfg: SystemConfig, theta: float = 0.0) -> bool:
             "abandon_bounds": cfg.nu_min > 0.0}.get(check, True)
 
 
-def lyapunov_pointwise_check(cfg: SystemConfig, kind: str, theta: float,
-                             K: int | None = None,
-                             gen: SparseGenerator | None = None) -> DriftReport:
-    """Exhaustive scan of the exponential-Lyapunov drift bound (nu == 0)."""
+def lyapunov_pointwise_check(gen: SparseGenerator, theta: float) -> list[CheckRow]:
+    """Exhaustive scan of the exponential-Lyapunov drift bound (nu == 0).
+
+    One row, ``lyapunov(theta=...)``, with the worst slack.  Raises
+    HypothesisViolated unless the generator's system meets the bound's
+    hypotheses, and ThetaOutOfRange unless 0 <= theta <= 1.
+    """
+    cfg = gen.idx.cfg
     if not bound_applies("lyapunov", cfg):
         raise HypothesisViolated(
             f"the exponential drift bound is stated for {BOUND_HYPOTHESES['lyapunov']}")
     if not bound_applies("lyapunov", cfg, theta):
         raise ThetaOutOfRange(f"bound proved for theta in [0, 1], got {theta}")
-    gen = _prepare(cfg, kind, K, gen)
     c1 = lyapunov_constant(cfg)
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)
-    lhs = abar_vector(
-        gen, lambda Z, PSI, c: np.exp(theta * scale_arrays(Z, PSI, c).phi_hat)
-    )
+    lhs = abar_vector(gen, lambda Z, PSI, c: np.exp(theta * _phi_hat(Z, PSI, c)))
     rhs = np.exp(theta * sa.phi_hat) * (-theta * sa.z_hat_a + 0.5 * theta * theta * c1)
-    return _one_sided(f"lyapunov(theta={theta})", lhs, rhs)
+    return [_one_sided(f"lyapunov(theta={theta})", lhs, rhs)]
 
 
-@dataclass(frozen=True)
-class DriftBoundsReport:
-    upper: DriftReport
-    lower: DriftReport
+def drift_bounds_abandon_check(gen: SparseGenerator) -> list[CheckRow]:
+    """Exhaustive two-sided drift bounds for systems with abandonment.
 
-    @property
-    def violations(self) -> int:
-        return self.upper.violations + self.lower.violations
-
-
-def drift_bounds_abandon_check(cfg: SystemConfig, kind: str, K: int | None = None,
-                               gen: SparseGenerator | None = None) -> DriftBoundsReport:
-    """Exhaustive two-sided drift bounds for systems with abandonment."""
+    Two rows, ``abandon_upper`` and ``abandon_lower``, each with its worst
+    slack.  Raises HypothesisViolated unless every abandonment rate of the
+    generator's system is positive.
+    """
+    cfg = gen.idx.cfg
     if not bound_applies("abandon_bounds", cfg):
         raise HypothesisViolated(
             f"abandonment drift bounds are stated for {BOUND_HYPOTHESES['abandon_bounds']}")
-    gen = _prepare(cfg, kind, K, gen)
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)
-    abar_phi = abar_vector(gen, lambda Z, PSI, c: scale_arrays(Z, PSI, c).phi_hat)
+    abar_phi = abar_vector(gen, _phi_hat)
     c1 = cfg.nu_min * cfg.mu_min / cfg.mu_max
     c2 = cfg.nu_min / cfg.mu_max
     c3 = c2 * cfg.a_eff
@@ -201,67 +177,37 @@ def drift_bounds_abandon_check(cfg: SystemConfig, kind: str, K: int | None = Non
     phi_plus = np.maximum(sa.phi_hat, 0.0)
     upper_bound = -sa.z_hat_a - c1 * phi_plus + c2 * sa.sum_z_hat_minus + c3
     lower_bound = -sa.z_hat_a - c25 * sa.sum_z_hat_plus
-    return DriftBoundsReport(
-        upper=_one_sided("abandon_upper", abar_phi, upper_bound),
-        # flip signs to reuse the one-sided report: lower <= value
-        lower=_one_sided("abandon_lower", -abar_phi, -lower_bound),
-    )
+    return [_one_sided("abandon_upper", abar_phi, upper_bound),
+            # flip signs to reuse the one-sided scan: lower <= value
+            _one_sided("abandon_lower", -abar_phi, -lower_bound)]
 
 
-@dataclass(frozen=True)
-class IdentityRow:
-    functional: str
-    residual: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.bound
-
-
-@dataclass(frozen=True)
-class GeneratorIdentityReport:
-    rows: tuple[IdentityRow, ...]
-    deficit: float
-    solver_residual: float
-
-
-def generator_identity_check(cfg: SystemConfig, kind: str, theta: float = 0.2,
-                             k: float = 5.0, K: int | None = None,
-                             gen: SparseGenerator | None = None) -> GeneratorIdentityReport:
+def generator_identity_check(gen: SparseGenerator, theta: float = 0.2,
+                             k: float = 5.0) -> list[CheckRow]:
     """|E_pi[A_bar F]| for exponential test functions of the scaled workload.
 
     F runs over exp(theta*phi_hat_(k)), exp(-theta*phi_hat), and
-    exp(theta*phi_hat_(k)^2) with phi_hat_(k) = min(phi_hat, k).  Stationarity
-    makes each expectation zero; the reported residual must stay within
-    1e-8 plus the truncation deficit.
+    exp(theta*phi_hat_(k)^2) with phi_hat_(k) = min(phi_hat, k), one row
+    each.  Stationarity makes each expectation zero; a row's residual must
+    stay within its bound, 1e-8 plus the truncation deficit, and a row
+    whose residual does not (NaN included) counts one violation.
     """
-    gen = _prepare(cfg, kind, K, gen)
     sv = stationary(gen)
     bound = 1e-8 + sv.deficit_estimate
-
-    def phi(Z, PSI, c):
-        return scale_arrays(Z, PSI, c).phi_hat
-
     fs = (
         (f"exp({theta}*min(phi,{k}))",
-         lambda Z, PSI, c: np.exp(theta * np.minimum(phi(Z, PSI, c), k))),
+         lambda Z, PSI, c: np.exp(theta * np.minimum(_phi_hat(Z, PSI, c), k))),
         (f"exp(-{theta}*phi)",
-         lambda Z, PSI, c: np.exp(-theta * phi(Z, PSI, c))),
+         lambda Z, PSI, c: np.exp(-theta * _phi_hat(Z, PSI, c))),
         (f"exp({theta}*min(phi,{k})^2)",
-         lambda Z, PSI, c: np.exp(theta * np.minimum(phi(Z, PSI, c), k) ** 2)),
+         lambda Z, PSI, c: np.exp(theta * np.minimum(_phi_hat(Z, PSI, c), k) ** 2)),
     )
-    rows = tuple(
-        IdentityRow(
-            functional=label,
-            residual=generator_identity(gen, sv.pi, f),
-            bound=bound,
-        )
-        for label, f in fs
-    )
-    return GeneratorIdentityReport(
-        rows=rows, deficit=sv.deficit_estimate, solver_residual=sv.residual
-    )
+    rows = []
+    for label, f in fs:
+        residual = generator_identity(gen, sv.pi, f)
+        rows.append(CheckRow(label, gen.idx.n_states, int(not residual <= bound),
+                             residual, bound))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ def replay_generator(idx):
         lookup[z if preemptive else (z, psi)] = i
     state = init_state(cfg, idx.kind)
     src_l, rate_l, dst_l, dst_z_l, dst_psi_l = [], [], [], [], []
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
 
     def load(i):
         if preemptive:
@@ -154,6 +153,7 @@ def replay_generator(idx):
         z_row = idx.z[i]
         psi_row = idx.psi[i]
         level = int(z_row.sum())
+        first = len(src_l)
         for cls in range(nc):
             load(i)
             state.apply_arrival(cls)
@@ -169,8 +169,7 @@ def replay_generator(idx):
                 load(i)
                 state.apply_departure(cls, QUEUE)
                 emit(i, cfg.nus[cls] * q)
-        row_ptr[i + 1] = len(src_l)
-        if level < idx.K and any(d < 0 for d in dst_l[row_ptr[i]:]):
+        if level < idx.K and any(d < 0 for d in dst_l[first:]):
             raise AssertionError(f"interior state {i} produced an unindexed target")
 
     src = np.array(src_l, dtype=np.int64)
@@ -189,7 +188,6 @@ def replay_generator(idx):
         dst=dst,
         dst_z=np.array(dst_z_l, dtype=np.int64),
         dst_psi=np.array(dst_psi_l, dtype=np.int64),
-        row_ptr=row_ptr,
         boundary_mask=dropped > 0.0,
         dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),

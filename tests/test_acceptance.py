@@ -49,6 +49,10 @@ COUPLE_WARMUP = 20_000
 G_SAMPLE_DT = 8.0  # time units between stationary G snapshots (~8 relaxation times)
 
 
+def _gen(cfg, kind, K=None):
+    return build_generator(enumerate_states(cfg, kind, K or default_truncation(cfg)))
+
+
 def _report(cid: str, ok: bool, detail: str):
     print(f"[{cid}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"{cid}: {detail}"
@@ -107,10 +111,10 @@ def test_c03_drift_identity_three_instances():
     worst = 0.0
     states = 0
     for cfg, kind in instances:
-        rep = drift_identity_check(cfg, kind)
-        assert rep.violations == 0
-        worst = max(worst, rep.max_rel_err)
-        states += rep.n_states
+        [row] = drift_identity_check(_gen(cfg, kind))
+        assert row.violations == 0
+        worst = max(worst, row.residual_or_err)
+        states += row.n_states
     _report("C03", worst <= 1e-12,
             f"workload drift identity exact at {states} states over 3 instances "
             f"(max rel err {worst:.2e} <= 1e-12)")
@@ -122,13 +126,11 @@ def test_c04_lyapunov_inequality_scan():
     for classes, r in ((TWO_NU0, 16.0), (ONE_NU0, 25.0)):
         cfg = build_config(classes, r, 1.0)
         for kind in (PREEMPTIVE, NONPREEMPTIVE):
-            gen = build_generator(
-                enumerate_states(cfg, kind, default_truncation(cfg))
-            )
+            gen = _gen(cfg, kind)
             for theta in (0.1, 0.2, 0.5, 1.0):
-                rep = lyapunov_pointwise_check(cfg, kind, theta, gen=gen)
-                total_violations += rep.violations
-                total_states += rep.n_states
+                [row] = lyapunov_pointwise_check(gen, theta)
+                total_violations += row.violations
+                total_states += row.n_states
     _report("C04", total_violations == 0,
             f"exponential Lyapunov bound: {total_violations} violations over "
             f"{total_states} state evaluations (r in {{16,25}}, both policies, "
@@ -140,24 +142,24 @@ def test_c05_abandonment_drift_bounds():
     violations = 0
     states = 0
     for kind in (PREEMPTIVE, NONPREEMPTIVE):
-        rep = drift_bounds_abandon_check(cfg, kind)
-        violations += rep.violations
-        states += rep.upper.n_states
+        upper, lower = drift_bounds_abandon_check(_gen(cfg, kind))
+        violations += upper.violations + lower.violations
+        states += upper.n_states
     _report("C05", violations == 0,
             f"two-sided abandonment drift bounds: {violations} violations over "
             f"{states} states (2-class r=16, both policies)")
 
 
 def test_c06_generator_identity():
-    reports = [
-        generator_identity_check(build_config(TWO_AB, 16.0, 1.0), PREEMPTIVE,
-                                 theta=0.2, k=3.0, K=50),
-        generator_identity_check(build_config(ONE_NU1, 16.0, 1.0), PREEMPTIVE,
-                                 theta=0.3, k=5.0, K=140),
+    rows = [
+        *generator_identity_check(_gen(build_config(TWO_AB, 16.0, 1.0), PREEMPTIVE, 50),
+                                  theta=0.2, k=3.0),
+        *generator_identity_check(_gen(build_config(ONE_NU1, 16.0, 1.0), PREEMPTIVE, 140),
+                                  theta=0.3, k=5.0),
     ]
-    ok = all(row.ok for rep in reports for row in rep.rows)
-    worst = max(row.residual for rep in reports for row in rep.rows)
-    bound = min(row.bound for rep in reports for row in rep.rows)
+    ok = all(row.violations == 0 for row in rows)
+    worst = max(row.residual_or_err for row in rows)
+    bound = min(row.bound_or_slack for row in rows)
     _report("C06", ok,
             f"|E_pi[Abar F]| <= 1e-8 + deficit for all six test functions "
             f"(worst residual {worst:.2e}, tightest bound {bound:.2e})")
@@ -165,18 +167,13 @@ def test_c06_generator_identity():
 
 def test_c07_coupling_orderings(infserver_runs, monotone_runs):
     # the runners assert the orderings at every event and raise on failure,
-    # so reaching this point with zero recorded violations is the criterion
+    # so reaching this point with every event checked is the criterion
     checks = 0
-    violations = 0
     for kind in (FIFO, PREEMPTIVE):
-        for rep in infserver_runs[kind]:
+        for rep in infserver_runs[kind] + monotone_runs[kind]:
             checks += rep.ordering_checks
-            violations += rep.violations
-        for rep in monotone_runs[kind]:
-            checks += rep.ordering_checks
-            violations += rep.violations
     expected = 4 * COUPLE_SEEDS * COUPLE_EVENTS
-    _report("C07", violations == 0 and checks == expected,
+    _report("C07", checks == expected,
             f"G<=Z and Z<=Z', psi<=psi' held at every one of {checks} events "
             f"(10 seeds x 1e6 events x {{FIFO, preemptive}} x both couplings)")
 

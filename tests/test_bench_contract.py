@@ -8,8 +8,13 @@ so an API change that breaks ``bench/run.py --trace 1`` fails here first.
 
 import ast
 import importlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from hwq.exact import build_generator, enumerate_states, stationary
 from hwq.model import ClassParams, build_config
@@ -89,3 +94,12 @@ def test_demo_imports_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -105,6 +105,26 @@ def test_verify_command_exit_zero(tmp_path):
     assert {r["method"] for r in rows} == {"drift_identity", "lyapunov"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows on purpose
+def test_verify_generator_identity_counts_nan_residuals(tmp_path, capsys):
+    # at theta = 200 the test functions overflow: two residuals are nan, and
+    # a nan residual is not within its bound, so every row counts a violation
+    raw = _config(
+        policy="preemptive_priority",
+        system={"classes": [{"lambda": 0.5, "mu": 1.0, "nu": 0.5},
+                            {"lambda": 1.0, "mu": 2.0, "nu": 1.0}], "r": 16.0, "a": 1.0},
+        verify={"checks": ["generator_identity"], "theta": 200},
+    )
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "hwq: 3 invariant violation(s)" in capsys.readouterr().err
+    rows = list(csv.DictReader(open(tmp_path / "out" / "verify.csv")))
+    assert len(rows) == 3 and all(r["violations"] == "1" for r in rows)
+    assert [r["residual_or_err"] for r in rows].count("nan") == 2
+
+
 def test_couple_monotone_bad_nu_prime_exits_one(tmp_path):
     raw = _config(
         system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.5}], "r": 4.0, "a": 1.0},

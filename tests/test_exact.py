@@ -133,8 +133,8 @@ def test_generator_matches_policy_replay(kind, system, K_of):
          "default": default_truncation(cfg)}[K_of]
     idx = enumerate_states(cfg, kind, K)
     gen, oracle = build_generator(idx), replay_generator(idx)
-    for field in ("src", "rate", "dst", "dst_z", "dst_psi", "row_ptr",
-                  "boundary_mask", "dropped_rate"):
+    for field in ("src", "rate", "dst", "dst_z", "dst_psi", "boundary_mask",
+                  "dropped_rate"):
         got, want = getattr(gen, field), getattr(oracle, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
     for field in ("data", "indices", "indptr"):
@@ -162,7 +162,7 @@ def test_generator_preemption_rates():
     gen = build_generator(idx)
     i = idx.positions(np.array([[1, 1]]), None)[0]
     assert i >= 0
-    lo, hi = gen.row_ptr[i], gen.row_ptr[i + 1]
+    lo, hi = np.searchsorted(gen.src, [i, i + 1])
     departures = {
         tuple(gen.dst_z[t]): gen.rate[t]
         for t in range(lo, hi)
@@ -491,6 +491,16 @@ def test_poisson_pmf_value_and_normalization():
     for p in (4.0, 25.0, 100.0, 10_000.0):
         ns = np.arange(0, int(p + 12 * math.sqrt(p)) + 1)
         assert abs(poisson_pmf(p, ns).sum() - 1.0) <= 1e-12
+
+
+def test_poisson_pmf_zero_below_zero():
+    assert poisson_pmf(5.0, -1) == 0.0
+    assert poisson_pmf(5.0, -7) == 0.0
+    got = poisson_pmf(5.0, np.array([-1, 3, -2, 0]))
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert got[1] == poisson_pmf(5.0, 3) and got[3] == poisson_pmf(5.0, 0)
+    assert np.array_equal(poisson_pmf(5.0, np.array([-3, -1])), [0.0, 0.0])
+    assert poisson_pmf(5.0, np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_poisson_bound_scan_range():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hwq.errors import HypothesisViolated, ThetaOutOfRange
-from hwq.model import ClassParams, build_config
+from hwq.model import ClassParams, build_config, scale_arrays
 from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE
-from hwq.exact import abar_vector, build_generator, enumerate_states
+from hwq.exact import abar_vector, build_generator, enumerate_states, stationary
 from hwq.verify import (
     FunctionalSpec,
     drift_bounds_abandon_check,
@@ -28,6 +28,10 @@ AB_TWO = build_config(
 NU0_TWO = build_config(
     [ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 16.0, 1.0
 )
+
+
+def _gen(cfg, kind, K):
+    return build_generator(enumerate_states(cfg, kind, K))
 
 
 def drift_phi_row(z, psi, cfg):
@@ -70,35 +74,44 @@ def test_drift_phi_matches_abar_single_state():
     (AB_ONE, PREEMPTIVE),
 ])
 def test_drift_identity_everywhere(cfg, kind):
-    rep = drift_identity_check(cfg, kind, K=cfg.n_servers + 40)
-    assert rep.violations == 0
-    assert rep.max_rel_err <= 1e-12
+    [row] = drift_identity_check(_gen(cfg, kind, cfg.n_servers + 40))
+    assert row.label == "phi_hat"
+    assert row.violations == 0
+    assert row.residual_or_err <= 1e-12
 
 
 def test_lyapunov_zero_violations():
+    gen = _gen(NU0_ONE, PREEMPTIVE, 80)
     for theta in (0.2, 1.0):
-        rep = lyapunov_pointwise_check(NU0_ONE, PREEMPTIVE, theta, K=80)
-        assert rep.violations == 0
-        assert rep.worst_slack >= 0.0
+        [row] = lyapunov_pointwise_check(gen, theta)
+        assert row.violations == 0
+        assert row.bound_or_slack >= 0.0
 
 
 def test_lyapunov_two_class_both_policies():
     for kind in (PREEMPTIVE, NONPREEMPTIVE):
-        rep = lyapunov_pointwise_check(NU0_TWO, kind, 0.5, K=50)
-        assert rep.violations == 0
+        [row] = lyapunov_pointwise_check(_gen(NU0_TWO, kind, 50), 0.5)
+        assert row.violations == 0
 
 
 def test_lyapunov_theta_zero_trivial():
-    rep = lyapunov_pointwise_check(NU0_ONE, PREEMPTIVE, 0.0, K=60)
-    assert rep.violations == 0
-    assert np.allclose(rep.value, 0.0) and np.allclose(rep.bound, 0.0)
+    # at theta = 0 the test function is 1 and both sides vanish at every state
+    gen = _gen(NU0_ONE, PREEMPTIVE, 60)
+    [row] = lyapunov_pointwise_check(gen, 0.0)
+    assert row.violations == 0 and row.bound_or_slack == 0.0
+    theta = 0.0
+    value = abar_vector(gen, lambda Z, PSI, c: np.exp(theta * scale_arrays(Z, PSI, c).phi_hat))
+    sa = scale_arrays(gen.idx.z, gen.idx.psi, NU0_ONE)
+    bound = np.exp(theta * sa.phi_hat) * (
+        -theta * sa.z_hat_a + 0.5 * theta * theta * lyapunov_constant(NU0_ONE))
+    assert (value == 0.0).all() and (bound == 0.0).all()
 
 
 def test_lyapunov_preconditions():
     with pytest.raises(HypothesisViolated):
-        lyapunov_pointwise_check(AB_ONE, PREEMPTIVE, 0.2, K=60)
+        lyapunov_pointwise_check(_gen(AB_ONE, PREEMPTIVE, 60), 0.2)
     with pytest.raises(ThetaOutOfRange):
-        lyapunov_pointwise_check(NU0_ONE, PREEMPTIVE, 1.5, K=60)
+        lyapunov_pointwise_check(_gen(NU0_ONE, PREEMPTIVE, 60), 1.5)
 
 
 def test_lyapunov_constant_value():
@@ -108,10 +121,11 @@ def test_lyapunov_constant_value():
 
 
 def test_abandon_bounds_zero_violations():
-    rep = drift_bounds_abandon_check(AB_TWO, PREEMPTIVE, K=60)
-    assert rep.violations == 0
-    assert rep.upper.worst_slack >= 0.0
-    assert rep.lower.worst_slack >= 0.0
+    upper, lower = drift_bounds_abandon_check(_gen(AB_TWO, PREEMPTIVE, 60))
+    assert (upper.label, lower.label) == ("abandon_upper", "abandon_lower")
+    assert upper.violations == 0 and lower.violations == 0
+    assert upper.bound_or_slack >= 0.0
+    assert lower.bound_or_slack >= 0.0
 
 
 def test_abandon_bounds_equality_at_empty_queue():
@@ -125,20 +139,24 @@ def test_abandon_bounds_equality_at_empty_queue():
 
 def test_abandon_bounds_need_positive_rates():
     with pytest.raises(HypothesisViolated):
-        drift_bounds_abandon_check(NU0_TWO, PREEMPTIVE, K=50)
+        drift_bounds_abandon_check(_gen(NU0_TWO, PREEMPTIVE, 50))
 
 
 def test_generator_identity_residuals():
-    rep = generator_identity_check(AB_TWO, PREEMPTIVE, theta=0.2, k=3.0, K=50)
-    assert all(row.ok for row in rep.rows)
-    for row in rep.rows:
-        assert row.residual <= 1e-8 + rep.deficit
+    gen = _gen(AB_TWO, PREEMPTIVE, 50)
+    rows = generator_identity_check(gen, theta=0.2, k=3.0)
+    deficit = stationary(gen).deficit_estimate
+    assert len(rows) == 3
+    for row in rows:
+        assert row.violations == 0
+        assert row.bound_or_slack == 1e-8 + deficit
+        assert row.residual_or_err <= 1e-8 + deficit
 
 
 def test_generator_identity_one_class_nu0():
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 16.0, 1.0)
-    rep = generator_identity_check(cfg, PREEMPTIVE, theta=0.3, k=5.0, K=140)
-    assert all(row.ok for row in rep.rows)
+    rows = generator_identity_check(_gen(cfg, PREEMPTIVE, 140), theta=0.3, k=5.0)
+    assert all(row.violations == 0 for row in rows)
 
 
 def test_monotonicity_echo_in_exact_means():
