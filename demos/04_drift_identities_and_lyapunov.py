@@ -9,7 +9,7 @@
 # abandonment bounds, both checked below with zero tolerance for violations.
 
 from hwq import ClassParams, build_config
-from hwq.exact import build_generator, enumerate_states
+from hwq.exact import build_generator, enumerate_states, stationary
 from hwq.policy import NONPREEMPTIVE, PREEMPTIVE
 from hwq.verify import (
     default_truncation,
@@ -40,8 +40,8 @@ for row in drift_bounds_abandon_check(build_generator(enumerate_states(two_ab, P
     print(f"  {row.label}: violations={row.violations} worst slack={row.bound_or_slack:.2e}")
 
 # stationarity makes E_pi[Abar F] vanish for exponential test functions;
-# the bound is 1e-8 plus the truncation deficit
+# the bound is 1e-8 plus the truncation deficit of the solved pi
 print("\ngenerator identity:")
 gen = build_generator(enumerate_states(two_ab, PREEMPTIVE, 50))
-for row in generator_identity_check(gen, theta=0.2, k=3.0):
+for row in generator_identity_check(gen, stationary(gen), theta=0.2, k=3.0):
     print(f"  E_pi[Abar {row.label}] = {row.residual_or_err:.2e} (bound {row.bound_or_slack:.2e})")

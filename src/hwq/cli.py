@@ -71,14 +71,17 @@ from .simulate import (
     usable_cores,
 )
 from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
-from .exact import build_generator, enumerate_states, expectation, import_scipy, stationary
+from .exact import expectation
+# imported only so that bench/spans.py finds these names here to wrap; the
+# commands call them through hwq.verify.exact_chain
+from .exact import build_generator, enumerate_states, stationary  # noqa: F401
 from .verify import (
     BOUND_HYPOTHESES,
     FunctionalSpec,
     bound_applies,
-    default_truncation,
     drift_bounds_abandon_check,
     drift_identity_check,
+    exact_chain,
     generator_identity_check,
     lyapunov_pointwise_check,
     sweep,
@@ -326,34 +329,11 @@ def _cmd_validate(cfg, out_dir, jobs, record):
     return [path], 0
 
 
-def _generator(sc, policy, K, record):
-    """The truncated generator of sc's chain (K null for the default); the
-    wall times of enumeration and assembly go to the manifest's phases.
-    The exact path's scipy modules are imported first, so no phase of the
-    command times an import."""
-    import_scipy()
-    started = time.perf_counter()
-    idx = enumerate_states(sc, policy, K or default_truncation(sc))
-    enumerated = time.perf_counter()
-    gen = build_generator(idx)
-    phases = {"r": sc.r, "enumerate_s": enumerated - started,
-              "build_s": time.perf_counter() - enumerated}
-    record["phases"].append(phases)
-    return gen, phases
-
-
 def _cmd_exact(cfg, out_dir, jobs, record):
     sec = cfg.sections["exact"]
     rows = []
     for sc in cfg.systems:
-        gen, phases = _generator(sc, cfg.policy, sec["K"], record)
-        started = time.perf_counter()
-        sv = stationary(gen)
-        phases["solve_s"] = time.perf_counter() - started
-        record["counters"].append(dict(
-            r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz, level_width=sv.level_width,
-            method=sv.method, iterations=sv.iterations, residual=sv.residual,
-            deficit=sv.deficit_estimate))
+        gen, sv = exact_chain(sc, cfg.policy, sec["K"], record)
         for spec in sec["functionals"]:
             vals = spec.vector(sc)(gen.idx.z, gen.idx.psi, sc)
             rows.append([sc.r, sc.a, cfg.policy, cfg.seed, sv.method,
@@ -431,15 +411,16 @@ def _cmd_couple(cfg, out_dir, jobs, record):
 def _cmd_verify(cfg, out_dir, jobs, record):
     sec = cfg.sections["verify"]
     sc = cfg.system()
-    gen, phases = _generator(sc, cfg.policy, sec["K"], record)
-    record["counters"].append(dict(r=sc.r, n_states=gen.idx.n_states, nnz=gen.Q.nnz))
+    gen, sv = exact_chain(sc, cfg.policy, sec["K"], record,
+                          solve="generator_identity" in sec["checks"])
+    phases = record["phases"][-1]
     # the checks are looked up when this runs, so bench/spans.py can wrap them
     calls = {
         "drift_identity": lambda: drift_identity_check(gen),
         "lyapunov": lambda: [row for theta in sec["theta_list"]
                              for row in lyapunov_pointwise_check(gen, theta)],
         "abandon_bounds": lambda: drift_bounds_abandon_check(gen),
-        "generator_identity": lambda: generator_identity_check(gen, sec["theta"], sec["k"]),
+        "generator_identity": lambda: generator_identity_check(gen, sv, sec["theta"], sec["k"]),
     }
     rows = []
     violations = 0
@@ -478,7 +459,8 @@ def _cmd_sweep(cfg, out_dir, jobs, record):
 
 def _check_hypotheses(command, cfg):
     """Refuse, before any output exists, a verify check or a coupling whose
-    hypotheses the system fails, by the predicates the library calls use."""
+    hypotheses the system fails, by the predicates the library calls use,
+    and an exact solve of a FIFO chain."""
     sc, sec = cfg.system(), cfg.sections.get(command)
     if command == "verify":
         for i, check in enumerate(sec["checks"]):
@@ -500,6 +482,8 @@ def _check_hypotheses(command, cfg):
             if not coupling_applies(sc, i, nu_prime):
                 raise _fail(f"couple.nu_prime[{i}]",
                             f"monotone needs 0 <= nu' <= nu = {sc.nus[i]}, got {nu_prime}")
+    if command in ("exact", "verify") and cfg.policy == FIFO:
+        raise _fail("policy", f"exact solve supports priority policies only, not {FIFO!r}")
 
 
 _DISPATCH = {

@@ -157,6 +157,17 @@ def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
     return StateIndex(cfg=cfg, kind=kind, K=K, z=Z, psi=PSI, keys=keys[order], order=order)
 
 
+def count_states(cfg: SystemConfig, kind: str, K: int) -> int:
+    """The number of states :func:`enumerate_states` lists, in closed form:
+    C(K+n, n) preemptive; non-preemptive, level L holds every allocation psi
+    (summing to P = min(N, L)) with every queue z - psi (summing to L - P)."""
+    n, N = cfg.n_classes, cfg.n_servers
+    if kind == PREEMPTIVE:
+        return math.comb(K + n, n)
+    return sum(math.comb(min(N, L) + n - 1, n - 1) * math.comb(L - min(N, L) + n - 1, n - 1)
+               for L in range(K + 1))
+
+
 @dataclass(frozen=True)
 class SparseGenerator:
     """Truncated generator plus the untruncated transition table.
@@ -553,11 +564,6 @@ def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
 def expectation(pi: np.ndarray, values: np.ndarray) -> float:
     """E_pi[F] for per-state values."""
     return float(pi @ np.asarray(values, dtype=float))
-
-
-def generator_identity(gen: SparseGenerator, pi: np.ndarray, f_vec) -> float:
-    """Residual |E_pi[A_bar F]|; zero in exact arithmetic for admissible F."""
-    return abs(float(pi @ abar_vector(gen, f_vec)))
 
 
 # ---------------------------------------------------------------------------

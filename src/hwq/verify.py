@@ -29,11 +29,13 @@ count violations (expected: zero).
 Each check takes the truncated generator, whose state index carries the
 system and the policy, plus the check's own parameters, and returns a list
 of :class:`CheckRow`: the rows ``hwq verify`` writes to ``verify.csv``.
+Every command enumerates, builds and solves its chains in :func:`exact_chain`.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,11 +44,12 @@ import numpy as np
 from .errors import HypothesisViolated, ThetaOutOfRange
 from .exact import (
     SparseGenerator,
+    StationaryVector,
     abar_vector,
     build_generator,
+    count_states,
     enumerate_states,
     expectation,
-    generator_identity,
     import_scipy,
     stationary,
 )
@@ -61,6 +64,30 @@ _SWEEP_EXACT_MAX_STATES = 25_000  # an "auto" sweep solves exactly up to here
 def default_truncation(cfg: SystemConfig) -> int:
     """Gaussian-scale tail margin: ceil(r + 12 sqrt(r)) plus the server count."""
     return math.ceil(cfg.r + 12.0 * math.sqrt(cfg.r)) + cfg.n_servers
+
+
+def exact_chain(cfg: SystemConfig, kind: str, K: int | None, record: dict,
+                solve: bool = True) -> tuple[SparseGenerator, StationaryVector | None]:
+    """The generator of cfg's chain truncated at K (None: the default) and,
+    if ``solve``, its stationary vector.  Each step's wall time goes to
+    ``record["phases"]``, the chain's and the solver's counters to
+    ``record["counters"]``; bench/spans.py wraps the calls by these names."""
+    import_scipy()  # first, so that no phase times an import
+    t0 = time.perf_counter()
+    idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
+    t1 = time.perf_counter()
+    gen = build_generator(idx)
+    t2 = time.perf_counter()
+    sv = stationary(gen) if solve else None
+    phases = {"r": cfg.r, "enumerate_s": t1 - t0, "build_s": t2 - t1}
+    counters = {"r": cfg.r, "n_states": idx.n_states, "nnz": gen.Q.nnz}
+    if solve:
+        phases["solve_s"] = time.perf_counter() - t2
+        counters.update(level_width=sv.level_width, method=sv.method, iterations=sv.iterations,
+                        residual=sv.residual, deficit=sv.deficit_estimate)
+    record["phases"].append(phases)
+    record["counters"].append(counters)
+    return gen, sv
 
 
 def drift_phi_arrays(Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -182,9 +209,10 @@ def drift_bounds_abandon_check(gen: SparseGenerator) -> list[CheckRow]:
             _one_sided("abandon_lower", -abar_phi, -lower_bound)]
 
 
-def generator_identity_check(gen: SparseGenerator, theta: float = 0.2,
-                             k: float = 5.0) -> list[CheckRow]:
-    """|E_pi[A_bar F]| for exponential test functions of the scaled workload.
+def generator_identity_check(gen: SparseGenerator, sv: StationaryVector,
+                             theta: float = 0.2, k: float = 5.0) -> list[CheckRow]:
+    """|E_pi[A_bar F]| for exponential test functions of the scaled workload,
+    with pi the solved stationary vector ``sv`` of ``gen``.
 
     F runs over exp(theta*phi_hat_(k)), exp(-theta*phi_hat), and
     exp(theta*phi_hat_(k)^2) with phi_hat_(k) = min(phi_hat, k), one row
@@ -192,7 +220,6 @@ def generator_identity_check(gen: SparseGenerator, theta: float = 0.2,
     stay within its bound, 1e-8 plus the truncation deficit, and a row
     whose residual does not (NaN included) counts one violation.
     """
-    sv = stationary(gen)
     bound = 1e-8 + sv.deficit_estimate
     fs = (
         (f"exp({theta}*min(phi,{k}))",
@@ -204,7 +231,7 @@ def generator_identity_check(gen: SparseGenerator, theta: float = 0.2,
     )
     rows = []
     for label, f in fs:
-        residual = generator_identity(gen, sv.pi, f)
+        residual = abs(float(sv.pi @ abar_vector(gen, f)))
         rows.append(CheckRow(label, gen.idx.n_states, int(not residual <= bound),
                              residual, bound))
     return rows
@@ -297,7 +324,7 @@ class FunctionalSpec:
         return lambda Z, PSI, c: PSI.sum(axis=1) / c.n_servers  # psi_share
 
     # bench/micro.py and tests/test_bench_contract.py call this old name of
-    # vector; ROADMAP item 1 moves them off it and deletes it
+    # vector; ROADMAP item 3 moves them off it and deletes it
     scalar = vector
 
 
@@ -319,48 +346,57 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     """One row per (r, functional): exact values where the chain is solvable,
     batch-means estimates otherwise.
 
-    ``estimator`` is "auto", "exact", or "batch_means".  Replication k of the
-    sweep uses stream (seed, k) where k is the position of r in ``r_list``,
-    so rows are reproducible independent of execution order.  The r points
-    run on up to ``jobs`` worker processes (see :func:`fan_out`, which also
-    fills ``record``).
+    ``estimator`` is "auto", "exact", or "batch_means"; "auto" solves a
+    point exactly if :func:`count_states` finds at most
+    ``_SWEEP_EXACT_MAX_STATES`` states, before any chain is enumerated.
+    Replication k of the sweep uses stream (seed, k) where k is the position
+    of r in ``r_list``, so rows are reproducible independent of execution
+    order.  The r points run on up to ``jobs`` worker processes (see
+    :func:`fan_out`, which also fills ``record``); ``record`` also receives
+    each exact point's phases and counters (:func:`exact_chain`), in r order.
     """
     if estimator == "exact" and kind == FIFO:
         raise ValueError("no exact solve for FIFO; use batch_means")
     specs = tuple(specs)
-    points = [(build_config(classes, r, a), kind, specs, RngStream(seed, pos), estimator,
-               K, n_batches, events_per_batch, warmup_events)
-              for pos, r in enumerate(r_list)]
+    cfgs = [build_config(classes, r, a) for r in r_list]
+    methods = [estimator if estimator != "auto"
+               else "exact" if kind != FIFO and count_states(
+                   sc, kind, K or default_truncation(sc)) <= _SWEEP_EXACT_MAX_STATES
+               else "batch_means" for sc in cfgs]
+    points = [(sc, kind, specs, RngStream(seed, pos), method, K, n_batches,
+               events_per_batch, warmup_events)
+              for pos, (sc, method) in enumerate(zip(cfgs, methods))]
     # import here what the points import, so forked workers inherit it
     import scipy.special  # noqa: F401  (the batch-means t quantile)
-    if kind != FIFO and estimator != "batch_means":
+    if "exact" in methods:
         import_scipy()
-    return [row for rows in fan_out(_sweep_point, points, jobs, record) for row in rows]
+    results = fan_out(_sweep_point, points, jobs, record)
+    if record is not None:
+        for key in ("phases", "counters"):
+            record.setdefault(key, []).extend(e for _, entries in results for e in entries[key])
+    return [row for rows, _ in results for row in rows]
 
 
-def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, estimator: str,
-                 K, n_batches: int, events_per_batch: int, warmup_events) -> list[SweepRow]:
-    """The rows of one sweep point; a module-level function, so a worker
-    process can run it."""
-    idx = None
-    if estimator in ("auto", "exact") and kind != FIFO:
-        idx = enumerate_states(cfg, kind, K or default_truncation(cfg))
-    if idx is not None and (estimator == "exact"
-                            or idx.n_states <= _SWEEP_EXACT_MAX_STATES):
-        gen = build_generator(idx)
-        sv = stationary(gen)
+def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, method: str,
+                 K, n_batches: int, events_per_batch: int, warmup_events):
+    """The rows of one sweep point by ``method``, "exact" or "batch_means",
+    and the manifest entries :func:`exact_chain` made (none for batch
+    means); a module-level function, so a worker process can run it."""
+    entries = {"phases": [], "counters": []}
+    if method == "exact":
+        gen, sv = exact_chain(cfg, kind, K, entries)
         return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
                          estimate=expectation(sv.pi, spec.vector(cfg)(
                              gen.idx.z, gen.idx.psi, cfg)),
                          half_width=0.0, method="exact")
-                for spec in specs]
+                for spec in specs], entries
     warm = default_warmup(cfg) if warmup_events is None else warmup_events
     fns = {spec.label(): spec.vector(cfg) for spec in specs}
     ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng)
     return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
                      estimate=ests[spec.label()].value,
                      half_width=ests[spec.label()].half_width, method="batch_means")
-            for spec in specs]
+            for spec in specs], entries
 
 
 def fit_log_slope(points) -> tuple[float, float]:

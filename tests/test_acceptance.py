@@ -151,11 +151,11 @@ def test_c05_abandonment_drift_bounds():
 
 
 def test_c06_generator_identity():
+    two = _gen(build_config(TWO_AB, 16.0, 1.0), PREEMPTIVE, 50)
+    one = _gen(build_config(ONE_NU1, 16.0, 1.0), PREEMPTIVE, 140)
     rows = [
-        *generator_identity_check(_gen(build_config(TWO_AB, 16.0, 1.0), PREEMPTIVE, 50),
-                                  theta=0.2, k=3.0),
-        *generator_identity_check(_gen(build_config(ONE_NU1, 16.0, 1.0), PREEMPTIVE, 140),
-                                  theta=0.3, k=5.0),
+        *generator_identity_check(two, stationary(two), theta=0.2, k=3.0),
+        *generator_identity_check(one, stationary(one), theta=0.3, k=5.0),
     ]
     ok = all(row.violations == 0 for row in rows)
     worst = max(row.residual_or_err for row in rows)

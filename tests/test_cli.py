@@ -726,8 +726,10 @@ def test_system_rule_names_its_path(tmp_path, capsys, system, path):
      "couple.nu_prime[1]"),
     ("couple", {"system": {"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 2.0}], "r": 4.0,
                            "a": 1.0}}, "couple.coupling"),
+    ("exact", {"policy": "fifo"}, "policy"),
+    ("verify", {"policy": "fifo"}, "policy"),
 ], ids=["lyapunov-nu-positive", "lyapunov-theta-two", "abandon-bounds-nu-zero",
-        "monotone-nu_prime-above-nu", "infserver-nu-above-mu"])
+        "monotone-nu_prime-above-nu", "infserver-nu-above-mu", "exact-fifo", "verify-fifo"])
 def test_command_hypotheses_exit_one_before_output(tmp_path, capsys, command, overrides,
                                                    path):
     raw = _config(**{"policy": "preemptive_priority", **overrides})
@@ -879,11 +881,71 @@ def test_manifest_explains_exact_and_verify(tmp_path):
     assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "v")]) == 0
     manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
     assert [set(p) for p in manifest["phases"]] == [{
-        "r", "enumerate_s", "build_s", "drift_identity_s", "abandon_bounds_s",
+        "r", "enumerate_s", "build_s", "solve_s", "drift_identity_s", "abandon_bounds_s",
         "generator_identity_s"}]
     assert all(v >= 0.0 for v in manifest["phases"][0].values())
-    # the first system's chain: 41 states and 40 rates up, 40 down, 41 diagonal
+    # the first system's chain: 41 states and 40 rates up, 40 down, 41 diagonal;
+    # generator_identity needs pi, so the solver's counters follow
+    [counters] = manifest["counters"]
+    assert set(counters) == {"r", "n_states", "nnz", "level_width", "method", "iterations",
+                             "residual", "deficit"}
+    assert (counters["r"], counters["n_states"], counters["nnz"], counters["method"]) == (
+        4.0, 41, 121, "gth")
+
+    # a verify without generator_identity does not solve
+    raw["verify"]["checks"] = ["drift_identity"]
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "d")]) == 0
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert [set(p) for p in manifest["phases"]] == [{
+        "r", "enumerate_s", "build_s", "drift_identity_s"}]
     assert manifest["counters"] == [{"r": 4.0, "n_states": 41, "nnz": 121}]
+
+    # each exact sweep point records what hwq exact records, in r order
+    raw["sweep"] = {"estimator": "exact", "K": 40}
+    cfg_file.write_text(json.dumps(raw))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"s{jobs}"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [p["r"] for p in manifest["phases"]] == [4.0, 9.0]
+        assert [set(p) for p in manifest["phases"]] == [
+            {"r", "enumerate_s", "build_s", "solve_s"}] * 2
+        assert [c["r"] for c in manifest["counters"]] == [4.0, 9.0]
+        assert [set(c) for c in manifest["counters"]] == [{
+            "r", "n_states", "nnz", "level_width", "method", "iterations",
+            "residual", "deficit"}] * 2
+
+
+def test_auto_sweep_decides_before_enumerating(tmp_path, monkeypatch):
+    # r = 400 takes default K = 1,060: 86,713,791 states, about 7 GB to
+    # enumerate, which an auto sweep must count instead
+    import hwq.verify
+    from hwq.exact import count_states
+
+    original = hwq.verify.enumerate_states
+
+    def guarded(cfg, kind, K):
+        if count_states(cfg, kind, K) > hwq.verify._SWEEP_EXACT_MAX_STATES:
+            raise AssertionError(f"enumerated a chain above the exact limit at r = {cfg.r}")
+        return original(cfg, kind, K)
+
+    monkeypatch.setattr(hwq.verify, "enumerate_states", guarded)
+    raw = _config(policy="nonpreemptive_priority",
+                  system={"classes": [{"lambda": 0.5, "mu": 1.0}, {"lambda": 1.0, "mu": 2.0}],
+                          "r_list": [4.0, 400.0], "a": 1.0},
+                  sweep={"functionals": [{"id": "z_total"}], "n_batches": 10,
+                         "events_per_batch": 200, "warmup_events": 100})
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(out), "--jobs", "1"]) == 0
+    with open(out / "sweep.csv") as fh:
+        assert [(row["r"], row["method"]) for row in csv.DictReader(fh)] == [
+            ("4.0", "exact"), ("400.0", "batch_means")]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [c["r"] for c in manifest["counters"]] == [4.0]
 
 
 def test_band_beyond_memory_exits_one(tmp_path, capsys, monkeypatch):

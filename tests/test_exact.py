@@ -36,9 +36,9 @@ from hwq.exact import (
     _gth_levels,
     abar_vector,
     build_generator,
+    count_states,
     enumerate_states,
     expectation,
-    generator_identity,
     negpart_square_bound,
     negpart_square_mgf,
     poisson_bound_scan,
@@ -240,6 +240,24 @@ THREE_CLASS_AB = build_config(
 
 
 TWO_CLASS_R9 = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 9.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+@pytest.mark.parametrize("cfg", [MM2, TWO_CLASS_R9, THREE_CLASS_AB],
+                         ids=["one-class", "two-class", "three-class"])
+def test_count_states_matches_enumeration(cfg, kind):
+    for K in range(cfg.n_servers, cfg.n_servers + 15):
+        assert count_states(cfg, kind, K) == enumerate_states(cfg, kind, K).n_states, K
+
+
+def test_count_states_of_the_measured_chains():
+    # the two benchmark chains (r = 16, K = 84) and two three-class chains at r = 9
+    three = build_config(THREE_CLASS_AB.classes, 9.0, 1.0)
+    for cfg, kind, K, n in [(TWO_CLASS_AB, PREEMPTIVE, 84, 3_655),
+                            (TWO_CLASS_AB, NONPREEMPTIVE, 84, 45_255),
+                            (three, NONPREEMPTIVE, 24, 41_769),
+                            (three, NONPREEMPTIVE, 30, 121_394)]:
+        assert count_states(cfg, kind, K) == n == enumerate_states(cfg, kind, K).n_states
 
 
 def _assert_close(pi, oracle, tv_max, abs_max):
@@ -460,12 +478,12 @@ def test_abar_matches_all_targets_oracle(kind, K):
 def test_generator_identity_truncated_functional():
     gen = build_generator(enumerate_states(MM2, PREEMPTIVE, 60))
     sv = stationary(gen)
-    resid = generator_identity(
-        gen, sv.pi, lambda Z, PSI, c: np.minimum(Z.sum(axis=1), 3.0)
-    )
+    resid = abs(float(sv.pi @ abar_vector(
+        gen, lambda Z, PSI, c: np.minimum(Z.sum(axis=1), 3.0)
+    )))
     assert resid <= 1e-9
     # identically-1 functional gives exactly zero
-    assert generator_identity(gen, sv.pi, lambda Z, PSI, c: np.ones(Z.shape[0])) == 0.0
+    assert abs(float(sv.pi @ abar_vector(gen, lambda Z, PSI, c: np.ones(Z.shape[0])))) == 0.0
 
 
 def test_truncation_mass_control_on_acceptance_instances():

@@ -144,8 +144,9 @@ def test_abandon_bounds_need_positive_rates():
 
 def test_generator_identity_residuals():
     gen = _gen(AB_TWO, PREEMPTIVE, 50)
-    rows = generator_identity_check(gen, theta=0.2, k=3.0)
-    deficit = stationary(gen).deficit_estimate
+    sv = stationary(gen)
+    rows = generator_identity_check(gen, sv, theta=0.2, k=3.0)
+    deficit = sv.deficit_estimate
     assert len(rows) == 3
     for row in rows:
         assert row.violations == 0
@@ -155,7 +156,8 @@ def test_generator_identity_residuals():
 
 def test_generator_identity_one_class_nu0():
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 16.0, 1.0)
-    rows = generator_identity_check(_gen(cfg, PREEMPTIVE, 140), theta=0.3, k=5.0)
+    gen = _gen(cfg, PREEMPTIVE, 140)
+    rows = generator_identity_check(gen, stationary(gen), theta=0.3, k=5.0)
     assert all(row.violations == 0 for row in rows)
 
 
