@@ -7,6 +7,12 @@ allocation is a function of z), non-preemptive priority needs (z, psi)
 pairs.  FIFO's sequence-valued chain is not finitely parameterized per level
 in a tractable way and is excluded.
 
+Each state has a key, its number in base K+2 over its digits.  Every
+transition changes one or two digits by one, so the generator is assembled
+on keys alone: a target's key is its source's key plus the transition
+slot's change, and all targets are found with one search of the sorted
+state keys.  Digit arrays are built only for the targets beyond K.
+
 Truncation drops arrival transitions out of the top level, which keeps row
 sums at zero and yields a proper chain; the neglected stationary mass is
 bounded by a geometric argument and reported.  The operator application
@@ -73,10 +79,11 @@ class StateIndex:
     """Bijection between detailed states with sum(z) <= K and dense indices.
 
     A state's key is its number in base K+2 over the digits of z
-    (preemptive) or of (z, psi) (non-preemptive); base K+2 also keys the
-    targets one level up.  ``keys`` is sorted and ``order[j]`` is the index
-    of the state with key ``keys[j]``, so states are found with one
-    ``searchsorted``.
+    (preemptive) or of (z, psi) (non-preemptive), the first digit the most
+    significant; base K+2 also keys the targets one level up, and
+    :func:`_key_weights` gives each digit's weight.  ``keys`` is sorted and
+    ``order[j]`` is the index of the state with key ``keys[j]``, so states
+    are found with one ``searchsorted``.  ``level[i]`` is sum(z) of state i.
     """
 
     cfg: SystemConfig
@@ -84,6 +91,7 @@ class StateIndex:
     K: int
     z: np.ndarray  # (n_states, n_classes) int64
     psi: np.ndarray  # (n_states, n_classes) int64
+    level: np.ndarray  # (n_states,) int64
     keys: np.ndarray
     order: np.ndarray
 
@@ -93,7 +101,10 @@ class StateIndex:
 
     def positions(self, Z, PSI) -> np.ndarray:
         """Index of each state (row of Z and PSI), -1 where not enumerated."""
-        keys = _state_keys(self.kind, self.K, Z, PSI)
+        return self.find(_state_keys(self.kind, self.K, Z, PSI))
+
+    def find(self, keys) -> np.ndarray:
+        """Index of the state with each key, -1 where not enumerated."""
         j = np.minimum(np.searchsorted(self.keys, keys), self.n_states - 1)
         return np.where(self.keys[j] == keys, self.order[j], -1)
 
@@ -106,6 +117,15 @@ def _state_keys(kind: str, K: int, Z, PSI) -> np.ndarray:
             keys *= K + 2
             keys += column
     return keys
+
+
+def _key_weights(kind: str, K: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key weights (wz, wp) of the digits z_c and psi_c: a state's key is
+    z @ wz + psi @ wp.  Preemptive keys cover z only, so wp is 0 there."""
+    wp = (K + 2) ** np.arange(n_classes - 1, -1, -1, dtype=np.int64)
+    if kind == PREEMPTIVE:
+        return wp, np.zeros(n_classes, dtype=np.int64)
+    return wp * (K + 2) ** n_classes, wp
 
 
 def _check_key_range(K: int, n_digits: int) -> None:
@@ -146,15 +166,16 @@ def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
         raise TruncationTooSmall(f"K = {K} must be at least n_servers = {cfg.n_servers}")
     nc = cfg.n_classes
     _check_key_range(K, nc if kind == PREEMPTIVE else 2 * nc)
-    _, Z = _splits(np.arange(K + 1), np.full((K + 1, nc), K))  # level by level
+    level, Z = _splits(np.arange(K + 1), np.full((K + 1, nc), K))  # level by level
     if kind == PREEMPTIVE:
         PSI = _allocate_by_priority(Z, cfg.n_servers)
     else:  # every psi <= z with sum(psi) = min(N, level)
-        rows, PSI = _splits(np.minimum(Z.sum(axis=1), cfg.n_servers), Z)
-        Z = Z[rows]
+        rows, PSI = _splits(np.minimum(level, cfg.n_servers), Z)
+        Z, level = Z[rows], level[rows]
     keys = _state_keys(kind, K, Z, PSI)
     order = np.argsort(keys)
-    return StateIndex(cfg=cfg, kind=kind, K=K, z=Z, psi=PSI, keys=keys[order], order=order)
+    return StateIndex(cfg=cfg, kind=kind, K=K, z=Z, psi=PSI, level=level,
+                      keys=keys[order], order=order)
 
 
 def count_states(cfg: SystemConfig, kind: str, K: int) -> int:
@@ -173,11 +194,13 @@ class SparseGenerator:
     """Truncated generator plus the untruncated transition table.
 
     ``Q`` holds the kept transitions with diagonal = -(row sum), so every
-    row sums to zero.  The flat arrays (src, rate, dst, dst_z, dst_psi) list
-    ALL transitions of the original chain out of indexed states, including
+    row sums to zero.  The flat arrays (src, rate, dst) list ALL
+    transitions of the original chain out of indexed states, including
     arrivals that leave the truncated set (dst == -1), grouped by source
-    state in ascending order.  Boundary rows (those with a dropped arrival)
-    are flagged, with the dropped rate recorded.
+    state in ascending order.  ``beyond_z`` and ``beyond_psi`` hold the
+    digits of those targets beyond K only, one row per ``dst == -1`` in
+    the same order.  Boundary rows (those with a dropped arrival) are
+    flagged, with the dropped rate recorded.
     """
 
     idx: StateIndex
@@ -185,8 +208,8 @@ class SparseGenerator:
     src: np.ndarray
     rate: np.ndarray
     dst: np.ndarray
-    dst_z: np.ndarray
-    dst_psi: np.ndarray
+    beyond_z: np.ndarray
+    beyond_psi: np.ndarray
     boundary_mask: np.ndarray
     dropped_rate: np.ndarray
     max_exit_rate: float
@@ -198,56 +221,78 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     Each state gets 3 * n_classes transition slots, in the order arrivals by
     class, then service completion and abandonment of each class; slots
     that cannot fire (nobody in service, nobody queued, nu = 0) are dropped.
-    Targets restate the :mod:`hwq.policy` operations: the tests replay those
-    operations state by state and check that every array here equals the
-    replay's, which keeps the exact chain and the simulated chain together.
+    A target is found by its key, the source's key plus the slot's change
+    of one or two digits (weights wz, wp of :func:`_key_weights`):
+
+    - an arrival of class c adds wz[c], and wp[c] where a non-preemptive
+      server is free to take it;
+    - a service completion of class c subtracts wz[c] + wp[c]; a
+      non-preemptive server then takes the highest class t still waiting,
+      which adds wp[t] (a completion leaves every queue as it is);
+    - an abandonment of class c subtracts wz[c].
+
+    Preemptive keys cover z only, so the reallocation needs no term.  The
+    keys are then found with one search, and only the targets beyond K get
+    digit arrays.  The targets restate the :mod:`hwq.policy` operations:
+    the tests replay those operations state by state and check that every
+    array here equals the replay's, which keeps the exact chain and the
+    simulated chain together.
     """
     from scipy import sparse
 
     cfg, Z, PSI = idx.cfg, idx.z, idx.psi
     n, nc = Z.shape
-    tz = np.repeat(Z[:, None, :], 3 * nc, axis=1)  # (state, slot, class)
-    tpsi = np.repeat(PSI[:, None, :], 3 * nc, axis=1)
+    wz, wp = _key_weights(idx.kind, idx.K, nc)
+    key = np.empty(n, dtype=np.int64)
+    key[idx.order] = idx.keys
+    free = idx.level < cfg.n_servers  # sum(psi) = min(N, level)
+    waiting = Z > PSI
+    refill = np.zeros(n, dtype=np.int64)  # wp of the highest waiting class, if any
+    for c in range(nc):
+        refill[waiting[:, c]] = wp[c]
+    target = np.empty((n, 3 * nc), dtype=np.int64)  # each slot's target key
     rate = np.empty((n, 3 * nc))
     can = np.ones((n, 3 * nc), dtype=bool)
-    free = PSI.sum(axis=1) < cfg.n_servers
     for c in range(nc):
         arr, svc, ab = c, nc + 2 * c, nc + 2 * c + 1
-        tz[:, arr, c] += 1
-        tz[:, [svc, ab], c] -= 1
-        tpsi[:, arr, c] += free  # non-preemptive: a free server takes it
-        tpsi[:, svc, c] -= 1
+        target[:, arr] = wz[c] + free * wp[c]
+        target[:, svc] = refill - (wz[c] + wp[c])
+        target[:, ab] = -wz[c]
         rate[:, arr] = cfg.arrival_rates[c]
         rate[:, svc] = cfg.mus[c] * PSI[:, c]
         rate[:, ab] = cfg.nus[c] * (Z[:, c] - PSI[:, c])
         can[:, svc] = PSI[:, c] > 0
-        can[:, ab] = (Z[:, c] > PSI[:, c]) & (cfg.nus[c] > 0.0)
-    if idx.kind == PREEMPTIVE:
-        tpsi = _allocate_by_priority(tz.reshape(-1, nc), cfg.n_servers).reshape(tz.shape)
-    else:  # the freed server takes the highest waiting class, if any
-        waiting = tz[:, nc::2] > tpsi[:, nc::2]
-        top = nc - 1 - np.argmax(waiting[..., ::-1], axis=-1)
-        tpsi[:, nc::2] += (np.arange(nc) == top[..., None]) & waiting.any(axis=-1)[..., None]
+        can[:, ab] = waiting[:, c] & (cfg.nus[c] > 0.0)
+    target += key[:, None]
 
     keep = can.ravel()
-    src = np.repeat(np.arange(n), 3 * nc)[keep]
+    slot = np.flatnonzero(keep)
+    src = slot // (3 * nc)
     rate = rate.ravel()[keep]
-    dst_z = tz.reshape(-1, nc)[keep]
-    dst_psi = tpsi.reshape(-1, nc)[keep]
-    dst = idx.positions(dst_z, dst_psi)
-    lost = src[(dst < 0) & (Z.sum(axis=1) < idx.K)[src]]
+    dst = idx.find(target.ravel()[keep])
+    del target
+    out = dst < 0
+    lost = src[out & (idx.level < idx.K)[src]]
     if lost.size:
         raise AssertionError(f"interior state {lost[0]} produced an unindexed target")
+    # every target beyond K is an arrival out of level K: slot number = class
+    b_src, b_cls = src[out], slot[out] % (3 * nc)
+    beyond_z, beyond_psi = Z[b_src], PSI[b_src]
+    beyond_z[np.arange(b_src.size), b_cls] += 1
+    if idx.kind == PREEMPTIVE:
+        beyond_psi = _allocate_by_priority(beyond_z, cfg.n_servers)
+    else:
+        beyond_psi[np.arange(b_src.size), b_cls] += free[b_src]
 
-    kept = dst >= 0
+    kept = ~out
     off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
     exit_rates = np.asarray(off.sum(axis=1)).ravel()
     Q = (off + sparse.diags(-exit_rates)).tocsr()
 
     dropped = np.zeros(n)
-    np.add.at(dropped, src[~kept], rate[~kept])
+    np.add.at(dropped, src[out], rate[out])
     return SparseGenerator(
-        idx=idx, Q=Q, src=src, rate=rate, dst=dst, dst_z=dst_z, dst_psi=dst_psi,
+        idx=idx, Q=Q, src=src, rate=rate, dst=dst, beyond_z=beyond_z, beyond_psi=beyond_psi,
         boundary_mask=dropped > 0.0, dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
@@ -525,7 +570,7 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
     tol = 1e-10 for GTH and ``_KRYLOV_TOL_REL`` for BiCGSTAB.
     """
     _check_irreducible(gen.Q)
-    level = gen.idx.z.sum(axis=1)
+    level = gen.idx.level
     w = int(np.bincount(level).max())
     if gen.idx.n_states * w * w <= _GTH_MAX_WORK:
         method, pi, iterations, tol = "gth", _gth_levels(gen.Q, level), 0, 1e-10
@@ -553,10 +598,10 @@ def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
     ``exact_banded`` chain that is 3,825 rows instead of 21,465, and a call
     takes about 0.6 ms.
     """
-    idx, beyond = gen.idx, gen.dst < 0
+    idx = gen.idx
     vals_src = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
     vals_dst = vals_src[gen.dst]  # a target beyond K is overwritten next
-    vals_dst[beyond] = f_vec(gen.dst_z[beyond], gen.dst_psi[beyond], idx.cfg)
+    vals_dst[gen.dst < 0] = f_vec(gen.beyond_z, gen.beyond_psi, idx.cfg)
     contrib = gen.rate * (vals_dst - vals_src[gen.src])
     return np.bincount(gen.src, weights=contrib, minlength=gen.idx.n_states)
 

@@ -161,20 +161,32 @@ class ScaledArrays:
     sum_z_hat_minus: np.ndarray
 
 
+def _sum_classes(A: np.ndarray) -> np.ndarray:
+    """Row sums of ``A`` (n_states, n_classes), the class columns added in
+    order: bit for bit ``A.sum(axis=1)`` below 8 classes, where numpy adds
+    them in the same order, without its per-row reduction overhead."""
+    if A.shape[1] >= 8:  # numpy sums 8 or more in blocks, in another order
+        return A.sum(axis=1)
+    total = A[:, 0] + 0  # numpy's sum starts from 0, which turns -0.0 into 0.0
+    for column in A.T[1:]:
+        total += column
+    return total
+
+
 def scale_arrays(Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig) -> ScaledArrays:
     """Scaled observables for ``Z``/``PSI`` of shape (n_states, n_classes)."""
     rho_r = np.asarray(cfg.rho_r)
     mus = np.asarray(cfg.mus)
     z_hat = (Z - rho_r) / cfg.sqrt_r
-    z_hat_total = z_hat.sum(axis=1)
-    phi_hat = (z_hat / mus).sum(axis=1)
-    q_hat = (Z - PSI).sum(axis=1) / cfg.sqrt_r
+    z_hat_total = _sum_classes(z_hat)
+    phi_hat = _sum_classes(z_hat / mus)
+    q_hat = _sum_classes(Z - PSI) / cfg.sqrt_r
     return ScaledArrays(
         z_hat=z_hat,
         z_hat_total=z_hat_total,
         phi_hat=phi_hat,
         q_hat=q_hat,
         z_hat_a=np.minimum(z_hat_total, cfg.a_eff),
-        sum_z_hat_plus=np.maximum(z_hat, 0.0).sum(axis=1),
-        sum_z_hat_minus=np.maximum(-z_hat, 0.0).sum(axis=1),
+        sum_z_hat_plus=_sum_classes(np.maximum(z_hat, 0.0)),
+        sum_z_hat_minus=_sum_classes(np.maximum(-z_hat, 0.0)),
     )

@@ -122,6 +122,9 @@ def replay_generator(idx):
     """The generator of ``idx``'s chain, assembled by replaying the
     :mod:`hwq.policy` operations that drive the simulators, one state and one
     event at a time, with targets found in a dict of the enumerated states.
+
+    Returns ``(gen, dst_z, dst_psi)``: the digits of every transition's
+    target, one row per entry of ``gen.dst``, come with the generator.
     """
     cfg = idx.cfg
     nc = cfg.n_classes
@@ -175,23 +178,26 @@ def replay_generator(idx):
     src = np.array(src_l, dtype=np.int64)
     rate = np.array(rate_l, dtype=np.float64)
     dst = np.array(dst_l, dtype=np.int64)
+    dst_z = np.array(dst_z_l, dtype=np.int64).reshape(-1, nc)
+    dst_psi = np.array(dst_psi_l, dtype=np.int64).reshape(-1, nc)
     kept = dst >= 0
     off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
     exit_rates = np.asarray(off.sum(axis=1)).ravel()
     dropped = np.zeros(n)
     np.add.at(dropped, src[~kept], rate[~kept])
-    return SparseGenerator(
+    gen = SparseGenerator(
         idx=idx,
         Q=(off + sparse.diags(-exit_rates)).tocsr(),
         src=src,
         rate=rate,
         dst=dst,
-        dst_z=np.array(dst_z_l, dtype=np.int64),
-        dst_psi=np.array(dst_psi_l, dtype=np.int64),
+        beyond_z=dst_z[~kept],
+        beyond_psi=dst_psi[~kept],
         boundary_mask=dropped > 0.0,
         dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
+    return gen, dst_z, dst_psi
 
 
 def validate_macro_state(s, cfg):

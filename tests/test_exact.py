@@ -132,8 +132,8 @@ def test_generator_matches_policy_replay(kind, system, K_of):
     K = {"N": cfg.n_servers, "N+3": cfg.n_servers + 3,
          "default": default_truncation(cfg)}[K_of]
     idx = enumerate_states(cfg, kind, K)
-    gen, oracle = build_generator(idx), replay_generator(idx)
-    for field in ("src", "rate", "dst", "dst_z", "dst_psi", "boundary_mask",
+    gen, (oracle, _, _) = build_generator(idx), replay_generator(idx)
+    for field in ("src", "rate", "dst", "beyond_z", "beyond_psi", "boundary_mask",
                   "dropped_rate"):
         got, want = getattr(gen, field), getattr(oracle, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
@@ -164,12 +164,26 @@ def test_generator_preemption_rates():
     assert i >= 0
     lo, hi = np.searchsorted(gen.src, [i, i + 1])
     departures = {
-        tuple(gen.dst_z[t]): gen.rate[t]
+        tuple(idx.z[gen.dst[t]]): gen.rate[t]
         for t in range(lo, hi)
-        if gen.dst_z[t].sum() < 2
+        if gen.dst[t] >= 0 and idx.level[gen.dst[t]] < 2
     }
     assert departures[(1, 0)] == pytest.approx(cfg.mus[1])  # service of class 1
     assert departures[(0, 1)] == pytest.approx(cfg.nus[0])  # abandonment of class 0
+
+
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+def test_duplicate_targets_are_summed(kind):
+    # N = 1, z = (0, 2) with class 1 in service: its service completion
+    # (refilled from the class-1 queue, non-preemptive) and its abandonment
+    # both reach z = (0, 1), psi = (0, 1)
+    cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=1)
+    idx = enumerate_states(cfg, kind, 6)
+    gen = build_generator(idx)
+    i, j = idx.positions(np.array([[0, 2], [0, 1]]), np.array([[0, 1], [0, 1]]))
+    both = (gen.src == i) & (gen.dst == j)
+    assert gen.rate[both].tolist() == [cfg.mus[1], cfg.nus[1]]
+    assert gen.Q[i, j] == cfg.mus[1] + cfg.nus[1]
 
 
 def test_stationary_mm2_closed_form():
@@ -445,18 +459,21 @@ def test_abar_apply_matches_hand_sum():
     assert got == pytest.approx(1.0 - np.minimum(z[:, 0], 2), abs=1e-12)
 
 
-def _abar_all_targets(gen, f_vec):
-    """Abar F with F evaluated on every transition target."""
-    cfg = gen.idx.cfg
-    vals_src = np.asarray(f_vec(gen.idx.z, gen.idx.psi, cfg), dtype=float)
-    vals_dst = np.asarray(f_vec(gen.dst_z, gen.dst_psi, cfg), dtype=float)
+def _abar_all_targets(replay, f_vec):
+    """Abar F with F evaluated on every transition target of the policy
+    replay ``(gen, dst_z, dst_psi)``, not of the generator under test."""
+    gen, dst_z, dst_psi = replay
+    idx = gen.idx
+    vals_src = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
+    vals_dst = np.asarray(f_vec(dst_z, dst_psi, idx.cfg), dtype=float)
     return np.bincount(gen.src, weights=gen.rate * (vals_dst - vals_src[gen.src]),
-                       minlength=gen.idx.n_states)
+                       minlength=idx.n_states)
 
 
 @pytest.mark.parametrize("kind, K", [(PREEMPTIVE, 84), (NONPREEMPTIVE, 30)])
 def test_abar_matches_all_targets_oracle(kind, K):
-    gen = build_generator(enumerate_states(TWO_CLASS_AB, kind, K))
+    idx = enumerate_states(TWO_CLASS_AB, kind, K)
+    gen, replay = build_generator(idx), replay_generator(idx)
     assert (gen.dst < 0).any()
 
     def phi(Z, PSI, c):
@@ -467,9 +484,10 @@ def test_abar_matches_all_targets_oracle(kind, K):
         lambda Z, PSI, c: np.exp(0.2 * np.minimum(phi(Z, PSI, c), 5.0)),
         lambda Z, PSI, c: np.exp(-0.2 * phi(Z, PSI, c)),
         lambda Z, PSI, c: (Z - PSI).sum(axis=1) ** 2.0,
+        lambda Z, PSI, c: PSI @ np.arange(1.0, c.n_classes + 1),  # who is served
     )
     for f in functionals:
-        assert np.array_equal(abar_vector(gen, f), _abar_all_targets(gen, f))
+        assert np.array_equal(abar_vector(gen, f), _abar_all_targets(replay, f))
     # a functional that is nonzero only above K sees the dropped arrivals alone
     above = abar_vector(gen, lambda Z, PSI, c: (Z.sum(axis=1) > K).astype(float))
     assert np.array_equal(above, np.where(gen.boundary_mask, gen.dropped_rate, 0.0))

@@ -6,6 +6,7 @@ from hwq.errors import InvalidRate, NonUnitLoad
 from hwq.model import (
     ClassParams,
     MacroState,
+    _sum_classes,
     build_config,
     nominal_utilization,
     scale_arrays,
@@ -126,6 +127,38 @@ def test_qhat_below_zhat_plus():
             continue
         sc = scale_row(z, psi, cfg)
         assert sc.q_hat[0] <= max(sc.z_hat_total[0], 0.0) + 1e-12
+
+
+def _scale_arrays_by_row_sums(Z, PSI, cfg):
+    """Every field of scale_arrays, each row sum taken by numpy's sum(axis=1)."""
+    z_hat = (Z - np.asarray(cfg.rho_r)) / cfg.sqrt_r
+    total = z_hat.sum(axis=1)
+    return {"z_hat": z_hat, "z_hat_total": total,
+            "phi_hat": (z_hat / np.asarray(cfg.mus)).sum(axis=1),
+            "q_hat": (Z - PSI).sum(axis=1) / cfg.sqrt_r,
+            "z_hat_a": np.minimum(total, cfg.a_eff),
+            "sum_z_hat_plus": np.maximum(z_hat, 0.0).sum(axis=1),
+            "sum_z_hat_minus": np.maximum(-z_hat, 0.0).sum(axis=1)}
+
+
+@pytest.mark.parametrize("classes", [
+    ONE_CLASS, TWO_CLASS,
+    [ClassParams(0.3, 1.0, 0.0), ClassParams(0.8, 2.0, 0.0), ClassParams(0.9, 3.0, 0.0)],
+], ids=["1 class", "2 classes", "3 classes"])
+def test_scale_arrays_bitwise_equal_to_row_sums(classes):
+    # r = 100 makes every rho_r an integer, so z_hat holds zeros of both signs
+    cfg = build_config(classes, 100.0, 1.0)
+    rng = np.random.default_rng(5)
+    Z = rng.integers(0, 2 * np.asarray(cfg.rho_r).astype(int) + 1, size=(2000, cfg.n_classes))
+    PSI = rng.integers(0, Z + 1)
+    got, want = scale_arrays(Z, PSI, cfg), _scale_arrays_by_row_sums(Z, PSI, cfg)
+    for name, value in want.items():
+        field = getattr(got, name)
+        assert field.dtype == value.dtype and field.shape == value.shape, name
+        assert field.tobytes() == value.tobytes(), name
+    # signed zeros, which these fields do not produce: numpy's sum gives +0.0
+    A = rng.choice([-0.0, 0.0, -1.5, 2.0 ** -60, 1.0], size=(2000, cfg.n_classes))
+    assert _sum_classes(A).tobytes() == A.sum(axis=1).tobytes()
 
 
 def test_validate_macro_state_ok():
