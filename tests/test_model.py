@@ -146,7 +146,7 @@ def _scale_arrays_by_row_sums(Z, PSI, cfg):
     [ClassParams(0.3, 1.0, 0.0), ClassParams(0.8, 2.0, 0.0), ClassParams(0.9, 3.0, 0.0)],
 ], ids=["1 class", "2 classes", "3 classes"])
 def test_scale_arrays_bitwise_equal_to_row_sums(classes):
-    # r = 100 makes every rho_r an integer, so z_hat holds zeros of both signs
+    # r = 100 makes every rho_r an integer, so z_hat holds exact zeros
     cfg = build_config(classes, 100.0, 1.0)
     rng = np.random.default_rng(5)
     Z = rng.integers(0, 2 * np.asarray(cfg.rho_r).astype(int) + 1, size=(2000, cfg.n_classes))
