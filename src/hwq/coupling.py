@@ -29,19 +29,23 @@ ascending class index, which keeps Psi_i <= Psi'_i and the shadow non-idling.
 Each comparison is a chain object (:class:`InfServerChain`,
 :class:`MonotoneChain`) holding the joint rate table, the jump rules and the
 per-event ordering checks; the jump kernel of :mod:`hwq.simulate` drives
-it.  ``rates()`` builds the table once, when the kernel starts; after that
-each ``jump`` applies its event and, in one pass over the classes, checks
-every ordering and rewrites every class's rates in the same list, so a
-chain's state may be edited only before the kernel starts.  Both raise
-:class:`OrderingViolation` the moment an ordering fails; that never happens
-by construction, so a raise means an implementation bug.
+it.  ``rates()`` is a function of the count lists the chain declares,
+``(G, z, psi)`` or ``(z, Z', psi)``, so the kernel builds each distinct
+joint state's table once and caches it.  Each event runs through an
+action table, one action per category, and checks every ordering of
+every class.  Both raise :class:`OrderingViolation` the moment an
+ordering fails; that never happens by construction, so a raise means an
+implementation bug.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the holding time per visited pair of observed count lists,
 ``(G, Z)`` or ``(Z, Z')``, with :func:`hwq.simulate.occupancy`, the
 accumulator of the estimators, and take every coordinate's time average in
-one numpy pass over the distinct states.  The infinite-server runner's G
-snapshots on a time grid come from the same accumulator.
+one numpy pass over the distinct states.  The kernel records the id of
+each full joint state, and the fold maps it to its observed pair before
+summing, so each pair's holding times are still added in time order.  The
+infinite-server runner's G snapshots on a time grid come from the same
+accumulator.
 
 scipy is imported by the functions that call it (the chi-square tail of
 :func:`poisson_fit_pvalue`), so the runners never load it.
@@ -57,12 +61,12 @@ from .errors import HypothesisViolated, OrderingViolation
 from .model import SystemConfig
 from .policy import QUEUE, SERVICE, init_state
 from .simulate import (
+    Path,
     RngStream,
     advance,
     check_event_counts,
     jumps,
     occupancy,
-    stack_states,
 )
 
 
@@ -79,15 +83,15 @@ class InfServerChain:
     customer of class i, in service first: ``m_s = min(G_i, psi_i)`` and
     ``m_q = G_i - m_s``.  The rate table has six blocks of ``n_classes``
     categories, in the order of the block constants below; the shared and
-    Z-only deaths are split by where the primary customer sits.  ``rates()``
-    builds the table; every jump then checks ``G_i <= Z_i`` and rewrites the
-    rates of each class in one pass, since a FIFO service completion or a
+    Z-only deaths are split by where the primary customer sits.  The rates
+    are a function of the count lists ``(G, z, psi)``.  Every event checks
+    ``G_i <= Z_i`` for every class, since a FIFO service completion or a
     preemptive reallocation moves the psi of other classes too.
     """
 
     ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
 
-    __slots__ = ("cfg", "rng", "state", "g", "checks", "_nc", "_rows", "_rates")
+    __slots__ = ("cfg", "rng", "state", "g", "checks", "_nc")
 
     def __init__(self, cfg: SystemConfig, kind: str, rng):
         nc = cfg.n_classes
@@ -103,30 +107,31 @@ class InfServerChain:
         self.g = [0] * nc
         self.checks = 0
         self._nc = nc
-        # per class: its index, mu, nu, and its slots in the death blocks
-        self._rows = [(i, cfg.mus[i], cfg.nus[i], *range(nc + i, 6 * nc, nc))
-                      for i in range(nc)]
-        self._rates = list(cfg.arrival_rates) + [0.0] * (5 * nc)
+
+    def counts(self):
+        return self.g, self.state.z, self.state.psi
 
     def rates(self) -> list[float]:
-        z = self.state.z
-        psi = self.state.psi
-        g = self.g
-        r = self._rates
-        for i, mu, nu, ss, zs, sq, zq, go in self._rows:
-            gi = g[i]
-            pi = psi[i]
+        cfg = self.cfg
+        ss, zs, sq, zq, go = [], [], [], [], []
+        for mu, nu, zi, pi, gi in zip(cfg.mus, cfg.nus, self.state.z, self.state.psi, self.g):
             ms = gi if gi < pi else pi
             mq = gi - ms
-            r[ss] = mu * ms
-            r[zs] = mu * (pi - ms)
-            r[sq] = nu * mq
-            r[zq] = nu * (z[i] - pi - mq)
-            r[go] = (mu - nu) * mq
-        return r
+            ss.append(mu * ms)
+            zs.append(mu * (pi - ms))
+            sq.append(nu * mq)
+            zq.append(nu * (zi - pi - mq))
+            go.append((mu - nu) * mq)
+        return [*cfg.arrival_rates, *ss, *zs, *sq, *zq, *go]
+
+    def actions(self) -> list:
+        return [(self._event, (block, i)) for block in range(6) for i in range(self._nc)]
 
     def jump(self, k: int) -> None:
-        block, i = divmod(k, self._nc)
+        """Apply one event of category ``k`` and check every ordering."""
+        self._event(*divmod(k, self._nc))
+
+    def _event(self, block: int, i: int) -> None:
         st = self.state
         g = self.g
         if block == 0:  # shared arrival
@@ -139,36 +144,23 @@ class InfServerChain:
             if block == 1 or block == 3:  # shared death
                 g[i] -= 1
         self.checks += 1
-        # one pass: check G <= Z and rewrite the class's rates
         z = st.z
-        psi = st.psi
-        r = self._rates
-        for j, mu, nu, ss, zs, sq, zq, go in self._rows:
-            gj = g[j]
-            zj = z[j]
-            if gj > zj:
+        for j in range(self._nc):
+            if g[j] > z[j]:
                 raise OrderingViolation(
-                    f"G[{j}] = {gj} > Z[{j}] = {zj} after event {self.checks}"
+                    f"G[{j}] = {g[j]} > Z[{j}] = {z[j]} after event {self.checks}"
                 )
-            pj = psi[j]
-            ms = gj if gj < pj else pj
-            mq = gj - ms
-            r[ss] = mu * ms
-            r[zs] = mu * (pj - ms)
-            r[sq] = nu * mq
-            r[zq] = nu * (zj - pj - mq)
-            r[go] = (mu - nu) * mq
 
 
-def _run_coupled(make_chain, observed, n_events: int, rng, warmup_events: int,
+def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
                  grid_dt: float = 0.0):
     """Run ``make_chain(rng)`` for ``warmup_events`` jumps, then integrate
-    the two count lists ``observed(chain)`` over the other jumps.
+    its first two count lists over the other jumps.
 
     Returns ``(chain, span, first, second, grid)``: the elapsed time after
     the warm-up, the time average of each coordinate of either list, and
-    the joint states occupying the multiples of ``grid_dt`` after the
-    warm-up (see :func:`hwq.simulate.occupancy`).
+    the rows of the two lists occupying the multiples of ``grid_dt`` after
+    the warm-up (see :func:`hwq.simulate.occupancy`).
     """
     if isinstance(rng, RngStream):
         rng = rng.make()
@@ -176,11 +168,11 @@ def _run_coupled(make_chain, observed, n_events: int, rng, warmup_events: int,
     check_event_counts(n_events, warmup_events)
     if not 0.0 <= grid_dt < float("inf"):
         raise ValueError(f"g_sample_dt must be finite and >= 0, got {grid_dt}")
-    a, b = observed(chain)
-    events = jumps(chain, rng)
-    advance(events, warmup_events)
-    occ, span, grid = occupancy(events, n_events - warmup_events, a, b, grid_dt=grid_dt)
-    states, held = stack_states([occ], len(a) + len(b))
+    a, b = chain.counts()[:2]
+    path = Path(len(a) + len(b))
+    events = jumps(chain, rng, path)
+    advance(events, warmup_events, path)
+    states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
     return chain, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
@@ -212,8 +204,8 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     event-indexed states follow the jump-chain law.
     """
     chain, span, g_avg, z_avg, grid = _run_coupled(
-        lambda rng: InfServerChain(cfg, kind, rng), lambda c: (c.g, c.state.z),
-        n_events, rng, warmup_events, g_sample_dt)
+        lambda rng: InfServerChain(cfg, kind, rng), n_events, rng, warmup_events,
+        g_sample_dt)
     nc = cfg.n_classes
     return InfServerReport(
         events=n_events,
@@ -221,7 +213,7 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
         ordering_checks=chain.checks,
         g_time_avg=g_avg,
         z_time_avg=z_avg,
-        g_samples=[key[:nc] for key in grid],
+        g_samples=[tuple(row) for row in grid[:, :nc].tolist()],
     )
 
 
@@ -234,15 +226,14 @@ class MonotoneChain:
     four blocks of ``n_classes`` categories: coupled arrivals, primary
     service completions, primary abandonments (both followed by the shadow
     unless thinned, see :meth:`thinning_probability`), and shadow-only
-    departures.  ``rates()`` builds the table; every jump then calls
-    :meth:`allocate_shadow`, which can move psi' of every class, and in one
-    pass over the classes checks ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'``
-    and the primary's non-idling and rewrites each class's rates; the
-    shadow's non-idling is checked last.
+    departures.  The rates are a function of the count lists
+    ``(z, Z', psi)``, since psi' is one of psi and Z'.  Every event calls
+    :meth:`allocate_shadow`, which can move psi' of every class, then
+    checks ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'`` and the primary's
+    non-idling for every class, and the shadow's non-idling last.
     """
 
-    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks",
-                 "_nc", "_n_srv", "_rows", "_rates")
+    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks", "_nc", "_n_srv")
 
     def __init__(self, cfg: SystemConfig, nu_prime, kind: str, rng):
         nc = cfg.n_classes
@@ -264,17 +255,13 @@ class MonotoneChain:
         self.checks = 0
         self._nc = nc
         self._n_srv = cfg.n_servers
-        # per class: its index, mu, nu, nu', and its slots in the death blocks
-        self._rows = [(i, cfg.mus[i], cfg.nus[i], nu_prime[i], *range(nc + i, 4 * nc, nc))
-                      for i in range(nc)]
-        self._rates = list(cfg.arrival_rates) + [0.0] * (3 * nc)
 
     def allocate_shadow(self) -> tuple[int, int]:
         """Set psi' from psi and Z': mirror the primary, fill upward by class.
 
         Gives psi_i <= psi'_i <= Z'_i and sum(psi') = min(N, sum(Z')) while
         Z <= Z' holds coordinatewise.  Returns ``(sum(Z'), sum(psi))``, which
-        :meth:`jump`'s checks reuse.
+        the checks after each event reuse.
         """
         psi = self.state.psi
         zp = self.zp
@@ -283,7 +270,8 @@ class MonotoneChain:
         total = sum(zp)
         total_psi = sum(psi)
         rem = (total if total < n_srv else n_srv) - total_psi  # min() costs a call per event
-        for i, pi in enumerate(psi):
+        for i in range(self._nc):
+            pi = psi[i]
             extra = zp[i] - pi
             if extra > rem:
                 extra = rem
@@ -303,22 +291,28 @@ class MonotoneChain:
         q = self.state.z[j] - psi
         return q * (nu - self.nu_prime[j]) / (nu * q + self.cfg.mus[j] * psi)
 
+    def counts(self):
+        return self.state.z, self.zp, self.state.psi
+
     def rates(self) -> list[float]:
-        z = self.state.z
-        psi = self.state.psi
-        zp = self.zp
-        psip = self.psip
-        r = self._rates
-        for i, mu, nu, nup, svc, ab, shadow in self._rows:
-            pi = psi[i]
-            qi = z[i] - pi
-            r[svc] = mu * pi
-            r[ab] = nu * qi
-            r[shadow] = nup * (zp[i] - psip[i] - qi) + mu * (psip[i] - pi)
-        return r
+        cfg = self.cfg
+        svc, ab, shadow = [], [], []
+        for mu, nu, nup, zi, pi, zpi, ppi in zip(cfg.mus, cfg.nus, self.nu_prime, self.state.z,
+                                                 self.state.psi, self.zp, self.psip):
+            qi = zi - pi
+            svc.append(mu * pi)
+            ab.append(nu * qi)
+            shadow.append(nup * (zpi - ppi - qi) + mu * (ppi - pi))
+        return [*cfg.arrival_rates, *svc, *ab, *shadow]
+
+    def actions(self) -> list:
+        return [(self._event, (block, j)) for block in range(4) for j in range(self._nc)]
 
     def jump(self, k: int) -> None:
-        block, j = divmod(k, self._nc)
+        """Apply one event of category ``k`` and check every ordering."""
+        self._event(*divmod(k, self._nc))
+
+    def _event(self, block: int, j: int) -> None:
         st = self.state
         zp = self.zp
         if block == 0:  # coupled arrival
@@ -333,14 +327,12 @@ class MonotoneChain:
             zp[j] -= 1
         total, total_psi = self.allocate_shadow()
         self.checks += 1
-        # one pass: check every ordering of the class and rewrite its rates
         n_srv = self._n_srv
         z = st.z
         psi = st.psi
         psip = self.psip
-        r = self._rates
         idle = total_psi < n_srv
-        for i, mu, nu, nup, svc, ab, shadow in self._rows:
+        for i in range(self._nc):
             zi = z[i]
             zpi = zp[i]
             if zi > zpi:
@@ -364,9 +356,6 @@ class MonotoneChain:
                     f"primary idles with a queue: psi sums to {total_psi} < "
                     f"{n_srv} but Q[{i}] > 0 (event {self.checks})"
                 )
-            r[svc] = mu * pi
-            r[ab] = nu * qi
-            r[shadow] = nup * (qpi - qi) + mu * (ppi - pi)
         busy = sum(psip)
         if busy != (total if total < n_srv else n_srv):
             raise OrderingViolation(
@@ -394,8 +383,7 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
     post-warmup span by the occupancy measure of the pairs ``(Z, Z')``.
     """
     chain, span, z_avg, zp_avg, _ = _run_coupled(
-        lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), lambda c: (c.state.z, c.zp),
-        n_events, rng, warmup_events)
+        lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events)
     return MonotoneReport(
         events=n_events,
         sim_time=span,

@@ -105,8 +105,12 @@ class StateIndex:
 
     def find(self, keys) -> np.ndarray:
         """Index of the state with each key, -1 where not enumerated."""
-        j = np.minimum(np.searchsorted(self.keys, keys), self.n_states - 1)
-        return np.where(self.keys[j] == keys, self.order[j], -1)
+        j = np.searchsorted(self.keys, keys)
+        np.minimum(j, self.n_states - 1, out=j)
+        missing = self.keys[j] != keys
+        j = self.order[j]
+        j[missing] = -1
+        return j
 
 
 def _state_keys(kind: str, K: int, Z, PSI) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Exact continuous-time jump simulation and steady-state estimators.
 
 One jump kernel (:func:`jumps`) drives every simulator in the package: the
-estimators here and both coupling runners.  A chain object builds its
-table of per-category rates once, when the kernel starts, and each jump
-applies an event and then rewrites that table in place, so a chain's state
-may be edited only before the kernel starts.  The kernel draws the holding
-time at the total rate and the category proportionally to the rates.  For a
-policy chain the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i +
-nu_i*q_i)``; rates depend only on the per-class counts, so each event costs
-O(n_classes).
+estimators here and both coupling runners.  A chain object declares the
+per-class count lists its rates depend on, computes its table of
+per-category rates from their values, and applies an event of each
+category through an action table.  The kernel draws the holding time at
+the total rate and the category proportionally to the rates, by
+bisection on the cumulative rates.  It caches the total and the
+cumulative rates of each distinct state, keyed by the values of the count
+lists, so a state's table is built once however often it is visited (the
+direct method of Gillespie with cached propensities), and a chain's
+state may be edited only before the kernel starts.  For a policy chain
+the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i + nu_i*q_i)``.
 
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
@@ -18,16 +21,21 @@ are time averages, not event averages.
 
 Every time average in the package, here and in :mod:`hwq.coupling`, comes
 from one accumulator, the occupancy measure (:func:`occupancy`): the
-holding time spent in each visited state, keyed by two per-class count
-lists (``(z, psi)`` for the estimators).  Nothing is evaluated along the
-path.  Per batch or regenerative cycle, the distinct states are stacked
-into int64 arrays, each functional is called once on them, and its values
-are integrated against the measure.  The sample path and the random stream
-are those of a per-event evaluation; only the order of summation differs.
-Memory holds one batch, or one group of cycles that closes at the first
-cycle bringing it to ``GROUP_STATES`` distinct states, never the whole run.
-On request the accumulator also records the state holding at each point of
-a time grid, which the infinite-server coupling samples.
+holding time spent in each visited state.  The kernel records, per event,
+the id of the state held and the holding time in two typed arrays (a
+:class:`Path`), and the accumulator folds them with numpy at least every
+``GROUP_STATES`` events: ``np.bincount`` sums each state's holding times
+in time order, as one running sum per state would, and the states are
+kept in order of first visit.  Nothing is evaluated along the path.  Per
+batch or regenerative cycle, the distinct states are stacked into int64
+arrays, each functional is called once on them, and its values are
+integrated against the measure.  The sample path, the random stream and
+the sums are those of a per-event evaluation; only the order of summation
+differs.  Memory holds the kernel's cache, one fold of the record and one
+batch, or one group of cycles that closes at the first fold bringing it
+to ``GROUP_STATES`` distinct states, never the whole run.  On request the
+accumulator also records the state holding at each point of a time grid,
+which the infinite-server coupling samples.
 
 Functionals take the array form ``f(Z, PSI, cfg)`` of
 :meth:`hwq.verify.FunctionalSpec.vector` and of the exact path: ``Z`` and
@@ -46,10 +54,13 @@ import multiprocessing
 import os
 import random
 import time
+from array import array
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, islice
 from math import log
+from operator import mul, sub
 
 import numpy as np
 
@@ -59,7 +70,7 @@ from .policy import QUEUE, SERVICE, init_state
 
 _REGENERATIVE_MAX_R = 50.0  # choose_estimator's limits on r and nu_max
 _REGENERATIVE_MAX_NU = 2.0
-GROUP_STATES = 2 ** 16  # regenerative cycles are integrated in groups of this many states
+GROUP_STATES = 2 ** 16  # events per fold of the record, and states per group of cycles
 
 
 @dataclass(frozen=True)
@@ -137,162 +148,324 @@ class StationaryEstimate:
     warmup_events: int
 
 
-def jumps(chain, rng: random.Random):
+_NO_IDS = np.zeros(0, np.int64)
+
+
+class Path:
+    """What the jump kernel records of a run.
+
+    ``table`` is the kernel's rate cache: for each visited state, keyed by
+    the values of the chain's count lists, ``(id, total rate, cumulative
+    rates)``, with ids numbering the states in order of first visit.
+    ``ids`` and ``held`` are typed arrays that receive, per event, the id of
+    the state held and the holding time.  :meth:`take` hands them over as
+    numpy arrays and clears them.  It reports *observed* ids: a state is
+    observed through its first ``width`` counts (all of them when ``width``
+    is None), the observed states are numbered in order of first visit, and
+    ``states`` holds their rows.  A policy chain is observed whole; a
+    coupling is observed through ``(G, Z)`` or ``(Z, Z')``, without the
+    allocation that completes its state.
+    """
+
+    __slots__ = ("table", "ids", "held", "width", "states", "_index", "_observed")
+
+    def __init__(self, width: int | None = None):
+        self.table = {}
+        self.ids = array("q")
+        self.held = array("d")
+        self.width = width
+        self.states = None  # int64 rows of the observed states, once any is taken
+        self._index = {}  # observed key -> observed id
+        self._observed = _NO_IDS  # state id -> observed id
+
+    def clear(self) -> None:
+        """Discard the events recorded so far."""
+        del self.ids[:]
+        del self.held[:]
+
+    def take(self):
+        """``(ids, held)``: the observed id of the state held at each event
+        recorded since the last call, and its holding time, as an int64 and
+        a float array; the record is cleared."""
+        known = len(self._observed)
+        if len(self.table) > known:
+            keys = list(islice(self.table, known, None))
+            if self.width is None:  # observed whole: an observed id is the state's id
+                fresh = np.arange(known, len(self.table))
+            else:
+                index = self._index
+                rows = len(index)
+                fresh = [index.setdefault(key[:self.width], len(index)) for key in keys]
+                keys = list(islice(index, rows, None))
+            self._observed = np.concatenate([self._observed, fresh])
+            if keys:
+                new = np.array(keys, np.int64)
+                self.states = new if self.states is None else np.concatenate([self.states, new])
+        ids = self._observed[np.frombuffer(self.ids, np.int64)]
+        held = np.frombuffer(self.held).copy()
+        self.clear()
+        return ids, held
+
+
+def jumps(chain, rng: random.Random, path: Path | None = None):
     """The jump kernel: an endless generator of holding times of ``chain``.
 
-    ``chain`` provides ``rates()``, which builds its list of per-category
-    rates at the current state and returns it, and ``jump(k)``, which
-    applies an event of category ``k`` and then rewrites that same list in
-    place for the new state.  The kernel calls ``rates()`` once, when the
-    generator starts, and afterwards reads only the live list, so a chain's
-    state may be edited only before then.  Each step draws the holding time
-    at the total rate, then picks a category with probability proportional
-    to its rate and applies it; the jump itself may draw further numbers
-    from the same ``rng``.  The holding time is yielded after the jump, so
-    a caller that needs the state the chain held during it must read that
-    state before advancing the generator.
+    ``chain`` provides ``counts()``, the live per-class count lists its
+    rates depend on; ``rates()``, its list of per-category rates, a function
+    of the values of those lists; and ``actions()``, per category a
+    function and the arguments with which it applies an event of that
+    category.  The kernel calls ``counts()`` and ``actions()`` once, when
+    the generator starts, so a chain's state may be edited only before
+    then.  It calls ``rates()`` once per distinct state: ``path.table``
+    caches, keyed by the values of the count lists, the state's id, its
+    total rate ``sum(rates())`` and its cumulative rates.  Each step draws the holding time at the total rate,
+    then a point uniform below the total, and applies the first category
+    whose cumulative rate exceeds that point (the last category when none
+    does); the action may draw further numbers from the same ``rng``.  The
+    step then records the state's id and the holding time in ``path`` (a
+    fresh :class:`Path` when None) and yields the holding time, so a caller
+    that needs the state the chain held during it must read that state
+    before advancing the generator.
     """
-    jump = chain.jump
+    if path is None:
+        path = Path()
+    table = path.table
+    get = table.get
+    rates = chain.rates
+    act = chain.actions()
+    last = len(act) - 1
+    record_id = path.ids.append
+    record_held = path.held.append
     u01 = rng.random
-    r = chain.rates()
-    last = len(r) - 1
+    a, b, *rest = chain.counts()
+    c = rest[0] if rest else ()
     while True:
-        total = sum(r)
+        key = (*a, *b, *c)
+        entry = get(key)
+        if entry is None:
+            r = rates()
+            entry = table[key] = (len(table), sum(r), tuple(accumulate(r)))
+        sid, total, cum = entry
         holding = -log(1.0 - u01()) / total  # random.expovariate(total), inlined
-        u = u01() * total
-        k = 0
-        acc = r[0]
-        while acc <= u and k < last:
-            k += 1
-            acc += r[k]
-        jump(k)
+        k = bisect_right(cum, u01() * total)
+        apply, args = act[k if k < last else last]
+        apply(*args)
+        record_id(sid)
+        record_held(holding)
         yield holding
 
 
-def advance(events, n: int) -> None:
-    """Consume the next ``n`` jumps of a kernel generator."""
-    next(islice(events, n, n), None)
+def advance(events, n: int, path: Path | None = None) -> None:
+    """Consume the next ``n`` jumps of a kernel generator, discarding what
+    they record in ``path`` every ``GROUP_STATES`` events."""
+    while n > 0:
+        step = n if path is None else min(n, GROUP_STATES)
+        next(islice(events, step, step), None)
+        n -= step
+        if path is not None:
+            path.clear()
 
 
-def occupancy(events, n_events: int, a, b, until_empty: bool = False,
-              grid_dt: float = 0.0):
+def _grid_events(ends, next_grid: float, grid_dt: float, room: int, n_events: int):
+    """The grid instants ``next_grid``, ``next_grid + grid_dt``, ... up to
+    ``ends[-1]``, each the previous plus ``grid_dt`` as a running sum adds
+    them, located among the event end times ``ends[1:]``: per block of
+    instants, the index of the first event ending at or after each; and the
+    next instant.  More than ``room`` instants raise ``ValueError``."""
+    span = ends[-1]
+    found = []
+    while next_grid <= span:
+        gap = (span - next_grid) / grid_dt
+        want = room + 1 if gap >= room else int(gap) + 2
+        steps = np.full(want, grid_dt)
+        steps[0] = next_grid
+        instants = np.add.accumulate(steps)
+        k = int(np.searchsorted(instants, span, "right"))
+        room -= k
+        if room < 0:
+            raise ValueError(f"g_sample_dt = {grid_dt:g} samples more grid instants "
+                             f"than the run's {n_events} events")
+        found.append(np.searchsorted(ends[1:], instants[:k]))
+        next_grid = float(instants[k]) if k < want else float(instants[-1]) + grid_dt
+    return found, next_grid
+
+
+def occupancy(events, path: Path, n_events: int, grid_dt: float = 0.0):
     """Holding time per visited state over the next ``n_events`` jumps.
 
-    ``a`` and ``b`` are per-class count lists the jumps update in place:
-    a policy's ``z`` and ``psi``, or the two observed lists of a coupling.
-    Returns ``(occ, span, grid)``: ``occ`` maps each visited state
-    ``(*a, *b)`` to the time spent in it, in order of first visit, so it has
-    at most ``n_events`` entries; ``span`` is the elapsed time; ``grid``
-    holds, when ``grid_dt > 0``, the state occupying each multiple of
-    ``grid_dt`` (measured from the start), and is empty otherwise.  The
-    state holding at a grid instant is an unbiased stationary draw, whereas
+    ``path`` is the :class:`Path` the kernel records into; what it recorded
+    before the call is discarded.  Returns ``(states, held, span, grid)``:
+    the rows of the observed states visited, in order of first visit, as
+    an int64 array; the time spent in each, summed in time order; the
+    elapsed time, a running sum of the holding times; and, when
+    ``grid_dt > 0``, the rows of the states occupying each multiple of
+    ``grid_dt`` (measured from the start), empty otherwise.  The state
+    holding at a grid instant is an unbiased stationary draw, whereas
     event-indexed states follow the jump-chain law.  The grid holds at most
-    ``n_events`` entries: a step that would record more raises
-    ``ValueError`` (naming ``g_sample_dt``, the runner option that sets it)
-    at the first sample beyond that.  With ``until_empty`` it also stops
-    after the first jump that empties ``a``.
+    ``n_events`` rows: a step that would record more raises ``ValueError``
+    (naming ``g_sample_dt``, the runner option that sets it).
+
+    The record is folded at least every ``GROUP_STATES`` events: the states
+    met so far, in order of first visit, and their sums are put in front of
+    the new events, so that ``np.bincount`` adds each state's holding times
+    in time order, as one running sum per state would.
     """
-    occ = {}
-    get = occ.get
+    path.clear()
+    order = np.zeros(0, np.int64)  # observed ids, in order of first visit
+    sums = np.zeros(0)
     span = 0.0
     grid = []
     next_grid = grid_dt if grid_dt > 0.0 else float("inf")
-    key = (*a, *b)
-    for holding in islice(events, n_events):
-        occ[key] = get(key, 0.0) + holding
-        span += holding
-        while next_grid <= span:  # the pre-jump state occupies the instant
-            if len(grid) == n_events:
-                raise ValueError(f"g_sample_dt = {grid_dt:g} samples more grid instants "
-                                 f"than the run's {n_events} events")
-            grid.append(key)
-            next_grid += grid_dt
-        if until_empty and not any(a):
-            break
-        key = (*a, *b)
-    return occ, span, grid
+    room = n_events
+    left = n_events
+    while left:
+        n = min(left, GROUP_STATES)
+        advance(events, n)
+        left -= n
+        ids, held = path.take()
+        m = len(path.states)
+        seq = np.concatenate([order, ids])
+        first = np.full(m, len(seq))
+        np.minimum.at(first, seq, np.arange(len(seq)))
+        seen = np.flatnonzero(first < len(seq))
+        totals = np.bincount(seq, np.concatenate([sums, held]), m)
+        order = seen[np.argsort(first[seen])]
+        sums = totals[order]
+        ends = np.add.accumulate(np.concatenate([[span], held]))
+        found, next_grid = _grid_events(ends, next_grid, grid_dt, room, n_events)
+        for at in found:
+            grid.append(ids[at])
+            room -= len(at)
+        span = float(ends[-1])
+    grid = np.concatenate(grid) if grid else np.zeros(0, np.int64)
+    return path.states[order], sums, span, path.states[grid]
 
 
-def stack_states(occs, width: int):
-    """The states of the occupancy measures ``occs``, stacked into one int64
-    array of shape (n, ``width``), and their holding times, row for row."""
-    n = sum(len(occ) for occ in occs)
-    states = np.fromiter(chain.from_iterable(chain.from_iterable(occs)), np.int64,
-                         n * width).reshape(n, width)
-    held = np.fromiter(chain.from_iterable(occ.values() for occ in occs), float, n)
-    return states, held
+def _cycle_groups(events, path: Path, n_cycles: int, max_events: int):
+    """The first ``n_cycles`` regenerative cycles of a chain started empty,
+    in groups: yields ``(states, held, starts, taus)`` per group, the rows
+    of each cycle's visited states in order of first visit, stacked, the
+    time spent in each, the row at which each cycle starts, and each
+    cycle's length in time.
+
+    A cycle starts at each visit to the empty state, the first state
+    recorded (id 0).  A group closes at the fold that brings it to
+    ``GROUP_STATES`` rows, or at the last cycle.  A cycle longer than
+    ``max_events`` events raises :class:`CycleTimeout`.  Each fold keys the
+    events by cycle and state, finds each key's first visit with
+    ``np.unique``, and sums its holding times in time order with
+    ``np.bincount``; the open cycle's states and sums are put in front of
+    the next fold's events, as in :func:`occupancy`.
+    """
+    carry_ids = np.zeros(0, np.int64)  # the open cycle: its states in order of first visit,
+    carry_held = np.zeros(0)  # the time spent in each,
+    carry_span = 0.0  # its length in time
+    carry_events = 0  # and in events
+    pieces = []
+    stacked = 0
+    done = 0
+    simulated = 0
+    while done < n_cycles:
+        # about as many events as the remaining cycles need, by the mean so far
+        n = min(GROUP_STATES, (n_cycles - done) * simulated // max(done, 1) + 256)
+        advance(events, n)
+        simulated += n
+        ids, held = path.take()
+        seq = np.concatenate([carry_ids, ids])
+        seg = np.cumsum(seq == 0) - 1  # cycle of each row, from the open one
+        seg_new = seg[len(carry_ids):]
+        n_seg = int(seg[-1]) + 1
+        lengths = np.bincount(seg_new, minlength=n_seg)
+        lengths[0] += carry_events
+        taus = np.bincount(np.concatenate([[0], seg_new]),
+                           np.concatenate([[carry_span], held]), n_seg)
+        too_long = np.flatnonzero(lengths[:n_cycles - done] > max_events)
+        if len(too_long):
+            raise CycleTimeout(
+                f"cycle {done + int(too_long[0])} did not return to the empty state "
+                f"within {max_events} events"
+            )
+        m = len(path.states)
+        keys, first, inverse = np.unique(seg * m + seq, return_index=True,
+                                         return_inverse=True)
+        rank = np.empty(len(keys), np.int64)
+        by_visit = np.argsort(first)
+        rank[by_visit] = np.arange(len(keys))
+        sums = np.bincount(rank[inverse], np.concatenate([carry_held, held]))
+        keys = keys[by_visit]
+        key_seg, key_id = np.divmod(keys, m)
+        closed = min(n_seg - 1, n_cycles - done)
+        rows = int(np.searchsorted(key_seg, closed))
+        pieces.append((path.states[key_id[:rows]], sums[:rows],
+                       np.searchsorted(key_seg, np.arange(closed)) + stacked,
+                       taus[:closed]))
+        stacked += rows
+        done += closed
+        open_rows = key_seg == n_seg - 1
+        carry_ids, carry_held = key_id[open_rows], sums[open_rows]
+        carry_span, carry_events = float(taus[-1]), int(lengths[-1])
+        if stacked >= GROUP_STATES or done == n_cycles:
+            yield tuple(np.concatenate(part) for part in zip(*pieces))
+            pieces = []
+            stacked = 0
 
 
-def _integrate(occs, funcs, cfg: SystemConfig) -> list[list[float]]:
-    """``sum_s f(s) * occ[s]`` for each ``f`` in ``funcs`` and each ``occ``
-    in ``occs``, one list per measure.  The states of all the measures are
-    stacked into one pair of int64 arrays, and each functional is called
-    once on them."""
+def _integrate(states, held, starts, funcs, cfg: SystemConfig) -> list[list[float]]:
+    """``sum_s f(s) * held[s]`` over each measure, for each ``f`` in
+    ``funcs``: one list per measure.  ``states`` stacks the measures' states,
+    one int64 row ``(*z, *psi)`` each, and ``starts`` gives the row at which
+    each measure starts; each functional is called once on them."""
     nc = cfg.n_classes
-    states, held = stack_states(occs, 2 * nc)
     Z, PSI = states[:, :nc], states[:, nc:]
-    starts = np.cumsum([0] + [len(occ) for occ in occs[:-1]])
     sums = [np.add.reduceat(f(Z, PSI, cfg) * held, starts) for f in funcs]
-    return np.reshape(sums, (len(funcs), len(occs))).T.tolist()
+    return np.reshape(sums, (len(funcs), len(starts))).T.tolist()
 
 
 EVENT_KINDS = ("arrival", "service_completion", "abandonment")
 
 
 class PolicyChain:
-    """A policy state as a jump chain, updated in place.
+    """A policy state as a jump chain.
 
     Categories are arrivals, then service completions, then abandonments,
-    each by class index; rates depend only on the per-class counts.
-    ``jump`` rewrites every class's rates after the policy operation, since
-    a FIFO service completion or a preemptive reallocation moves the psi of
-    classes other than the one that jumped.
+    each by class index; each action is the state's own operation.  The
+    rates depend only on the count lists ``z`` and ``psi``.  ``state`` may
+    be a :class:`~hwq.model.MacroState` where only ``rates()`` is read.
     """
 
-    __slots__ = ("state", "rng", "_nc", "_rows", "_rates")
+    __slots__ = ("state", "rng", "_arrivals", "_mus", "_nus")
 
     def __init__(self, state, cfg: SystemConfig, rng=None):
-        nc = cfg.n_classes
         self.state = state
         self.rng = rng
-        self._nc = nc
-        # per class: its index, mu, nu, and its slots in the departure blocks
-        self._rows = [(i, cfg.mus[i], cfg.nus[i], nc + i, 2 * nc + i) for i in range(nc)]
-        self._rates = list(cfg.arrival_rates) + [0.0] * (2 * nc)
+        self._arrivals = cfg.arrival_rates
+        self._mus = cfg.mus
+        self._nus = cfg.nus
+
+    def counts(self):
+        return self.state.z, self.state.psi
 
     def rates(self) -> list[float]:
         z = self.state.z
         psi = self.state.psi
-        r = self._rates
-        for i, mu, nu, svc, ab in self._rows:
-            r[svc] = mu * psi[i]
-            r[ab] = nu * (z[i] - psi[i])
-        return r
+        return [*self._arrivals, *map(mul, self._mus, psi),
+                *map(mul, self._nus, map(sub, z, psi))]
 
-    def jump(self, k: int) -> None:
-        cat, i = divmod(k, self._nc)
-        st = self.state
-        if cat == 0:
-            st.apply_arrival(i, self.rng)
-        else:
-            st.apply_departure(i, SERVICE if cat == 1 else QUEUE, self.rng)
-        z = st.z
-        psi = st.psi
-        r = self._rates
-        for j, mu, nu, svc, ab in self._rows:
-            pj = psi[j]
-            r[svc] = mu * pj
-            r[ab] = nu * (z[j] - pj)
+    def actions(self) -> list:
+        arrive, depart, rng = self.state.apply_arrival, self.state.apply_departure, self.rng
+        classes = range(len(self._mus))
+        return ([(arrive, (i, rng)) for i in classes]
+                + [(depart, (i, SERVICE, rng)) for i in classes]
+                + [(depart, (i, QUEUE, rng)) for i in classes])
 
 
 class _Probe(PolicyChain):
-    """Policy rates at fixed counts; a jump only records its category, so
-    the table ``rates()`` built stays current."""
+    """Policy rates at fixed counts; an action only records its category."""
 
     __slots__ = ("k",)
 
-    def jump(self, k: int) -> None:
-        self.k = k
+    def actions(self) -> list:
+        return [(setattr, (self, "k", k)) for k in range(3 * len(self._mus))]
 
 
 def sample_event(z, psi, cfg: SystemConfig, rng: random.Random):
@@ -313,11 +486,12 @@ def step(state, cfg: SystemConfig, rng: random.Random) -> float:
 
 
 def _policy_events(cfg: SystemConfig, kind: str, rng):
-    """Fresh empty state of ``kind`` and the kernel generator driving it."""
+    """The :class:`Path` and the kernel generator of a fresh empty state of
+    ``kind``."""
     if isinstance(rng, RngStream):
         rng = rng.make()
-    state = init_state(cfg, kind)
-    return state, jumps(PolicyChain(state, cfg, rng), rng)
+    path = Path()
+    return path, jumps(PolicyChain(init_state(cfg, kind), cfg, rng), rng, path)
 
 
 def check_event_counts(n_events: int, warmup_events: int) -> None:
@@ -349,28 +523,14 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     """
     if n_cycles < 2:
         raise ValueError("need at least 2 regenerative cycles")
-    state, events = _policy_events(cfg, kind, rng)  # empty state regenerates
-    z = state.z
+    path, events = _policy_events(cfg, kind, rng)  # empty state regenerates
     funcs = list(functionals.values())
     ys = []  # per cycle, the integral of each functional
     taus = []
-    group = []  # occupancy measures of the cycles not yet integrated
-    stacked = 0
-    for c in range(n_cycles):
-        occ, tau, _ = occupancy(events, max_events_per_cycle, z, state.psi,
-                                 until_empty=True)
-        if any(z):
-            raise CycleTimeout(
-                f"cycle {c} did not return to the empty state within "
-                f"{max_events_per_cycle} events"
-            )
-        group.append(occ)
-        taus.append(tau)
-        stacked += len(occ)
-        if stacked >= GROUP_STATES or c == n_cycles - 1:
-            ys += _integrate(group, funcs, cfg)
-            group = []
-            stacked = 0
+    for states, held, starts, group_taus in _cycle_groups(events, path, n_cycles,
+                                                           max_events_per_cycle):
+        ys += _integrate(states, held, starts, funcs, cfg)
+        taus += group_taus.tolist()
     total_tau = sum(taus)
     mean_tau = total_tau / n_cycles
     tcrit = _t975(n_cycles - 1)
@@ -393,13 +553,13 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     """Batch-means estimates for several functionals from a single trajectory."""
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
-    state, events = _policy_events(cfg, kind, rng)
+    path, events = _policy_events(cfg, kind, rng)
     funcs = list(functionals.values())
-    advance(events, warmup_events)
+    advance(events, warmup_events, path)
     batch_means = []  # per batch, the time average of each functional
     for _ in range(n_batches):
-        occ, span, _ = occupancy(events, events_per_batch, state.z, state.psi)
-        batch_means.append([a / span for a in _integrate([occ], funcs, cfg)[0]])
+        states, held, span, _ = occupancy(events, path, events_per_batch)
+        batch_means.append([a / span for a in _integrate(states, held, [0], funcs, cfg)[0]])
     tcrit = _t975(n_batches - 1)
     out = {}
     for j, name in enumerate(functionals):

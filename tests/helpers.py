@@ -10,11 +10,16 @@ without merging repeated states, and evaluate each functional once over
 that path: the oracle for the occupancy-measure estimators.
 ``per_event_coupled`` does the same for the two coupling runners, with the
 time grid walked over the recorded event end times.  ``validate_macro_state`` is
-the invariant oracle for the policy states.
+the invariant oracle for the policy states.  ``reference_jumps`` and
+``reference_occupancy`` are the kernel and the accumulator as they were
+before the kernel cached each state's rates: a fresh rate table per event,
+scanned linearly, and a dict of running sums per state.  The cached kernel
+must reproduce their random stream and their sums bit for bit.
 """
 
 import math
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import log
 
 import numpy as np
 from scipy import sparse, stats
@@ -322,3 +327,52 @@ def per_event_coupled(chain, rng, observed, n_events, warmup_events, grid_dt=0.0
                 grid.append(x)
                 k += 1
     return first, second, span, grid
+
+
+def reference_jumps(chain, rng):
+    """The jump kernel without its rate cache: the chain's rate table is
+    built afresh at every event, summed, and scanned linearly."""
+    actions = chain.actions()
+    u01 = rng.random
+    while True:
+        r = chain.rates()
+        last = len(r) - 1
+        total = sum(r)
+        holding = -log(1.0 - u01()) / total  # random.expovariate(total), inlined
+        u = u01() * total
+        k = 0
+        acc = r[0]
+        while acc <= u and k < last:
+            k += 1
+            acc += r[k]
+        apply, args = actions[k]
+        apply(*args)
+        yield holding
+
+
+def reference_occupancy(events, n_events, a, b, until_empty=False, grid_dt=0.0):
+    """``(occ, span, grid)`` over the next ``n_events`` jumps, with one
+    running sum per state in a dict: ``occ`` maps each visited state
+    ``(*a, *b)`` of the live count lists ``a`` and ``b`` to the time spent
+    in it, in order of first visit; ``span`` is the elapsed time; ``grid``
+    holds the state occupying each multiple of ``grid_dt``.  With
+    ``until_empty`` it also stops after the first jump that empties ``a``."""
+    occ = {}
+    get = occ.get
+    span = 0.0
+    grid = []
+    next_grid = grid_dt if grid_dt > 0.0 else float("inf")
+    key = (*a, *b)
+    for holding in islice(events, n_events):
+        occ[key] = get(key, 0.0) + holding
+        span += holding
+        while next_grid <= span:  # the pre-jump state occupies the instant
+            if len(grid) == n_events:
+                raise ValueError(f"g_sample_dt = {grid_dt:g} samples more grid instants "
+                                 f"than the run's {n_events} events")
+            grid.append(key)
+            next_grid += grid_dt
+        if until_empty and not any(a):
+            break
+        key = (*a, *b)
+    return occ, span, grid

@@ -3,14 +3,16 @@ import math
 import random
 import statistics
 import time
+from itertools import accumulate, chain as chain_from
 
 import pytest
 
-from helpers import birth_death_mean, per_event_coupled
+from helpers import birth_death_mean, per_event_coupled, reference_jumps, reference_occupancy
 from hwq.errors import HypothesisViolated, OrderingViolation
 from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
-from hwq.simulate import PolicyChain, RngStream, jumps
+from hwq import simulate
+from hwq.simulate import Path, PolicyChain, RngStream, advance, jumps, occupancy
 from hwq.exact import build_generator, enumerate_states, expectation, scaled_poisson_mgf, stationary
 from hwq.coupling import (
     InfServerChain,
@@ -256,24 +258,70 @@ CHAINS = {
 }
 
 
+def _key(chain):
+    """The kernel's cache key: the values of the chain's count lists."""
+    return tuple(chain_from.from_iterable(chain.counts()))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", CHAINS)
-def test_live_rate_table_matches_recompute(name, kind):
-    # jump rewrites the table the kernel reads; after every event it must
-    # equal, exactly, the table rates() recomputes from the state
+def test_cached_rate_table_matches_recompute(name, kind):
+    # at every visited state the kernel's cached total and cumulative rates
+    # equal, exactly, those of a fresh rates() at that state, so the count
+    # lists a chain declares determine its rates
     rng = random.Random(8)
     chain = CHAINS[name](kind, rng)
-    live = chain.rates()
-    events = jumps(chain, rng)
-    moved = [False] * len(live)
-    before = list(live)
+    path = Path()
+    events = jumps(chain, rng, path)
+    first_visits = {}
+    tables = []
     for _ in range(5_000):
+        key = _key(chain)
+        r = chain.rates()
         next(events)
-        after = list(live)
-        assert after == chain.rates()  # rates() refills the same list
-        moved = [m or a != b for m, a, b in zip(moved, after, before)]
-        before = after
-    assert all(moved[SMALL.n_classes:])  # every departure rate changed at least once
+        first_visits.setdefault(key, len(first_visits))
+        assert path.table[key] == (first_visits[key], sum(r), tuple(accumulate(r)))
+        tables.append(r)
+    assert len(path.table) == len(first_visits)
+    # every departure rate takes more than one value along the path
+    assert all(len(set(col)) > 1 for col in list(zip(*tables))[SMALL.n_classes:])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CHAINS)
+def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
+    # the cached kernel against the kernel before the cache, on one stream:
+    # every event's state and holding time; then its folded record against a
+    # dict of running sums: the occupancy, the span and the grid, bit for
+    # bit.  FIFO abandonments and the monotone thinning draw from the same
+    # stream, and small folds carry the sums across several of them
+    def per_event(kernel):
+        rng = random.Random(8)
+        chain = CHAINS[name](kind, rng)
+        events = kernel(chain, rng)
+        return [(_key(chain), next(events)) for _ in range(3_000)]
+
+    assert per_event(jumps) == per_event(reference_jumps)
+
+    monkeypatch.setattr(simulate, "GROUP_STATES", 700)
+    n, warmup, grid_dt = 5_000, 1_000, 0.25
+    rng = random.Random(9)
+    chain = CHAINS[name](kind, rng)
+    path = Path(2 * SMALL.n_classes)
+    events = jumps(chain, rng, path)
+    advance(events, warmup, path)
+    states, held, span, grid = occupancy(events, path, n, grid_dt)
+    rng = random.Random(9)
+    chain = CHAINS[name](kind, rng)
+    events = reference_jumps(chain, rng)
+    advance(events, warmup)
+    occ, want_span, want_grid = reference_occupancy(events, n, *chain.counts()[:2],
+                                                    grid_dt=grid_dt)
+    assert list(map(tuple, states.tolist())) == list(occ)
+    assert held.tolist() == list(occ.values())
+    assert span == want_span
+    assert list(map(tuple, grid.tolist())) == want_grid
+    assert len(want_grid) > 100
 
 
 def test_ordering_check_g_le_z():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import covers, per_event_batch_means, per_event_regenerative
+from helpers import (
+    covers,
+    per_event_batch_means,
+    per_event_regenerative,
+    reference_jumps,
+    reference_occupancy,
+)
 from hwq.errors import CycleTimeout
 from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import FIFO, PREEMPTIVE, init_state
@@ -15,6 +21,7 @@ from hwq import simulate
 from hwq.verify import FunctionalSpec
 from hwq.simulate import (
     GROUP_STATES,
+    Path,
     PolicyChain,
     RngStream,
     _Probe,
@@ -103,6 +110,61 @@ def test_kernel_holding_time_is_expovariate():
     for seed in range(20):
         assert next(jumps(probe, random.Random(seed))) == \
             random.Random(seed).expovariate(total)
+
+
+class _Cap:
+    """One counter and two categories, the last at an infinite rate: every
+    draw lands at or beyond the cumulative rates, as a total from a
+    compensated ``sum`` can on Python 3.12 and later."""
+
+    def __init__(self):
+        self.n = [0]
+        self.picked = []
+
+    def counts(self):
+        return self.n, ()
+
+    def rates(self):
+        return [1.0, math.inf]
+
+    def actions(self):
+        return [(self.picked.append, (k,)) for k in range(2)]
+
+
+def test_kernel_caps_the_category_at_the_last():
+    picked = []
+    for kernel in (jumps, reference_jumps):
+        chain = _Cap()
+        assert list(islice(kernel(chain, random.Random(3)), 50)) == [0.0] * 50
+        picked.append(chain.picked)
+    assert picked[0] == picked[1] == [1] * 50
+
+
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_cycle_groups_reproduce_reference_cycles(kind, monkeypatch):
+    # each regenerative cycle's folded record against a dict of running sums
+    # per cycle, bit for bit; small folds carry open cycles across them
+    monkeypatch.setattr(simulate, "GROUP_STATES", 300)
+    n_cycles = 400
+    rng = random.Random(21)
+    state = init_state(TWO_CLASS, kind)
+    path = Path()
+    events = jumps(PolicyChain(state, TWO_CLASS, rng), rng, path)
+    groups = list(simulate._cycle_groups(events, path, n_cycles, 10_000))
+    rng = random.Random(21)
+    state = init_state(TWO_CLASS, kind)
+    events = reference_jumps(PolicyChain(state, TWO_CLASS, rng), rng)
+    cycles = [reference_occupancy(events, 10_000, state.z, state.psi, until_empty=True)[:2]
+              for _ in range(n_cycles)]
+    assert len(groups) > 1
+    got = []
+    for states, held, starts, taus in groups:
+        rows = list(map(tuple, states.tolist()))
+        ends = [*starts[1:].tolist(), len(rows)]
+        got += [(dict(zip(rows[s:e], held[s:e].tolist())), tau)
+                for s, e, tau in zip(starts.tolist(), ends, taus.tolist())]
+    assert [(list(occ.items()), tau) for occ, tau in got] == \
+        [(list(occ.items()), tau) for occ, tau in cycles]
 
 
 def test_event_category_frequencies_match_rates():
@@ -255,14 +317,16 @@ def test_occupancy_has_at_most_one_state_per_event(kind):
     for grid_dt in (0.0, 0.5):
         rng = random.Random(14)
         state = init_state(TWO_CLASS, kind)
-        events = jumps(PolicyChain(state, TWO_CLASS, rng), rng)
-        occ, span, grid = occupancy(events, 5_000, state.z, state.psi, grid_dt=grid_dt)
-        assert 1 < len(occ) <= 5_000
-        assert sum(occ.values()) == pytest.approx(span, rel=1e-12)
-        assert all(len(key) == 2 * TWO_CLASS.n_classes for key in occ)
+        path = Path()
+        events = jumps(PolicyChain(state, TWO_CLASS, rng), rng, path)
+        states, held, span, grid = occupancy(events, path, 5_000, grid_dt=grid_dt)
+        visited = set(map(tuple, states.tolist()))
+        assert 1 < len(states) == len(visited) == len(held) <= 5_000
+        assert sum(held) == pytest.approx(span, rel=1e-12)
+        assert states.shape[1] == 2 * TWO_CLASS.n_classes
         # one visited state per grid instant in (0, span]
         assert len(grid) == (math.floor(span / grid_dt) if grid_dt else 0)
-        assert all(key in occ for key in grid)
+        assert all(key in visited for key in map(tuple, grid.tolist()))
 
 
 def test_batch_means_mm2():
