@@ -381,9 +381,9 @@ def _couple_stream(sc, kind, coupling, nu_prime, n_events, warmup, seed, stream)
     rng = RngStream(seed, stream)
     if coupling == "infserver":
         rep = run_infserver_coupled(sc, kind, n_events, rng, warmup_events=warmup)
-        return rep.ordering_checks, rep.z_time_avg, rep.g_time_avg
+        return rep.ordering_checks, rep.states_checked, rep.z_time_avg, rep.g_time_avg
     rep = run_monotone_coupled(sc, nu_prime, kind, n_events, rng, warmup_events=warmup)
-    return rep.ordering_checks, rep.z_time_avg, rep.z_prime_time_avg
+    return rep.ordering_checks, rep.states_checked, rep.z_time_avg, rep.z_prime_time_avg
 
 
 def _cmd_couple(cfg, out_dir, jobs, record):
@@ -402,7 +402,10 @@ def _cmd_couple(cfg, out_dir, jobs, record):
     # a violated ordering raises OrderingViolation, so a written row has none
     rows = [[sc.r, sc.a, cfg.policy, cfg.seed, coupling, stream, n_events, checks, 0,
              *z_avg, *other_avg]
-            for stream, (checks, z_avg, other_avg) in enumerate(results)]
+            for stream, (checks, _, z_avg, other_avg) in enumerate(results)]
+    record["counters"] = [{"stream": stream, "events": n_events, "ordering_checks": checks,
+                           "states_checked": states}
+                          for stream, (checks, states, _, _) in enumerate(results)]
     path = out_dir / "couple.csv"
     _write_csv(path, columns, rows)
     return [path], 0

@@ -28,14 +28,19 @@ ascending class index, which keeps Psi_i <= Psi'_i and the shadow non-idling.
 
 Each comparison is a chain object (:class:`InfServerChain`,
 :class:`MonotoneChain`) holding the joint rate table, the jump rules and the
-per-event ordering checks; the jump kernel of :mod:`hwq.simulate` drives
-it.  ``rates()`` is a function of the count lists the chain declares,
+ordering checks; the jump kernel of :mod:`hwq.simulate` drives it.
+``rates()`` is a function of the count lists the chain declares,
 ``(G, z, psi)`` or ``(z, Z', psi)``, so the kernel builds each distinct
-joint state's table once and caches it.  Each event runs through an
-action table, one action per category, and checks every ordering of
-every class.  Both raise :class:`OrderingViolation` the moment an
-ordering fails; that never happens by construction, so a raise means an
-implementation bug.
+joint state's table once and caches it.  Every ordering is a function of
+the same lists, so ``check()`` scans every ordering of every class once per
+distinct joint state: ``rates()`` calls it first, and a state enters the
+kernel's cache only after its orderings pass.  The kernel looks up the
+state each event leaves before it draws the next event, and the runner
+checks the state the last event leaves, so the state after every event is
+checked.  Each event runs through an action table, one action per
+category.  A failed ordering raises :class:`OrderingViolation` naming the
+event that reached the state; that never happens by construction, so a
+raise means an implementation bug.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the holding time per visited pair of observed count lists,
@@ -84,9 +89,10 @@ class InfServerChain:
     ``m_q = G_i - m_s``.  The rate table has six blocks of ``n_classes``
     categories, in the order of the block constants below; the shared and
     Z-only deaths are split by where the primary customer sits.  The rates
-    are a function of the count lists ``(G, z, psi)``.  Every event checks
-    ``G_i <= Z_i`` for every class, since a FIFO service completion or a
-    preemptive reallocation moves the psi of other classes too.
+    are a function of the count lists ``(G, z, psi)``, and so is
+    :meth:`check`, which ``rates()`` calls first: it checks ``G_i <= Z_i``
+    for every class, since a FIFO service completion or a preemptive
+    reallocation moves the psi of other classes too.
     """
 
     ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
@@ -112,6 +118,7 @@ class InfServerChain:
         return self.g, self.state.z, self.state.psi
 
     def rates(self) -> list[float]:
+        self.check()
         cfg = self.cfg
         ss, zs, sq, zq, go = [], [], [], [], []
         for mu, nu, zi, pi, gi in zip(cfg.mus, cfg.nus, self.state.z, self.state.psi, self.g):
@@ -128,8 +135,11 @@ class InfServerChain:
         return [(self._event, (block, i)) for block in range(6) for i in range(self._nc)]
 
     def jump(self, k: int) -> None:
-        """Apply one event of category ``k`` and check every ordering."""
+        """Apply one event of category ``k``, then :meth:`check` the state
+        it leaves.  The kernel applies the event alone and checks the state
+        when it builds that state's rate table."""
         self._event(*divmod(k, self._nc))
+        self.check()
 
     def _event(self, block: int, i: int) -> None:
         st = self.state
@@ -144,7 +154,12 @@ class InfServerChain:
             if block == 1 or block == 3:  # shared death
                 g[i] -= 1
         self.checks += 1
-        z = st.z
+
+    def check(self) -> None:
+        """Raise :class:`OrderingViolation` unless ``G_i <= Z_i`` for every
+        class; the message names the event count ``checks``."""
+        g = self.g
+        z = self.state.z
         for j in range(self._nc):
             if g[j] > z[j]:
                 raise OrderingViolation(
@@ -157,10 +172,13 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     """Run ``make_chain(rng)`` for ``warmup_events`` jumps, then integrate
     its first two count lists over the other jumps.
 
-    Returns ``(chain, span, first, second, grid)``: the elapsed time after
-    the warm-up, the time average of each coordinate of either list, and
-    the rows of the two lists occupying the multiples of ``grid_dt`` after
-    the warm-up (see :func:`hwq.simulate.occupancy`).
+    Returns ``(chain, states_checked, span, first, second, grid)``: the
+    number of distinct joint states the kernel cached, each checked once
+    when its rate table was built; the elapsed time after the warm-up, the
+    time average of each coordinate of either list, and the rows of the two
+    lists occupying the multiples of ``grid_dt`` after the warm-up (see
+    :func:`hwq.simulate.occupancy`).  The state the last event leaves is
+    never looked up by the kernel, so it is checked here.
     """
     if isinstance(rng, RngStream):
         rng = rng.make()
@@ -173,9 +191,10 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     events = jumps(chain, rng, path)
     advance(events, warmup_events, path)
     states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
+    chain.check()
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
-    return chain, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
+    return chain, len(path.table), span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
 
 
 @dataclass(frozen=True)
@@ -183,6 +202,7 @@ class InfServerReport:
     events: int
     sim_time: float
     ordering_checks: int
+    states_checked: int
     g_time_avg: tuple[float, ...]
     z_time_avg: tuple[float, ...]
     g_samples: list[tuple[int, ...]] = field(repr=False, default_factory=list)
@@ -201,9 +221,10 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     after the warmup.
     Snapshots are taken on the time grid (not at event indices): the state
     holding at each grid instant is an unbiased stationary draw, whereas
-    event-indexed states follow the jump-chain law.
+    event-indexed states follow the jump-chain law.  ``states_checked``
+    counts the distinct joint states, each checked once.
     """
-    chain, span, g_avg, z_avg, grid = _run_coupled(
+    chain, states_checked, span, g_avg, z_avg, grid = _run_coupled(
         lambda rng: InfServerChain(cfg, kind, rng), n_events, rng, warmup_events,
         g_sample_dt)
     nc = cfg.n_classes
@@ -211,6 +232,7 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
+        states_checked=states_checked,
         g_time_avg=g_avg,
         z_time_avg=z_avg,
         g_samples=[tuple(row) for row in grid[:, :nc].tolist()],
@@ -227,10 +249,14 @@ class MonotoneChain:
     service completions, primary abandonments (both followed by the shadow
     unless thinned, see :meth:`thinning_probability`), and shadow-only
     departures.  The rates are a function of the count lists
-    ``(z, Z', psi)``, since psi' is one of psi and Z'.  Every event calls
+    ``(z, Z', psi)``, since psi' is one of psi and Z'.  So is
+    :meth:`check`, which ``rates()`` calls first: it calls
     :meth:`allocate_shadow`, which can move psi' of every class, then
     checks ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'`` and the primary's
     non-idling for every class, and the shadow's non-idling last.
+    ``psip`` is therefore the allocation of the state last checked,
+    refreshed once per distinct joint state; call :meth:`allocate_shadow`
+    to read it at the current state.
     """
 
     __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks", "_nc", "_n_srv")
@@ -261,7 +287,7 @@ class MonotoneChain:
 
         Gives psi_i <= psi'_i <= Z'_i and sum(psi') = min(N, sum(Z')) while
         Z <= Z' holds coordinatewise.  Returns ``(sum(Z'), sum(psi))``, which
-        the checks after each event reuse.
+        :meth:`check` reuses.
         """
         psi = self.state.psi
         zp = self.zp
@@ -295,6 +321,7 @@ class MonotoneChain:
         return self.state.z, self.zp, self.state.psi
 
     def rates(self) -> list[float]:
+        self.check()
         cfg = self.cfg
         svc, ab, shadow = [], [], []
         for mu, nu, nup, zi, pi, zpi, ppi in zip(cfg.mus, cfg.nus, self.nu_prime, self.state.z,
@@ -309,8 +336,11 @@ class MonotoneChain:
         return [(self._event, (block, j)) for block in range(4) for j in range(self._nc)]
 
     def jump(self, k: int) -> None:
-        """Apply one event of category ``k`` and check every ordering."""
+        """Apply one event of category ``k``, then :meth:`check` the state
+        it leaves.  The kernel applies the event alone and checks the state
+        when it builds that state's rate table."""
         self._event(*divmod(k, self._nc))
+        self.check()
 
     def _event(self, block: int, j: int) -> None:
         st = self.state
@@ -325,11 +355,18 @@ class MonotoneChain:
                 zp[j] -= 1
         else:  # shadow-only departure
             zp[j] -= 1
-        total, total_psi = self.allocate_shadow()
         self.checks += 1
+
+    def check(self) -> None:
+        """Allocate the shadow's servers, then raise :class:`OrderingViolation`
+        unless ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'`` and the primary's
+        non-idling hold for every class and the shadow does not idle; the
+        message names the event count ``checks``."""
+        total, total_psi = self.allocate_shadow()
         n_srv = self._n_srv
-        z = st.z
-        psi = st.psi
+        z = self.state.z
+        psi = self.state.psi
+        zp = self.zp
         psip = self.psip
         idle = total_psi < n_srv
         for i in range(self._nc):
@@ -369,6 +406,7 @@ class MonotoneReport:
     events: int
     sim_time: float
     ordering_checks: int
+    states_checked: int
     z_time_avg: tuple[float, ...]
     z_prime_time_avg: tuple[float, ...]
 
@@ -379,15 +417,17 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
 
     Asserts Z_i <= Z'_i, psi_i <= psi'_i, Q_i <= Q'_i, shadow non-idling, and
     the primary's own non-idling implication (idle servers force empty
-    queues) after every event.  Z and Z' are time averaged over the
-    post-warmup span by the occupancy measure of the pairs ``(Z, Z')``.
+    queues) after every event, once per distinct joint state
+    (``states_checked``).  Z and Z' are time averaged over the post-warmup
+    span by the occupancy measure of the pairs ``(Z, Z')``.
     """
-    chain, span, z_avg, zp_avg, _ = _run_coupled(
+    chain, states_checked, span, z_avg, zp_avg, _ = _run_coupled(
         lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events)
     return MonotoneReport(
         events=n_events,
         sim_time=span,
         ordering_checks=chain.checks,
+        states_checked=states_checked,
         z_time_avg=z_avg,
         z_prime_time_avg=zp_avg,
     )

@@ -218,7 +218,10 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     the generator starts, so a chain's state may be edited only before
     then.  It calls ``rates()`` once per distinct state: ``path.table``
     caches, keyed by the values of the count lists, the state's id, its
-    total rate ``sum(rates())`` and its cumulative rates.  Each step draws the holding time at the total rate,
+    total rate ``sum(rates())`` and its cumulative rates.  ``rates()`` may
+    raise on a state the chain rejects (a coupling checks its orderings
+    there); such a state never enters the cache, and the generator stops
+    with the exception.  Each step draws the holding time at the total rate,
     then a point uniform below the total, and applies the first category
     whose cumulative rate exceeds that point (the last category when none
     does); the action may draw further numbers from the same ``rng``.  The

@@ -166,16 +166,19 @@ def test_c06_generator_identity():
 
 
 def test_c07_coupling_orderings(infserver_runs, monotone_runs):
-    # the runners assert the orderings at every event and raise on failure,
-    # so reaching this point with every event checked is the criterion
-    checks = 0
+    # the runners check the orderings on the state after every event, once
+    # per distinct joint state, and raise on failure, so reaching this point
+    # with every event counted is the criterion
+    checks = states = 0
     for kind in (FIFO, PREEMPTIVE):
         for rep in infserver_runs[kind] + monotone_runs[kind]:
             checks += rep.ordering_checks
+            states += rep.states_checked
     expected = 4 * COUPLE_SEEDS * COUPLE_EVENTS
     _report("C07", checks == expected,
             f"G<=Z and Z<=Z', psi<=psi' held at every one of {checks} events "
-            f"(10 seeds x 1e6 events x {{FIFO, preemptive}} x both couplings)")
+            f"(10 seeds x 1e6 events x {{FIFO, preemptive}} x both couplings), "
+            f"checked on {states} distinct joint states")
 
 
 def test_c08_infinite_server_marginal(infserver_runs):

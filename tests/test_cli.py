@@ -191,6 +191,22 @@ def test_couple_threads_merge_deterministic(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("coupling", ["infserver", "monotone"])
+def test_couple_manifest_counts_states_checked(tmp_path, coupling):
+    # one counters entry per stream; each distinct joint state is checked
+    # once, and a run revisits states, so fewer states than events
+    cfg_file = _couple_file(tmp_path, n_seeds=2, n_events=3_000, coupling=coupling)
+    assert main(["couple", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                 "--jobs", "1"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    counters = manifest["counters"]
+    assert [c["stream"] for c in counters] == [0, 1]
+    for c in counters:
+        assert set(c) == {"stream", "events", "ordering_checks", "states_checked"}
+        assert c["events"] == c["ordering_checks"] == 3_000
+        assert 0 < c["states_checked"] < c["events"]
+
+
 def test_sweep_jobs_byte_identical(tmp_path):
     raw = _config(
         system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.0}],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import statistics
 import time
 from itertools import accumulate, chain as chain_from
@@ -237,12 +238,14 @@ def test_shadow_allocation_rules():
     chain = _monotone_chain(classes, 5, [0.0, 0.0], [0, 0], [0, 0], [0, 0])
     chain.allocate_shadow()
     assert chain.psip == [0, 0]
-    # along a trajectory: psi <= psi' <= Z' and the shadow never idles
+    # along a trajectory: psi <= psi' <= Z' and the shadow never idles;
+    # psi' is allocated once per distinct state, so allocate it here
     rng = random.Random(4)
     chain = MonotoneChain(TWO_CLASS, [0.0, 0.5], FIFO, rng)
     events = jumps(chain, rng)
     for _ in range(20_000):
         next(events)
+        chain.allocate_shadow()
         psi, psip, zp = chain.state.psi, chain.psip, chain.zp
         assert all(p <= pp <= zz for p, pp, zz in zip(psi, psip, zp))
         assert sum(psip) == min(TWO_CLASS.n_servers, sum(zp))
@@ -376,6 +379,76 @@ def test_ordering_check_shadow_non_idling(monkeypatch):
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
         chain.jump(3)
+
+
+RUNNERS = {
+    "infserver": (InfServerChain,
+                  lambda kind, n, stream, warmup: run_infserver_coupled(
+                      TWO_CLASS, kind, n, stream, warmup_events=warmup),
+                  lambda kind, rng: InfServerChain(TWO_CLASS, kind, rng)),
+    "monotone": (MonotoneChain,
+                 lambda kind, n, stream, warmup: run_monotone_coupled(
+                     TWO_CLASS, [0.0, 0.5], kind, n, stream, warmup_events=warmup),
+                 lambda kind, rng: MonotoneChain(TWO_CLASS, [0.0, 0.5], kind, rng)),
+}
+
+
+def _break_ordering_at(monkeypatch, cls, at):
+    """Make event number ``at`` of every ``cls`` chain break an ordering:
+    after it, the event's class has G one above Z (infinite-server) or Z'
+    one below Z (monotone)."""
+    event = cls._event
+
+    def faulty(self, block, i):
+        event(self, block, i)
+        if self.checks == at:
+            if cls is InfServerChain:
+                self.g[i] = self.state.z[i] + 1
+            else:
+                self.zp[i] = self.state.z[i] - 1
+
+    monkeypatch.setattr(cls, "_event", faulty)
+
+
+@pytest.mark.parametrize("at, n", [(4_321, 10_000), (10_000, 10_000)])
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+@pytest.mark.parametrize("coupling", RUNNERS)
+def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monkeypatch):
+    # the runner checks a state when the kernel builds its rate table, and
+    # the state the last event leaves at the end; the reference kernel calls
+    # rates(), and so check(), on every event.  Both must raise naming the
+    # faulty event, with the same message; at == n only the final check sees it
+    cls, run, make = RUNNERS[coupling]
+    _break_ordering_at(monkeypatch, cls, at)
+    stream = RngStream(91, 0)
+    with pytest.raises(OrderingViolation) as got:
+        run(kind, n, stream, 1_000)
+    rng = stream.make()
+    events = reference_jumps(make(kind, rng), rng)
+    with pytest.raises(OrderingViolation) as want:
+        for _ in range(n + 1):
+            next(events)
+    assert str(got.value) == str(want.value)
+    assert re.search(rf"event {at}\b", str(got.value))
+
+
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+@pytest.mark.parametrize("coupling", RUNNERS)
+def test_runner_checks_each_cached_state_once_and_the_last(coupling, kind, monkeypatch):
+    cls, run, _ = RUNNERS[coupling]
+    check = cls.check
+    calls = []
+
+    def counted(self):
+        calls.append(self.checks)
+        check(self)
+
+    monkeypatch.setattr(cls, "check", counted)
+    rep = run(kind, 20_000, RngStream(92, 0), 1_000)
+    assert rep.ordering_checks == 20_000
+    assert 0 < rep.states_checked < rep.ordering_checks
+    assert len(calls) == rep.states_checked + 1
+    assert calls[-1] == 20_000  # the final check, on the state the last event left
 
 
 def test_monotone_identical_rates_degenerate():

@@ -15,7 +15,7 @@ from hwq.policy import (
     SERVICE,
     init_state,
 )
-from hwq.simulate import step
+from hwq.simulate import PolicyChain, jumps
 
 TWO_CLASS = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
 
@@ -166,8 +166,9 @@ def test_preemptive_psi_is_function_of_z():
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(11)
     st = init_state(cfg, PREEMPTIVE)
+    events = jumps(PolicyChain(st, cfg, rng), rng)
     for _ in range(20_000):
-        step(st, cfg, rng)
+        next(events)
         fresh = init_state(cfg, PREEMPTIVE)
         fresh.set_counts(st.z)
         assert fresh.psi == st.psi
@@ -180,9 +181,10 @@ def test_invariants_along_trajectories(kind):
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(3)
     st = init_state(cfg, kind)
+    events = jumps(PolicyChain(st, cfg, rng), rng)
     prev = list(st.z)
     for _ in range(350_000):
-        assert step(st, cfg, rng) > 0.0
+        assert next(events) > 0.0
         assert validate_macro_state(st, cfg) == []
         diffs = [st.z[i] - prev[i] for i in range(cfg.n_classes)]
         changed = [d for d in diffs if d != 0]
@@ -220,8 +222,9 @@ def test_fifo_counts_match_queue():
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(13)
     st = init_state(cfg, FIFO)
+    events = jumps(PolicyChain(st, cfg, rng), rng)
     for _ in range(30_000):
-        step(st, cfg, rng)
+        next(events)
         q = [zi - pi for zi, pi in zip(st.z, st.psi)]
         assert q == [st.queue.count(c) for c in range(cfg.n_classes)]
         assert sum(st.psi) == min(cfg.n_servers, sum(st.z))
