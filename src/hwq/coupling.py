@@ -43,14 +43,20 @@ event that reached the state; that never happens by construction, so a
 raise means an implementation bug.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
-accumulate the holding time per visited pair of observed count lists,
-``(G, Z)`` or ``(Z, Z')``, with :func:`hwq.simulate.occupancy`, the
-accumulator of the estimators, and take every coordinate's time average in
-one numpy pass over the distinct states.  The kernel records the id of
+accumulate the weight of the events spent in each visited pair of
+observed count lists, ``(G, Z)`` or ``(Z, Z')``, with
+:func:`hwq.simulate.occupancy`, the accumulator of the estimators, and
+take every coordinate's time average in one numpy pass over the distinct
+states.  Each event is weighted by its expected holding time ``1/q``, the
+reciprocal of the joint state's total rate, so the elapsed time
+``sim_time`` is the expected elapsed time.  The kernel records the id of
 each full joint state, and the fold maps it to its observed pair before
-summing, so each pair's holding times are still added in time order.  The
+summing, so each pair's weights are still added in time order.  The
 infinite-server runner's G snapshots on a time grid come from the same
-accumulator.
+accumulator; with a grid, every event is weighted by its real holding
+time instead, and ``sim_time`` is the real elapsed time.  Either way the
+kernel draws the same numbers, so the path, the event counts and the
+ordering checks do not depend on the grid.
 
 scipy is imported by the functions that call it (the chi-square tail of
 :func:`poisson_fit_pvalue`), so the runners never load it.
@@ -177,7 +183,10 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     when its rate table was built; the elapsed time after the warm-up, the
     time average of each coordinate of either list, and the rows of the two
     lists occupying the multiples of ``grid_dt`` after the warm-up (see
-    :func:`hwq.simulate.occupancy`).  The state the last event leaves is
+    :func:`hwq.simulate.occupancy`).  Events are weighted by their expected
+    holding times ``1/q``, so ``span`` is the expected elapsed time, unless
+    ``grid_dt > 0``: then they are weighted by their holding times, and
+    ``span`` is the real elapsed time.  The state the last event leaves is
     never looked up by the kernel, so it is checked here.
     """
     if isinstance(rng, RngStream):
@@ -200,7 +209,7 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
 @dataclass(frozen=True)
 class InfServerReport:
     events: int
-    sim_time: float
+    sim_time: float  # expected elapsed time (sum of 1/q); real time when g_sample_dt > 0
     ordering_checks: int
     states_checked: int
     g_time_avg: tuple[float, ...]
@@ -214,12 +223,13 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     """Run the joint (primary, M/M/inf) chain, asserting G_i <= Z_i throughout.
 
     G and Z are time averaged over the post-warmup span by the occupancy
-    measure of the pairs ``(G, Z)``.  ``g_sample_dt > 0`` also records G
-    at every multiple of that many units of simulated time after the
-    warmup; a negative or non-finite value raises ``ValueError``, and so
-    does a step that would sample more instants than there are events
-    after the warmup.
-    Snapshots are taken on the time grid (not at event indices): the state
+    measure of the pairs ``(G, Z)``, each event weighted by its expected
+    holding time ``1/q``, or by its real holding time when
+    ``g_sample_dt > 0``; ``sim_time`` is the span.  ``g_sample_dt > 0``
+    also records G at every multiple of that many units of simulated time
+    after the warmup; a negative or non-finite value raises ``ValueError``,
+    and so does a step that would sample more instants than there are
+    events after the warmup.  Snapshots are taken on the time grid (not at event indices): the state
     holding at each grid instant is an unbiased stationary draw, whereas
     event-indexed states follow the jump-chain law.  ``states_checked``
     counts the distinct joint states, each checked once.
@@ -404,7 +414,7 @@ class MonotoneChain:
 @dataclass(frozen=True)
 class MonotoneReport:
     events: int
-    sim_time: float
+    sim_time: float  # expected elapsed time after the warm-up: the sum of 1/q
     ordering_checks: int
     states_checked: int
     z_time_avg: tuple[float, ...]
@@ -419,7 +429,9 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
     the primary's own non-idling implication (idle servers force empty
     queues) after every event, once per distinct joint state
     (``states_checked``).  Z and Z' are time averaged over the post-warmup
-    span by the occupancy measure of the pairs ``(Z, Z')``.
+    span by the occupancy measure of the pairs ``(Z, Z')``, each event
+    weighted by its expected holding time ``1/q``; ``sim_time`` is the
+    expected elapsed time.
     """
     chain, states_checked, span, z_avg, zp_avg, _ = _run_coupled(
         lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events)

@@ -4,8 +4,10 @@ One jump kernel (:func:`jumps`) drives every simulator in the package: the
 estimators here and both coupling runners.  A chain object declares the
 per-class count lists its rates depend on, computes its table of
 per-category rates from their values, and applies an event of each
-category through an action table.  The kernel draws the holding time at
-the total rate and the category proportionally to the rates, by
+category through an action table.  Per event the kernel draws two
+uniforms: the holding time's, ``u``, which :func:`holding_time` turns into
+an exponential holding time at the total rate, and a point below the
+total rate, which picks the category proportionally to the rates, by
 bisection on the cumulative rates.  It caches the total and the
 cumulative rates of each distinct state, keyed by the values of the count
 lists, so a state's table is built once however often it is visited (the
@@ -17,25 +19,38 @@ Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
 state recurs quickly, i.e. small r) and batch means (the default in heavy
 traffic).  All averages are time weighted: stationary expectations of a CTMC
-are time averages, not event averages.
+are time averages, not event averages.  Each event is weighted by its
+expected holding time ``1/q``, the conditional mean of the holding time
+given the jump chain, where ``q`` is the total rate of the state held.  A
+time average keeps its limit under this weighting, and the asymptotic
+variance of a ratio estimator does not grow (Hordijk, Iglehart &
+Schassberger, Adv. Appl. Prob. 8, 1976; Fox & Glynn, Oper. Res. Lett. 5,
+1986).  Elapsed time is therefore the expected elapsed time ``sum 1/q``,
+unless a time grid is asked for (below).  The kernel still draws each
+holding time's uniform, so the jump chain at a given seed is the one the
+exponential holding times would drive.
 
 Every time average in the package, here and in :mod:`hwq.coupling`, comes
 from one accumulator, the occupancy measure (:func:`occupancy`): the
-holding time spent in each visited state.  The kernel records, per event,
-the id of the state held and the holding time in two typed arrays (a
-:class:`Path`), and the accumulator folds them with numpy at least every
-``GROUP_STATES`` events: ``np.bincount`` sums each state's holding times
-in time order, as one running sum per state would, and the states are
-kept in order of first visit.  Nothing is evaluated along the path.  Per
-batch or regenerative cycle, the distinct states are stacked into int64
-arrays, each functional is called once on them, and its values are
-integrated against the measure.  The sample path, the random stream and
-the sums are those of a per-event evaluation; only the order of summation
-differs.  Memory holds the kernel's cache, one fold of the record and one
-batch, or one group of cycles that closes at the first fold bringing it
-to ``GROUP_STATES`` distinct states, never the whole run.  On request the
-accumulator also records the state holding at each point of a time grid,
-which the infinite-server coupling samples.
+weight of the events spent in each visited state.  The kernel records,
+per event, the id of the state held in a typed array (a :class:`Path`);
+the state's total rate is in the kernel's cache.  The accumulator folds
+the record with numpy at least every ``GROUP_STATES`` events:
+``np.bincount`` sums each state's weights in time order, as one running
+sum per state would, and the states are kept in order of first visit.
+Nothing is evaluated along the path.  Per batch or regenerative cycle,
+the distinct states are stacked into int64 arrays, each functional is
+called once on them, and its values are integrated against the measure.
+The sample path, the random stream and the sums are those of a per-event
+evaluation; only the order of summation differs.  Memory holds the
+kernel's cache, one fold of the record and one batch, or one group of
+cycles that closes at the first fold bringing it to ``GROUP_STATES``
+distinct states, never the whole run.  On request the accumulator also
+records the state holding at each point of a time grid, which the
+infinite-server coupling samples; a state holding at a grid instant is a
+stationary draw only in real time, so there the accumulator weights each
+event by its holding time, ``holding_time(u, q)`` of the uniform the
+kernel yields.
 
 Functionals take the array form ``f(Z, PSI, cfg)`` of
 :meth:`hwq.verify.FunctionalSpec.vector` and of the exact path: ``Z`` and
@@ -157,39 +172,42 @@ class Path:
     ``table`` is the kernel's rate cache: for each visited state, keyed by
     the values of the chain's count lists, ``(id, total rate, cumulative
     rates)``, with ids numbering the states in order of first visit.
-    ``ids`` and ``held`` are typed arrays that receive, per event, the id of
-    the state held and the holding time.  :meth:`take` hands them over as
-    numpy arrays and clears them.  It reports *observed* ids: a state is
-    observed through its first ``width`` counts (all of them when ``width``
-    is None), the observed states are numbered in order of first visit, and
-    ``states`` holds their rows.  A policy chain is observed whole; a
-    coupling is observed through ``(G, Z)`` or ``(Z, Z')``, without the
-    allocation that completes its state.
+    ``ids`` is a typed array that receives, per event, the id of the state
+    held.  :meth:`take` hands it over as numpy arrays and clears it: the
+    events' observed ids and the exit rate ``q`` of each event's state, from
+    a per-state array of the cached totals, so a consumer weights an event
+    by ``1/q`` with one lookup per fold.  A state is observed through its
+    first ``width`` counts (all of them when ``width`` is None), the
+    observed states are numbered in order of first visit, and ``states``
+    holds their rows.  A policy chain is observed whole; a coupling is
+    observed through ``(G, Z)`` or ``(Z, Z')``, without the allocation that
+    completes its state.
     """
 
-    __slots__ = ("table", "ids", "held", "width", "states", "_index", "_observed")
+    __slots__ = ("table", "ids", "width", "states", "_index", "_observed", "_rates")
 
     def __init__(self, width: int | None = None):
         self.table = {}
         self.ids = array("q")
-        self.held = array("d")
         self.width = width
         self.states = None  # int64 rows of the observed states, once any is taken
         self._index = {}  # observed key -> observed id
         self._observed = _NO_IDS  # state id -> observed id
+        self._rates = np.zeros(0)  # state id -> total rate
 
     def clear(self) -> None:
         """Discard the events recorded so far."""
         del self.ids[:]
-        del self.held[:]
 
     def take(self):
-        """``(ids, held)``: the observed id of the state held at each event
-        recorded since the last call, and its holding time, as an int64 and
-        a float array; the record is cleared."""
+        """``(ids, q)``: the observed id of the state held at each event
+        recorded since the last call, and that state's total rate, as an
+        int64 and a float array; the record is cleared."""
         known = len(self._observed)
         if len(self.table) > known:
-            keys = list(islice(self.table, known, None))
+            entries = list(islice(self.table.items(), known, None))
+            self._rates = np.concatenate([self._rates, [total for _, (_, total, _) in entries]])
+            keys = [key for key, _ in entries]
             if self.width is None:  # observed whole: an observed id is the state's id
                 fresh = np.arange(known, len(self.table))
             else:
@@ -201,14 +219,22 @@ class Path:
             if keys:
                 new = np.array(keys, np.int64)
                 self.states = new if self.states is None else np.concatenate([self.states, new])
-        ids = self._observed[np.frombuffer(self.ids, np.int64)]
-        held = np.frombuffer(self.held).copy()
+        sids = np.frombuffer(self.ids, np.int64)
+        ids, rates = self._observed[sids], self._rates[sids]
+        del sids  # a buffer the record exports cannot be cleared
         self.clear()
-        return ids, held
+        return ids, rates
+
+
+def holding_time(u: float, q: float) -> float:
+    """The holding time at total rate ``q`` that the kernel's yielded
+    uniform ``u`` draws: ``random.expovariate(q)``'s expression."""
+    return -log(1.0 - u) / q
 
 
 def jumps(chain, rng: random.Random, path: Path | None = None):
-    """The jump kernel: an endless generator of holding times of ``chain``.
+    """The jump kernel: an endless generator of ``chain``'s jumps, yielding
+    per jump the uniform of its holding time.
 
     ``chain`` provides ``counts()``, the live per-class count lists its
     rates depend on; ``rates()``, its list of per-category rates, a function
@@ -218,17 +244,18 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     the generator starts, so a chain's state may be edited only before
     then.  It calls ``rates()`` once per distinct state: ``path.table``
     caches, keyed by the values of the count lists, the state's id, its
-    total rate ``sum(rates())`` and its cumulative rates.  ``rates()`` may
-    raise on a state the chain rejects (a coupling checks its orderings
+    total rate ``q = sum(rates())`` and its cumulative rates.  ``rates()``
+    may raise on a state the chain rejects (a coupling checks its orderings
     there); such a state never enters the cache, and the generator stops
-    with the exception.  Each step draws the holding time at the total rate,
+    with the exception.  Each step draws the holding time's uniform ``u``,
     then a point uniform below the total, and applies the first category
     whose cumulative rate exceeds that point (the last category when none
     does); the action may draw further numbers from the same ``rng``.  The
-    step then records the state's id and the holding time in ``path`` (a
-    fresh :class:`Path` when None) and yields the holding time, so a caller
-    that needs the state the chain held during it must read that state
-    before advancing the generator.
+    step then records the state's id in ``path`` (a fresh :class:`Path`
+    when None) and yields ``u``.  The holding time is ``holding_time(u,
+    q)``; the estimators weight the event by its mean ``1/q`` instead and
+    never compute it.  A caller that needs the state the chain held during
+    the step must read that state before advancing the generator.
     """
     if path is None:
         path = Path()
@@ -238,7 +265,6 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     act = chain.actions()
     last = len(act) - 1
     record_id = path.ids.append
-    record_held = path.held.append
     u01 = rng.random
     a, b, *rest = chain.counts()
     c = rest[0] if rest else ()
@@ -249,13 +275,12 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
             r = rates()
             entry = table[key] = (len(table), sum(r), tuple(accumulate(r)))
         sid, total, cum = entry
-        holding = -log(1.0 - u01()) / total  # random.expovariate(total), inlined
+        u = u01()  # drawn also where only 1/q is used, so the weighting never moves the path
         k = bisect_right(cum, u01() * total)
         apply, args = act[k if k < last else last]
         apply(*args)
         record_id(sid)
-        record_held(holding)
-        yield holding
+        yield u
 
 
 def advance(events, n: int, path: Path | None = None) -> None:
@@ -294,13 +319,16 @@ def _grid_events(ends, next_grid: float, grid_dt: float, room: int, n_events: in
 
 
 def occupancy(events, path: Path, n_events: int, grid_dt: float = 0.0):
-    """Holding time per visited state over the next ``n_events`` jumps.
+    """Weight per visited state over the next ``n_events`` jumps.
 
     ``path`` is the :class:`Path` the kernel records into; what it recorded
-    before the call is discarded.  Returns ``(states, held, span, grid)``:
-    the rows of the observed states visited, in order of first visit, as
-    an int64 array; the time spent in each, summed in time order; the
-    elapsed time, a running sum of the holding times; and, when
+    before the call is discarded.  Each event is weighted by its expected
+    holding time ``1/q``, or, when ``grid_dt > 0``, by its holding time
+    ``holding_time(u, q)`` of the uniform the kernel yields.  Returns
+    ``(states, held, span, grid)``: the rows of the observed states
+    visited, in order of first visit, as an int64 array; the weight of
+    each, summed in time order; the elapsed time, a running sum of the
+    weights (the expected elapsed time when ``grid_dt == 0``); and, when
     ``grid_dt > 0``, the rows of the states occupying each multiple of
     ``grid_dt`` (measured from the start), empty otherwise.  The state
     holding at a grid instant is an unbiased stationary draw, whereas
@@ -310,8 +338,8 @@ def occupancy(events, path: Path, n_events: int, grid_dt: float = 0.0):
 
     The record is folded at least every ``GROUP_STATES`` events: the states
     met so far, in order of first visit, and their sums are put in front of
-    the new events, so that ``np.bincount`` adds each state's holding times
-    in time order, as one running sum per state would.
+    the new events, so that ``np.bincount`` adds each state's weights in
+    time order, as one running sum per state would.
     """
     path.clear()
     order = np.zeros(0, np.int64)  # observed ids, in order of first visit
@@ -323,9 +351,15 @@ def occupancy(events, path: Path, n_events: int, grid_dt: float = 0.0):
     left = n_events
     while left:
         n = min(left, GROUP_STATES)
-        advance(events, n)
         left -= n
-        ids, held = path.take()
+        if grid_dt > 0.0:
+            uniforms = array("d", islice(events, n))
+            ids, rates = path.take()
+            held = np.array(list(map(holding_time, uniforms, rates.tolist())))
+        else:
+            advance(events, n)
+            ids, rates = path.take()
+            held = 1.0 / rates
         m = len(path.states)
         seq = np.concatenate([order, ids])
         first = np.full(m, len(seq))
@@ -348,21 +382,22 @@ def _cycle_groups(events, path: Path, n_cycles: int, max_events: int):
     """The first ``n_cycles`` regenerative cycles of a chain started empty,
     in groups: yields ``(states, held, starts, taus)`` per group, the rows
     of each cycle's visited states in order of first visit, stacked, the
-    time spent in each, the row at which each cycle starts, and each
-    cycle's length in time.
+    weight of each, the row at which each cycle starts, and each cycle's
+    length in expected time.  Each event is weighted by its expected
+    holding time ``1/q``.
 
     A cycle starts at each visit to the empty state, the first state
     recorded (id 0).  A group closes at the fold that brings it to
     ``GROUP_STATES`` rows, or at the last cycle.  A cycle longer than
     ``max_events`` events raises :class:`CycleTimeout`.  Each fold keys the
     events by cycle and state, finds each key's first visit with
-    ``np.unique``, and sums its holding times in time order with
+    ``np.unique``, and sums its weights in time order with
     ``np.bincount``; the open cycle's states and sums are put in front of
     the next fold's events, as in :func:`occupancy`.
     """
     carry_ids = np.zeros(0, np.int64)  # the open cycle: its states in order of first visit,
-    carry_held = np.zeros(0)  # the time spent in each,
-    carry_span = 0.0  # its length in time
+    carry_held = np.zeros(0)  # the weight of each,
+    carry_span = 0.0  # its length in expected time
     carry_events = 0  # and in events
     pieces = []
     stacked = 0
@@ -373,7 +408,8 @@ def _cycle_groups(events, path: Path, n_cycles: int, max_events: int):
         n = min(GROUP_STATES, (n_cycles - done) * simulated // max(done, 1) + 256)
         advance(events, n)
         simulated += n
-        ids, held = path.take()
+        ids, rates = path.take()
+        held = 1.0 / rates
         seq = np.concatenate([carry_ids, ids])
         seg = np.cumsum(seq == 0) - 1  # cycle of each row, from the open one
         seg_new = seg[len(carry_ids):]
@@ -484,8 +520,12 @@ def sample_event(z, psi, cfg: SystemConfig, rng: random.Random):
 
 def step(state, cfg: SystemConfig, rng: random.Random) -> float:
     """Advance ``state`` by one jump in place; return the holding time
-    spent in the state before the jump."""
-    return next(jumps(PolicyChain(state, cfg, rng), rng))
+    spent in the state before the jump, drawn from the uniform the kernel
+    yields (:func:`holding_time`)."""
+    path = Path()
+    u = next(jumps(PolicyChain(state, cfg, rng), rng, path))
+    [(_, total, _)] = path.table.values()  # the one state the jump left
+    return holding_time(u, total)
 
 
 def _policy_events(cfg: SystemConfig, kind: str, rng):

@@ -353,7 +353,7 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     of r in ``r_list``, so rows are reproducible independent of execution
     order.  The r points run on up to ``jobs`` worker processes (see
     :func:`fan_out`, which also fills ``record``); ``record`` also receives
-    each exact point's phases and counters (:func:`exact_chain`), in r order.
+    each point's phases and counters, in r order (see :func:`_sweep_point`).
     """
     if estimator == "exact" and kind == FIFO:
         raise ValueError("no exact solve for FIFO; use batch_means")
@@ -380,8 +380,10 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
 def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, method: str,
                  K, n_batches: int, events_per_batch: int, warmup_events):
     """The rows of one sweep point by ``method``, "exact" or "batch_means",
-    and the manifest entries :func:`exact_chain` made (none for batch
-    means); a module-level function, so a worker process can run it."""
+    and its manifest entries: those :func:`exact_chain` makes, or for batch
+    means the phase ``{r, estimate_s}`` and the counters ``{r, method,
+    events, kev_per_s}``, where ``events`` counts the warm-up too; a
+    module-level function, so a worker process can run it."""
     entries = {"phases": [], "counters": []}
     if method == "exact":
         gen, sv = exact_chain(cfg, kind, K, entries)
@@ -392,7 +394,13 @@ def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, method: st
                 for spec in specs], entries
     warm = default_warmup(cfg) if warmup_events is None else warmup_events
     fns = {spec.label(): spec.vector(cfg) for spec in specs}
+    started = time.perf_counter()
     ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng)
+    estimate_s = time.perf_counter() - started
+    events = warm + n_batches * events_per_batch
+    entries["phases"].append({"r": cfg.r, "estimate_s": estimate_s})
+    entries["counters"].append({"r": cfg.r, "method": "batch_means", "events": events,
+                                "kev_per_s": events / estimate_s / 1e3})
     return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
                      estimate=ests[spec.label()].value,
                      half_width=ests[spec.label()].half_width, method="batch_means")

@@ -5,9 +5,12 @@ products, direct summation) and does not touch the solver/simulator code
 paths under test.  ``replay_generator`` is one exception: it drives the
 policy objects the simulators use, so that the exact generator is checked
 against them.  The ``per_event_*`` estimators are the other: they run the
-simulators' jump kernel, record every event's state and holding time
-without merging repeated states, and evaluate each functional once over
-that path: the oracle for the occupancy-measure estimators.
+simulators' jump kernel, record every event's state and weight without
+merging repeated states, and evaluate each functional once over that
+path: the oracle for the occupancy-measure estimators.  An event's weight
+is its expected holding time ``1/q``, with ``q`` the sum of a fresh rate
+table of the state held; where a time grid is asked for, it is the
+holding time ``-log(1 - u)/q`` of the uniform ``u`` the kernel yields.
 ``per_event_coupled`` does the same for the two coupling runners, with the
 time grid walked over the recorded event end times.  ``validate_macro_state`` is
 the invariant oracle for the policy states.  ``reference_jumps`` and
@@ -18,7 +21,7 @@ must reproduce their random stream and their sums bit for bit.
 """
 
 import math
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import log
 
 import numpy as np
@@ -233,21 +236,32 @@ def validate_macro_state(s, cfg):
 
 
 def _per_event_path(cfg, kind, stream):
-    """The empty chain of ``kind`` and the jump kernel driving it on ``stream``."""
+    """The empty state of ``kind``, its chain, and the jump kernel driving
+    the chain on ``stream``."""
     rng = stream.make()
     state = init_state(cfg, kind)
-    return state, jumps(PolicyChain(state, cfg, rng), rng)
+    chain = PolicyChain(state, cfg, rng)
+    return state, chain, jumps(chain, rng)
 
 
-def _record(a, b, events, n_events, until_empty=False):
-    """``(a, b, holding)`` of each of the next ``n_events`` jumps, read from
-    the live count lists ``a`` and ``b`` (a policy's ``z`` and ``psi``, or a
-    coupling's observed pair) before the jump, one per event with no
-    merging of repeated states; with ``until_empty`` it also stops after
-    the first jump that empties ``a``."""
+def _weight(chain, events, real_time):
+    """The weight of ``chain``'s next jump: ``1/q``, or with ``real_time``
+    the holding time ``-log(1 - u)/q``, where ``q`` sums a fresh rate table
+    of the state before the jump and ``u`` is the uniform the kernel yields."""
+    q = sum(chain.rates())
+    u = next(events)
+    return -log(1.0 - u) / q if real_time else 1.0 / q
+
+
+def _record(chain, a, b, events, n_events, until_empty=False, real_time=False):
+    """``(a, b, weight)`` of each of the next ``n_events`` jumps of
+    ``chain`` (see :func:`_weight`), read from the live count lists ``a``
+    and ``b`` (a policy's ``z`` and ``psi``, or a coupling's observed pair)
+    before the jump, one per event with no merging of repeated states; with
+    ``until_empty`` it also stops after the first jump that empties ``a``."""
     path = []
     for _ in range(n_events):
-        path.append((tuple(a), tuple(b), next(events)))
+        path.append((tuple(a), tuple(b), _weight(chain, events, real_time)))
         if until_empty and not any(a):
             break
     return path
@@ -270,9 +284,9 @@ def _integrals(path, functionals, cfg, ends):
 def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
                           warmup_events, stream):
     """``{name: (mean, 95% half-width)}`` of batch means evaluated per event."""
-    state, events = _per_event_path(cfg, kind, stream)
+    state, chain, events = _per_event_path(cfg, kind, stream)
     advance(events, warmup_events)
-    path = _record(state.z, state.psi, events, n_batches * events_per_batch)
+    path = _record(chain, state.z, state.psi, events, n_batches * events_per_batch)
     ends = [events_per_batch * (b + 1) for b in range(n_batches)]
     batches = [[a / span for a in acc]
                for acc, span in _integrals(path, functionals, cfg, ends)]
@@ -289,10 +303,10 @@ def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
 def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
     """``{name: (ratio estimate, 95% half-width)}`` over cycles between
     visits to the empty state, evaluated per event."""
-    state, events = _per_event_path(cfg, kind, stream)
+    state, chain, events = _per_event_path(cfg, kind, stream)
     path, ends = [], []
     for _ in range(n_cycles):
-        path += _record(state.z, state.psi, events, 1_000_000, until_empty=True)
+        path += _record(chain, state.z, state.psi, events, 1_000_000, until_empty=True)
         ends.append(len(path))
     ys, taus = zip(*_integrals(path, functionals, cfg, ends))
     total = sum(taus)
@@ -311,11 +325,14 @@ def per_event_coupled(chain, rng, observed, n_events, warmup_events, grid_dt=0.0
     each coordinate of the two live count lists ``observed`` over the other
     jumps, each by ``math.fsum`` over the unmerged path, the time spent,
     and the first list's value holding at each multiple ``k * grid_dt``
-    (when ``grid_dt > 0``), found by walking the event end times."""
+    (when ``grid_dt > 0``), found by walking the event end times.  Events
+    are weighted by ``1/q``, or by their holding times when ``grid_dt > 0``
+    (see :func:`_weight`)."""
     events = jumps(chain, rng)
     a, b = observed
     advance(events, warmup_events)
-    path = _record(a, b, events, n_events - warmup_events)
+    path = _record(chain, a, b, events, n_events - warmup_events,
+                   real_time=grid_dt > 0.0)
     span = math.fsum(h for _, _, h in path)
     first = [math.fsum(x[j] * h for x, _, h in path) / span for j in range(len(a))]
     second = [math.fsum(y[j] * h for _, y, h in path) / span for j in range(len(b))]
@@ -331,14 +348,15 @@ def per_event_coupled(chain, rng, observed, n_events, warmup_events, grid_dt=0.0
 
 def reference_jumps(chain, rng):
     """The jump kernel without its rate cache: the chain's rate table is
-    built afresh at every event, summed, and scanned linearly."""
+    built afresh at every event, summed, and scanned linearly.  Yields the
+    uniform of each holding time, as the kernel does."""
     actions = chain.actions()
     u01 = rng.random
     while True:
         r = chain.rates()
         last = len(r) - 1
         total = sum(r)
-        holding = -log(1.0 - u01()) / total  # random.expovariate(total), inlined
+        holding_uniform = u01()
         u = u01() * total
         k = 0
         acc = r[0]
@@ -347,25 +365,29 @@ def reference_jumps(chain, rng):
             acc += r[k]
         apply, args = actions[k]
         apply(*args)
-        yield holding
+        yield holding_uniform
 
 
-def reference_occupancy(events, n_events, a, b, until_empty=False, grid_dt=0.0):
-    """``(occ, span, grid)`` over the next ``n_events`` jumps, with one
-    running sum per state in a dict: ``occ`` maps each visited state
-    ``(*a, *b)`` of the live count lists ``a`` and ``b`` to the time spent
-    in it, in order of first visit; ``span`` is the elapsed time; ``grid``
-    holds the state occupying each multiple of ``grid_dt``.  With
-    ``until_empty`` it also stops after the first jump that empties ``a``."""
+def reference_occupancy(chain, events, n_events, until_empty=False, grid_dt=0.0):
+    """``(occ, span, grid)`` over the next ``n_events`` jumps of ``chain``,
+    with one running sum per state in a dict: ``occ`` maps each visited
+    state ``(*a, *b)`` of its first two live count lists ``a`` and ``b`` to
+    the weight of the events spent in it (see :func:`_weight`; the holding
+    times when ``grid_dt > 0``), in order of first visit; ``span`` is the
+    sum of the weights; ``grid`` holds the state occupying each multiple of
+    ``grid_dt``.  With ``until_empty`` it also stops after the first jump
+    that empties ``a``."""
+    a, b = chain.counts()[:2]
     occ = {}
     get = occ.get
     span = 0.0
     grid = []
     next_grid = grid_dt if grid_dt > 0.0 else float("inf")
-    key = (*a, *b)
-    for holding in islice(events, n_events):
-        occ[key] = get(key, 0.0) + holding
-        span += holding
+    for _ in range(n_events):
+        key = (*a, *b)
+        weight = _weight(chain, events, grid_dt > 0.0)
+        occ[key] = get(key, 0.0) + weight
+        span += weight
         while next_grid <= span:  # the pre-jump state occupies the instant
             if len(grid) == n_events:
                 raise ValueError(f"g_sample_dt = {grid_dt:g} samples more grid instants "
@@ -374,5 +396,4 @@ def reference_occupancy(events, n_events, a, b, until_empty=False, grid_dt=0.0):
             next_grid += grid_dt
         if until_empty and not any(a):
             break
-        key = (*a, *b)
     return occ, span, grid

@@ -934,6 +934,30 @@ def test_manifest_explains_exact_and_verify(tmp_path):
             "residual", "deficit"}] * 2
 
 
+def test_manifest_explains_batch_means_sweep(tmp_path):
+    # each batch-means sweep point records its estimation time and its
+    # events, warm-up included, in r order at any worker count
+    raw = _config(system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.5}],
+                          "r_list": [9.0, 4.0, 16.0], "a": 1.0},
+                  sweep={"estimator": "batch_means", "functionals": [{"id": "z_total"}],
+                         "n_batches": 10, "events_per_batch": 300, "warmup_events": 100})
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(raw))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"s{jobs}"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [p["r"] for p in manifest["phases"]] == [9.0, 4.0, 16.0]
+        assert all(set(p) == {"r", "estimate_s"} and p["estimate_s"] > 0.0
+                   for p in manifest["phases"])
+        assert [c["r"] for c in manifest["counters"]] == [9.0, 4.0, 16.0]
+        for c in manifest["counters"]:
+            assert set(c) == {"r", "method", "events", "kev_per_s"}
+            assert (c["method"], c["events"]) == ("batch_means", 100 + 10 * 300)
+            assert c["kev_per_s"] > 0.0
+
+
 def test_auto_sweep_decides_before_enumerating(tmp_path, monkeypatch):
     # r = 400 takes default K = 1,060: 86,713,791 states, about 7 GB to
     # enumerate, which an auto sweep must count instead
@@ -961,7 +985,8 @@ def test_auto_sweep_decides_before_enumerating(tmp_path, monkeypatch):
         assert [(row["r"], row["method"]) for row in csv.DictReader(fh)] == [
             ("4.0", "exact"), ("400.0", "batch_means")]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [c["r"] for c in manifest["counters"]] == [4.0]
+    assert [(c["r"], c.get("method")) for c in manifest["counters"]] == [
+        (4.0, "gth"), (400.0, "batch_means")]
 
 
 def test_band_beyond_memory_exits_one(tmp_path, capsys, monkeypatch):

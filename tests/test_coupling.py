@@ -6,6 +6,7 @@ import statistics
 import time
 from itertools import accumulate, chain as chain_from
 
+import numpy as np
 import pytest
 
 from helpers import birth_death_mean, per_event_coupled, reference_jumps, reference_occupancy
@@ -191,6 +192,51 @@ def test_runners_match_per_event_oracle(coupling, g_sample_dt, kind):
         assert (len(grid) > 100) == (g_sample_dt > 0.0)
 
 
+@pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
+def test_grid_changes_the_weights_not_the_path(kind, monkeypatch):
+    # a time grid turns the kernel's uniforms into holding times, but draws
+    # nothing more: at one seed, the runs with and without a grid visit the
+    # same observed states in the same order, event by event; without a
+    # grid each event weighs 1.0/q, bit for bit
+    taken, occupied = [], []
+    take = Path.take
+
+    def spy_take(self):
+        ids, rates = take(self)
+        taken[-1].append((ids, rates))
+        return ids, rates
+
+    def spy_occupancy(*args):
+        occupied.append(occupancy(*args))
+        return occupied[-1]
+
+    monkeypatch.setattr(Path, "take", spy_take)
+    monkeypatch.setattr("hwq.coupling.occupancy", spy_occupancy)
+    reports = []
+    for g_sample_dt in (0.0, 0.5):
+        taken.append([])
+        reports.append(run_infserver_coupled(TWO_CLASS, kind, 30_000, RngStream(82, 0),
+                                             warmup_events=3_000, g_sample_dt=g_sample_dt))
+    plain, gridded = reports
+    assert (plain.events, plain.ordering_checks, plain.states_checked) == \
+        (gridded.events, gridded.ordering_checks, gridded.states_checked)
+    assert plain.g_samples == [] and len(gridded.g_samples) > 100
+    (states, held, span, _), (grid_states, _, grid_span, _) = occupied
+    assert states.tolist() == grid_states.tolist()
+    ids, rates = (np.concatenate(part) for part in zip(*taken[0]))
+    grid_ids, grid_rates = (np.concatenate(part) for part in zip(*taken[1]))
+    assert len(ids) == 30_000 - 3_000
+    assert ids.tolist() == grid_ids.tolist() and rates.tolist() == grid_rates.tolist()
+    sums = {}  # observed id -> running sum, in order of first visit
+    elapsed = 0.0
+    for i, q in zip(ids.tolist(), rates.tolist()):
+        sums[i] = sums.get(i, 0.0) + 1.0 / q
+        elapsed += 1.0 / q
+    assert held.tolist() == list(sums.values()) and span == elapsed == plain.sim_time
+    # the expected and the real elapsed time differ, by little
+    assert span != grid_span and abs(span / grid_span - 1.0) < 0.05
+
+
 def test_bad_grid_step_and_empty_samples_raise():
     for dt in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="g_sample_dt"):
@@ -294,10 +340,11 @@ def test_cached_rate_table_matches_recompute(name, kind):
 @pytest.mark.parametrize("name", CHAINS)
 def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
     # the cached kernel against the kernel before the cache, on one stream:
-    # every event's state and holding time; then its folded record against a
-    # dict of running sums: the occupancy, the span and the grid, bit for
-    # bit.  FIFO abandonments and the monotone thinning draw from the same
-    # stream, and small folds carry the sums across several of them
+    # every event's state and yielded uniform; then its folded record
+    # against a dict of running sums: the occupancy, the span and the grid,
+    # bit for bit, weighted by 1/q without a grid and by the holding times
+    # with one.  FIFO abandonments and the monotone thinning draw from the
+    # same stream, and small folds carry the sums across several of them
     def per_event(kernel):
         rng = random.Random(8)
         chain = CHAINS[name](kind, rng)
@@ -307,24 +354,24 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
     assert per_event(jumps) == per_event(reference_jumps)
 
     monkeypatch.setattr(simulate, "GROUP_STATES", 700)
-    n, warmup, grid_dt = 5_000, 1_000, 0.25
-    rng = random.Random(9)
-    chain = CHAINS[name](kind, rng)
-    path = Path(2 * SMALL.n_classes)
-    events = jumps(chain, rng, path)
-    advance(events, warmup, path)
-    states, held, span, grid = occupancy(events, path, n, grid_dt)
-    rng = random.Random(9)
-    chain = CHAINS[name](kind, rng)
-    events = reference_jumps(chain, rng)
-    advance(events, warmup)
-    occ, want_span, want_grid = reference_occupancy(events, n, *chain.counts()[:2],
-                                                    grid_dt=grid_dt)
-    assert list(map(tuple, states.tolist())) == list(occ)
-    assert held.tolist() == list(occ.values())
-    assert span == want_span
-    assert list(map(tuple, grid.tolist())) == want_grid
-    assert len(want_grid) > 100
+    n, warmup = 5_000, 1_000
+    for grid_dt in (0.0, 0.25):
+        rng = random.Random(9)
+        chain = CHAINS[name](kind, rng)
+        path = Path(2 * SMALL.n_classes)
+        events = jumps(chain, rng, path)
+        advance(events, warmup, path)
+        states, held, span, grid = occupancy(events, path, n, grid_dt)
+        rng = random.Random(9)
+        chain = CHAINS[name](kind, rng)
+        events = reference_jumps(chain, rng)
+        advance(events, warmup)
+        occ, want_span, want_grid = reference_occupancy(chain, events, n, grid_dt=grid_dt)
+        assert list(map(tuple, states.tolist())) == list(occ)
+        assert held.tolist() == list(occ.values())
+        assert span == want_span
+        assert list(map(tuple, grid.tolist())) == want_grid
+        assert (len(want_grid) > 100) == (grid_dt > 0.0)
 
 
 def test_ordering_check_g_le_z():

@@ -89,27 +89,31 @@ def test_empty_system_next_event_is_arrival():
 
 
 def test_mean_holding_time_at_empty():
-    # the kernel on a frozen chain at the empty state, as sample_event drives it
+    # the kernel on a frozen chain at the empty state, as sample_event drives
+    # it; each yielded uniform u gives the holding time -log(1 - u)/total
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 100.0, 1.0)
     rng = random.Random(2024)
-    events = jumps(_Probe(MacroState(z=[0], psi=[0]), cfg), rng)
+    probe = _Probe(MacroState(z=[0], psi=[0]), cfg)
+    total = sum(probe.rates())
+    events = jumps(probe, rng)
     n = 100_000
-    mean = sum(islice(events, n)) / n
+    mean = sum(-math.log(1.0 - u) / total for u in islice(events, n)) / n
     # Exp(100): mean 0.01, sd of the sample mean = 0.01/sqrt(n)
     assert abs(mean - 0.01) <= 3 * 0.01 / math.sqrt(n)
 
 
 def test_kernel_holding_time_is_expovariate():
-    # the inlined draw is random.expovariate's expression, so the stream is
-    # unchanged: the first holding time equals expovariate(total) at the seed
+    # the kernel yields the uniform of random.expovariate's expression, so
+    # the stream is unchanged: -log(1 - u)/total of the first yield equals
+    # expovariate(total) at the seed
     cfg = build_config(
         [ClassParams(0.5, 1.0, 1.0), ClassParams(1.0, 2.0, 0.5)], 4.0, 1.0
     )
     probe = _Probe(MacroState(z=[3, 2], psi=[2, 2]), cfg)
     total = sum(probe.rates())
     for seed in range(20):
-        assert next(jumps(probe, random.Random(seed))) == \
-            random.Random(seed).expovariate(total)
+        u = next(jumps(probe, random.Random(seed)))
+        assert -math.log(1.0 - u) / total == random.Random(seed).expovariate(total)
 
 
 class _Cap:
@@ -132,12 +136,15 @@ class _Cap:
 
 
 def test_kernel_caps_the_category_at_the_last():
-    picked = []
+    picked, yields = [], []
     for kernel in (jumps, reference_jumps):
         chain = _Cap()
-        assert list(islice(kernel(chain, random.Random(3)), 50)) == [0.0] * 50
+        yields.append(list(islice(kernel(chain, random.Random(3)), 50)))
         picked.append(chain.picked)
     assert picked[0] == picked[1] == [1] * 50
+    # the holding times at an infinite total rate are 0
+    assert yields[0] == yields[1]
+    assert [-math.log(1.0 - u) / math.inf for u in yields[0]] == [0.0] * 50
 
 
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
@@ -152,9 +159,9 @@ def test_cycle_groups_reproduce_reference_cycles(kind, monkeypatch):
     events = jumps(PolicyChain(state, TWO_CLASS, rng), rng, path)
     groups = list(simulate._cycle_groups(events, path, n_cycles, 10_000))
     rng = random.Random(21)
-    state = init_state(TWO_CLASS, kind)
-    events = reference_jumps(PolicyChain(state, TWO_CLASS, rng), rng)
-    cycles = [reference_occupancy(events, 10_000, state.z, state.psi, until_empty=True)[:2]
+    chain = PolicyChain(init_state(TWO_CLASS, kind), TWO_CLASS, rng)
+    events = reference_jumps(chain, rng)
+    cycles = [reference_occupancy(chain, events, 10_000, until_empty=True)[:2]
               for _ in range(n_cycles)]
     assert len(groups) > 1
     got = []
