@@ -71,7 +71,7 @@ from .simulate import (
     usable_cores,
 )
 from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
-from .exact import expectation
+from .exact import check_chain_fits, expectation
 # imported only so that bench/spans.py finds these names here to wrap; the
 # commands call them through hwq.verify.exact_chain
 from .exact import build_generator, enumerate_states, stationary  # noqa: F401
@@ -79,6 +79,7 @@ from .verify import (
     BOUND_HYPOTHESES,
     FunctionalSpec,
     bound_applies,
+    default_truncation,
     drift_bounds_abandon_check,
     drift_identity_check,
     exact_chain,
@@ -463,7 +464,8 @@ def _cmd_sweep(cfg, out_dir, jobs, record):
 def _check_hypotheses(command, cfg):
     """Refuse, before any output exists, a verify check or a coupling whose
     hypotheses the system fails, by the predicates the library calls use,
-    and an exact solve of a FIFO chain."""
+    and an exact solve of a FIFO chain or of a chain whose state index
+    exceeds physical memory."""
     sc, sec = cfg.system(), cfg.sections.get(command)
     if command == "verify":
         for i, check in enumerate(sec["checks"]):
@@ -485,8 +487,11 @@ def _check_hypotheses(command, cfg):
             if not coupling_applies(sc, i, nu_prime):
                 raise _fail(f"couple.nu_prime[{i}]",
                             f"monotone needs 0 <= nu' <= nu = {sc.nus[i]}, got {nu_prime}")
-    if command in ("exact", "verify") and cfg.policy == FIFO:
-        raise _fail("policy", f"exact solve supports priority policies only, not {FIFO!r}")
+    if command in ("exact", "verify"):
+        if cfg.policy == FIFO:
+            raise _fail("policy", f"exact solve supports priority policies only, not {FIFO!r}")
+        for system in cfg.systems if command == "exact" else (sc,):
+            check_chain_fits(system, cfg.policy, sec["K"] or default_truncation(system))
 
 
 _DISPATCH = {

@@ -15,10 +15,10 @@ state keys.  Digit arrays are built only for the targets beyond K.
 
 Truncation drops arrival transitions out of the top level, which keeps row
 sums at zero and yields a proper chain; the neglected stationary mass is
-bounded by a geometric argument and reported.  The operator application
-``abar_vector`` does NOT truncate: it evaluates the test function once per
-enumerated state and once more at each target beyond K, so pointwise drift
-identities are exact at every indexed state, boundary included.
+estimated and reported.  ``Q`` is the one copy of the generator.  The
+operator application ``abar_vector`` does NOT truncate: it adds the dropped
+arrivals back, so pointwise drift identities are exact at every indexed
+state, boundary included.
 
 Stationary solves: every transition moves one population level, and both
 solvers censor levels out exactly.  Block GTH censors the top level out one
@@ -135,9 +135,7 @@ def _key_weights(kind: str, K: int, n_classes: int) -> tuple[np.ndarray, np.ndar
 def _check_key_range(K: int, n_digits: int) -> None:
     """Refuse a truncation whose state keys would overflow int64."""
     if (K + 2) ** n_digits - 1 > np.iinfo(np.int64).max:
-        raise Unsupported(
-            f"K = {K}: state keys of {n_digits} digits in base K+2 overflow int64"
-        )
+        raise Unsupported(f"K = {K}: state keys of {n_digits} digits in base K+2 overflow int64")
 
 
 def _splits(total, caps):
@@ -161,16 +159,28 @@ def _allocate_by_priority(Z, n_servers: int) -> np.ndarray:
     return np.minimum(Z, np.maximum(n_servers - above, 0))
 
 
-def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
-    """Enumerate every valid detailed state with ``sum(z) <= K``, by level,
-    then z in lexicographic order, then psi in lexicographic order."""
+def check_chain_fits(cfg: SystemConfig, kind: str, K: int) -> None:
+    """Refuse, before any array exists, a chain :func:`enumerate_states`
+    cannot list, or whose state index exceeds physical memory."""
     if kind not in (PREEMPTIVE, NONPREEMPTIVE):
         raise Unsupported(f"exact solve supports priority policies only, not {kind!r}")
     if K < cfg.n_servers:
         raise TruncationTooSmall(f"K = {K} must be at least n_servers = {cfg.n_servers}")
     nc = cfg.n_classes
     _check_key_range(K, nc if kind == PREEMPTIVE else 2 * nc)
-    level, Z = _splits(np.arange(K + 1), np.full((K + 1, nc), K))  # level by level
+    n = count_states(cfg, kind, K)
+    need = 8 * n * (2 * nc + 3)  # int64: z and psi, nc columns each; level, keys, order
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InsufficientMemory(f"K = {K}: the state index of {n} states needs {need} bytes, "
+                                 f"more than the {have} bytes of physical memory")
+
+
+def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
+    """Enumerate every valid detailed state with ``sum(z) <= K``, by level,
+    then z in lexicographic order, then psi in lexicographic order."""
+    check_chain_fits(cfg, kind, K)
+    level, Z = _splits(np.arange(K + 1), np.full((K + 1, cfg.n_classes), K))  # level by level
     if kind == PREEMPTIVE:
         PSI = _allocate_by_priority(Z, cfg.n_servers)
     else:  # every psi <= z with sum(psi) = min(N, level)
@@ -184,39 +194,29 @@ def enumerate_states(cfg: SystemConfig, kind: str, K: int) -> StateIndex:
 
 def count_states(cfg: SystemConfig, kind: str, K: int) -> int:
     """The number of states :func:`enumerate_states` lists, in closed form:
-    C(K+n, n) preemptive; non-preemptive, level L holds every allocation psi
-    (summing to P = min(N, L)) with every queue z - psi (summing to L - P)."""
+    C(K+n, n) preemptive; non-preemptive, level L < N holds C(L+n-1, n-1)
+    and L >= N holds C(N+n-1, n-1) C(L-N+n-1, n-1), each summed over L."""
     n, N = cfg.n_classes, cfg.n_servers
-    if kind == PREEMPTIVE:
+    if kind == PREEMPTIVE or K < N:
         return math.comb(K + n, n)
-    return sum(math.comb(min(N, L) + n - 1, n - 1) * math.comb(L - min(N, L) + n - 1, n - 1)
-               for L in range(K + 1))
+    return math.comb(N - 1 + n, n) + math.comb(N + n - 1, n - 1) * math.comb(K - N + n, n)
 
 
 @dataclass(frozen=True)
 class SparseGenerator:
-    """Truncated generator plus the untruncated transition table.
+    """Truncated generator plus the targets truncation drops.
 
-    ``Q`` holds the kept transitions with diagonal = -(row sum), so every
-    row sums to zero.  The flat arrays (src, rate, dst) list ALL
-    transitions of the original chain out of indexed states, including
-    arrivals that leave the truncated set (dst == -1), grouped by source
-    state in ascending order.  ``beyond_z`` and ``beyond_psi`` hold the
-    digits of those targets beyond K only, one row per ``dst == -1`` in
-    the same order.  Boundary rows (those with a dropped arrival) are
-    flagged, with the dropped rate recorded.
+    ``Q`` holds the kept transitions, a shared target's rates summed, with
+    diagonal = -(row sum).  Truncation drops the arrivals out of level K,
+    the last block of states: row j of ``beyond_z`` and ``beyond_psi`` is
+    the class ``j % n_classes`` arrival at the ``j // n_classes``-th one.
     """
 
     idx: StateIndex
     Q: sparse.csr_matrix
-    src: np.ndarray
-    rate: np.ndarray
-    dst: np.ndarray
     beyond_z: np.ndarray
     beyond_psi: np.ndarray
-    boundary_mask: np.ndarray
-    dropped_rate: np.ndarray
-    max_exit_rate: float
+    max_exit_rate: float  # the dropped arrivals included
 
 
 def build_generator(idx: StateIndex) -> SparseGenerator:
@@ -236,11 +236,10 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     - an abandonment of class c subtracts wz[c].
 
     Preemptive keys cover z only, so the reallocation needs no term.  The
-    keys are then found with one search, and only the targets beyond K get
-    digit arrays.  The targets restate the :mod:`hwq.policy` operations:
-    the tests replay those operations state by state and check that every
-    array here equals the replay's, which keeps the exact chain and the
-    simulated chain together.
+    keys are found with one search; only the targets beyond K get digit
+    arrays.  The tests replay the :mod:`hwq.policy` operations state by
+    state and check every array here against the replay's, which keeps the
+    exact chain and the simulated chain together.
     """
     from scipy import sparse
 
@@ -279,7 +278,7 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     lost = src[out & (idx.level < idx.K)[src]]
     if lost.size:
         raise AssertionError(f"interior state {lost[0]} produced an unindexed target")
-    # every target beyond K is an arrival out of level K: slot number = class
+    # the targets beyond K: one arrival per (level-K state, class), slot = class
     b_src, b_cls = src[out], slot[out] % (3 * nc)
     beyond_z, beyond_psi = Z[b_src], PSI[b_src]
     beyond_z[np.arange(b_src.size), b_cls] += 1
@@ -292,14 +291,8 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
     off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
     exit_rates = np.asarray(off.sum(axis=1)).ravel()
     Q = (off + sparse.diags(-exit_rates)).tocsr()
-
-    dropped = np.zeros(n)
-    np.add.at(dropped, src[out], rate[out])
-    return SparseGenerator(
-        idx=idx, Q=Q, src=src, rate=rate, dst=dst, beyond_z=beyond_z, beyond_psi=beyond_psi,
-        boundary_mask=dropped > 0.0, dropped_rate=dropped,
-        max_exit_rate=float(exit_rates.max() + dropped.max()),
-    )
+    return SparseGenerator(idx=idx, Q=Q, beyond_z=beyond_z, beyond_psi=beyond_psi,
+                           max_exit_rate=float(exit_rates.max() + sum(cfg.arrival_rates)))
 
 
 @dataclass(frozen=True)
@@ -335,13 +328,17 @@ def _check_levels_fit(widths) -> None:
         )
 
 
+def _off_diagonal(Q: sparse.csr_matrix):
+    """The off-diagonal entries of ``Q`` in row order, as (row, col, rate)."""
+    row = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
+    k = np.flatnonzero(Q.indices != row)
+    return row[k], Q.indices[k], Q.data[k]
+
+
 def _level_moves(Q: sparse.csr_matrix, level: np.ndarray):
-    """The off-diagonal entries of ``Q`` in row order, as (row, col, rate),
-    and the level step of each; refuse a rate that moves other than one
-    level, which both stationary solvers rely on."""
-    coo = Q.tocoo(copy=False)
-    off = coo.row != coo.col
-    row, col, rate = coo.row[off], coo.col[off], coo.data[off]
+    """:func:`_off_diagonal` and the level step of each entry; refuse a rate
+    that moves other than one level, which both stationary solvers rely on."""
+    row, col, rate = _off_diagonal(Q)
     level = level.astype(Q.indices.dtype)  # levels are below n: the narrow index type
     step = level[col]
     step -= level[row]
@@ -543,19 +540,18 @@ def _check_irreducible(Q: sparse.csr_matrix) -> None:
 
 
 def _deficit_estimate(gen: SparseGenerator, pi: np.ndarray) -> float:
-    """Geometric bound on the stationary mass lost to truncation.
-
-    Mass beyond level K is at most (boundary mass) * ratio/(1-ratio) where
-    ratio compares the dropped arrival rate against the slowest departure
-    rate on the boundary.
+    """Geometric estimate, not a bound, of the stationary mass lost to
+    truncation: (level-K mass) * ratio/(1-ratio), ratio the arrival rate
+    each level-K state drops over the slowest departure rate on level K;
+    ``inf`` where that ratio is >= 1, as on ``nu = 0`` chains at default K.
     """
-    b = gen.boundary_mask
+    b = gen.idx.level == gen.idx.K
     boundary_mass = float(pi[b].sum())
     if boundary_mass == 0.0:
         return 0.0
     Qb = gen.Q[b]
     d_min = float(np.asarray(Qb.multiply(Qb > 0).sum(axis=1)).min())
-    lam_drop = float(gen.dropped_rate[b].max())
+    lam_drop = float(sum(gen.idx.cfg.arrival_rates))
     if d_min <= lam_drop:
         return float("inf")
     ratio = lam_drop / d_min
@@ -593,21 +589,24 @@ def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
     """Apply the rate operator to a test function, untruncated.
 
     ``f_vec(Z, PSI, cfg)`` must map state arrays to a value array, row by
-    row.  Returns ``(A_bar F)(x)`` for every indexed state x, evaluating F
-    at target states beyond the truncation as well, so the result agrees
-    with the operator of the original (untruncated) chain everywhere.  F is
-    evaluated once per enumerated state; a target inside the truncation
-    takes its state's value, and only the targets beyond K (dropped
-    arrivals out of the top level) are evaluated apart.  On the 3,655-state
-    ``exact_banded`` chain that is 3,825 rows instead of 21,465, and a call
-    takes about 0.6 ms.
+    row.  Returns ``(A_bar F)(x)`` of the untruncated chain at every indexed
+    state x: rate * (F(y) - F(x)) over the off-diagonal entries (x, y) of
+    ``Q``, plus at level K the dropped arrivals, sum_c lambda_c r
+    (F(beyond(x, c)) - F(x)).  The differences keep the rounding at the
+    terms' scale (``Q @ F`` would cancel terms of size exit rate * |F|), and
+    the diagonal is skipped: its F(x) - F(x) is NaN where F(x) is infinite.
     """
-    idx = gen.idx
-    vals_src = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
-    vals_dst = vals_src[gen.dst]  # a target beyond K is overwritten next
-    vals_dst[gen.dst < 0] = f_vec(gen.beyond_z, gen.beyond_psi, idx.cfg)
-    contrib = gen.rate * (vals_dst - vals_src[gen.src])
-    return np.bincount(gen.src, weights=contrib, minlength=gen.idx.n_states)
+    idx, nc = gen.idx, gen.idx.cfg.n_classes
+    vals = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
+    row, col, rate = _off_diagonal(gen.Q)
+    out = np.bincount(row, weights=rate * (vals.take(col) - vals.take(row)),
+                      minlength=idx.n_states)
+    top = idx.n_states - gen.beyond_z.shape[0] // nc  # the first level-K state
+    beyond = np.asarray(f_vec(gen.beyond_z, gen.beyond_psi, idx.cfg), dtype=float)
+    diff = beyond.reshape(-1, nc) - vals[top:, None]
+    for c, lam in enumerate(idx.cfg.arrival_rates):
+        out[top:] += lam * diff[:, c]
+    return out
 
 
 def expectation(pi: np.ndarray, values: np.ndarray) -> float:

@@ -69,7 +69,9 @@ def default_truncation(cfg: SystemConfig) -> int:
 def exact_chain(cfg: SystemConfig, kind: str, K: int | None, record: dict,
                 solve: bool = True) -> tuple[SparseGenerator, StationaryVector | None]:
     """The generator of cfg's chain truncated at K (None: the default) and,
-    if ``solve``, its stationary vector.  Each step's wall time goes to
+    if ``solve``, its stationary vector; a chain whose state index alone
+    exceeds physical memory is refused before it is enumerated
+    (:func:`hwq.exact.check_chain_fits`).  Each step's wall time goes to
     ``record["phases"]``, the chain's and the solver's counters to
     ``record["counters"]``; bench/spans.py wraps the calls by these names."""
     import_scipy()  # first, so that no phase times an import
@@ -80,7 +82,9 @@ def exact_chain(cfg: SystemConfig, kind: str, K: int | None, record: dict,
     t2 = time.perf_counter()
     sv = stationary(gen) if solve else None
     phases = {"r": cfg.r, "enumerate_s": t1 - t0, "build_s": t2 - t1}
-    counters = {"r": cfg.r, "n_states": idx.n_states, "nnz": gen.Q.nnz}
+    held = (gen.Q.data, gen.Q.indices, gen.Q.indptr, gen.beyond_z, gen.beyond_psi)
+    counters = {"r": cfg.r, "n_states": idx.n_states, "nnz": gen.Q.nnz,
+                "generator_bytes": sum(a.nbytes for a in held)}
     if solve:
         phases["solve_s"] = time.perf_counter() - t2
         counters.update(level_width=sv.level_width, method=sv.method, iterations=sv.iterations,

@@ -23,6 +23,7 @@ must reproduce their random stream and their sums bit for bit.
 import math
 from itertools import accumulate
 from math import log
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse, stats
@@ -126,13 +127,26 @@ def ctmc_stationary_law(start, moves, key, project):
     return law
 
 
+class Transitions(NamedTuple):
+    """Every transition out of an indexed state, one entry each, in source
+    order: ``dst`` is the target's index, -1 beyond K, and ``dst_z``,
+    ``dst_psi`` are the target's digits."""
+
+    src: np.ndarray
+    rate: np.ndarray
+    dst: np.ndarray
+    dst_z: np.ndarray
+    dst_psi: np.ndarray
+
+
 def replay_generator(idx):
     """The generator of ``idx``'s chain, assembled by replaying the
     :mod:`hwq.policy` operations that drive the simulators, one state and one
     event at a time, with targets found in a dict of the enumerated states.
 
-    Returns ``(gen, dst_z, dst_psi)``: the digits of every transition's
-    target, one row per entry of ``gen.dst``, come with the generator.
+    Returns ``(gen, moves)``: the generator and the :class:`Transitions` it
+    is assembled from, which keep each transition apart where ``gen.Q`` sums
+    those with a common target.
     """
     cfg = idx.cfg
     nc = cfg.n_classes
@@ -196,16 +210,11 @@ def replay_generator(idx):
     gen = SparseGenerator(
         idx=idx,
         Q=(off + sparse.diags(-exit_rates)).tocsr(),
-        src=src,
-        rate=rate,
-        dst=dst,
         beyond_z=dst_z[~kept],
         beyond_psi=dst_psi[~kept],
-        boundary_mask=dropped > 0.0,
-        dropped_rate=dropped,
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
-    return gen, dst_z, dst_psi
+    return gen, Transitions(src, rate, dst, dst_z, dst_psi)
 
 
 def validate_macro_state(s, cfg):

@@ -7,6 +7,7 @@ so an API change that breaks ``bench/run.py --trace 1`` fails here first.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import random
@@ -66,6 +67,17 @@ def test_stationary_vector_has_span_metric_fields():
     sv = stationary(build_generator(enumerate_states(cfg, PREEMPTIVE, 20)))
     assert sv.pi.size == 231 and sv.method == "gth"
     assert isinstance(sv.iterations, int) and isinstance(sv.residual, float)
+
+
+def test_generator_has_span_metric_fields():
+    # span_metrics in bench/run.py reads Q.nnz and Q.tocoo() off every traced
+    # exact.build; Q is the one copy of the transitions
+    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, 20))
+    coo = gen.Q.tocoo()
+    assert gen.Q.nnz == coo.nnz == coo.row.size == coo.col.size > 0
+    assert {f.name for f in dataclasses.fields(gen)} == {
+        "idx", "Q", "beyond_z", "beyond_psi", "max_exit_rate"}
 
 
 def test_scalar_is_only_an_alias_for_bench():

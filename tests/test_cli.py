@@ -766,6 +766,34 @@ def test_lyapunov_server_rule_exits_one_before_output(tmp_path, capsys):
     assert "n_servers <= r*(1+a)" in err
 
 
+@pytest.mark.parametrize("command, section", [
+    ("exact", {"K": 10**7}),
+    ("verify", {"K": 10**7, "checks": ["drift_identity"]}),
+])
+def test_state_index_beyond_memory_exits_one_before_output(tmp_path, command, section):
+    # two preemptive classes at K = 10^7: C(10^7 + 2, 2) states, whose index
+    # alone takes 56 bytes each.  The run is capped at 2 GiB of address
+    # space, so that a regression that enumerates fails without exhausting
+    # the host.
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(_config(policy="preemptive_priority",
+                                           system=TWO_CLASS_SYSTEM, **{command: section})))
+    out = tmp_path / "out"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "import hwq.cli\n"
+            "sys.exit(hwq.cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg_file),
+                           "--out", str(out), "--jobs", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and not out.exists()
+    assert proc.stderr.startswith("hwq: config error: K = 10000000: the state index of "
+                                  f"{math.comb(10**7 + 2, 2)} states needs")
+    assert proc.stderr.rstrip().endswith("physical memory")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_hypotheses_of_other_commands_are_not_checked(tmp_path):
     # nu > mu refuses the default infserver coupling, but simulate does not need it;
     # theta_list outside [0, 1] matters only when lyapunov runs
@@ -890,7 +918,7 @@ def test_manifest_explains_exact_and_verify(tmp_path):
     for phases in manifest["phases"]:
         assert set(phases) == {"r", "enumerate_s", "build_s", "solve_s"}
     assert [set(c) for c in manifest["counters"]] == [{
-        "r", "n_states", "nnz", "level_width", "method", "iterations",
+        "r", "n_states", "nnz", "generator_bytes", "level_width", "method", "iterations",
         "residual", "deficit"}] * 2
     assert manifest["counters"][0]["method"] == "gth"
 
@@ -903,10 +931,13 @@ def test_manifest_explains_exact_and_verify(tmp_path):
     # the first system's chain: 41 states and 40 rates up, 40 down, 41 diagonal;
     # generator_identity needs pi, so the solver's counters follow
     [counters] = manifest["counters"]
-    assert set(counters) == {"r", "n_states", "nnz", "level_width", "method", "iterations",
-                             "residual", "deficit"}
+    assert set(counters) == {"r", "n_states", "nnz", "generator_bytes", "level_width",
+                             "method", "iterations", "residual", "deficit"}
     assert (counters["r"], counters["n_states"], counters["nnz"], counters["method"]) == (
         4.0, 41, 121, "gth")
+    # Q: 121 float64 rates, 121 int32 columns, 42 int32 row pointers; the one
+    # state on level 40 drops one arrival, so one row each of int64 z and psi
+    assert counters["generator_bytes"] == 121 * 8 + 121 * 4 + 42 * 4 + 2 * 8
 
     # a verify without generator_identity does not solve
     raw["verify"]["checks"] = ["drift_identity"]
@@ -915,7 +946,8 @@ def test_manifest_explains_exact_and_verify(tmp_path):
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert [set(p) for p in manifest["phases"]] == [{
         "r", "enumerate_s", "build_s", "drift_identity_s"}]
-    assert manifest["counters"] == [{"r": 4.0, "n_states": 41, "nnz": 121}]
+    assert manifest["counters"] == [{"r": 4.0, "n_states": 41, "nnz": 121,
+                                     "generator_bytes": 121 * 12 + 42 * 4 + 16}]
 
     # each exact sweep point records what hwq exact records, in r order
     raw["sweep"] = {"estimator": "exact", "K": 40}
@@ -930,8 +962,8 @@ def test_manifest_explains_exact_and_verify(tmp_path):
             {"r", "enumerate_s", "build_s", "solve_s"}] * 2
         assert [c["r"] for c in manifest["counters"]] == [4.0, 9.0]
         assert [set(c) for c in manifest["counters"]] == [{
-            "r", "n_states", "nnz", "level_width", "method", "iterations",
-            "residual", "deficit"}] * 2
+            "r", "n_states", "nnz", "generator_bytes", "level_width", "method",
+            "iterations", "residual", "deficit"}] * 2
 
 
 def test_manifest_explains_batch_means_sweep(tmp_path):

@@ -36,6 +36,7 @@ from hwq.exact import (
     _gth_levels,
     abar_vector,
     build_generator,
+    check_chain_fits,
     count_states,
     enumerate_states,
     expectation,
@@ -112,6 +113,27 @@ def test_band_memory_refusal():
         _check_levels_fit([1, w])
 
 
+@pytest.mark.parametrize("kind, K", [(PREEMPTIVE, 84), (NONPREEMPTIVE, 84)])
+def test_state_index_bytes_are_predicted(kind, K):
+    # the exact_banded and exact_wide chains: five int64 arrays, z and psi
+    # with one column per class
+    idx = enumerate_states(TWO_CLASS_AB, kind, K)
+    held = sum(a.nbytes for a in (idx.z, idx.psi, idx.level, idx.keys, idx.order))
+    assert held == 8 * idx.n_states * (2 * TWO_CLASS_AB.n_classes + 3)
+
+
+def test_state_index_memory_refusal():
+    check_chain_fits(TWO_CLASS_AB, NONPREEMPTIVE, 84)
+    with pytest.raises(InsufficientMemory, match="K = 10000000: the state index of "
+                       f"{math.comb(10**7 + 2, 2)} states needs"):
+        check_chain_fits(TWO_CLASS_AB, PREEMPTIVE, 10**7)
+    with pytest.raises(InsufficientMemory, match="physical memory"):
+        enumerate_states(TWO_CLASS_AB, PREEMPTIVE, 10**7)
+    # the key range is refused first
+    with pytest.raises(Unsupported, match="overflow"):
+        check_chain_fits(TWO_CLASS_AB, NONPREEMPTIVE, 10**7)
+
+
 _REPLAY_SYSTEMS = {
     "1 class": build_config([ClassParams(1.0, 1.0, 0.5)], 4.0, 1.0),
     "2 classes, nu_0 = 0": build_config(
@@ -127,19 +149,25 @@ _REPLAY_SYSTEMS = {
 @pytest.mark.parametrize("K_of", ["N", "N+3", "default"])
 def test_generator_matches_policy_replay(kind, system, K_of):
     """Every array of the assembled generator equals the one built by
-    replaying the simulators' policy operations state by state."""
+    replaying the simulators' policy operations state by state, and the
+    replay drops the transitions the generator's layout assumes: one arrival
+    per (level-K state, class), the level-K states last."""
     cfg = _REPLAY_SYSTEMS[system]
     K = {"N": cfg.n_servers, "N+3": cfg.n_servers + 3,
          "default": default_truncation(cfg)}[K_of]
     idx = enumerate_states(cfg, kind, K)
-    gen, (oracle, _, _) = build_generator(idx), replay_generator(idx)
-    for field in ("src", "rate", "dst", "beyond_z", "beyond_psi", "boundary_mask",
-                  "dropped_rate"):
+    gen, (oracle, moves) = build_generator(idx), replay_generator(idx)
+    for field in ("beyond_z", "beyond_psi"):
         got, want = getattr(gen, field), getattr(oracle, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(gen.Q, field), getattr(oracle.Q, field)), field
     assert gen.max_exit_rate == oracle.max_exit_rate
+    top = np.flatnonzero(idx.level == K)
+    assert np.array_equal(top, np.arange(idx.n_states - top.size, idx.n_states))
+    dropped = moves.dst < 0
+    assert np.array_equal(moves.src[dropped], np.repeat(top, cfg.n_classes))
+    assert np.array_equal(moves.rate[dropped], np.tile(cfg.arrival_rates, top.size))
 
 
 def test_generator_is_mmn_birth_death():
@@ -162,11 +190,11 @@ def test_generator_preemption_rates():
     gen = build_generator(idx)
     i = idx.positions(np.array([[1, 1]]), None)[0]
     assert i >= 0
-    lo, hi = np.searchsorted(gen.src, [i, i + 1])
+    row = gen.Q[i]
     departures = {
-        tuple(idx.z[gen.dst[t]]): gen.rate[t]
-        for t in range(lo, hi)
-        if gen.dst[t] >= 0 and idx.level[gen.dst[t]] < 2
+        tuple(idx.z[j]): rate
+        for j, rate in zip(row.indices, row.data)
+        if idx.level[j] < 2
     }
     assert departures[(1, 0)] == pytest.approx(cfg.mus[1])  # service of class 1
     assert departures[(0, 1)] == pytest.approx(cfg.nus[0])  # abandonment of class 0
@@ -179,10 +207,10 @@ def test_duplicate_targets_are_summed(kind):
     # both reach z = (0, 1), psi = (0, 1)
     cfg = dataclasses.replace(TWO_CLASS_AB, n_servers=1)
     idx = enumerate_states(cfg, kind, 6)
-    gen = build_generator(idx)
+    gen, (_, moves) = build_generator(idx), replay_generator(idx)
     i, j = idx.positions(np.array([[0, 2], [0, 1]]), np.array([[0, 1], [0, 1]]))
-    both = (gen.src == i) & (gen.dst == j)
-    assert gen.rate[both].tolist() == [cfg.mus[1], cfg.nus[1]]
+    both = (moves.src == i) & (moves.dst == j)
+    assert moves.rate[both].tolist() == [cfg.mus[1], cfg.nus[1]]
     assert gen.Q[i, j] == cfg.mus[1] + cfg.nus[1]
 
 
@@ -262,6 +290,17 @@ TWO_CLASS_R9 = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1
 def test_count_states_matches_enumeration(cfg, kind):
     for K in range(cfg.n_servers, cfg.n_servers + 15):
         assert count_states(cfg, kind, K) == enumerate_states(cfg, kind, K).n_states, K
+    # below N nobody waits: every state is its z alone, under either policy
+    for K in range(cfg.n_servers):
+        assert count_states(cfg, kind, K) == math.comb(K + cfg.n_classes, cfg.n_classes)
+
+
+def test_count_states_at_the_largest_one_class_K():
+    # one class has one state per level; K = 3e9, whose two-digit keys still
+    # fit int64, is counted in closed form, not by a sum over its levels
+    K = 3 * 10**9
+    _check_key_range(K, 2)
+    assert count_states(MM2, NONPREEMPTIVE, K) == K + 1
 
 
 def test_count_states_of_the_measured_chains():
@@ -459,22 +498,34 @@ def test_abar_apply_matches_hand_sum():
     assert got == pytest.approx(1.0 - np.minimum(z[:, 0], 2), abs=1e-12)
 
 
-def _abar_all_targets(replay, f_vec):
+def _abar_all_targets(idx, moves, f_vec):
     """Abar F with F evaluated on every transition target of the policy
-    replay ``(gen, dst_z, dst_psi)``, not of the generator under test."""
-    gen, dst_z, dst_psi = replay
-    idx = gen.idx
+    replay's list ``moves``, one term per transition, summed in list order;
+    and each row's sum of the terms' magnitudes."""
     vals_src = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
-    vals_dst = np.asarray(f_vec(dst_z, dst_psi, idx.cfg), dtype=float)
-    return np.bincount(gen.src, weights=gen.rate * (vals_dst - vals_src[gen.src]),
-                       minlength=idx.n_states)
+    vals_dst = np.asarray(f_vec(moves.dst_z, moves.dst_psi, idx.cfg), dtype=float)
+    terms = moves.rate * (vals_dst - vals_src[moves.src])
+    return (np.bincount(moves.src, weights=terms, minlength=idx.n_states),
+            np.bincount(moves.src, weights=np.abs(terms), minlength=idx.n_states))
 
 
 @pytest.mark.parametrize("kind, K", [(PREEMPTIVE, 84), (NONPREEMPTIVE, 30)])
 def test_abar_matches_all_targets_oracle(kind, K):
+    """abar_vector reads the rates off Q, where a service completion and an
+    abandonment with one target are summed, and adds the dropped arrivals
+    last; the oracle adds one term per transition.  A row has at most
+    3 * n_classes transitions, so each sum is within gamma_m * sum|term| of
+    the exact one, m = 3 * n_classes + 1: a term's difference, product and
+    possibly merged rate are rounded once each, and its summation takes
+    fewer additions than it has terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sections 3.1 and 4.2).  The two sums are
+    then within twice that of each other."""
     idx = enumerate_states(TWO_CLASS_AB, kind, K)
-    gen, replay = build_generator(idx), replay_generator(idx)
-    assert (gen.dst < 0).any()
+    gen, (replay_gen, moves) = build_generator(idx), replay_generator(idx)
+    assert (moves.dst < 0).any() and gen.beyond_z.size
+    m = 3 * TWO_CLASS_AB.n_classes + 1
+    u = np.finfo(float).eps / 2
+    gamma = m * u / (1 - m * u)
 
     def phi(Z, PSI, c):
         return ((Z - np.asarray(c.rho_r)) / np.asarray(c.mus)).sum(axis=1) / c.sqrt_r
@@ -487,10 +538,13 @@ def test_abar_matches_all_targets_oracle(kind, K):
         lambda Z, PSI, c: PSI @ np.arange(1.0, c.n_classes + 1),  # who is served
     )
     for f in functionals:
-        assert np.array_equal(abar_vector(gen, f), _abar_all_targets(replay, f))
+        got = abar_vector(gen, f)
+        assert np.array_equal(got, abar_vector(replay_gen, f))
+        want, magnitude = _abar_all_targets(idx, moves, f)
+        assert (np.abs(got - want) <= 2 * gamma * magnitude).all()
     # a functional that is nonzero only above K sees the dropped arrivals alone
     above = abar_vector(gen, lambda Z, PSI, c: (Z.sum(axis=1) > K).astype(float))
-    assert np.array_equal(above, np.where(gen.boundary_mask, gen.dropped_rate, 0.0))
+    assert np.array_equal(above, np.where(idx.level == K, sum(TWO_CLASS_AB.arrival_rates), 0.0))
 
 
 def test_generator_identity_truncated_functional():
