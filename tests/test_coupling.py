@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -426,6 +427,197 @@ def test_ordering_check_shadow_non_idling(monkeypatch):
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
         chain.jump(3)
+
+
+# The one-step oracle: every transition of each coupling at every ordered
+# joint state of a small system, against the law each marginal must keep.
+ORACLE_LEVEL = 12  # primary and shadow levels; FIFO queues up to ORACLE_QUEUE
+ORACLE_QUEUE = 4
+
+
+class _Choice:
+    """Stands in for an rng whose draws are fixed: ``random()`` returns
+    ``u`` and ``randrange(n)`` returns ``j``."""
+
+    def __init__(self, u, j):
+        self.u, self.j = u, j
+
+    def random(self):
+        return self.u
+
+    def randrange(self, n):
+        assert 0 <= self.j < n
+        return self.j
+
+
+def _primary_states(kind):
+    """``(key, state)`` of every primary state of ``SMALL`` up to
+    ``ORACLE_LEVEL`` (FIFO: queues up to ``ORACLE_QUEUE``), each state built
+    through the policy operations."""
+    if kind != FIFO:
+        idx = enumerate_states(SMALL, kind, ORACLE_LEVEL)
+        for z, psi in zip(idx.z.tolist(), idx.psi.tolist()):
+            st = init_state(SMALL, kind)
+            if kind == PREEMPTIVE:
+                st.set_counts(z)
+            else:
+                st.set_counts(z, psi)
+            yield _primary_key(st), st
+        return
+    n = SMALL.n_servers
+    for busy in range(n + 1):
+        queues = [()] if busy < n else [q for m in range(ORACLE_QUEUE + 1)
+                                         for q in itertools.product(range(2), repeat=m)]
+        for psi0 in range(busy + 1):
+            for queue in queues:
+                st = init_state(SMALL, FIFO)
+                for c in [0] * psi0 + [1] * (busy - psi0) + list(queue):
+                    st.apply_arrival(c)  # servers fill first, then the queue in order
+                yield _primary_key(st), st
+
+
+def _primary_key(st):
+    if st.kind == PREEMPTIVE:
+        return tuple(st.z)
+    if st.kind == NONPREEMPTIVE:
+        return tuple(st.z), tuple(st.psi)
+    return tuple(st.psi), tuple(st.queue)
+
+
+def _primary_rows(kind):
+    """Primary key -> {target key: rate}: the rows of ``build_generator``'s
+    ``Q`` (indexed one level beyond the states, so no target is dropped),
+    or for FIFO the label-sequence rules: the queue head takes a freed
+    server, and each queued customer abandons at its own rate."""
+    rows = {}
+    if kind != FIFO:
+        gen = build_generator(enumerate_states(SMALL, kind, ORACLE_LEVEL + 1))
+        z, psi = gen.idx.z.tolist(), gen.idx.psi.tolist()
+        keys = [tuple(a) if kind == PREEMPTIVE else (tuple(a), tuple(b))
+                for a, b in zip(z, psi)]
+        Q = gen.Q
+        for i, key in enumerate(keys):
+            lo, hi = Q.indptr[i], Q.indptr[i + 1]
+            rows[key] = {keys[j]: rate for j, rate in zip(Q.indices[lo:hi].tolist(),
+                                                         Q.data[lo:hi].tolist()) if j != i}
+        return rows
+    lam, mu, nu, n = SMALL.arrival_rates, SMALL.mus, SMALL.nus, SMALL.n_servers
+    for key, _ in _primary_states(FIFO):
+        psi, queue = key
+        row = {}
+
+        def add(target_psi, target_queue, rate):
+            target = (tuple(target_psi), tuple(target_queue))
+            row[target] = row.get(target, 0.0) + rate
+
+        for c in range(2):
+            if sum(psi) < n:
+                add([p + (d == c) for d, p in enumerate(psi)], queue, lam[c])
+            else:
+                add(psi, queue + (c,), lam[c])
+            if psi[c]:
+                served = [p - (d == c) for d, p in enumerate(psi)]
+                if queue:
+                    served[queue[0]] += 1
+                add(served, queue[1:], mu[c] * psi[c])
+        for pos, c in enumerate(queue):
+            add(psi, queue[:pos] + queue[pos + 1:], nu[c])
+        rows[key] = row
+    return rows
+
+
+def _shadow_allocation(psi, zp):
+    """The shadow's servers: the primary's, then the rest by ascending class."""
+    rem = min(SMALL.n_servers, sum(zp)) - sum(psi)
+    out = []
+    for p, zpi in zip(psi, zp):
+        extra = min(zpi - p, rem)
+        out.append(p + extra)
+        rem -= extra
+    return out
+
+
+def _outcomes(chain, k, kind):
+    """``(weight, rng stand-in)`` per outcome of the random choices an event
+    of category ``k`` makes at the chain's state: a FIFO abandonment's
+    queued customer, each at 1/q, and the monotone thinning, kept at ``p``
+    and followed at ``1 - p``."""
+    block, i = divmod(k, SMALL.n_classes)
+    st = chain.state
+    queued = st.z[i] - st.psi[i]
+    abandons = block in ((2,) if isinstance(chain, MonotoneChain)
+                         else (InfServerChain.SHARED_QUEUE, InfServerChain.Z_QUEUE))
+    picks = [(1.0 / queued, j) for j in range(queued)] if kind == FIFO and abandons \
+        else [(1.0, 0)]
+    draws = [(1.0, 0.0)]
+    if isinstance(chain, MonotoneChain) and block in (1, 2):
+        p = chain.thinning_probability(i)
+        draws = [(w, u) for w, u in ((p, 0.0), (1.0 - p, p)) if w > 0.0]
+    return [(wp * wu, _Choice(u, j)) for wp, j in picks for wu, u in draws]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("coupling", ["infserver", "monotone"])
+def test_one_step_oracle(coupling, kind):
+    # at every joint state of SMALL up to level 12 (FIFO: queues up to 4)
+    # that satisfies the ordering, every category with a positive rate is
+    # applied by jump() under each outcome of its random choices, weighted
+    # by its probability: no target breaks an ordering, the weighted rates
+    # summed by primary target give the primary's own row, and summed by
+    # G (or Z') target give the M/M/inf row mu_i G_i (or the nu'-system row
+    # mu_i psi'_i + nu'_i Q'_i), so each marginal keeps its own law
+    # (strong lumpability) and the order survives every jump
+    nc, lam = SMALL.n_classes, SMALL.arrival_rates
+    nu_prime = [0.0, 0.5]
+    rows = _primary_rows(kind)
+    checked = 0
+    for key, primary in _primary_states(kind):
+        z, psi = list(primary.z), list(primary.psi)
+        if coupling == "infserver":
+            others = itertools.product(*(range(zi + 1) for zi in z))
+        else:
+            others = (zp for zp in itertools.product(*(range(zi, ORACLE_LEVEL + 1) for zi in z))
+                      if sum(zp) <= ORACLE_LEVEL)
+        for other in others:
+            if coupling == "infserver":
+                chain = InfServerChain(SMALL, kind, None)
+                own = chain.g
+                want = {(i, 1): lam[i] for i in range(nc)}
+                want.update({(i, -1): SMALL.mus[i] * other[i] for i in range(nc)})
+            else:
+                chain = MonotoneChain(SMALL, nu_prime, kind, None)
+                own = chain.zp
+                psip = _shadow_allocation(psi, other)
+                want = {(i, 1): lam[i] for i in range(nc)}
+                want.update({(i, -1): SMALL.mus[i] * psip[i]
+                             + nu_prime[i] * (other[i] - psip[i]) for i in range(nc)})
+            want = {move: rate for move, rate in want.items() if rate > 0.0}
+            chain.state = primary.copy()
+            own[:] = other
+            chain.check()
+            rates = chain.rates()
+            got_primary, got_other = {}, {}
+            for k, rate in enumerate(rates):
+                if rate <= 0.0:
+                    continue
+                chain.state = primary.copy()
+                own[:] = other
+                for weight, choice in _outcomes(chain, k, kind):
+                    chain.state = primary.copy()
+                    own[:] = other
+                    chain.rng = choice
+                    chain.jump(k)  # raises OrderingViolation on a broken order
+                    target = _primary_key(chain.state)
+                    if target != key:
+                        got_primary[target] = got_primary.get(target, 0.0) + rate * weight
+                    moved = [(i, own[i] - other[i]) for i in range(nc) if own[i] != other[i]]
+                    if moved:
+                        [move] = moved
+                        got_other[move] = got_other.get(move, 0.0) + rate * weight
+            assert got_primary == pytest.approx(rows[key], rel=1e-12, abs=0.0), (key, other)
+            assert got_other == pytest.approx(want, rel=1e-12, abs=0.0), (key, other)
+            checked += 1
+    assert checked > 1_000
 
 
 RUNNERS = {
