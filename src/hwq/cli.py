@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import platform
@@ -71,7 +72,7 @@ from .simulate import (
     usable_cores,
 )
 from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
-from .exact import check_chain_fits, expectation
+from .exact import check_chain_fits, expectation, off_diagonal
 # imported only so that bench/spans.py finds these names here to wrap; the
 # commands call them through hwq.verify.exact_chain
 from .exact import build_generator, enumerate_states, stationary  # noqa: F401
@@ -355,16 +356,24 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
         method = choose_estimator(sc)
     warmup = default_warmup(sc) if sec["warmup_events"] is None else sec["warmup_events"]
     fns = {spec.label(): spec.vector(sc) for spec in specs}
+    started = time.perf_counter()
     if method == "regenerative":
+        run = {}
         ests = regenerative_estimate(
             sc, cfg.policy, fns, sec["n_cycles"], RngStream(cfg.seed, 0),
-            max_events_per_cycle=sec["max_events_per_cycle"],
+            max_events_per_cycle=sec["max_events_per_cycle"], record=run,
         )
+        counters = {"method": method, "events": run["events"], "cycles": sec["n_cycles"]}
     else:
         ests = batch_means_multi(
             sc, cfg.policy, fns, sec["n_batches"],
             sec["events_per_batch"], warmup, RngStream(cfg.seed, 0),
         )
+        counters = {"method": method,
+                    "events": warmup + sec["n_batches"] * sec["events_per_batch"]}
+    estimate_s = time.perf_counter() - started
+    record["phases"].append({"estimate_s": estimate_s})
+    record["counters"].append({**counters, "kev_per_s": counters["events"] / estimate_s / 1e3})
     rows = []
     for spec in specs:
         est = ests[spec.label()]
@@ -377,14 +386,20 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
 
 
 def _couple_stream(sc, kind, coupling, nu_prime, n_events, warmup, seed, stream):
-    """One coupled replication on stream (seed, stream); a module-level
-    function, so a worker process can run it."""
+    """One coupled replication on stream (seed, stream), with the wall times
+    of its warm-up and of the rest; a module-level function, so a worker
+    process can run it."""
     rng = RngStream(seed, stream)
+    times = {}
     if coupling == "infserver":
-        rep = run_infserver_coupled(sc, kind, n_events, rng, warmup_events=warmup)
-        return rep.ordering_checks, rep.states_checked, rep.z_time_avg, rep.g_time_avg
-    rep = run_monotone_coupled(sc, nu_prime, kind, n_events, rng, warmup_events=warmup)
-    return rep.ordering_checks, rep.states_checked, rep.z_time_avg, rep.z_prime_time_avg
+        rep = run_infserver_coupled(sc, kind, n_events, rng, warmup_events=warmup,
+                                    record=times)
+        other = rep.g_time_avg
+    else:
+        rep = run_monotone_coupled(sc, nu_prime, kind, n_events, rng, warmup_events=warmup,
+                                   record=times)
+        other = rep.z_prime_time_avg
+    return rep.ordering_checks, rep.states_checked, rep.z_time_avg, other, times
 
 
 def _cmd_couple(cfg, out_dir, jobs, record):
@@ -403,10 +418,13 @@ def _cmd_couple(cfg, out_dir, jobs, record):
     # a violated ordering raises OrderingViolation, so a written row has none
     rows = [[sc.r, sc.a, cfg.policy, cfg.seed, coupling, stream, n_events, checks, 0,
              *z_avg, *other_avg]
-            for stream, (checks, _, z_avg, other_avg) in enumerate(results)]
+            for stream, (checks, _, z_avg, other_avg, _) in enumerate(results)]
+    record["phases"] = [{"stream": stream, **times}
+                        for stream, (*_, times) in enumerate(results)]
     record["counters"] = [{"stream": stream, "events": n_events, "ordering_checks": checks,
-                           "states_checked": states}
-                          for stream, (checks, states, _, _) in enumerate(results)]
+                           "states_checked": states,
+                           "kev_per_s": n_events / (times["warmup_s"] + times["run_s"]) / 1e3}
+                          for stream, (checks, states, _, _, times) in enumerate(results)]
     path = out_dir / "couple.csv"
     _write_csv(path, columns, rows)
     return [path], 0
@@ -418,13 +436,17 @@ def _cmd_verify(cfg, out_dir, jobs, record):
     gen, sv = exact_chain(sc, cfg.policy, sec["K"], record,
                           solve="generator_identity" in sec["checks"])
     phases = record["phases"][-1]
+    # Q's off-diagonal entries, selected by the first check that applies the
+    # rate operator and shared by the others
+    moves = functools.cache(lambda: off_diagonal(gen.Q))
     # the checks are looked up when this runs, so bench/spans.py can wrap them
     calls = {
-        "drift_identity": lambda: drift_identity_check(gen),
+        "drift_identity": lambda: drift_identity_check(gen, moves()),
         "lyapunov": lambda: [row for theta in sec["theta_list"]
-                             for row in lyapunov_pointwise_check(gen, theta)],
-        "abandon_bounds": lambda: drift_bounds_abandon_check(gen),
-        "generator_identity": lambda: generator_identity_check(gen, sv, sec["theta"], sec["k"]),
+                             for row in lyapunov_pointwise_check(gen, theta, moves())],
+        "abandon_bounds": lambda: drift_bounds_abandon_check(gen, moves()),
+        "generator_identity": lambda: generator_identity_check(gen, sv, sec["theta"], sec["k"],
+                                                               moves()),
     }
     rows = []
     violations = 0

@@ -35,12 +35,23 @@ joint state's table once and caches it.  Every ordering is a function of
 the same lists, so ``check()`` scans every ordering of every class once per
 distinct joint state: ``rates()`` calls it first, and a state enters the
 kernel's cache only after its orderings pass.  The kernel looks up the
-state each event leaves before it draws the next event, and the runner
+state each event leaves before it draws the next event, or moves to it
+from the cache, where it was checked when it entered, and the runner
 checks the state the last event leaves, so the state after every event is
 checked.  Each event runs through an action table, one action per
 category.  A failed ordering raises :class:`OrderingViolation` naming the
 event that reached the state; that never happens by construction, so a
 raise means an implementation bug.
+
+When the primary is a priority policy, the joint state is a function of
+the count lists, and the kernel memoizes each (state, category)
+successor: a revisit applies no action, and the monotone thinning is
+drawn by the kernel against the cached probability ``p`` (see
+:func:`hwq.simulate.jumps`).  The chain's lists, and its event count
+``checks``, are then synced only on a cache miss and when the runner
+closes the kernel, before its final check; ``checks`` counts events, not
+actions.  A FIFO primary keeps its queue order in the state, so those
+chains apply every event.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the weight of the events spent in each visited pair of
@@ -64,6 +75,7 @@ scipy is imported by the functions that call it (the chi-square tail of
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +89,7 @@ from .simulate import (
     advance,
     check_event_counts,
     jumps,
+    load_counts,
     occupancy,
 )
 
@@ -120,8 +133,21 @@ class InfServerChain:
         self.checks = 0
         self._nc = nc
 
+    @property
+    def memoized(self) -> bool:
+        return self.state.counts_are_state
+
     def counts(self):
         return self.g, self.state.z, self.state.psi
+
+    def load(self, key, events: int) -> None:
+        """Set ``(G, z, psi)`` to the cached state ``key``, which event
+        number ``events`` reached."""
+        load_counts(self.counts(), key)
+        self.checks = events
+
+    def thinning(self, k: int) -> None:
+        return None  # no category thins
 
     def rates(self) -> list[float]:
         self.check()
@@ -174,7 +200,7 @@ class InfServerChain:
 
 
 def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
-                 grid_dt: float = 0.0):
+                 grid_dt: float = 0.0, record: dict | None = None):
     """Run ``make_chain(rng)`` for ``warmup_events`` jumps, then integrate
     its first two count lists over the other jumps.
 
@@ -186,8 +212,15 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     :func:`hwq.simulate.occupancy`).  Events are weighted by their expected
     holding times ``1/q``, so ``span`` is the expected elapsed time, unless
     ``grid_dt > 0``: then they are weighted by their holding times, and
-    ``span`` is the real elapsed time.  The state the last event leaves is
-    never looked up by the kernel, so it is checked here.
+    ``span`` is the real elapsed time.
+
+    ``chain.checks``, the runner's ``ordering_checks``, counts the events,
+    however many of them ran the chain's action: a memoized chain's count
+    lists are synced only on a miss of the kernel's successor cache and
+    when the kernel is closed here, and the count is synced with them.  The
+    state the last event leaves is never looked up by the kernel, so it is
+    checked here, after the close.  When ``record`` is a dict it receives
+    ``warmup_s``, the warm-up's wall time, and ``run_s``, the rest's.
     """
     if isinstance(rng, RngStream):
         rng = rng.make()
@@ -198,11 +231,17 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     a, b = chain.counts()[:2]
     path = Path(len(a) + len(b))
     events = jumps(chain, rng, path)
+    started = time.perf_counter()
     advance(events, warmup_events, path)
+    warmed = time.perf_counter()
     states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
+    events.close()  # loads the chain's count lists with the state the last event left
     chain.check()
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
+    if record is not None:
+        record["warmup_s"] = warmed - started
+        record["run_s"] = time.perf_counter() - warmed
     return chain, len(path.table), span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
 
 
@@ -218,8 +257,8 @@ class InfServerReport:
 
 
 def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
-                          warmup_events: int = 0,
-                          g_sample_dt: float = 0.0) -> InfServerReport:
+                          warmup_events: int = 0, g_sample_dt: float = 0.0,
+                          record: dict | None = None) -> InfServerReport:
     """Run the joint (primary, M/M/inf) chain, asserting G_i <= Z_i throughout.
 
     G and Z are time averaged over the post-warmup span by the occupancy
@@ -232,11 +271,12 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     events after the warmup.  Snapshots are taken on the time grid (not at event indices): the state
     holding at each grid instant is an unbiased stationary draw, whereas
     event-indexed states follow the jump-chain law.  ``states_checked``
-    counts the distinct joint states, each checked once.
+    counts the distinct joint states, each checked once.  A dict
+    ``record`` receives the wall times ``warmup_s`` and ``run_s``.
     """
     chain, states_checked, span, g_avg, z_avg, grid = _run_coupled(
         lambda rng: InfServerChain(cfg, kind, rng), n_events, rng, warmup_events,
-        g_sample_dt)
+        g_sample_dt, record)
     nc = cfg.n_classes
     return InfServerReport(
         events=n_events,
@@ -327,8 +367,25 @@ class MonotoneChain:
         q = self.state.z[j] - psi
         return q * (nu - self.nu_prime[j]) / (nu * q + self.cfg.mus[j] * psi)
 
+    @property
+    def memoized(self) -> bool:
+        return self.state.counts_are_state
+
     def counts(self):
         return self.state.z, self.zp, self.state.psi
+
+    def load(self, key, events: int) -> None:
+        """Set ``(z, Z', psi)`` to the cached state ``key``, which event
+        number ``events`` reached; psi' stays that of the state last
+        checked."""
+        load_counts(self.counts(), key)
+        self.checks = events
+
+    def thinning(self, k: int) -> float | None:
+        """:meth:`thinning_probability` of category ``k``'s class when ``k``
+        is a primary departure, else None."""
+        block, j = divmod(k, self._nc)
+        return self.thinning_probability(j) if block in (1, 2) else None
 
     def rates(self) -> list[float]:
         self.check()
@@ -352,7 +409,7 @@ class MonotoneChain:
         self._event(*divmod(k, self._nc))
         self.check()
 
-    def _event(self, block: int, j: int) -> None:
+    def _event(self, block: int, j: int, followed: bool | None = None) -> None:
         st = self.state
         zp = self.zp
         if block == 0:  # coupled arrival
@@ -361,7 +418,9 @@ class MonotoneChain:
         elif block < 3:  # primary departure, followed by the shadow unless thinned
             p = self.thinning_probability(j)
             st.apply_departure(j, SERVICE if block == 1 else QUEUE, self.rng)
-            if self.rng.random() >= p:
+            if followed is None:  # a memoizing kernel draws it and passes the outcome
+                followed = self.rng.random() >= p
+            if followed:
                 zp[j] -= 1
         else:  # shadow-only departure
             zp[j] -= 1
@@ -422,7 +481,8 @@ class MonotoneReport:
 
 
 def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
-                         rng, warmup_events: int = 0) -> MonotoneReport:
+                         rng, warmup_events: int = 0,
+                         record: dict | None = None) -> MonotoneReport:
     """Drive the primary chain and its larger shadow with rates nu' <= nu.
 
     Asserts Z_i <= Z'_i, psi_i <= psi'_i, Q_i <= Q'_i, shadow non-idling, and
@@ -431,10 +491,12 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
     (``states_checked``).  Z and Z' are time averaged over the post-warmup
     span by the occupancy measure of the pairs ``(Z, Z')``, each event
     weighted by its expected holding time ``1/q``; ``sim_time`` is the
-    expected elapsed time.
+    expected elapsed time.  A dict ``record`` receives the wall times
+    ``warmup_s`` and ``run_s``.
     """
     chain, states_checked, span, z_avg, zp_avg, _ = _run_coupled(
-        lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events)
+        lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events,
+        record=record)
     return MonotoneReport(
         events=n_events,
         sim_time=span,

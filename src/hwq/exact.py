@@ -328,7 +328,7 @@ def _check_levels_fit(widths) -> None:
         )
 
 
-def _off_diagonal(Q: sparse.csr_matrix):
+def off_diagonal(Q: sparse.csr_matrix):
     """The off-diagonal entries of ``Q`` in row order, as (row, col, rate)."""
     row = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
     k = np.flatnonzero(Q.indices != row)
@@ -336,9 +336,9 @@ def _off_diagonal(Q: sparse.csr_matrix):
 
 
 def _level_moves(Q: sparse.csr_matrix, level: np.ndarray):
-    """:func:`_off_diagonal` and the level step of each entry; refuse a rate
+    """:func:`off_diagonal` and the level step of each entry; refuse a rate
     that moves other than one level, which both stationary solvers rely on."""
-    row, col, rate = _off_diagonal(Q)
+    row, col, rate = off_diagonal(Q)
     level = level.astype(Q.indices.dtype)  # levels are below n: the narrow index type
     step = level[col]
     step -= level[row]
@@ -585,7 +585,7 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
                             deficit_estimate=_deficit_estimate(gen, pi), level_width=w)
 
 
-def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
+def abar_vector(gen: SparseGenerator, f_vec, moves=None) -> np.ndarray:
     """Apply the rate operator to a test function, untruncated.
 
     ``f_vec(Z, PSI, cfg)`` must map state arrays to a value array, row by
@@ -595,10 +595,12 @@ def abar_vector(gen: SparseGenerator, f_vec) -> np.ndarray:
     (F(beyond(x, c)) - F(x)).  The differences keep the rounding at the
     terms' scale (``Q @ F`` would cancel terms of size exit rate * |F|), and
     the diagonal is skipped: its F(x) - F(x) is NaN where F(x) is infinite.
+    ``moves`` is ``off_diagonal(gen.Q)`` where the caller has selected the
+    entries already, so that several test functions share one selection.
     """
     idx, nc = gen.idx, gen.idx.cfg.n_classes
     vals = np.asarray(f_vec(idx.z, idx.psi, idx.cfg), dtype=float)
-    row, col, rate = _off_diagonal(gen.Q)
+    row, col, rate = off_diagonal(gen.Q) if moves is None else moves
     out = np.bincount(row, weights=rate * (vals.take(col) - vals.take(row)),
                       minlength=idx.n_states)
     top = idx.n_states - gen.beyond_z.shape[0] // nc  # the first level-K state

@@ -17,6 +17,8 @@ highest priority.  The three kinds:
 States are mutable values: ``apply_arrival`` / ``apply_departure`` update in
 place and return the state, and every kind keeps live per-class ``z`` and
 ``psi`` lists.  One simulation owns one state; use ``copy()`` to branch.
+``counts_are_state`` says whether those two lists are the whole state: true
+for the priority kinds, false for FIFO, whose queue order is state too.
 
 A FIFO service completion draws no random number: served customers are
 exchangeable, so which one leaves does not change the law of what follows.
@@ -46,6 +48,7 @@ class PreemptivePriorityState:
     """Count vector z; psi is recomputed from z after every change."""
 
     kind = PREEMPTIVE
+    counts_are_state = True
     __slots__ = ("cfg", "z", "psi")
 
     def __init__(self, cfg: SystemConfig):
@@ -99,6 +102,7 @@ class NonPreemptivePriorityState:
     """Counts (z, psi); freed servers take the highest waiting class."""
 
     kind = NONPREEMPTIVE
+    counts_are_state = True
     __slots__ = ("cfg", "z", "psi")
 
     def __init__(self, cfg: SystemConfig):
@@ -150,6 +154,7 @@ class FifoState:
     arrival order; the queue head takes the next freed server."""
 
     kind = FIFO
+    counts_are_state = False
     __slots__ = ("cfg", "z", "psi", "queue")
 
     def __init__(self, cfg: SystemConfig):

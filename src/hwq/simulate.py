@@ -15,6 +15,18 @@ direct method of Gillespie with cached propensities), and a chain's
 state may be edited only before the kernel starts.  For a policy chain
 the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i + nu_i*q_i)``.
 
+Where the count lists are the whole state (the priority policies, and the
+couplings built on them), the cache also stores, per state and category,
+the successor the first event of that category reached: the visited part
+of the generator, built lazily.  A revisit then costs two draws and a
+bisection, with no key, no lookup and no action, and the chain's count
+lists stop following the path; they are loaded with the current state on
+a miss and when the generator is closed.  So read a state the kernel
+held from its :class:`Path`, or read that state before advancing the
+generator on a chain the kernel does not memoize (FIFO, whose queue order
+is state).  Memoization changes no draw: the path and the random stream
+are the same either way.
+
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
 state recurs quickly, i.e. small r) and batch means (the default in heavy
@@ -171,12 +183,19 @@ class Path:
 
     ``table`` is the kernel's rate cache: for each visited state, keyed by
     the values of the chain's count lists, ``(id, total rate, cumulative
-    rates)``, with ids numbering the states in order of first visit.
+    rates, successors)``, with ids numbering the states in order of first
+    visit.  For a memoized chain (see :func:`jumps`) ``successors`` holds one
+    slot per category, plus one for a draw that lands beyond the cumulative
+    rates: None until that category first fires from the state, then the
+    target's entry, or for a thinned category a list ``[p, kept,
+    followed]`` of the keep probability and the entry of each branch (None
+    until that branch first occurs).  For any other chain it is None.
     ``ids`` is a typed array that receives, per event, the id of the state
-    held.  :meth:`take` hands it over as numpy arrays and clears it: the
-    events' observed ids and the exit rate ``q`` of each event's state, from
-    a per-state array of the cached totals, so a consumer weights an event
-    by ``1/q`` with one lookup per fold.  A state is observed through its
+    held, and ``cleared`` counts the events discarded from it.
+    :meth:`take` hands it over as numpy arrays and clears it: the events'
+    observed ids and the exit rate ``q`` of each event's state, from a
+    per-state array of the cached totals, so a consumer weights an event by
+    ``1/q`` with one lookup per fold.  A state is observed through its
     first ``width`` counts (all of them when ``width`` is None), the
     observed states are numbered in order of first visit, and ``states``
     holds their rows.  A policy chain is observed whole; a coupling is
@@ -184,11 +203,13 @@ class Path:
     completes its state.
     """
 
-    __slots__ = ("table", "ids", "width", "states", "_index", "_observed", "_rates")
+    __slots__ = ("table", "ids", "cleared", "width", "states", "_index", "_observed",
+                 "_rates")
 
     def __init__(self, width: int | None = None):
         self.table = {}
         self.ids = array("q")
+        self.cleared = 0
         self.width = width
         self.states = None  # int64 rows of the observed states, once any is taken
         self._index = {}  # observed key -> observed id
@@ -197,6 +218,7 @@ class Path:
 
     def clear(self) -> None:
         """Discard the events recorded so far."""
+        self.cleared += len(self.ids)
         del self.ids[:]
 
     def take(self):
@@ -206,7 +228,7 @@ class Path:
         known = len(self._observed)
         if len(self.table) > known:
             entries = list(islice(self.table.items(), known, None))
-            self._rates = np.concatenate([self._rates, [total for _, (_, total, _) in entries]])
+            self._rates = np.concatenate([self._rates, [entry[1] for _, entry in entries]])
             keys = [key for key, _ in entries]
             if self.width is None:  # observed whole: an observed id is the state's id
                 fresh = np.arange(known, len(self.table))
@@ -226,6 +248,16 @@ class Path:
         return ids, rates
 
 
+def load_counts(lists, key) -> None:
+    """Set the count lists, in place and in order, to the values of the
+    cache key ``key``."""
+    start = 0
+    for live in lists:
+        end = start + len(live)
+        live[:] = key[start:end]
+        start = end
+
+
 def holding_time(u: float, q: float) -> float:
     """The holding time at total rate ``q`` that the kernel's yielded
     uniform ``u`` draws: ``random.expovariate(q)``'s expression."""
@@ -241,21 +273,45 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     of the values of those lists; and ``actions()``, per category a
     function and the arguments with which it applies an event of that
     category.  The kernel calls ``counts()`` and ``actions()`` once, when
-    the generator starts, so a chain's state may be edited only before
-    then.  It calls ``rates()`` once per distinct state: ``path.table``
-    caches, keyed by the values of the count lists, the state's id, its
-    total rate ``q = sum(rates())`` and its cumulative rates.  ``rates()``
-    may raise on a state the chain rejects (a coupling checks its orderings
-    there); such a state never enters the cache, and the generator stops
-    with the exception.  Each step draws the holding time's uniform ``u``,
-    then a point uniform below the total, and applies the first category
-    whose cumulative rate exceeds that point (the last category when none
-    does); the action may draw further numbers from the same ``rng``.  The
-    step then records the state's id in ``path`` (a fresh :class:`Path`
-    when None) and yields ``u``.  The holding time is ``holding_time(u,
-    q)``; the estimators weight the event by its mean ``1/q`` instead and
-    never compute it.  A caller that needs the state the chain held during
-    the step must read that state before advancing the generator.
+    the generator starts, so a chain's state may be edited only before the
+    kernel starts.  It calls ``rates()`` once per distinct state:
+    ``path.table`` caches, keyed by the values of the count lists, the
+    state's id, its total rate ``q = sum(rates())`` and its cumulative
+    rates.  ``rates()`` may raise on a state the chain rejects (a coupling
+    checks its orderings there); such a state never enters the cache, and
+    the generator stops with the exception.  Each step draws the holding
+    time's uniform ``u``, then a point uniform below the total, and applies
+    the first category whose cumulative rate exceeds that point (the last
+    category when none does); the action may draw further numbers from the
+    same ``rng``.  The step then records the state's id in ``path`` (a
+    fresh :class:`Path` when None) and yields ``u``.  The holding time is
+    ``holding_time(u, q)``; the estimators weight the event by its mean
+    ``1/q`` instead and never compute it.
+
+    A chain whose ``memoized`` is true declares that its state is a
+    function of its count lists, so that each (state, category) pair has
+    one successor, apart from a thinning: it also provides
+    ``thinning(k)``, the probability that an event of category ``k`` keeps
+    the shadow's customer at the live state, None where ``k`` thins
+    nothing, and ``load(key, events)``, which sets its live state to the
+    cached state ``key`` that event number ``events`` reached.  The kernel
+    then stores each pair's successor in the state's cache entry the first
+    time it fires (see :class:`Path`).  A revisit moves straight to it: no
+    key, no lookup, no action, and the count lists are left behind.  On a
+    miss the kernel loads the lists with the source state when they hold
+    another, applies the action and looks the target up as above, so
+    ``rates()`` still sees every new state.  For a thinned category it
+    draws the thinning's uniform itself, after the category's, and passes
+    ``uniform >= p`` (the shadow follows) to the action as a last
+    argument.  Any other chain, a FIFO state with its queue order for
+    one, has every event applied by its action and looked up by its key.
+    Either way the random stream and the path are the same.
+
+    The count lists therefore hold the current state only after the
+    generator is closed, which loads them: a caller that needs the state
+    the chain held during a step must read that state before advancing the
+    generator, from ``path`` (the id of each event's state, and its key in
+    ``path.table``) or from the lists of a chain that is not memoized.
     """
     if path is None:
         path = Path()
@@ -263,24 +319,79 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     get = table.get
     rates = chain.rates
     act = chain.actions()
-    last = len(act) - 1
+    act = [*act, act[-1]]  # a draw beyond the cumulative rates picks the last category
     record_id = path.ids.append
     u01 = rng.random
     a, b, *rest = chain.counts()
     c = rest[0] if rest else ()
-    while True:
-        key = (*a, *b, *c)
-        entry = get(key)
-        if entry is None:
-            r = rates()
-            entry = table[key] = (len(table), sum(r), tuple(accumulate(r)))
-        sid, total, cum = entry
-        u = u01()  # drawn also where only 1/q is used, so the weighting never moves the path
-        k = bisect_right(cum, u01() * total)
-        apply, args = act[k if k < last else last]
-        apply(*args)
-        record_id(sid)
-        yield u
+    if not getattr(chain, "memoized", False):
+        while True:
+            key = (*a, *b, *c)
+            entry = get(key)
+            if entry is None:
+                r = rates()
+                entry = table[key] = (len(table), sum(r), tuple(accumulate(r)), None)
+            sid, total, cum, _ = entry
+            u = u01()  # drawn also where only 1/q is used, so the weighting never moves the path
+            apply, args = act[bisect_right(cum, u01() * total)]
+            apply(*args)
+            record_id(sid)
+            yield u
+
+    load, thinning = chain.load, chain.thinning
+    last = len(act) - 2
+    keys = list(table)  # state id -> key
+
+    def enter(key):
+        r = rates()
+        keys.append(key)
+        entry = table[key] = (len(table), sum(r), tuple(accumulate(r)), [None] * len(act))
+        return entry
+
+    key = (*a, *b, *c)
+    entry = get(key) or enter(key)
+    held = entry  # the entry whose state the count lists hold, None for an unlooked-up one
+    try:
+        while True:
+            sid, total, cum, slots = entry
+            u = u01()
+            k = bisect_right(cum, u01() * total)
+            nxt = slots[k]
+            if nxt.__class__ is tuple:  # a cached successor
+                entry = nxt
+                record_id(sid)
+                yield u
+                continue
+            if nxt is not None:  # a thinned category: [p, kept, followed]
+                side = 2 if u01() >= nxt[0] else 1
+                if nxt[side] is not None:
+                    entry = nxt[side]
+                    record_id(sid)
+                    yield u
+                    continue
+            # a miss: apply the event to the count lists, at the source state
+            if held is not entry:
+                load(keys[sid], path.cleared + len(path.ids))
+            apply, args = act[k]
+            if nxt is None:
+                p = thinning(min(k, last))
+                if p is None:
+                    apply(*args)
+                    fill, side = slots, k
+                else:
+                    nxt = slots[k] = [p, None, None]
+                    side = 2 if u01() >= p else 1
+            if nxt is not None:
+                apply(*args, side == 2)
+                fill = nxt
+            entry = held = None
+            record_id(sid)
+            yield u
+            key = (*a, *b, *c)
+            entry = held = fill[side] = get(key) or enter(key)
+    finally:  # on close: bring the count lists to the current state
+        if entry is not held:
+            load(keys[entry[0]], path.cleared + len(path.ids))
 
 
 def advance(events, n: int, path: Path | None = None) -> None:
@@ -468,8 +579,10 @@ class PolicyChain:
 
     Categories are arrivals, then service completions, then abandonments,
     each by class index; each action is the state's own operation.  The
-    rates depend only on the count lists ``z`` and ``psi``.  ``state`` may
-    be a :class:`~hwq.model.MacroState` where only ``rates()`` is read.
+    rates depend only on the count lists ``z`` and ``psi``, and the kernel
+    memoizes the chain when they are the whole state (the priority
+    policies).  ``state`` may be a :class:`~hwq.model.MacroState` where only
+    ``rates()`` is read; such a chain is not memoized.
     """
 
     __slots__ = ("state", "rng", "_arrivals", "_mus", "_nus")
@@ -481,8 +594,18 @@ class PolicyChain:
         self._mus = cfg.mus
         self._nus = cfg.nus
 
+    @property
+    def memoized(self) -> bool:
+        return getattr(self.state, "counts_are_state", False)
+
     def counts(self):
         return self.state.z, self.state.psi
+
+    def load(self, key, events: int) -> None:
+        load_counts(self.counts(), key)
+
+    def thinning(self, k: int) -> None:
+        return None  # no category thins
 
     def rates(self) -> list[float]:
         z = self.state.z
@@ -524,7 +647,7 @@ def step(state, cfg: SystemConfig, rng: random.Random) -> float:
     yields (:func:`holding_time`)."""
     path = Path()
     u = next(jumps(PolicyChain(state, cfg, rng), rng, path))
-    [(_, total, _)] = path.table.values()  # the one state the jump left
+    [(_, total, _, _)] = path.table.values()  # the one state the jump left
     return holding_time(u, total)
 
 
@@ -554,7 +677,8 @@ def _t975(df: int) -> float:
 
 def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
                           n_cycles: int, rng,
-                          max_events_per_cycle: int = 1_000_000) -> dict:
+                          max_events_per_cycle: int = 1_000_000,
+                          record: dict | None = None) -> dict:
     """Ratio estimators over i.i.d. excursions between visits to the empty
     state, for several functionals from a single trajectory.
 
@@ -562,7 +686,9 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     in practice means small r.  Raises :class:`CycleTimeout` otherwise.
     Cycles are integrated in groups of at least ``GROUP_STATES`` distinct
     states (the last group may be smaller), one call per functional and
-    group.
+    group.  When ``record`` is a dict it receives ``events``, the events
+    simulated, which include those after the last cycle up to the fold
+    that closed it.
     """
     if n_cycles < 2:
         raise ValueError("need at least 2 regenerative cycles")
@@ -574,6 +700,8 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
                                                            max_events_per_cycle):
         ys += _integrate(states, held, starts, funcs, cfg)
         taus += group_taus.tolist()
+    if record is not None:
+        record["events"] = path.cleared
     total_tau = sum(taus)
     mean_tau = total_tau / n_cycles
     tcrit = _t975(n_cycles - 1)

@@ -136,15 +136,16 @@ def _phi_hat(Z, PSI, cfg):
     return scale_arrays(Z, PSI, cfg).phi_hat
 
 
-def drift_identity_check(gen: SparseGenerator) -> list[CheckRow]:
+def drift_identity_check(gen: SparseGenerator, moves=None) -> list[CheckRow]:
     """Compare the transition-sum drift of phi_hat with the closed form.
 
     Both are finite sums of the same terms, so they must agree to rounding
     at every state (the operator is evaluated without truncation).  One
     row, ``phi_hat``: the states beyond 1e-12 relative (floored) error and
-    the largest such error.
+    the largest such error.  ``moves``, here and in the other checks, is
+    ``off_diagonal(gen.Q)`` if already selected (see :func:`abar_vector`).
     """
-    abar = abar_vector(gen, _phi_hat)
+    abar = abar_vector(gen, _phi_hat, moves)
     closed = drift_phi_arrays(gen.idx.z, gen.idx.psi, gen.idx.cfg)
     scale = np.maximum(1.0, np.maximum(np.abs(abar), np.abs(closed)))
     rel = np.abs(abar - closed) / scale
@@ -168,7 +169,8 @@ def bound_applies(check: str, cfg: SystemConfig, theta: float = 0.0) -> bool:
             "abandon_bounds": cfg.nu_min > 0.0}.get(check, True)
 
 
-def lyapunov_pointwise_check(gen: SparseGenerator, theta: float) -> list[CheckRow]:
+def lyapunov_pointwise_check(gen: SparseGenerator, theta: float,
+                             moves=None) -> list[CheckRow]:
     """Exhaustive scan of the exponential-Lyapunov drift bound (nu == 0).
 
     One row, ``lyapunov(theta=...)``, with the worst slack.  Raises
@@ -183,12 +185,12 @@ def lyapunov_pointwise_check(gen: SparseGenerator, theta: float) -> list[CheckRo
         raise ThetaOutOfRange(f"bound proved for theta in [0, 1], got {theta}")
     c1 = lyapunov_constant(cfg)
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)
-    lhs = abar_vector(gen, lambda Z, PSI, c: np.exp(theta * _phi_hat(Z, PSI, c)))
+    lhs = abar_vector(gen, lambda Z, PSI, c: np.exp(theta * _phi_hat(Z, PSI, c)), moves)
     rhs = np.exp(theta * sa.phi_hat) * (-theta * sa.z_hat_a + 0.5 * theta * theta * c1)
     return [_one_sided(f"lyapunov(theta={theta})", lhs, rhs)]
 
 
-def drift_bounds_abandon_check(gen: SparseGenerator) -> list[CheckRow]:
+def drift_bounds_abandon_check(gen: SparseGenerator, moves=None) -> list[CheckRow]:
     """Exhaustive two-sided drift bounds for systems with abandonment.
 
     Two rows, ``abandon_upper`` and ``abandon_lower``, each with its worst
@@ -200,7 +202,7 @@ def drift_bounds_abandon_check(gen: SparseGenerator) -> list[CheckRow]:
         raise HypothesisViolated(
             f"abandonment drift bounds are stated for {BOUND_HYPOTHESES['abandon_bounds']}")
     sa = scale_arrays(gen.idx.z, gen.idx.psi, cfg)
-    abar_phi = abar_vector(gen, _phi_hat)
+    abar_phi = abar_vector(gen, _phi_hat, moves)
     c1 = cfg.nu_min * cfg.mu_min / cfg.mu_max
     c2 = cfg.nu_min / cfg.mu_max
     c3 = c2 * cfg.a_eff
@@ -214,7 +216,8 @@ def drift_bounds_abandon_check(gen: SparseGenerator) -> list[CheckRow]:
 
 
 def generator_identity_check(gen: SparseGenerator, sv: StationaryVector,
-                             theta: float = 0.2, k: float = 5.0) -> list[CheckRow]:
+                             theta: float = 0.2, k: float = 5.0,
+                             moves=None) -> list[CheckRow]:
     """|E_pi[A_bar F]| for exponential test functions of the scaled workload,
     with pi the solved stationary vector ``sv`` of ``gen``.
 
@@ -235,7 +238,7 @@ def generator_identity_check(gen: SparseGenerator, sv: StationaryVector,
     )
     rows = []
     for label, f in fs:
-        residual = abs(float(sv.pi @ abar_vector(gen, f)))
+        residual = abs(float(sv.pi @ abar_vector(gen, f, moves)))
         rows.append(CheckRow(label, gen.idx.n_states, int(not residual <= bound),
                              residual, bound))
     return rows

@@ -4,10 +4,14 @@ Everything here is deliberately written from first principles (cumulative
 products, direct summation) and does not touch the solver/simulator code
 paths under test.  ``replay_generator`` is one exception: it drives the
 policy objects the simulators use, so that the exact generator is checked
-against them.  The ``per_event_*`` estimators are the other: they run the
-simulators' jump kernel, record every event's state and weight without
-merging repeated states, and evaluate each functional once over that
-path: the oracle for the occupancy-measure estimators.  An event's weight
+against them.  The ``per_event_*`` estimators are the other: they drive
+the simulators' chains by ``reference_jumps``, which applies every event
+to the chain, so its live count lists follow the path (the kernel leaves
+them behind on a memoized chain); they record every event's state and
+weight without merging repeated states, and evaluate each functional once
+over that path: the oracle for the occupancy-measure estimators.  The
+kernel draws the reference's random stream, which
+``test_kernel_reproduces_reference_stream`` checks.  An event's weight
 is its expected holding time ``1/q``, with ``q`` the sum of a fresh rate
 table of the state held; where a time grid is asked for, it is the
 holding time ``-log(1 - u)/q`` of the uniform ``u`` the kernel yields.
@@ -30,7 +34,7 @@ from scipy import sparse, stats
 
 from hwq.exact import SparseGenerator
 from hwq.policy import PREEMPTIVE, QUEUE, SERVICE, init_state
-from hwq.simulate import PolicyChain, advance, jumps
+from hwq.simulate import PolicyChain, advance
 
 
 def birth_death_stationary(birth, death, K):
@@ -245,12 +249,12 @@ def validate_macro_state(s, cfg):
 
 
 def _per_event_path(cfg, kind, stream):
-    """The empty state of ``kind``, its chain, and the jump kernel driving
-    the chain on ``stream``."""
+    """The empty state of ``kind``, its chain, and the reference kernel
+    driving the chain on ``stream``."""
     rng = stream.make()
     state = init_state(cfg, kind)
     chain = PolicyChain(state, cfg, rng)
-    return state, chain, jumps(chain, rng)
+    return state, chain, reference_jumps(chain, rng)
 
 
 def _weight(chain, events, real_time):
@@ -330,14 +334,14 @@ def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
 
 def per_event_coupled(chain, rng, observed, n_events, warmup_events, grid_dt=0.0):
     """``(first, second, span, grid)`` of a coupling chain evaluated per
-    event: after ``warmup_events`` jumps of the kernel, the time average of
+    event: after ``warmup_events`` jumps, the time average of
     each coordinate of the two live count lists ``observed`` over the other
     jumps, each by ``math.fsum`` over the unmerged path, the time spent,
     and the first list's value holding at each multiple ``k * grid_dt``
     (when ``grid_dt > 0``), found by walking the event end times.  Events
     are weighted by ``1/q``, or by their holding times when ``grid_dt > 0``
-    (see :func:`_weight`)."""
-    events = jumps(chain, rng)
+    (see :func:`_weight`).  The reference kernel drives the chain."""
+    events = reference_jumps(chain, rng)
     a, b = observed
     advance(events, warmup_events)
     path = _record(chain, a, b, events, n_events - warmup_events,

@@ -202,9 +202,41 @@ def test_couple_manifest_counts_states_checked(tmp_path, coupling):
     counters = manifest["counters"]
     assert [c["stream"] for c in counters] == [0, 1]
     for c in counters:
-        assert set(c) == {"stream", "events", "ordering_checks", "states_checked"}
+        assert set(c) == {"stream", "events", "ordering_checks", "states_checked", "kev_per_s"}
         assert c["events"] == c["ordering_checks"] == 3_000
         assert 0 < c["states_checked"] < c["events"]
+        assert c["kev_per_s"] > 0.0
+    # each stream's warm-up and measured run, timed in the process that ran it
+    assert [p["stream"] for p in manifest["phases"]] == [0, 1]
+    for p, c in zip(manifest["phases"], counters):
+        assert set(p) == {"stream", "warmup_s", "run_s"}
+        assert p["warmup_s"] > 0.0 and p["run_s"] > 0.0
+        assert c["kev_per_s"] == pytest.approx(3_000 / (p["warmup_s"] + p["run_s"]) / 1e3)
+
+
+@pytest.mark.parametrize("estimator", ["regenerative", "batch_means"])
+def test_manifest_explains_simulate(tmp_path, estimator):
+    # one phase, the estimate's wall time, and one counters entry: the
+    # method, the events simulated (the warm-up too) and their rate; the
+    # regenerative method also gives its cycles
+    section = ({"n_cycles": 200} if estimator == "regenerative" else
+               {"n_batches": 10, "events_per_batch": 1_000, "warmup_events": 500})
+    raw = _config(simulate={"functionals": [{"id": "z_total"}], "estimator": estimator,
+                            **section})
+    assert main(["simulate", "--config", json.dumps(raw), "--out", str(tmp_path / "out"),
+                 "--jobs", "1"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    [phases] = manifest["phases"]
+    [counters] = manifest["counters"]
+    assert set(phases) == {"estimate_s"} and phases["estimate_s"] > 0.0
+    assert counters["method"] == estimator
+    assert counters["kev_per_s"] == pytest.approx(counters["events"] / phases["estimate_s"] / 1e3)
+    if estimator == "regenerative":
+        assert set(counters) == {"method", "events", "cycles", "kev_per_s"}
+        assert counters["cycles"] == 200 and counters["events"] >= 400
+    else:
+        assert set(counters) == {"method", "events", "kev_per_s"}
+        assert counters["events"] == 500 + 10 * 1_000
 
 
 def test_sweep_jobs_byte_identical(tmp_path):

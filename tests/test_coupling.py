@@ -5,7 +5,7 @@ import random
 import re
 import statistics
 import time
-from itertools import accumulate, chain as chain_from
+from itertools import accumulate, chain as chain_from, islice
 
 import numpy as np
 import pytest
@@ -48,17 +48,21 @@ def test_joint_rates_bookkeeping_identity():
     # at every state the runner reaches, shared + g_only = mu*G (the M/M/inf
     # marginal) and shared + z_only = mu*psi + nu*q (the primary marginal);
     # the matching pairs G with in-service partners first, and nu = mu
-    # leaves no G-only deaths
+    # leaves no G-only deaths.  The state after each of 20k events is read
+    # from the kernel's path (it is the state held at the next event) and
+    # loaded into a second chain, whose rates are a function of it
     one_class = build_config([ClassParams(1.0, 1.0, 1.0)], 25.0, 1.0)
     for cfg, kind in ((TWO_CLASS, FIFO), (TWO_CLASS, NONPREEMPTIVE),
                       (one_class, PREEMPTIVE)):
         rng = random.Random(3)
-        chain = InfServerChain(cfg, kind, rng)
-        events = jumps(chain, rng)
+        path = Path()
+        next(islice(jumps(InfServerChain(cfg, kind, rng), rng, path), 20_000, None))
+        keys = list(path.table)
+        chain = InfServerChain(cfg, kind, None)
+        g, z, psi = chain.counts()
         queued_partners = 0
-        for _ in range(20_000):
-            next(events)
-            z, psi, g = chain.state.z, chain.state.psi, chain.g
+        for sid in path.ids[1:]:
+            chain.load(keys[sid], 0)
             for i in range(cfg.n_classes):
                 row = _infserver_blocks(chain, i)
                 mu, nu, q = cfg.mus[i], cfg.nus[i], z[i] - psi[i]
@@ -318,19 +322,28 @@ def _key(chain):
 def test_cached_rate_table_matches_recompute(name, kind):
     # at every visited state the kernel's cached total and cumulative rates
     # equal, exactly, those of a fresh rates() at that state, so the count
-    # lists a chain declares determine its rates
+    # lists a chain declares determine its rates.  The state of each event
+    # and its fresh rates come from a second chain on the same stream, which
+    # the reference kernel moves on every event; a memoized chain's entry
+    # has one successor slot per category and one for a draw beyond the
+    # cumulative rates, any other chain's none
     rng = random.Random(8)
-    chain = CHAINS[name](kind, rng)
     path = Path()
-    events = jumps(chain, rng, path)
+    events = jumps(CHAINS[name](kind, rng), rng, path)
+    ref_rng = random.Random(8)
+    chain = CHAINS[name](kind, ref_rng)
+    ref_events = reference_jumps(chain, ref_rng)
     first_visits = {}
     tables = []
     for _ in range(5_000):
         key = _key(chain)
         r = chain.rates()
-        next(events)
+        assert next(events) == next(ref_events)
         first_visits.setdefault(key, len(first_visits))
-        assert path.table[key] == (first_visits[key], sum(r), tuple(accumulate(r)))
+        sid, total, cum, slots = path.table[key]
+        assert (sid, total, cum) == (first_visits[key], sum(r), tuple(accumulate(r)))
+        assert path.ids[-1] == sid
+        assert slots is None if kind == FIFO else len(slots) == len(r) + 1
         tables.append(r)
     assert len(path.table) == len(first_visits)
     # every departure rate takes more than one value along the path
@@ -346,13 +359,17 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
     # bit for bit, weighted by 1/q without a grid and by the holding times
     # with one.  FIFO abandonments and the monotone thinning draw from the
     # same stream, and small folds carry the sums across several of them
-    def per_event(kernel):
-        rng = random.Random(8)
-        chain = CHAINS[name](kind, rng)
-        events = kernel(chain, rng)
-        return [(_key(chain), next(events)) for _ in range(3_000)]
-
-    assert per_event(jumps) == per_event(reference_jumps)
+    # the kernel's states are read from its path, the reference's from the
+    # chain it moves on every event
+    rng = random.Random(8)
+    path = Path()
+    yields = list(islice(jumps(CHAINS[name](kind, rng), rng, path), 3_000))
+    keys = list(path.table)
+    rng = random.Random(8)
+    chain = CHAINS[name](kind, rng)
+    events = reference_jumps(chain, rng)
+    assert [(keys[sid], u) for sid, u in zip(path.ids, yields)] == \
+        [(_key(chain), next(events)) for _ in range(3_000)]
 
     monkeypatch.setattr(simulate, "GROUP_STATES", 700)
     n, warmup = 5_000, 1_000
@@ -373,6 +390,44 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
         assert span == want_span
         assert list(map(tuple, grid.tolist())) == want_grid
         assert (len(want_grid) > 100) == (grid_dt > 0.0)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_fifo_chain_never_fills_a_successor_slot(name):
+    # a FIFO state is not a function of its counts, so its chain is not
+    # memoized: no entry gets successor slots, while the preemptive chain
+    # fills them
+    filled = {}
+    for kind in (FIFO, PREEMPTIVE):
+        rng = random.Random(10)
+        path = Path()
+        chain = CHAINS[name](kind, rng)
+        next(islice(jumps(chain, rng, path), 5_000, None))
+        assert chain.memoized == (kind != FIFO)
+        filled[kind] = [slot for *_, slots in path.table.values() for slot in slots or ()
+                        if slot is not None]
+        assert len(path.table) > 50
+    assert filled[FIFO] == [] and len(filled[PREEMPTIVE]) > 100
+
+
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+@pytest.mark.parametrize("name", CHAINS)
+def test_memoized_kernel_matches_reference_over_200k_events(name, kind):
+    # each memoized chain's run against the reference kernel, which applies
+    # every event: the same state at each of 200k events, numbered in order
+    # of first visit, and the same yielded uniforms
+    n = 200_000
+    rng = random.Random(12)
+    path = Path()
+    yields = list(islice(jumps(CHAINS[name](kind, rng), rng, path), n))
+    rng = random.Random(12)
+    chain = CHAINS[name](kind, rng)
+    events = reference_jumps(chain, rng)
+    ids, want = {}, []
+    for _ in range(n):
+        want.append(ids.setdefault(_key(chain), len(ids)))
+        assert next(events) == yields[len(want) - 1]
+    assert path.ids.tolist() == want and list(path.table) == list(ids)
 
 
 def test_ordering_check_g_le_z():
@@ -633,13 +688,13 @@ RUNNERS = {
 
 
 def _break_ordering_at(monkeypatch, cls, at):
-    """Make event number ``at`` of every ``cls`` chain break an ordering:
-    after it, the event's class has G one above Z (infinite-server) or Z'
-    one below Z (monotone)."""
+    """Make event number ``at`` of every ``cls`` chain break an ordering
+    where the chain's action applies it: after it, the event's class has G
+    one above Z (infinite-server) or Z' one below Z (monotone)."""
     event = cls._event
 
-    def faulty(self, block, i):
-        event(self, block, i)
+    def faulty(self, block, i, *followed):
+        event(self, block, i, *followed)
         if self.checks == at:
             if cls is InfServerChain:
                 self.g[i] = self.state.z[i] + 1
@@ -656,10 +711,28 @@ def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monk
     # the runner checks a state when the kernel builds its rate table, and
     # the state the last event leaves at the end; the reference kernel calls
     # rates(), and so check(), on every event.  Both must raise naming the
-    # faulty event, with the same message; at == n only the final check sees it
+    # faulty event, with the same message; at == n only the final check sees
+    # it.  The kernel runs a memoized chain's action only on the first
+    # occurrence of its (state, category) pair, so the fault goes in at the
+    # first event from ``at`` on that runs the action (every event, for
+    # FIFO), found on a clean run; with at == n the run ends at that event
     cls, run, make = RUNNERS[coupling]
-    _break_ordering_at(monkeypatch, cls, at)
     stream = RngStream(91, 0)
+    event = cls._event
+    applied = []
+
+    def spy(self, *args):
+        event(self, *args)
+        applied.append(self.checks)
+
+    monkeypatch.setattr(cls, "_event", spy)
+    run(kind, n + 5_000, stream, 1_000)
+    monkeypatch.setattr(cls, "_event", event)
+    final = at == n
+    at = next(e for e in applied if e >= at)
+    n = at if final else n
+    assert at < n + 5_000 and (kind != FIFO or at in (4_321, 10_000))
+    _break_ordering_at(monkeypatch, cls, at)
     with pytest.raises(OrderingViolation) as got:
         run(kind, n, stream, 1_000)
     rng = stream.make()

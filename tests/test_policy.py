@@ -1,11 +1,12 @@
 import dataclasses
 import random
+from itertools import islice
 
 import pytest
 
 from helpers import validate_macro_state
 from hwq.errors import EmptySource, Unsupported
-from hwq.model import ClassParams, build_config
+from hwq.model import ClassParams, MacroState, build_config
 from hwq.policy import (
     FIFO,
     KINDS,
@@ -15,7 +16,7 @@ from hwq.policy import (
     SERVICE,
     init_state,
 )
-from hwq.simulate import PolicyChain, jumps
+from hwq.simulate import Path, PolicyChain, jumps
 
 TWO_CLASS = [ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)]
 
@@ -161,17 +162,28 @@ def test_empty_source_errors():
             st.apply_departure(0, QUEUE)
 
 
+def _states_after_events(kind, cfg, rng, n_events):
+    """``(yields, states)`` of ``n_events`` jumps of the kernel from the
+    empty state: each yielded uniform, and the ``(z, psi)`` after each event,
+    read from the kernel's path (it is the state held at the next event),
+    since the kernel leaves a memoized chain's lists behind."""
+    path = Path()
+    events = jumps(PolicyChain(init_state(cfg, kind), cfg, rng), rng, path)
+    yields = list(islice(events, n_events + 1))[:-1]
+    keys = list(path.table)
+    nc = cfg.n_classes
+    return yields, [(keys[sid][:nc], keys[sid][nc:]) for sid in path.ids[1:]]
+
+
 def test_preemptive_psi_is_function_of_z():
     # recomputing the allocation from z alone reproduces psi after any run
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
-    rng = random.Random(11)
-    st = init_state(cfg, PREEMPTIVE)
-    events = jumps(PolicyChain(st, cfg, rng), rng)
-    for _ in range(20_000):
-        next(events)
+    _, states = _states_after_events(PREEMPTIVE, cfg, random.Random(11), 20_000)
+    assert len(states) == 20_000
+    for z, psi in states:
         fresh = init_state(cfg, PREEMPTIVE)
-        fresh.set_counts(st.z)
-        assert fresh.psi == st.psi
+        fresh.set_counts(z)
+        assert tuple(fresh.psi) == psi
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -179,17 +191,16 @@ def test_invariants_along_trajectories(kind):
     # macro invariants and the one-class +-1 rule hold after every event
     # (>= 1e6 events in total across the three policy kinds)
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
-    rng = random.Random(3)
-    st = init_state(cfg, kind)
-    events = jumps(PolicyChain(st, cfg, rng), rng)
-    prev = list(st.z)
-    for _ in range(350_000):
-        assert 0.0 <= next(events) < 1.0  # the holding time's uniform
-        assert validate_macro_state(st, cfg) == []
-        diffs = [st.z[i] - prev[i] for i in range(cfg.n_classes)]
+    yields, states = _states_after_events(kind, cfg, random.Random(3), 350_000)
+    assert len(yields) == len(states) == 350_000
+    prev = [0] * cfg.n_classes
+    for u, (z, psi) in zip(yields, states):
+        assert 0.0 <= u < 1.0  # the holding time's uniform
+        assert validate_macro_state(MacroState(z=z, psi=psi), cfg) == []
+        diffs = [z[i] - prev[i] for i in range(cfg.n_classes)]
         changed = [d for d in diffs if d != 0]
         assert len(changed) == 1 and changed[0] in (-1, 1)
-        prev = list(st.z)
+        prev = z
 
 
 def test_fifo_z_law_equals_preemptive_single_class():
