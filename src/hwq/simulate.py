@@ -18,7 +18,7 @@ the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i + nu_i*q_i)``.
 Where the count lists are the whole state (the priority policies, and the
 couplings built on them), the cache also stores, per state and category,
 the successor the first event of that category reached: the visited part
-of the generator, built lazily.  A revisit then costs two draws and a
+of the generator, built lazily.  A revisit then costs the draws and a
 bisection, with no key, no lookup and no action, and the chain's count
 lists stop following the path; they are loaded with the current state on
 a miss and when the generator is closed.  So read a state the kernel
