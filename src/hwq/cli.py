@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import platform
@@ -436,17 +435,15 @@ def _cmd_verify(cfg, out_dir, jobs, record):
     gen, sv = exact_chain(sc, cfg.policy, sec["K"], record,
                           solve="generator_identity" in sec["checks"])
     phases = record["phases"][-1]
-    # Q's off-diagonal entries, selected by the first check that applies the
-    # rate operator and shared by the others
-    moves = functools.cache(lambda: off_diagonal(gen.Q))
+    moves = off_diagonal(gen.Q)  # selected once, for every check that applies the rate operator
     # the checks are looked up when this runs, so bench/spans.py can wrap them
     calls = {
-        "drift_identity": lambda: drift_identity_check(gen, moves()),
+        "drift_identity": lambda: drift_identity_check(gen, moves),
         "lyapunov": lambda: [row for theta in sec["theta_list"]
-                             for row in lyapunov_pointwise_check(gen, theta, moves())],
-        "abandon_bounds": lambda: drift_bounds_abandon_check(gen, moves()),
+                             for row in lyapunov_pointwise_check(gen, theta, moves)],
+        "abandon_bounds": lambda: drift_bounds_abandon_check(gen, moves),
         "generator_identity": lambda: generator_identity_check(gen, sv, sec["theta"], sec["k"],
-                                                               moves()),
+                                                               moves),
     }
     rows = []
     violations = 0

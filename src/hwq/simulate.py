@@ -297,10 +297,13 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     cached state ``key`` that event number ``events`` reached.  The kernel
     then stores each pair's successor in the state's cache entry the first
     time it fires (see :class:`Path`).  A revisit moves straight to it: no
-    key, no lookup, no action, and the count lists are left behind.  On a
-    miss the kernel loads the lists with the source state when they hold
-    another, applies the action and looks the target up as above, so
-    ``rates()`` still sees every new state.  For a thinned category it
+    key, no lookup, no action, and the count lists are left behind.  On
+    every miss the kernel loads the lists with the source state, and the
+    number of events recorded before this one, applies the action and looks
+    the target up as above, so ``rates()`` still sees every new state, with
+    the chain's event count at the event that reached it.  Closing the
+    generator loads the current state and the events recorded in the same
+    way, unless the last event was a miss.  For a thinned category it
     draws the thinning's uniform itself, after the category's, and passes
     ``uniform >= p`` (the shadow follows) to the action as a last
     argument.  Any other chain, a FIFO state with its queue order for
@@ -350,7 +353,6 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
 
     key = (*a, *b, *c)
     entry = get(key) or enter(key)
-    held = entry  # the entry whose state the count lists hold, None for an unlooked-up one
     try:
         while True:
             sid, total, cum, slots = entry
@@ -369,9 +371,8 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
                     record_id(sid)
                     yield u
                     continue
-            # a miss: apply the event to the count lists, at the source state
-            if held is not entry:
-                load(keys[sid], path.cleared + len(path.ids))
+            # a miss: apply the event to the count lists, loaded with the source state
+            load(keys[sid], path.cleared + len(path.ids))
             apply, args = act[k]
             if nxt is None:
                 p = thinning(min(k, last))
@@ -384,13 +385,13 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
             if nxt is not None:
                 apply(*args, side == 2)
                 fill = nxt
-            entry = held = None
+            entry = None  # the lists hold the target, and the chain counted the event
             record_id(sid)
             yield u
             key = (*a, *b, *c)
-            entry = held = fill[side] = get(key) or enter(key)
+            entry = fill[side] = get(key) or enter(key)
     finally:  # on close: bring the count lists to the current state
-        if entry is not held:
+        if entry is not None:
             load(keys[entry[0]], path.cleared + len(path.ids))
 
 

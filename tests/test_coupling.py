@@ -763,6 +763,85 @@ def test_runner_checks_each_cached_state_once_and_the_last(coupling, kind, monke
     assert calls[-1] == 20_000  # the final check, on the state the last event left
 
 
+def test_ordering_checks_count_events_over_many_short_runs():
+    # short runs end on a cached hop into the state the last miss reached
+    # often enough that some of these do, and the count must still be n
+    for seed in range(200):
+        stream = RngStream(seed, 0)
+        assert run_monotone_coupled(SMALL, [0.0, 0.5], PREEMPTIVE, 300,
+                                    stream).ordering_checks == 300
+        assert run_infserver_coupled(SMALL, PREEMPTIVE, 300, stream).ordering_checks == 300
+
+
+COUPLED = {"infserver": InfServerChain, "monotone": MonotoneChain}
+
+
+def _back_to_last_miss(name, n, monkeypatch):
+    """Events of a clean n-event run of the preemptive ``name`` chain at
+    which it holds the state its last miss reached, after cached hops away
+    from it (no event leaves a state unchanged): ``(e, whether event e is
+    a miss)`` for each such event number e, counted from 0."""
+    cls = COUPLED[name]
+    event = cls._event
+    path = Path()
+    misses = set()
+
+    def spy(self, *args):
+        misses.add(len(path.ids))
+        event(self, *args)
+
+    monkeypatch.setattr(cls, "_event", spy)
+    rng = random.Random(13)
+    advance(jumps(CHAINS[name](PREEMPTIVE, rng), rng, path), n)
+    monkeypatch.setattr(cls, "_event", event)
+    ids = path.ids.tolist()
+    target = None
+    found = []
+    for e in range(1, n):
+        if e - 1 in misses:
+            target = ids[e]
+        elif ids[e] == target:
+            found.append((e, e in misses))
+    return found
+
+
+@pytest.mark.parametrize("name", COUPLED)
+def test_event_count_is_synced_after_hops_back_to_the_last_miss(name, monkeypatch):
+    # the count lists already hold the state the last miss reached when the
+    # path hops back to it, but the event count has moved on: closing the
+    # kernel there, and a miss from there, must still load it
+    found = _back_to_last_miss(name, 3_000, monkeypatch)
+    ends = [e for e, _ in found[:20]]
+    assert len(ends) == 20
+    for e in ends:  # runs of e events, the last a cached hop into that state
+        rng = random.Random(13)
+        chain = CHAINS[name](PREEMPTIVE, rng)
+        events = jumps(chain, rng, Path())
+        advance(events, e)
+        events.close()
+        assert chain.checks == e
+
+    # break the ordering on the action of a miss from such a state: the
+    # check of the state it reaches names that event, counted from 1
+    at = next(e for e, miss in found if miss)
+    cls = COUPLED[name]
+    event = cls._event
+    path = Path()
+
+    def faulty(self, block, i, *followed):
+        event(self, block, i, *followed)
+        if len(path.ids) == at:
+            if cls is InfServerChain:
+                self.g[i] = self.state.z[i] + 1
+            else:
+                self.zp[i] = self.state.z[i] - 1
+
+    monkeypatch.setattr(cls, "_event", faulty)
+    rng = random.Random(13)
+    with pytest.raises(OrderingViolation, match=rf"event {at + 1}\b"):
+        advance(jumps(CHAINS[name](PREEMPTIVE, rng), rng, path), at + 2)
+
+
 def test_monotone_identical_rates_degenerate():
     rep = run_monotone_coupled(TWO_CLASS, list(TWO_CLASS.nus), PREEMPTIVE,
                                100_000, RngStream(51, 0))

@@ -42,6 +42,7 @@ from hwq.exact import (
     expectation,
     negpart_square_bound,
     negpart_square_mgf,
+    off_diagonal,
     poisson_bound_scan,
     poisson_pmf,
     scaled_poisson_mgf,
@@ -537,9 +538,11 @@ def test_abar_matches_all_targets_oracle(kind, K):
         lambda Z, PSI, c: (Z - PSI).sum(axis=1) ** 2.0,
         lambda Z, PSI, c: PSI @ np.arange(1.0, c.n_classes + 1),  # who is served
     )
+    shared = off_diagonal(gen.Q)  # one selection for every functional, as hwq verify makes
     for f in functionals:
         got = abar_vector(gen, f)
         assert np.array_equal(got, abar_vector(replay_gen, f))
+        assert np.array_equal(got, abar_vector(gen, f, shared))
         want, magnitude = _abar_all_targets(idx, moves, f)
         assert (np.abs(got - want) <= 2 * gamma * magnitude).all()
     # a functional that is nonzero only above K sees the dropped arrivals alone
