@@ -362,14 +362,17 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
             sc, cfg.policy, fns, sec["n_cycles"], RngStream(cfg.seed, 0),
             max_events_per_cycle=sec["max_events_per_cycle"], record=run,
         )
-        counters = {"method": method, "events": run["events"], "cycles": sec["n_cycles"]}
+        counters = {"method": method, "events": run["events"], "cycles": sec["n_cycles"],
+                    "states": run["states"]}
     else:
+        run = {}
         ests = batch_means_multi(
             sc, cfg.policy, fns, sec["n_batches"],
-            sec["events_per_batch"], warmup, RngStream(cfg.seed, 0),
+            sec["events_per_batch"], warmup, RngStream(cfg.seed, 0), record=run,
         )
         counters = {"method": method,
-                    "events": warmup + sec["n_batches"] * sec["events_per_batch"]}
+                    "events": warmup + sec["n_batches"] * sec["events_per_batch"],
+                    "states": run["states"]}
     estimate_s = time.perf_counter() - started
     record["phases"].append({"estimate_s": estimate_s})
     record["counters"].append({**counters, "kev_per_s": counters["events"] / estimate_s / 1e3})

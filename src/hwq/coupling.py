@@ -43,15 +43,17 @@ category.  A failed ordering raises :class:`OrderingViolation` naming the
 event that reached the state; that never happens by construction, so a
 raise means an implementation bug.
 
-When the primary is a priority policy, the joint state is a function of
-the count lists, and the kernel memoizes each (state, category)
-successor: a revisit applies no action, and the monotone thinning is
-drawn by the kernel against the cached probability ``p`` (see
-:func:`hwq.simulate.jumps`).  The chain's lists, and its event count
-``checks``, are then synced only on a cache miss and when the runner
-closes the kernel, before its final check; ``checks`` counts events, not
-actions.  A FIFO primary keeps its queue order in the state, so those
-chains apply every event.
+The kernel memoizes each (state, category) successor of the joint
+chain: a revisit applies no action (see :func:`hwq.simulate.jumps`).
+Where a successor is not a function of the count lists, the chain's
+``branch`` hands the kernel a draw that runs on every event: the
+monotone thinning, drawn against the cached probability ``p``, and a
+FIFO primary's queue half, which keeps the queue outside the cache key
+and changes it live, its outcome (the class of the head a freed server
+takes) picking the successor.  The chain's lists, and its event count
+``checks``, are synced only on a cache miss and when the runner closes
+the kernel, before its final check; ``checks`` counts events, not
+actions.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the weight of the events spent in each visited pair of
@@ -88,10 +90,16 @@ from .simulate import (
     RngStream,
     advance,
     check_event_counts,
+    collector_paused,
     jumps,
     load_counts,
     occupancy,
 )
+
+
+# per block of the infinite-server table, the primary's event: an arrival
+# (None) or a departure from service or queue
+_SOURCES = (None, SERVICE, SERVICE, QUEUE, QUEUE)
 
 
 def coupling_applies(cfg: SystemConfig, i: int, nu_prime: float | None = None) -> bool:
@@ -133,10 +141,6 @@ class InfServerChain:
         self.checks = 0
         self._nc = nc
 
-    @property
-    def memoized(self) -> bool:
-        return self.state.counts_are_state
-
     def counts(self):
         return self.g, self.state.z, self.state.psi
 
@@ -146,8 +150,12 @@ class InfServerChain:
         load_counts(self.counts(), key)
         self.checks = events
 
-    def thinning(self, k: int) -> None:
-        return None  # no category thins
+    def branch(self, k: int):
+        """The primary's queue half of category ``k``'s event (see
+        :meth:`hwq.policy.FifoState.draw`); None for a G-only death and
+        for a priority primary."""
+        block, i = divmod(k, self._nc)
+        return None if block == 5 else self.state.draw(i, _SOURCES[block], self.rng)
 
     def rates(self) -> list[float]:
         self.check()
@@ -173,16 +181,19 @@ class InfServerChain:
         self._event(*divmod(k, self._nc))
         self.check()
 
-    def _event(self, block: int, i: int) -> None:
+    def _event(self, block: int, i: int, outcome: int | None = None) -> None:
+        """Apply one event of category ``(block, i)``: the whole event, or
+        given the ``outcome`` of its :meth:`branch` draw, which has already
+        changed the primary's queue, the count half."""
         st = self.state
         g = self.g
         if block == 0:  # shared arrival
-            st.apply_arrival(i, self.rng)
+            st.apply_arrival(i, self.rng, outcome)
             g[i] += 1
         elif block == 5:  # G-only death
             g[i] -= 1
         else:
-            st.apply_departure(i, SERVICE if block <= 2 else QUEUE, self.rng)
+            st.apply_departure(i, _SOURCES[block], self.rng, outcome)
             if block == 1 or block == 3:  # shared death
                 g[i] -= 1
         self.checks += 1
@@ -215,12 +226,16 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     ``span`` is the real elapsed time.
 
     ``chain.checks``, the runner's ``ordering_checks``, counts the events,
-    however many of them ran the chain's action: a memoized chain's count
-    lists are synced only on a miss of the kernel's successor cache and
-    when the kernel is closed here, and the count is synced with them.  The
-    state the last event leaves is never looked up by the kernel, so it is
-    checked here, after the close.  When ``record`` is a dict it receives
-    ``warmup_s``, the warm-up's wall time, and ``run_s``, the rest's.
+    however many of them ran the chain's action: the count lists of every
+    chain, a FIFO primary's included (its queue stays live), are synced
+    only on a miss of the kernel's successor cache and when the kernel is
+    closed here, and the count is synced with them.  The state the last
+    event leaves is never looked up by the kernel, so it is checked here,
+    after the close.  The run pauses the cyclic garbage collector and
+    drops the kernel's cache before it resumes (see
+    :func:`hwq.simulate.collector_paused`).  When ``record`` is a dict it
+    receives ``warmup_s``, the warm-up's wall time, and ``run_s``, the
+    rest's.
     """
     if isinstance(rng, RngStream):
         rng = rng.make()
@@ -232,17 +247,20 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     path = Path(len(a) + len(b))
     events = jumps(chain, rng, path)
     started = time.perf_counter()
-    advance(events, warmup_events, path)
-    warmed = time.perf_counter()
-    states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
-    events.close()  # loads the chain's count lists with the state the last event left
+    with collector_paused():
+        advance(events, warmup_events, path)
+        warmed = time.perf_counter()
+        states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
+        events.close()  # loads the chain's count lists with the state the last event left
+        states_checked = len(path.table)
+        del events, path  # the cache is acyclic: reference counting frees it
     chain.check()
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
     if record is not None:
         record["warmup_s"] = warmed - started
         record["run_s"] = time.perf_counter() - warmed
-    return chain, len(path.table), span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
+    return chain, states_checked, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
 
 
 @dataclass(frozen=True)
@@ -367,10 +385,6 @@ class MonotoneChain:
         q = self.state.z[j] - psi
         return q * (nu - self.nu_prime[j]) / (nu * q + self.cfg.mus[j] * psi)
 
-    @property
-    def memoized(self) -> bool:
-        return self.state.counts_are_state
-
     def counts(self):
         return self.state.z, self.zp, self.state.psi
 
@@ -381,11 +395,29 @@ class MonotoneChain:
         load_counts(self.counts(), key)
         self.checks = events
 
-    def thinning(self, k: int) -> float | None:
-        """:meth:`thinning_probability` of category ``k``'s class when ``k``
-        is a primary departure, else None."""
+    def branch(self, k: int):
+        """The random choices of category ``k``'s event at the current
+        state, as ``(draw, outcomes)``, or None where there are none (a
+        shadow-only departure, a priority arrival).  An arrival has the
+        primary's queue half (see :meth:`hwq.policy.FifoState.draw`).  A
+        primary departure is thinned: the draw is the keep probability
+        :meth:`thinning_probability` itself, a float against which the
+        kernel compares a uniform (outcome 1: the shadow follows), unless
+        the primary's queue half draws too; then it is a function that
+        draws the queue half first, outcome ``h``, then the uniform, and
+        returns ``2 * h + 2`` plus 1 if the shadow follows."""
         block, j = divmod(k, self._nc)
-        return self.thinning_probability(j) if block in (1, 2) else None
+        if block == 3:
+            return None
+        half = self.state.draw(j, (None, SERVICE, QUEUE)[block], self.rng)
+        if block == 0:
+            return half
+        p = self.thinning_probability(j)
+        if half is None:
+            return p, 2
+        queue_half, n = half
+        u01 = self.rng.random
+        return (lambda: 2 * queue_half() + 2 + (u01() >= p)), 2 * n + 2
 
     def rates(self) -> list[float]:
         self.check()
@@ -409,17 +441,24 @@ class MonotoneChain:
         self._event(*divmod(k, self._nc))
         self.check()
 
-    def _event(self, block: int, j: int, followed: bool | None = None) -> None:
+    def _event(self, block: int, j: int, outcome: int | None = None) -> None:
+        """Apply one event of category ``(block, j)``: the whole event, or
+        given the ``outcome`` of its :meth:`branch` draw, which has made
+        the event's random choices, the count half."""
         st = self.state
         zp = self.zp
         if block == 0:  # coupled arrival
-            st.apply_arrival(j, self.rng)
+            st.apply_arrival(j, self.rng, outcome)
             zp[j] += 1
         elif block < 3:  # primary departure, followed by the shadow unless thinned
-            p = self.thinning_probability(j)
-            st.apply_departure(j, SERVICE if block == 1 else QUEUE, self.rng)
-            if followed is None:  # a memoizing kernel draws it and passes the outcome
+            source = SERVICE if block == 1 else QUEUE
+            if outcome is None:
+                p = self.thinning_probability(j)
+                st.apply_departure(j, source, self.rng)
                 followed = self.rng.random() >= p
+            else:  # the primary's outcome, where its queue half drew, and the thinning's
+                st.apply_departure(j, source, self.rng, outcome // 2 - 1 if outcome > 1 else None)
+                followed = outcome & 1
             if followed:
                 zp[j] -= 1
         else:  # shadow-only departure

@@ -17,8 +17,17 @@ highest priority.  The three kinds:
 States are mutable values: ``apply_arrival`` / ``apply_departure`` update in
 place and return the state, and every kind keeps live per-class ``z`` and
 ``psi`` lists.  One simulation owns one state; use ``copy()`` to branch.
-``counts_are_state`` says whether those two lists are the whole state: true
-for the priority kinds, false for FIFO, whose queue order is state too.
+Those two lists are the whole state of the priority kinds.  A FIFO event
+splits into two halves: the queue half, which :meth:`FifoState.draw` hands
+out as a callable that changes the queue and returns the event's outcome
+(the class of the head a freed server takes, or 0), and the count half,
+a function of the counts and that outcome.  ``apply_arrival`` and
+``apply_departure`` given an ``outcome`` apply the count half only, and
+called without one they run the queue half first, so the whole event
+follows one set of rules either way; a priority state ignores
+``outcome``, its whole event being the count half.  The jump kernel runs
+the queue half on every event and the count half once per (state,
+category) and outcome (see :func:`hwq.simulate.jumps`).
 
 A FIFO service completion draws no random number: served customers are
 exchangeable, so which one leaves does not change the law of what follows.
@@ -32,6 +41,7 @@ stationary law of ``(z, psi)``.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from .errors import EmptySource, Unsupported
 from .model import SystemConfig
@@ -48,7 +58,6 @@ class PreemptivePriorityState:
     """Count vector z; psi is recomputed from z after every change."""
 
     kind = PREEMPTIVE
-    counts_are_state = True
     __slots__ = ("cfg", "z", "psi")
 
     def __init__(self, cfg: SystemConfig):
@@ -79,12 +88,16 @@ class PreemptivePriorityState:
         self.z = list(z)
         self._realloc()
 
-    def apply_arrival(self, cls: int, rng=None) -> "PreemptivePriorityState":
+    def draw(self, cls: int, source: str | None = None, rng=None) -> None:
+        return None  # no queue order: every event is its count half
+
+    def apply_arrival(self, cls: int, rng=None, outcome=None) -> "PreemptivePriorityState":
         self.z[cls] += 1
         self._realloc()
         return self
 
-    def apply_departure(self, cls: int, source: str, rng=None) -> "PreemptivePriorityState":
+    def apply_departure(self, cls: int, source: str, rng=None,
+                        outcome=None) -> "PreemptivePriorityState":
         if source == SERVICE:
             if self.psi[cls] < 1:
                 raise EmptySource(f"no class-{cls} customer in service")
@@ -102,7 +115,6 @@ class NonPreemptivePriorityState:
     """Counts (z, psi); freed servers take the highest waiting class."""
 
     kind = NONPREEMPTIVE
-    counts_are_state = True
     __slots__ = ("cfg", "z", "psi")
 
     def __init__(self, cfg: SystemConfig):
@@ -121,13 +133,17 @@ class NonPreemptivePriorityState:
         self.z = list(z)
         self.psi = list(psi)
 
-    def apply_arrival(self, cls: int, rng=None) -> "NonPreemptivePriorityState":
+    def draw(self, cls: int, source: str | None = None, rng=None) -> None:
+        return None  # no queue order: every event is its count half
+
+    def apply_arrival(self, cls: int, rng=None, outcome=None) -> "NonPreemptivePriorityState":
         self.z[cls] += 1
         if sum(self.psi) < self.cfg.n_servers:
             self.psi[cls] += 1
         return self
 
-    def apply_departure(self, cls: int, source: str, rng=None) -> "NonPreemptivePriorityState":
+    def apply_departure(self, cls: int, source: str, rng=None,
+                        outcome=None) -> "NonPreemptivePriorityState":
         z = self.z
         psi = self.psi
         if source == SERVICE:
@@ -154,14 +170,14 @@ class FifoState:
     arrival order; the queue head takes the next freed server."""
 
     kind = FIFO
-    counts_are_state = False
-    __slots__ = ("cfg", "z", "psi", "queue")
+    __slots__ = ("cfg", "z", "psi", "queue", "_draws")
 
     def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
         self.z = [0] * cfg.n_classes
         self.psi = [0] * cfg.n_classes
         self.queue: deque[int] = deque()
+        self._draws = None
 
     def copy(self) -> "FifoState":
         new = object.__new__(FifoState)
@@ -169,42 +185,84 @@ class FifoState:
         new.z = list(self.z)
         new.psi = list(self.psi)
         new.queue = deque(self.queue)
+        new._draws = None
         return new
 
-    def apply_arrival(self, cls: int, rng=None) -> "FifoState":
+    def _join(self, cls: int) -> int:
+        """Queue half of an arrival to a full system."""
+        self.queue.append(cls)
+        return 0
+
+    def _leave(self, cls: int, rng) -> int:
+        """Queue half of an abandonment: a uniformly chosen queued customer
+        of the class leaves."""
+        if rng is None:
+            raise ValueError(
+                "FIFO abandonment needs an rng: the leaving customer is "
+                "uniform among the queued customers of its class"
+            )
+        queue = self.queue
+        j = rng.randrange(queue.count(cls))
+        for pos, label in enumerate(queue):
+            if label == cls:
+                if j == 0:
+                    del queue[pos]
+                    break
+                j -= 1
+        return 0
+
+    def draw(self, cls: int, source: str | None = None, rng=None):
+        """The queue half of an event of class ``cls`` at the current state:
+        an arrival when ``source`` is None, else a departure from
+        ``source``.  None where the event leaves the queue alone (an
+        arrival that finds a free server, a service completion with nobody
+        waiting); otherwise ``(draw, outcomes)``, where ``draw()`` changes
+        the queue and returns the outcome, an index below ``outcomes``: the
+        class of the head that takes the freed server on a service
+        completion (``popleft``), 0 on an arrival or an abandonment.  The
+        draws are built once per state and ``rng``, not per call."""
+        if source == SERVICE:
+            if not self.queue:
+                return None
+        elif source is None and sum(self.psi) < self.cfg.n_servers:
+            return None
+        draws = self._draws
+        if draws is None or draws[0] is not rng:
+            classes = range(len(self.z))
+            draws = self._draws = (rng, [partial(self._join, i) for i in classes],
+                                   [partial(self._leave, i, rng) for i in classes],
+                                   self.queue.popleft)
+        if source == SERVICE:
+            return draws[3], len(self.z)
+        return draws[1 if source is None else 2][cls], 1
+
+    def apply_arrival(self, cls: int, rng=None, outcome=None) -> "FifoState":
+        psi = self.psi
+        free = sum(psi) < self.cfg.n_servers
+        if outcome is None and not free:
+            self._join(cls)
         self.z[cls] += 1
-        if sum(self.psi) < self.cfg.n_servers:
-            self.psi[cls] += 1
-        else:
-            self.queue.append(cls)
+        if free:
+            psi[cls] += 1
         return self
 
-    def apply_departure(self, cls: int, source: str, rng=None) -> "FifoState":
+    def apply_departure(self, cls: int, source: str, rng=None, outcome=None) -> "FifoState":
         z = self.z
         psi = self.psi
-        queue = self.queue
         if source == SERVICE:
             if psi[cls] < 1:
                 raise EmptySource(f"no class-{cls} customer in service")
+            if outcome is None and self.queue:
+                outcome = self.queue.popleft()
             z[cls] -= 1
             psi[cls] -= 1
-            if queue:
-                psi[queue.popleft()] += 1
+            if outcome is not None:  # the head takes the freed server
+                psi[outcome] += 1
         elif source == QUEUE:
             if z[cls] - psi[cls] < 1:
                 raise EmptySource(f"no class-{cls} customer in queue")
-            if rng is None:
-                raise ValueError(
-                    "FIFO abandonment needs an rng: the leaving customer is "
-                    "uniform among the queued customers of its class"
-                )
-            j = rng.randrange(z[cls] - psi[cls])
-            for pos, label in enumerate(queue):
-                if label == cls:
-                    if j == 0:
-                        del queue[pos]
-                        break
-                    j -= 1
+            if outcome is None:
+                self._leave(cls, rng)
             z[cls] -= 1
         else:
             raise ValueError(f"unknown source {source!r}")

@@ -15,17 +15,23 @@ direct method of Gillespie with cached propensities), and a chain's
 state may be edited only before the kernel starts.  For a policy chain
 the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i + nu_i*q_i)``.
 
-Where the count lists are the whole state (the priority policies, and the
-couplings built on them), the cache also stores, per state and category,
-the successor the first event of that category reached: the visited part
-of the generator, built lazily.  A revisit then costs the draws and a
-bisection, with no key, no lookup and no action, and the chain's count
-lists stop following the path; they are loaded with the current state on
-a miss and when the generator is closed.  So read a state the kernel
-held from its :class:`Path`, or read that state before advancing the
-generator on a chain the kernel does not memoize (FIFO, whose queue order
-is state).  Memoization changes no draw: the path and the random stream
-are the same either way.
+The cache also stores, per state and category, the successor the first
+event of that category reached: the visited part of the generator, built
+lazily.  Where an event's successor is not a function of the counts, the
+chain hands the kernel a draw, which makes the event's random choices,
+changes any state kept outside the counts, and returns which of a few
+outcomes occurred: the monotone thinning, or a FIFO queue, which stays
+outside the cache key and only picks the successor through the class of
+the head a freed server takes.  The slot then holds one successor per
+outcome.  A revisit costs the draws and a bisection, with no key, no
+lookup and no action, and the chain's count lists stop following the
+path; they are loaded with the current state on a miss and when the
+generator is closed.  So read a state the kernel held from its
+:class:`Path`; a FIFO queue stays live.  The memo changes no draw: the
+path and the random stream are those of an action applied on every
+event.  The cache names each successor by its state id, so it holds no
+reference cycle, and the estimators pause the cyclic garbage collector
+while the kernel runs (:func:`collector_paused`).
 
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
@@ -76,6 +82,7 @@ load it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -84,6 +91,7 @@ import time
 from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import log
@@ -184,12 +192,12 @@ class Path:
     ``table`` is the kernel's rate cache: for each visited state, keyed by
     the values of the chain's count lists, ``(id, total rate, cumulative
     rates, successors)``, with ids numbering the states in order of first
-    visit.  For a memoized chain (see :func:`jumps`) ``successors`` holds one
-    slot per category, plus one for a draw that lands beyond the cumulative
-    rates: None until that category first fires from the state, then the
-    target's entry, or for a thinned category a list ``[p, kept,
-    followed]`` of the keep probability and the entry of each branch (None
-    until that branch first occurs).  For any other chain it is None.
+    visit.  ``successors`` (see :func:`jumps`) holds one slot per category,
+    plus one for a draw that lands beyond the cumulative rates: None until
+    that category first fires from the state, then the target's id, or
+    for a category whose event draws (the chain's ``branch``) a list
+    ``[*targets, draw]`` of the target id of each outcome (None until that
+    outcome first occurs) and the draw.
     ``ids`` is a typed array that receives, per event, the id of the state
     held, and ``cleared`` counts the events discarded from it.
     :meth:`take` hands it over as numpy arrays and clears it: the events'
@@ -288,111 +296,130 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     ``holding_time(u, q)``; the estimators weight the event by its mean
     ``1/q`` instead and never compute it.
 
-    A chain whose ``memoized`` is true declares that its state is a
-    function of its count lists, so that each (state, category) pair has
-    one successor, apart from a thinning: it also provides
-    ``thinning(k)``, the probability that an event of category ``k`` keeps
-    the shadow's customer at the live state, None where ``k`` thins
-    nothing, and ``load(key, events)``, which sets its live state to the
-    cached state ``key`` that event number ``events`` reached.  The kernel
-    then stores each pair's successor in the state's cache entry the first
-    time it fires (see :class:`Path`).  A revisit moves straight to it: no
-    key, no lookup, no action, and the count lists are left behind.  On
-    every miss the kernel loads the lists with the source state, and the
-    number of events recorded before this one, applies the action and looks
-    the target up as above, so ``rates()`` still sees every new state, with
-    the chain's event count at the event that reached it.  Closing the
-    generator loads the current state and the events recorded in the same
-    way, unless the last event was a miss.  For a thinned category it
-    draws the thinning's uniform itself, after the category's, and passes
-    ``uniform >= p`` (the shadow follows) to the action as a last
-    argument.  Any other chain, a FIFO state with its queue order for
-    one, has every event applied by its action and looked up by its key.
-    Either way the random stream and the path are the same.
+    The chain also provides ``load(key, events)``, which sets its count
+    lists to the cached state ``key`` that event number ``events``
+    reached, and ``branch(k)``, called with the lists at the source state
+    the first time category ``k`` fires from it.  ``branch`` returns None
+    when the successor is a function of the state; otherwise ``(draw,
+    outcomes)``: ``draw`` is either a probability ``p``, against which the
+    kernel compares a fresh uniform (outcome 1 when the uniform is at
+    least ``p``, else 0), or a function that makes the event's random
+    choices, applies the event's change to any state outside the count
+    lists (a FIFO queue), and returns the outcome, an index below
+    ``outcomes``.  The kernel stores each (state, category) pair's
+    successor in the state's cache entry the first time it fires, or per
+    outcome of its draw (see :class:`Path`), and runs the draw on every
+    event of the pair, hit or miss, after the category's uniform.  A
+    revisit moves straight to the successor: no key, no lookup, no
+    action, and the count lists are left behind.  On a miss the kernel
+    brings the lists to the source state, and the chain's event count to
+    the number of events recorded before this one, with ``load`` (not
+    needed right after a miss, whose action left them there), applies the
+    action, given the outcome as a last argument where the pair draws (an
+    action given an outcome applies only the change to the count lists),
+    and looks the target up as above, so ``rates()`` still sees every new
+    state, with the chain's event count at the event that reached it.
+    Closing the generator loads the current state and the events recorded
+    in the same way, unless the last event was a miss.  The random stream
+    and the path are those of the action applied, whole, on every event.
 
     The count lists therefore hold the current state only after the
     generator is closed, which loads them: a caller that needs the state
-    the chain held during a step must read that state before advancing the
-    generator, from ``path`` (the id of each event's state, and its key in
-    ``path.table``) or from the lists of a chain that is not memoized.
+    the chain held during a step must read it from ``path`` (the id of
+    each event's state, and its key in ``path.table``).
     """
     if path is None:
         path = Path()
     table = path.table
     get = table.get
-    rates = chain.rates
+    rates, load, branch = chain.rates, chain.load, chain.branch
     act = chain.actions()
     act = [*act, act[-1]]  # a draw beyond the cumulative rates picks the last category
+    last = len(act) - 2
     record_id = path.ids.append
     u01 = rng.random
     a, b, *rest = chain.counts()
     c = rest[0] if rest else ()
-    if not getattr(chain, "memoized", False):
-        while True:
-            key = (*a, *b, *c)
-            entry = get(key)
-            if entry is None:
-                r = rates()
-                entry = table[key] = (len(table), sum(r), tuple(accumulate(r)), None)
-            sid, total, cum, _ = entry
-            u = u01()  # drawn also where only 1/q is used, so the weighting never moves the path
-            apply, args = act[bisect_right(cum, u01() * total)]
-            apply(*args)
-            record_id(sid)
-            yield u
-
-    load, thinning = chain.load, chain.thinning
-    last = len(act) - 2
     keys = list(table)  # state id -> key
+    entries = list(table.values())  # state id -> entry
 
     def enter(key):
         r = rates()
         keys.append(key)
         entry = table[key] = (len(table), sum(r), tuple(accumulate(r)), [None] * len(act))
+        entries.append(entry)
         return entry
 
     key = (*a, *b, *c)
     entry = get(key) or enter(key)
+    synced = path.cleared + len(path.ids)  # the event count at which the lists hold the source
     try:
         while True:
             sid, total, cum, slots = entry
-            u = u01()
+            u = u01()  # drawn also where only 1/q is used, so the weighting never moves the path
             k = bisect_right(cum, u01() * total)
             nxt = slots[k]
-            if nxt.__class__ is tuple:  # a cached successor
-                entry = nxt
+            if nxt.__class__ is int:  # a cached successor's id
+                entry = entries[nxt]
                 record_id(sid)
                 yield u
                 continue
-            if nxt is not None:  # a thinned category: [p, kept, followed]
-                side = 2 if u01() >= nxt[0] else 1
-                if nxt[side] is not None:
-                    entry = nxt[side]
+            if nxt is not None:  # a branching slot: [*successor ids, draw]
+                d = nxt[-1]
+                o = (u01() >= d) if d.__class__ is float else d()
+                if nxt[o] is not None:
+                    entry = entries[nxt[o]]
                     record_id(sid)
                     yield u
                     continue
             # a miss: apply the event to the count lists, loaded with the source state
-            load(keys[sid], path.cleared + len(path.ids))
+            events = path.cleared + len(path.ids)
+            if events != synced:
+                load(keys[sid], events)
             apply, args = act[k]
             if nxt is None:
-                p = thinning(min(k, last))
-                if p is None:
+                drawn = branch(min(k, last))
+                if drawn is None:
                     apply(*args)
-                    fill, side = slots, k
+                    fill, o = slots, k
                 else:
-                    nxt = slots[k] = [p, None, None]
-                    side = 2 if u01() >= p else 1
+                    d, n = drawn
+                    nxt = slots[k] = [None] * n + [d]
+                    o = (u01() >= d) if d.__class__ is float else d()
             if nxt is not None:
-                apply(*args, side == 2)
+                apply(*args, o)
                 fill = nxt
             entry = None  # the lists hold the target, and the chain counted the event
+            synced = events + 1
             record_id(sid)
             yield u
             key = (*a, *b, *c)
-            entry = fill[side] = get(key) or enter(key)
+            entry = get(key) or enter(key)
+            fill[o] = entry[0]
     finally:  # on close: bring the count lists to the current state
         if entry is not None:
             load(keys[entry[0]], path.cleared + len(path.ids))
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector over a run of the kernel.
+
+    The cache holds a few tracked containers per distinct state (its entry
+    and successor slots), and a growing cache triggers collections of the
+    oldest generation again and again, each traversing all of it.  A run
+    makes no cyclic garbage, and the cache names successors by state id,
+    so it holds no reference cycle either: a runner drops its
+    :class:`Path` and its generator before the collector resumes, and
+    reference counting frees them."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def advance(events, n: int, path: Path | None = None) -> None:
@@ -573,6 +600,7 @@ def _integrate(states, held, starts, funcs, cfg: SystemConfig) -> list[list[floa
 
 
 EVENT_KINDS = ("arrival", "service_completion", "abandonment")
+_SOURCES = (None, SERVICE, QUEUE)  # per event kind, the source a departure leaves
 
 
 class PolicyChain:
@@ -580,10 +608,11 @@ class PolicyChain:
 
     Categories are arrivals, then service completions, then abandonments,
     each by class index; each action is the state's own operation.  The
-    rates depend only on the count lists ``z`` and ``psi``, and the kernel
-    memoizes the chain when they are the whole state (the priority
-    policies).  ``state`` may be a :class:`~hwq.model.MacroState` where only
-    ``rates()`` is read; such a chain is not memoized.
+    rates depend only on the count lists ``z`` and ``psi``, and so does
+    the successor of a priority state; a FIFO state's queue half is the
+    chain's :meth:`branch` draw (:meth:`hwq.policy.FifoState.draw`).
+    ``state`` may be a :class:`~hwq.model.MacroState` where only
+    ``rates()`` is read.
     """
 
     __slots__ = ("state", "rng", "_arrivals", "_mus", "_nus")
@@ -595,18 +624,18 @@ class PolicyChain:
         self._mus = cfg.mus
         self._nus = cfg.nus
 
-    @property
-    def memoized(self) -> bool:
-        return getattr(self.state, "counts_are_state", False)
-
     def counts(self):
         return self.state.z, self.state.psi
 
     def load(self, key, events: int) -> None:
         load_counts(self.counts(), key)
 
-    def thinning(self, k: int) -> None:
-        return None  # no category thins
+    def branch(self, k: int):
+        """The queue half of category ``k``'s event at the current state
+        (see :meth:`hwq.policy.FifoState.draw`): None for a priority
+        policy, whose state is its counts."""
+        cat, i = divmod(k, len(self._mus))
+        return self.state.draw(i, _SOURCES[cat], self.rng)
 
     def rates(self) -> list[float]:
         z = self.state.z
@@ -626,6 +655,12 @@ class _Probe(PolicyChain):
     """Policy rates at fixed counts; an action only records its category."""
 
     __slots__ = ("k",)
+
+    def load(self, key, events: int) -> None:
+        pass  # the counts never move
+
+    def branch(self, k: int) -> None:
+        return None
 
     def actions(self) -> list:
         return [(setattr, (self, "k", k)) for k in range(3 * len(self._mus))]
@@ -689,7 +724,8 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     states (the last group may be smaller), one call per functional and
     group.  When ``record`` is a dict it receives ``events``, the events
     simulated, which include those after the last cycle up to the fold
-    that closed it.
+    that closed it, and ``states``, the number of distinct states the
+    kernel cached.
     """
     if n_cycles < 2:
         raise ValueError("need at least 2 regenerative cycles")
@@ -697,12 +733,16 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     funcs = list(functionals.values())
     ys = []  # per cycle, the integral of each functional
     taus = []
-    for states, held, starts, group_taus in _cycle_groups(events, path, n_cycles,
-                                                           max_events_per_cycle):
-        ys += _integrate(states, held, starts, funcs, cfg)
-        taus += group_taus.tolist()
+    with collector_paused():
+        for states, held, starts, group_taus in _cycle_groups(events, path, n_cycles,
+                                                               max_events_per_cycle):
+            ys += _integrate(states, held, starts, funcs, cfg)
+            taus += group_taus.tolist()
+        simulated, cached = path.cleared, len(path.table)
+        del events, path  # the cache is acyclic: reference counting frees it
     if record is not None:
-        record["events"] = path.cleared
+        record["events"] = simulated
+        record["states"] = cached
     total_tau = sum(taus)
     mean_tau = total_tau / n_cycles
     tcrit = _t975(n_cycles - 1)
@@ -721,17 +761,25 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
 
 def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
                       n_batches: int, events_per_batch: int, warmup_events: int,
-                      rng) -> dict:
-    """Batch-means estimates for several functionals from a single trajectory."""
+                      rng, record: dict | None = None) -> dict:
+    """Batch-means estimates for several functionals from a single trajectory.
+
+    When ``record`` is a dict it receives ``states``, the number of
+    distinct states the kernel cached."""
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
     path, events = _policy_events(cfg, kind, rng)
     funcs = list(functionals.values())
-    advance(events, warmup_events, path)
     batch_means = []  # per batch, the time average of each functional
-    for _ in range(n_batches):
-        states, held, span, _ = occupancy(events, path, events_per_batch)
-        batch_means.append([a / span for a in _integrate(states, held, [0], funcs, cfg)[0]])
+    with collector_paused():
+        advance(events, warmup_events, path)
+        for _ in range(n_batches):
+            states, held, span, _ = occupancy(events, path, events_per_batch)
+            batch_means.append([a / span for a in _integrate(states, held, [0], funcs, cfg)[0]])
+        cached = len(path.table)
+        del events, path  # the cache is acyclic: reference counting frees it
+    if record is not None:
+        record["states"] = cached
     tcrit = _t975(n_batches - 1)
     out = {}
     for j, name in enumerate(functionals):

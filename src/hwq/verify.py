@@ -359,8 +359,10 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     Replication k of the sweep uses stream (seed, k) where k is the position
     of r in ``r_list``, so rows are reproducible independent of execution
     order.  The r points run on up to ``jobs`` worker processes (see
-    :func:`fan_out`, which also fills ``record``); ``record`` also receives
-    each point's phases and counters, in r order (see :func:`_sweep_point`).
+    :func:`fan_out`, which also fills ``record``), handed out from the
+    largest r down, since a point's cost grows with r; the rows,
+    ``record``'s ``unit_wall_s`` and each point's phases and counters (see
+    :func:`_sweep_point`) come back in ``r_list`` order.
     """
     if estimator == "exact" and kind == FIFO:
         raise ValueError("no exact solve for FIFO; use batch_means")
@@ -377,8 +379,14 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     import scipy.special  # noqa: F401  (the batch-means t quantile)
     if "exact" in methods:
         import_scipy()
-    results = fan_out(_sweep_point, points, jobs, record)
+    # the largest r first: a point's cost grows with r, and the other
+    # workers take the cheaper points meanwhile
+    order = sorted(range(len(points)), key=lambda j: cfgs[j].r, reverse=True)
+    ran = fan_out(_sweep_point, [points[j] for j in order], jobs, record)
+    back = sorted(range(len(order)), key=order.__getitem__)  # r_list position -> run position
+    results = [ran[j] for j in back]
     if record is not None:
+        record["unit_wall_s"] = [record["unit_wall_s"][j] for j in back]
         for key in ("phases", "counters"):
             record.setdefault(key, []).extend(e for _, entries in results for e in entries[key])
     return [row for rows, _ in results for row in rows]
@@ -389,8 +397,9 @@ def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, method: st
     """The rows of one sweep point by ``method``, "exact" or "batch_means",
     and its manifest entries: those :func:`exact_chain` makes, or for batch
     means the phase ``{r, estimate_s}`` and the counters ``{r, method,
-    events, kev_per_s}``, where ``events`` counts the warm-up too; a
-    module-level function, so a worker process can run it."""
+    events, states, kev_per_s}``, where ``events`` counts the warm-up too
+    and ``states`` the distinct states the kernel cached; a module-level
+    function, so a worker process can run it."""
     entries = {"phases": [], "counters": []}
     if method == "exact":
         gen, sv = exact_chain(cfg, kind, K, entries)
@@ -401,12 +410,14 @@ def _sweep_point(cfg: SystemConfig, kind: str, specs, rng: RngStream, method: st
                 for spec in specs], entries
     warm = default_warmup(cfg) if warmup_events is None else warmup_events
     fns = {spec.label(): spec.vector(cfg) for spec in specs}
+    run = {}
     started = time.perf_counter()
-    ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng)
+    ests = batch_means_multi(cfg, kind, fns, n_batches, events_per_batch, warm, rng, run)
     estimate_s = time.perf_counter() - started
     events = warm + n_batches * events_per_batch
     entries["phases"].append({"r": cfg.r, "estimate_s": estimate_s})
     entries["counters"].append({"r": cfg.r, "method": "batch_means", "events": events,
+                                "states": run["states"],
                                 "kev_per_s": events / estimate_s / 1e3})
     return [SweepRow(r=cfg.r, theta=spec.theta, functional=spec.label(),
                      estimate=ests[spec.label()].value,

@@ -7,7 +7,7 @@ policy objects the simulators use, so that the exact generator is checked
 against them.  The ``per_event_*`` estimators are the other: they drive
 the simulators' chains by ``reference_jumps``, which applies every event
 to the chain, so its live count lists follow the path (the kernel leaves
-them behind on a memoized chain); they record every event's state and
+them behind); they record every event's state and
 weight without merging repeated states, and evaluate each functional once
 over that path: the oracle for the occupancy-measure estimators.  The
 kernel draws the reference's random stream, which

@@ -232,11 +232,12 @@ def test_manifest_explains_simulate(tmp_path, estimator):
     assert counters["method"] == estimator
     assert counters["kev_per_s"] == pytest.approx(counters["events"] / phases["estimate_s"] / 1e3)
     if estimator == "regenerative":
-        assert set(counters) == {"method", "events", "cycles", "kev_per_s"}
+        assert set(counters) == {"method", "events", "cycles", "states", "kev_per_s"}
         assert counters["cycles"] == 200 and counters["events"] >= 400
     else:
-        assert set(counters) == {"method", "events", "kev_per_s"}
+        assert set(counters) == {"method", "events", "states", "kev_per_s"}
         assert counters["events"] == 500 + 10 * 1_000
+    assert 1 < counters["states"] <= counters["events"]
 
 
 def test_sweep_jobs_byte_identical(tmp_path):
@@ -254,6 +255,9 @@ def test_sweep_jobs_byte_identical(tmp_path):
         manifest = json.loads((tmp_path / jobs / "manifest.json").read_text())
         assert manifest["jobs"] == min(int(jobs), usable_cores())
         assert len(manifest["unit_wall_s"]) == 3
+        # the points run from the largest r down, and come back in r_list order
+        assert [p["r"] for p in manifest["phases"]] == [4.0, 9.0, 16.0]
+        assert [c["r"] for c in manifest["counters"]] == [4.0, 9.0, 16.0]
     assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
         (tmp_path / "2" / "sweep.csv").read_bytes()
 
@@ -1017,9 +1021,9 @@ def test_manifest_explains_batch_means_sweep(tmp_path):
                    for p in manifest["phases"])
         assert [c["r"] for c in manifest["counters"]] == [9.0, 4.0, 16.0]
         for c in manifest["counters"]:
-            assert set(c) == {"r", "method", "events", "kev_per_s"}
+            assert set(c) == {"r", "method", "events", "states", "kev_per_s"}
             assert (c["method"], c["events"]) == ("batch_means", 100 + 10 * 300)
-            assert c["kev_per_s"] > 0.0
+            assert c["kev_per_s"] > 0.0 and 1 < c["states"] <= c["events"]
 
 
 def test_auto_sweep_decides_before_enumerating(tmp_path, monkeypatch):

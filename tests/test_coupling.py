@@ -324,9 +324,9 @@ def test_cached_rate_table_matches_recompute(name, kind):
     # equal, exactly, those of a fresh rates() at that state, so the count
     # lists a chain declares determine its rates.  The state of each event
     # and its fresh rates come from a second chain on the same stream, which
-    # the reference kernel moves on every event; a memoized chain's entry
-    # has one successor slot per category and one for a draw beyond the
-    # cumulative rates, any other chain's none
+    # the reference kernel moves on every event; every chain's entry has
+    # one successor slot per category and one for a draw beyond the
+    # cumulative rates, FIFO's too
     rng = random.Random(8)
     path = Path()
     events = jumps(CHAINS[name](kind, rng), rng, path)
@@ -343,7 +343,7 @@ def test_cached_rate_table_matches_recompute(name, kind):
         sid, total, cum, slots = path.table[key]
         assert (sid, total, cum) == (first_visits[key], sum(r), tuple(accumulate(r)))
         assert path.ids[-1] == sid
-        assert slots is None if kind == FIFO else len(slots) == len(r) + 1
+        assert len(slots) == len(r) + 1
         tables.append(r)
     assert len(path.table) == len(first_visits)
     # every departure rate takes more than one value along the path
@@ -393,41 +393,55 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("name", CHAINS)
-def test_fifo_chain_never_fills_a_successor_slot(name):
-    # a FIFO state is not a function of its counts, so its chain is not
-    # memoized: no entry gets successor slots, while the preemptive chain
-    # fills them
+def test_fifo_chain_fills_successor_slots(name):
+    # a FIFO state is not a function of its counts, but its queue only
+    # picks which of a few successors an event reaches: the queue half is
+    # drawn outside the cache key, so FIFO entries fill successor slots as
+    # the preemptive chain's do, among them branching slots, a list of the
+    # successors ending in the draw (the preemptive policy and
+    # infinite-server chains draw nothing)
     filled = {}
     for kind in (FIFO, PREEMPTIVE):
         rng = random.Random(10)
         path = Path()
         chain = CHAINS[name](kind, rng)
         next(islice(jumps(chain, rng, path), 5_000, None))
-        assert chain.memoized == (kind != FIFO)
-        filled[kind] = [slot for *_, slots in path.table.values() for slot in slots or ()
+        filled[kind] = [slot for *_, slots in path.table.values() for slot in slots
                         if slot is not None]
         assert len(path.table) > 50
-    assert filled[FIFO] == [] and len(filled[PREEMPTIVE]) > 100
+    assert len(filled[FIFO]) > 100 and len(filled[PREEMPTIVE]) > 100
+    assert any(slot.__class__ is list for slot in filled[FIFO])
+    assert any(slot.__class__ is list for slot in filled[PREEMPTIVE]) == (name == "monotone")
 
 
-@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE, FIFO])
 @pytest.mark.parametrize("name", CHAINS)
 def test_memoized_kernel_matches_reference_over_200k_events(name, kind):
-    # each memoized chain's run against the reference kernel, which applies
-    # every event: the same state at each of 200k events, numbered in order
-    # of first visit, and the same yielded uniforms
+    # each chain's run against the reference kernel, which applies every
+    # event: the same state at each of 200k events, numbered in order of
+    # first visit, and the same yielded uniforms; after every event the
+    # same FIFO queue, which the kernel keeps live, and once the kernel is
+    # closed the same count lists
     n = 200_000
     rng = random.Random(12)
     path = Path()
-    yields = list(islice(jumps(CHAINS[name](kind, rng), rng, path), n))
+    memo = CHAINS[name](kind, rng)
+    kernel = jumps(memo, rng, path)
     rng = random.Random(12)
     chain = CHAINS[name](kind, rng)
     events = reference_jumps(chain, rng)
     ids, want = {}, []
+    queued = 0
     for _ in range(n):
         want.append(ids.setdefault(_key(chain), len(ids)))
-        assert next(events) == yields[len(want) - 1]
+        assert next(events) == next(kernel)
+        if kind == FIFO:
+            assert memo.state.queue == chain.state.queue
+            queued += len(chain.state.queue) > 0
     assert path.ids.tolist() == want and list(path.table) == list(ids)
+    assert (queued > n // 10) == (kind == FIFO)
+    kernel.close()
+    assert _key(memo) == _key(chain)
 
 
 def test_ordering_check_g_le_z():
@@ -693,8 +707,8 @@ def _break_ordering_at(monkeypatch, cls, at):
     one above Z (infinite-server) or Z' one below Z (monotone)."""
     event = cls._event
 
-    def faulty(self, block, i, *followed):
-        event(self, block, i, *followed)
+    def faulty(self, block, i, *outcome):
+        event(self, block, i, *outcome)
         if self.checks == at:
             if cls is InfServerChain:
                 self.g[i] = self.state.z[i] + 1
@@ -712,10 +726,10 @@ def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monk
     # the state the last event leaves at the end; the reference kernel calls
     # rates(), and so check(), on every event.  Both must raise naming the
     # faulty event, with the same message; at == n only the final check sees
-    # it.  The kernel runs a memoized chain's action only on the first
-    # occurrence of its (state, category) pair, so the fault goes in at the
-    # first event from ``at`` on that runs the action (every event, for
-    # FIFO), found on a clean run; with at == n the run ends at that event
+    # it.  The kernel runs a chain's action only on the first occurrence
+    # of its (state, category) pair and outcome, FIFO's too, so the fault
+    # goes in at the first event from ``at`` on that runs the action, found
+    # on a clean run; with at == n the run ends at that event
     cls, run, make = RUNNERS[coupling]
     stream = RngStream(91, 0)
     event = cls._event
@@ -731,7 +745,7 @@ def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monk
     final = at == n
     at = next(e for e in applied if e >= at)
     n = at if final else n
-    assert at < n + 5_000 and (kind != FIFO or at in (4_321, 10_000))
+    assert at < n + 5_000 and len(applied) < n + 5_000
     _break_ordering_at(monkeypatch, cls, at)
     with pytest.raises(OrderingViolation) as got:
         run(kind, n, stream, 1_000)
@@ -828,8 +842,8 @@ def test_event_count_is_synced_after_hops_back_to_the_last_miss(name, monkeypatc
     event = cls._event
     path = Path()
 
-    def faulty(self, block, i, *followed):
-        event(self, block, i, *followed)
+    def faulty(self, block, i, *outcome):
+        event(self, block, i, *outcome)
         if len(path.ids) == at:
             if cls is InfServerChain:
                 self.g[i] = self.state.z[i] + 1

@@ -166,7 +166,7 @@ def _states_after_events(kind, cfg, rng, n_events):
     """``(yields, states)`` of ``n_events`` jumps of the kernel from the
     empty state: each yielded uniform, and the ``(z, psi)`` after each event,
     read from the kernel's path (it is the state held at the next event),
-    since the kernel leaves a memoized chain's lists behind."""
+    since the kernel leaves the chain's count lists behind."""
     path = Path()
     events = jumps(PolicyChain(init_state(cfg, kind), cfg, rng), rng, path)
     yields = list(islice(events, n_events + 1))[:-1]
@@ -229,16 +229,27 @@ def test_fifo_z_law_equals_preemptive_single_class():
 
 def test_fifo_counts_match_queue():
     # queued counts are the queue's labels; a queue only forms when all
-    # servers are busy
+    # servers are busy.  The kernel keeps the queue live but leaves the
+    # count lists behind, so the counts after each event are read from its
+    # path (the state held at the next event)
     cfg = build_config(TWO_CLASS, 9.0, 1.0)
     rng = random.Random(13)
     st = init_state(cfg, FIFO)
-    events = jumps(PolicyChain(st, cfg, rng), rng)
+    path = Path()
+    events = jumps(PolicyChain(st, cfg, rng), rng, path)
+    nc = cfg.n_classes
+    queued = []
     for _ in range(30_000):
         next(events)
-        q = [zi - pi for zi, pi in zip(st.z, st.psi)]
-        assert q == [st.queue.count(c) for c in range(cfg.n_classes)]
-        assert sum(st.psi) == min(cfg.n_servers, sum(st.z))
+        queued.append([st.queue.count(c) for c in range(nc)])
+    next(events)
+    keys = list(path.table)
+    assert len(path.ids) == 30_001
+    for sid, want in zip(path.ids[1:], queued):
+        z, psi = keys[sid][:nc], keys[sid][nc:]
+        q = [zi - pi for zi, pi in zip(z, psi)]
+        assert q == want
+        assert sum(psi) == min(cfg.n_servers, sum(z))
 
 
 class _Pick:

@@ -119,7 +119,8 @@ def test_kernel_holding_time_is_expovariate():
 class _Cap:
     """One counter and two categories, the last at an infinite rate: every
     draw lands at or beyond the cumulative rates, as a total from a
-    compensated ``sum`` can on Python 3.12 and later."""
+    compensated ``sum`` can on Python 3.12 and later.  The counter counts
+    the events, so every state is new and the kernel runs every action."""
 
     def __init__(self):
         self.n = [0]
@@ -128,11 +129,21 @@ class _Cap:
     def counts(self):
         return self.n, ()
 
+    def load(self, key, events):
+        self.n[:] = key
+
+    def branch(self, k):
+        return None
+
     def rates(self):
         return [1.0, math.inf]
 
+    def pick(self, k):
+        self.picked.append(k)
+        self.n[0] += 1
+
     def actions(self):
-        return [(self.picked.append, (k,)) for k in range(2)]
+        return [(self.pick, (k,)) for k in range(2)]
 
 
 def test_kernel_caps_the_category_at_the_last():
