@@ -67,6 +67,7 @@ from .simulate import (
     choose_estimator,
     default_warmup,
     fan_out,
+    import_quantile,
     regenerative_estimate,
     usable_cores,
 )
@@ -355,6 +356,7 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
         method = choose_estimator(sc)
     warmup = default_warmup(sc) if sec["warmup_events"] is None else sec["warmup_events"]
     fns = {spec.label(): spec.vector(sc) for spec in specs}
+    import_quantile()  # first, so that estimate_s times no import
     started = time.perf_counter()
     if method == "regenerative":
         run = {}

@@ -55,7 +55,13 @@ from .exact import (
 )
 from .model import SystemConfig, build_config, scale_arrays
 from .policy import FIFO
-from .simulate import RngStream, batch_means_multi, default_warmup, fan_out
+from .simulate import (
+    RngStream,
+    batch_means_multi,
+    default_warmup,
+    fan_out,
+    t975,
+)
 
 SLACK_TOL = 1e-12
 _SWEEP_EXACT_MAX_STATES = 25_000  # an "auto" sweep solves exactly up to here
@@ -375,8 +381,10 @@ def sweep(classes, a: float, r_list, kind: str, specs, seed: int,
     points = [(sc, kind, specs, RngStream(seed, pos), method, K, n_batches,
                events_per_batch, warmup_events)
               for pos, (sc, method) in enumerate(zip(cfgs, methods))]
-    # import here what the points import, so forked workers inherit it
-    import scipy.special  # noqa: F401  (the batch-means t quantile)
+    # import here what the points import, so forked workers inherit it; the
+    # batch-means t quantile is computed here too, and they inherit its cache
+    if "batch_means" in methods:
+        t975(n_batches - 1)
     if "exact" in methods:
         import_scipy()
     # the largest r first: a point's cost grows with r, and the other

@@ -455,8 +455,9 @@ def test_cli_import_skips_scipy_stats():
     assert out.strip() == "False"
 
 
-# scipy submodules that cost about 0.35 s to import; the commands that call
-# no exact solve or t quantile must not load them
+# scipy submodules that cost about 0.35 s to import; only the commands that
+# solve a chain exactly (exact, verify, and a sweep with an exact point) may
+# load them; the t quantile of simulate and sweep comes from mpmath
 _HEAVY = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
 
 
@@ -478,30 +479,82 @@ def test_couple_command_loads_no_heavy_scipy(tmp_path, coupling):
     code = ("import sys, hwq.cli\n"
             "rc = hwq.cli.main(['couple', '--config', sys.argv[1], '--out', sys.argv[2],"
             " '--jobs', '1'])\n"
-            f"print(rc, [m for m in {_HEAVY!r} if m in sys.modules])")
+            f"print(rc, [m for m in {_HEAVY!r} + ('mpmath',) if m in sys.modules])")
     out = _run_fresh(code, str(cfg_file), str(tmp_path / "out"))
     assert out.strip() == "0 []"
     assert (tmp_path / "out" / "couple.csv").exists()
 
 
+# Spies on the estimator to see whether the t quantile's module was imported
+# before estimate_s started, then reports the heavy scipy modules loaded.
+_SIMULATE_PROBE = f"""
+import sys, hwq.cli
+
+seen = []
+
+
+def spy(estimator):
+    def run(*args, **kwargs):
+        seen.append("mpmath" in sys.modules)
+        return estimator(*args, **kwargs)
+    return run
+
+
+hwq.cli.batch_means_multi = spy(hwq.cli.batch_means_multi)
+hwq.cli.regenerative_estimate = spy(hwq.cli.regenerative_estimate)
+rc = hwq.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(rc, seen, [m for m in {_HEAVY!r} if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("estimator", ["batch_means", "regenerative"])
+def test_simulate_command_loads_no_heavy_scipy(tmp_path, estimator):
+    section = ({"n_cycles": 50} if estimator == "regenerative" else
+               {"n_batches": 10, "events_per_batch": 500, "warmup_events": 100})
+    raw = _config(simulate={"functionals": [{"id": "z_total"}], "estimator": estimator,
+                            **section})
+    out = _run_fresh(_SIMULATE_PROBE, json.dumps(raw), str(tmp_path / "out"))
+    assert out.strip() == "0 [True] []"
+    assert (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_sweep_command_loads_no_heavy_scipy(tmp_path):
+    raw = _config(
+        system={"classes": [{"lambda": 1.0, "mu": 1.0, "nu": 0.0}],
+                "r_list": [4.0, 9.0], "a": 1.0},
+        sweep={"n_batches": 10, "events_per_batch": 500, "warmup_events": 100,
+               "estimator": "batch_means"},
+    )
+    code = ("import sys, hwq.cli\n"
+            "rc = hwq.cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2],"
+            " '--jobs', '1'])\n"
+            f"print(rc, [m for m in {_HEAVY!r} if m in sys.modules])")
+    out = _run_fresh(code, json.dumps(raw), str(tmp_path / "out"))
+    assert out.strip() == "0 []"
+    assert (tmp_path / "out" / "sweep.csv").exists()
+
+
 # Routes every sweep point through a probe that writes, to a file of its own,
-# the scipy modules the point imported itself; forked workers inherit the
-# patched name.
+# the scipy and mpmath modules the point imported itself and the t quantiles
+# it computed itself; forked workers inherit the patched name.  The parent
+# reports whether it loaded mpmath.
 _SWEEP_PROBE = """
 import json, os, sys
 import hwq.verify
 from hwq.model import ClassParams
+from hwq.simulate import t975
 from hwq.verify import FunctionalSpec, sweep
 
 point = hwq.verify._sweep_point
 
 
 def probe(*args):
-    inherited = set(sys.modules)
+    inherited, misses = set(sys.modules), t975.cache_info().misses
     rows = point(*args)
-    new = sorted(m for m in set(sys.modules) - inherited if m.startswith("scipy"))
+    new = sorted(m for m in set(sys.modules) - inherited if m.startswith(("scipy", "mpmath")))
     with open(os.path.join(sys.argv[3], f"r{args[0].r}.json"), "w") as f:
-        json.dump({"pid": os.getpid(), "new": new}, f)
+        json.dump({"pid": os.getpid(), "new": new,
+                   "quantiles": t975.cache_info().misses - misses}, f)
     return rows
 
 
@@ -510,7 +563,8 @@ record = {}
 rows = sweep([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 1.0, [4.0, 9.0],
              sys.argv[1], [FunctionalSpec("z_total")], 7, estimator=sys.argv[2],
              n_batches=10, events_per_batch=500, warmup_events=100, jobs=2, record=record)
-print(json.dumps({"parent": os.getpid(), "jobs": record["jobs"], "rows": len(rows)}))
+print(json.dumps({"parent": os.getpid(), "jobs": record["jobs"], "rows": len(rows),
+                  "mpmath": "mpmath" in sys.modules}))
 """
 
 
@@ -520,7 +574,10 @@ def test_sweep_workers_import_no_scipy(tmp_path, kind, estimator):
     parent = json.loads(_run_fresh(_SWEEP_PROBE, kind, estimator, str(tmp_path)))
     units = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("r*.json"))]
     assert parent["jobs"] == min(2, usable_cores()) and parent["rows"] == 2
-    assert [u["new"] for u in units] == [[], []]
+    assert [(u["new"], u["quantiles"]) for u in units] == [([], 0), ([], 0)]
+    # a batch-means sweep computes the t quantile, loading mpmath, before
+    # the workers fork; an all-exact sweep computes none
+    assert parent["mpmath"] == (estimator == "batch_means")
     if parent["jobs"] > 1:
         assert parent["parent"] not in {u["pid"] for u in units}
 

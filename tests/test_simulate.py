@@ -435,8 +435,66 @@ def test_fan_out_reraises_worker_errors():
         fan_out(math.sqrt, [(4.0,), (-1.0,)], jobs=2)
 
 
-def test_student_t_quantile_matches_scipy_stats():
+def _t_central(t, df):
+    """P(|T| <= t) for Student's t with ``df`` degrees of freedom, by the
+    finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
+    df), in the current mpmath precision."""
+    import mpmath
+
+    theta = mpmath.atan(t / mpmath.sqrt(df))
+    cos2 = mpmath.cos(theta) ** 2
+    total = 0
+    if df % 2:  # theta + sin cos (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 + ...)
+        term = mpmath.cos(theta)
+        for k in range(1, (df - 1) // 2 + 1):
+            total += term
+            term *= cos2 * (2 * k) / (2 * k + 1)
+        return 2 / mpmath.pi * (theta + mpmath.sin(theta) * total)
+    term = mpmath.mpf(1)  # sin (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...)
+    for k in range(1, df // 2 + 1):
+        total += term
+        term *= cos2 * (2 * k - 1) / (2 * k)
+    return mpmath.sin(theta) * total
+
+
+def _t975_series(df):
+    """The 0.975 quantile of t by bisection on :func:`_t_central` at 50
+    digits, to a bracket of relative width 1e-40, rounded to a float."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(1), mpmath.mpf(13)
+        while hi - lo > lo * mpmath.mpf(10) ** -40:
+            mid = (lo + hi) / 2
+            if _t_central(mid, df) < mpmath.mpf(19) / 20:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+def test_t975_within_four_ulp_of_scipy():
+    # scipy is the oracle: within 4 ulp of stdtrit at df 1-300 and at 50
+    # seeded df up to 1e7; where the two differ by more, the 50-digit
+    # series must side with t975, i.e. stdtrit is the one that is off
     from scipy.special import stdtrit
 
-    for df in (1, 2, 9, 19, 99, 999):
-        assert stdtrit(df, 0.975) == stats.t.ppf(0.975, df)
+    draw = random.Random(29)
+    dfs = list(range(1, 301)) + [draw.randint(301, 10 ** 7) for _ in range(50)]
+    for df in dfs:
+        ours, theirs = simulate.t975(df), float(stdtrit(df, 0.975))
+        if abs(ours - theirs) > 4 * np.spacing(theirs):
+            assert df <= 300 and ours == _t975_series(df), df
+
+
+def test_t975_correctly_rounded():
+    # bit-equal to the float nearest an independent 50-digit root: the
+    # A&S series for every df, and the closed form cot(pi/40) for df = 1
+    import mpmath
+
+    expected = {9: 2.2621571627982053, 19: 2.0930240544083096, 999: 1.96234146113345}
+    for df, value in expected.items():
+        assert _t975_series(df) == value
+        assert simulate.t975(df) == value
+    with mpmath.workdps(50):
+        assert simulate.t975(1) == float(mpmath.cot(mpmath.pi / 40))
