@@ -722,7 +722,7 @@ def t975(df: int) -> float:
     (df + t^2)``, the upper tail of t as a regularized incomplete beta,
     found by mpmath on the bracket [1.9, 13] (the quantile is 12.71 at one
     degree of freedom and falls to the normal 1.96) at 30 digits, then
-    rounded to a float.  It equals the float nearest a 40- to 50-digit root
+    rounded to a float.  It equals the float nearest a 45- or 50-digit root
     at every df from 1 to 300 and at 53 df up to 1e7.  A call takes 3-10 ms;
     the result is cached per ``df``."""
     import mpmath
