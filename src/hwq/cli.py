@@ -67,8 +67,8 @@ from .simulate import (
     choose_estimator,
     default_warmup,
     fan_out,
-    import_quantile,
     regenerative_estimate,
+    t975,
     usable_cores,
 )
 from .coupling import coupling_applies, run_infserver_coupled, run_monotone_coupled
@@ -356,7 +356,8 @@ def _cmd_simulate(cfg, out_dir, jobs, record):
         method = choose_estimator(sc)
     warmup = default_warmup(sc) if sec["warmup_events"] is None else sec["warmup_events"]
     fns = {spec.label(): spec.vector(sc) for spec in specs}
-    import_quantile()  # first, so that estimate_s times no import
+    # the estimator's t quantile first, so that estimate_s times no mpmath
+    t975((sec["n_cycles"] if method == "regenerative" else sec["n_batches"]) - 1)
     started = time.perf_counter()
     if method == "regenerative":
         run = {}

@@ -39,8 +39,9 @@ state each event leaves before it draws the next event, or moves to it
 from the cache, where it was checked when it entered, and the runner
 checks the state the last event leaves, so the state after every event is
 checked.  Each event runs through an action table, one action per
-category.  A failed ordering raises :class:`OrderingViolation` naming the
-event that reached the state; that never happens by construction, so a
+category.  A failed ordering raises :class:`OrderingViolation`; the runner
+adds the event that reached the state, counted by the kernel's
+:class:`~hwq.simulate.Path`.  That never happens by construction, so a
 raise means an implementation bug.
 
 The kernel memoizes each (state, category) successor of the joint
@@ -50,10 +51,10 @@ Where a successor is not a function of the count lists, the chain's
 monotone thinning, drawn against the cached probability ``p``, and a
 FIFO primary's queue half, which keeps the queue outside the cache key
 and changes it live, its outcome (the class of the head a freed server
-takes) picking the successor.  The chain's lists, and its event count
-``checks``, are synced only on a cache miss and when the runner closes
-the kernel, before its final check; ``checks`` counts events, not
-actions.
+takes) picking the successor.  The kernel loads the chain's lists only
+on a cache miss from a state other than the one they hold and when the
+runner closes it, before its final check.  A chain keeps no event count:
+``ordering_checks`` is the path's, which counts events, not actions.
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the weight of the events spent in each visited pair of
@@ -92,7 +93,6 @@ from .simulate import (
     check_event_counts,
     collector_paused,
     jumps,
-    load_counts,
     occupancy,
 )
 
@@ -124,7 +124,7 @@ class InfServerChain:
 
     ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
 
-    __slots__ = ("cfg", "rng", "state", "g", "checks", "_nc")
+    __slots__ = ("cfg", "rng", "state", "g", "_nc")
 
     def __init__(self, cfg: SystemConfig, kind: str, rng):
         nc = cfg.n_classes
@@ -138,17 +138,10 @@ class InfServerChain:
         self.rng = rng
         self.state = init_state(cfg, kind)
         self.g = [0] * nc
-        self.checks = 0
         self._nc = nc
 
     def counts(self):
         return self.g, self.state.z, self.state.psi
-
-    def load(self, key, events: int) -> None:
-        """Set ``(G, z, psi)`` to the cached state ``key``, which event
-        number ``events`` reached."""
-        load_counts(self.counts(), key)
-        self.checks = events
 
     def branch(self, k: int):
         """The primary's queue half of category ``k``'s event (see
@@ -174,13 +167,6 @@ class InfServerChain:
     def actions(self) -> list:
         return [(self._event, (block, i)) for block in range(6) for i in range(self._nc)]
 
-    def jump(self, k: int) -> None:
-        """Apply one event of category ``k``, then :meth:`check` the state
-        it leaves.  The kernel applies the event alone and checks the state
-        when it builds that state's rate table."""
-        self._event(*divmod(k, self._nc))
-        self.check()
-
     def _event(self, block: int, i: int, outcome: int | None = None) -> None:
         """Apply one event of category ``(block, i)``: the whole event, or
         given the ``outcome`` of its :meth:`branch` draw, which has already
@@ -196,17 +182,17 @@ class InfServerChain:
             st.apply_departure(i, _SOURCES[block], self.rng, outcome)
             if block == 1 or block == 3:  # shared death
                 g[i] -= 1
-        self.checks += 1
 
     def check(self) -> None:
         """Raise :class:`OrderingViolation` unless ``G_i <= Z_i`` for every
-        class; the message names the event count ``checks``."""
+        class; the message names the ordering, and the runner adds the
+        event."""
         g = self.g
         z = self.state.z
         for j in range(self._nc):
             if g[j] > z[j]:
                 raise OrderingViolation(
-                    f"G[{j}] = {g[j]} > Z[{j}] = {z[j]} after event {self.checks}"
+                    f"G[{j}] = {g[j]} > Z[{j}] = {z[j]}"
                 )
 
 
@@ -215,23 +201,26 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     """Run ``make_chain(rng)`` for ``warmup_events`` jumps, then integrate
     its first two count lists over the other jumps.
 
-    Returns ``(chain, states_checked, span, first, second, grid)``: the
-    number of distinct joint states the kernel cached, each checked once
-    when its rate table was built; the elapsed time after the warm-up, the
-    time average of each coordinate of either list, and the rows of the two
-    lists occupying the multiples of ``grid_dt`` after the warm-up (see
-    :func:`hwq.simulate.occupancy`).  Events are weighted by their expected
-    holding times ``1/q``, so ``span`` is the expected elapsed time, unless
-    ``grid_dt > 0``: then they are weighted by their holding times, and
-    ``span`` is the real elapsed time.
+    Returns ``(events, states_checked, span, first, second, grid)``: the
+    events the kernel's :class:`~hwq.simulate.Path` counted, ``n_events``;
+    the number of distinct joint states the kernel cached, each checked
+    once when its rate table was built; the elapsed time after the
+    warm-up, the time average of each coordinate of either list, and the
+    rows of the two lists occupying the multiples of ``grid_dt`` after the
+    warm-up (see :func:`hwq.simulate.occupancy`).  Events are weighted by
+    their expected holding times ``1/q``, so ``span`` is the expected
+    elapsed time, unless ``grid_dt > 0``: then they are weighted by their
+    holding times, and ``span`` is the real elapsed time.
 
-    ``chain.checks``, the runner's ``ordering_checks``, counts the events,
+    ``events``, the runner's ``ordering_checks``, counts the events,
     however many of them ran the chain's action: the count lists of every
-    chain, a FIFO primary's included (its queue stays live), are synced
+    chain, a FIFO primary's included (its queue stays live), are loaded
     only on a miss of the kernel's successor cache and when the kernel is
-    closed here, and the count is synced with them.  The state the last
-    event leaves is never looked up by the kernel, so it is checked here,
-    after the close.  The run pauses the cyclic garbage collector and
+    closed here.  The state the last event leaves is never looked up by the
+    kernel, so it is checked here, after the close.  A failed ordering is
+    raised again as an :class:`OrderingViolation` whose message ends
+    ``after event N``, with N the events the path counted: the event that
+    reached the state.  The run pauses the cyclic garbage collector and
     drops the kernel's cache before it resumes (see
     :func:`hwq.simulate.collector_paused`).  When ``record`` is a dict it
     receives ``warmup_s``, the warm-up's wall time, and ``run_s``, the
@@ -248,19 +237,24 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     events = jumps(chain, rng, path)
     started = time.perf_counter()
     with collector_paused():
-        advance(events, warmup_events, path)
-        warmed = time.perf_counter()
-        states, held, span, grid = occupancy(events, path, n_events - warmup_events, grid_dt)
-        events.close()  # loads the chain's count lists with the state the last event left
-        states_checked = len(path.table)
+        try:
+            advance(events, warmup_events, path)
+            warmed = time.perf_counter()
+            states, held, span, grid = occupancy(events, path, n_events - warmup_events,
+                                                 grid_dt)
+            events.close()  # loads the chain's count lists with the state the last event left
+            chain.check()
+        except OrderingViolation as exc:
+            ran = path.cleared + len(path.ids)
+            raise OrderingViolation(f"{exc} after event {ran}") from exc
+        ran, states_checked = path.cleared + len(path.ids), len(path.table)
         del events, path  # the cache is acyclic: reference counting frees it
-    chain.check()
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
     if record is not None:
         record["warmup_s"] = warmed - started
         record["run_s"] = time.perf_counter() - warmed
-    return chain, states_checked, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
+    return ran, states_checked, span, tuple(avg[:len(a)]), tuple(avg[len(a):]), grid
 
 
 @dataclass(frozen=True)
@@ -292,14 +286,14 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     counts the distinct joint states, each checked once.  A dict
     ``record`` receives the wall times ``warmup_s`` and ``run_s``.
     """
-    chain, states_checked, span, g_avg, z_avg, grid = _run_coupled(
+    ran, states_checked, span, g_avg, z_avg, grid = _run_coupled(
         lambda rng: InfServerChain(cfg, kind, rng), n_events, rng, warmup_events,
         g_sample_dt, record)
     nc = cfg.n_classes
     return InfServerReport(
         events=n_events,
         sim_time=span,
-        ordering_checks=chain.checks,
+        ordering_checks=ran,
         states_checked=states_checked,
         g_time_avg=g_avg,
         z_time_avg=z_avg,
@@ -327,7 +321,7 @@ class MonotoneChain:
     to read it at the current state.
     """
 
-    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "checks", "_nc", "_n_srv")
+    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "_nc", "_n_srv")
 
     def __init__(self, cfg: SystemConfig, nu_prime, kind: str, rng):
         nc = cfg.n_classes
@@ -346,7 +340,6 @@ class MonotoneChain:
         self.state = init_state(cfg, kind)
         self.zp = [0] * nc
         self.psip = [0] * nc
-        self.checks = 0
         self._nc = nc
         self._n_srv = cfg.n_servers
 
@@ -388,13 +381,6 @@ class MonotoneChain:
     def counts(self):
         return self.state.z, self.zp, self.state.psi
 
-    def load(self, key, events: int) -> None:
-        """Set ``(z, Z', psi)`` to the cached state ``key``, which event
-        number ``events`` reached; psi' stays that of the state last
-        checked."""
-        load_counts(self.counts(), key)
-        self.checks = events
-
     def branch(self, k: int):
         """The random choices of category ``k``'s event at the current
         state, as ``(draw, outcomes)``, or None where there are none (a
@@ -434,13 +420,6 @@ class MonotoneChain:
     def actions(self) -> list:
         return [(self._event, (block, j)) for block in range(4) for j in range(self._nc)]
 
-    def jump(self, k: int) -> None:
-        """Apply one event of category ``k``, then :meth:`check` the state
-        it leaves.  The kernel applies the event alone and checks the state
-        when it builds that state's rate table."""
-        self._event(*divmod(k, self._nc))
-        self.check()
-
     def _event(self, block: int, j: int, outcome: int | None = None) -> None:
         """Apply one event of category ``(block, j)``: the whole event, or
         given the ``outcome`` of its :meth:`branch` draw, which has made
@@ -463,13 +442,12 @@ class MonotoneChain:
                 zp[j] -= 1
         else:  # shadow-only departure
             zp[j] -= 1
-        self.checks += 1
 
     def check(self) -> None:
         """Allocate the shadow's servers, then raise :class:`OrderingViolation`
         unless ``Z <= Z'``, ``psi <= psi'``, ``Q <= Q'`` and the primary's
         non-idling hold for every class and the shadow does not idle; the
-        message names the event count ``checks``."""
+        message names the ordering, and the runner adds the event."""
         total, total_psi = self.allocate_shadow()
         n_srv = self._n_srv
         z = self.state.z
@@ -482,30 +460,30 @@ class MonotoneChain:
             zpi = zp[i]
             if zi > zpi:
                 raise OrderingViolation(
-                    f"Z[{i}] = {zi} > Z'[{i}] = {zpi} after event {self.checks}"
+                    f"Z[{i}] = {zi} > Z'[{i}] = {zpi}"
                 )
             pi = psi[i]
             ppi = psip[i]
             if pi > ppi:
                 raise OrderingViolation(
-                    f"psi[{i}] = {pi} > psi'[{i}] = {ppi} after event {self.checks}"
+                    f"psi[{i}] = {pi} > psi'[{i}] = {ppi}"
                 )
             qi = zi - pi
             qpi = zpi - ppi
             if qi > qpi:
                 raise OrderingViolation(
-                    f"Q[{i}] = {qi} > Q'[{i}] = {qpi} after event {self.checks}"
+                    f"Q[{i}] = {qi} > Q'[{i}] = {qpi}"
                 )
             if idle and qi != 0:
                 raise OrderingViolation(
                     f"primary idles with a queue: psi sums to {total_psi} < "
-                    f"{n_srv} but Q[{i}] > 0 (event {self.checks})"
+                    f"{n_srv} but Q[{i}] > 0"
                 )
         busy = sum(psip)
         if busy != (total if total < n_srv else n_srv):
             raise OrderingViolation(
                 f"shadow idles: psi' sums to {busy}, not min(N, sum Z') = "
-                f"min({n_srv}, {total}) (event {self.checks})"
+                f"min({n_srv}, {total})"
             )
 
 
@@ -533,13 +511,13 @@ def run_monotone_coupled(cfg: SystemConfig, nu_prime, kind: str, n_events: int,
     expected elapsed time.  A dict ``record`` receives the wall times
     ``warmup_s`` and ``run_s``.
     """
-    chain, states_checked, span, z_avg, zp_avg, _ = _run_coupled(
+    ran, states_checked, span, z_avg, zp_avg, _ = _run_coupled(
         lambda rng: MonotoneChain(cfg, nu_prime, kind, rng), n_events, rng, warmup_events,
         record=record)
     return MonotoneReport(
         events=n_events,
         sim_time=span,
-        ordering_checks=chain.checks,
+        ordering_checks=ran,
         states_checked=states_checked,
         z_time_avg=z_avg,
         z_prime_time_avg=zp_avg,

@@ -25,13 +25,13 @@ outside the cache key and only picks the successor through the class of
 the head a freed server takes.  The slot then holds one successor per
 outcome.  A revisit costs the draws and a bisection, with no key, no
 lookup and no action, and the chain's count lists stop following the
-path; they are loaded with the current state on a miss and when the
-generator is closed.  So read a state the kernel held from its
-:class:`Path`; a FIFO queue stays live.  The memo changes no draw: the
-path and the random stream are those of an action applied on every
-event.  The cache names each successor by its state id, so it holds no
-reference cycle, and the estimators pause the cyclic garbage collector
-while the kernel runs (:func:`collector_paused`).
+path; they are loaded with the current state on a miss from a state
+they do not hold and when the generator is closed.  So read a state the
+kernel held from its :class:`Path`; a FIFO queue stays live.  The memo
+changes no draw: the path and the random stream are those of an action
+applied on every event.  The cache names each successor by its state id,
+so it holds no reference cycle, and the estimators pause the cyclic
+garbage collector while the kernel runs (:func:`collector_paused`).
 
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to the empty state, usable only when the empty
@@ -77,8 +77,7 @@ one float per row.
 
 No scipy module is imported here.  The t quantile of the confidence
 intervals comes from mpmath, which :func:`t975` imports when it is first
-called (:func:`import_quantile` imports it ahead), so the jump kernel and
-the coupling runners never load it.
+called, so the jump kernel and the coupling runners never load it.
 """
 
 from __future__ import annotations
@@ -299,10 +298,9 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     ``holding_time(u, q)``; the estimators weight the event by its mean
     ``1/q`` instead and never compute it.
 
-    The chain also provides ``load(key, events)``, which sets its count
-    lists to the cached state ``key`` that event number ``events``
-    reached, and ``branch(k)``, called with the lists at the source state
-    the first time category ``k`` fires from it.  ``branch`` returns None
+    The chain also provides ``branch(k)``, called with the lists at the
+    source state the first time category ``k`` fires from it, and nothing
+    else: the kernel calls no other method.  ``branch`` returns None
     when the successor is a function of the state; otherwise ``(draw,
     outcomes)``: ``draw`` is either a probability ``p``, against which the
     kernel compares a fresh uniform (outcome 1 when the uniform is at
@@ -314,17 +312,19 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     outcome of its draw (see :class:`Path`), and runs the draw on every
     event of the pair, hit or miss, after the category's uniform.  A
     revisit moves straight to the successor: no key, no lookup, no
-    action, and the count lists are left behind.  On a miss the kernel
-    brings the lists to the source state, and the chain's event count to
-    the number of events recorded before this one, with ``load`` (not
-    needed right after a miss, whose action left them there), applies the
-    action, given the outcome as a last argument where the pair draws (an
-    action given an outcome applies only the change to the count lists),
-    and looks the target up as above, so ``rates()`` still sees every new
-    state, with the chain's event count at the event that reached it.
-    Closing the generator loads the current state and the events recorded
-    in the same way, unless the last event was a miss.  The random stream
-    and the path are those of the action applied, whole, on every event.
+    action, and the count lists are left behind.  The kernel keeps the id
+    of the state the lists hold: the last miss's target, or the first
+    state before any miss.  On a miss from another state it loads the
+    lists with the source's key (:func:`load_counts`), applies the action,
+    given the outcome as a last argument where the pair draws (an action
+    given an outcome applies only the change to the count lists), and
+    looks the target up as above, so ``rates()`` still sees every new
+    state.  Closing the generator loads
+    the current state in the same way.  The kernel counts no events apart
+    from ``path``: ``path.cleared + len(path.ids)`` events have run, and
+    when ``rates()`` raises, the last of them reached the rejected state.
+    The random stream and the path are those of the action applied, whole,
+    on every event.
 
     The count lists therefore hold the current state only after the
     generator is closed, which loads them: a caller that needs the state
@@ -335,13 +335,14 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
         path = Path()
     table = path.table
     get = table.get
-    rates, load, branch = chain.rates, chain.load, chain.branch
+    rates, branch = chain.rates, chain.branch
     act = chain.actions()
     act = [*act, act[-1]]  # a draw beyond the cumulative rates picks the last category
     last = len(act) - 2
     record_id = path.ids.append
     u01 = rng.random
-    a, b, *rest = chain.counts()
+    lists = chain.counts()
+    a, b, *rest = lists
     c = rest[0] if rest else ()
     keys = list(table)  # state id -> key
     entries = list(table.values())  # state id -> entry
@@ -355,7 +356,7 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
 
     key = (*a, *b, *c)
     entry = get(key) or enter(key)
-    synced = path.cleared + len(path.ids)  # the event count at which the lists hold the source
+    held = entry[0]  # the id of the state the count lists hold
     try:
         while True:
             sid, total, cum, slots = entry
@@ -376,9 +377,8 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
                     yield u
                     continue
             # a miss: apply the event to the count lists, loaded with the source state
-            events = path.cleared + len(path.ids)
-            if events != synced:
-                load(keys[sid], events)
+            if sid != held:
+                load_counts(lists, keys[sid])
             apply, args = act[k]
             if nxt is None:
                 drawn = branch(min(k, last))
@@ -392,16 +392,15 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
             if nxt is not None:
                 apply(*args, o)
                 fill = nxt
-            entry = None  # the lists hold the target, and the chain counted the event
-            synced = events + 1
+            entry = None  # the lists hold the target
             record_id(sid)
             yield u
             key = (*a, *b, *c)
             entry = get(key) or enter(key)
-            fill[o] = entry[0]
+            held = fill[o] = entry[0]
     finally:  # on close: bring the count lists to the current state
-        if entry is not None:
-            load(keys[entry[0]], path.cleared + len(path.ids))
+        if entry is not None and entry[0] != held:
+            load_counts(lists, keys[entry[0]])
 
 
 @contextmanager
@@ -615,7 +614,8 @@ class PolicyChain:
     the successor of a priority state; a FIFO state's queue half is the
     chain's :meth:`branch` draw (:meth:`hwq.policy.FifoState.draw`).
     ``state`` may be a :class:`~hwq.model.MacroState` where only
-    ``rates()`` is read.
+    ``rates()`` is read.  Like every chain, it provides only the methods
+    :func:`jumps` calls; the kernel loads the count lists itself.
     """
 
     __slots__ = ("state", "rng", "_arrivals", "_mus", "_nus")
@@ -629,9 +629,6 @@ class PolicyChain:
 
     def counts(self):
         return self.state.z, self.state.psi
-
-    def load(self, key, events: int) -> None:
-        load_counts(self.counts(), key)
 
     def branch(self, k: int):
         """The queue half of category ``k``'s event at the current state
@@ -658,9 +655,6 @@ class _Probe(PolicyChain):
     """Policy rates at fixed counts; an action only records its category."""
 
     __slots__ = ("k",)
-
-    def load(self, key, events: int) -> None:
-        pass  # the counts never move
 
     def branch(self, k: int) -> None:
         return None
@@ -705,12 +699,6 @@ def check_event_counts(n_events: int, warmup_events: int) -> None:
         raise ValueError(
             f"need n_events > warmup_events >= 0, got {n_events}, {warmup_events}"
         )
-
-
-def import_quantile() -> None:
-    """Import the module :func:`t975` calls, so that a timer started
-    after this counts no import."""
-    import mpmath  # noqa: F401
 
 
 @functools.cache
@@ -792,8 +780,10 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
                       rng, record: dict | None = None) -> dict:
     """Batch-means estimates for several functionals from a single trajectory.
 
-    When ``record`` is a dict it receives ``states``, the number of
-    distinct states the kernel cached."""
+    A negative warm-up, an empty batch or fewer than 10 batches raise
+    ``ValueError``.  When ``record`` is a dict it receives ``states``, the
+    number of distinct states the kernel cached."""
+    check_event_counts(warmup_events + n_batches * events_per_batch, warmup_events)
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
     path, events = _policy_events(cfg, kind, rng)

@@ -486,9 +486,12 @@ def test_couple_command_loads_no_heavy_scipy(tmp_path, coupling):
 
 
 # Spies on the estimator to see whether the t quantile's module was imported
-# before estimate_s started, then reports the heavy scipy modules loaded.
+# before estimate_s started, and whether the estimator computed a quantile
+# (its df was not yet in t975's cache), then reports the heavy scipy modules
+# loaded.
 _SIMULATE_PROBE = f"""
 import sys, hwq.cli
+from hwq.simulate import t975
 
 seen = []
 
@@ -496,7 +499,10 @@ seen = []
 def spy(estimator):
     def run(*args, **kwargs):
         seen.append("mpmath" in sys.modules)
-        return estimator(*args, **kwargs)
+        misses = t975.cache_info().misses
+        out = estimator(*args, **kwargs)
+        seen.append(t975.cache_info().misses - misses)
+        return out
     return run
 
 
@@ -514,7 +520,7 @@ def test_simulate_command_loads_no_heavy_scipy(tmp_path, estimator):
     raw = _config(simulate={"functionals": [{"id": "z_total"}], "estimator": estimator,
                             **section})
     out = _run_fresh(_SIMULATE_PROBE, json.dumps(raw), str(tmp_path / "out"))
-    assert out.strip() == "0 [True] []"
+    assert out.strip() == "0 [True, 0] []"
     assert (tmp_path / "out" / "simulate.csv").exists()
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-import re
 import statistics
 import time
 from itertools import accumulate, chain as chain_from, islice
@@ -15,11 +14,12 @@ from hwq.errors import HypothesisViolated, OrderingViolation
 from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
 from hwq import simulate
-from hwq.simulate import Path, PolicyChain, RngStream, advance, jumps, occupancy
+from hwq.simulate import Path, PolicyChain, RngStream, advance, jumps, load_counts, occupancy
 from hwq.exact import build_generator, enumerate_states, expectation, scaled_poisson_mgf, stationary
 from hwq.coupling import (
     InfServerChain,
     MonotoneChain,
+    _run_coupled,
     poisson_fit_pvalue,
     run_infserver_coupled,
     run_monotone_coupled,
@@ -62,7 +62,7 @@ def test_joint_rates_bookkeeping_identity():
         g, z, psi = chain.counts()
         queued_partners = 0
         for sid in path.ids[1:]:
-            chain.load(keys[sid], 0)
+            load_counts(chain.counts(), keys[sid])
             for i in range(cfg.n_classes):
                 row = _infserver_blocks(chain, i)
                 mu, nu, q = cfg.mus[i], cfg.nus[i], z[i] - psi[i]
@@ -444,13 +444,20 @@ def test_memoized_kernel_matches_reference_over_200k_events(name, kind):
     assert _key(memo) == _key(chain)
 
 
+def _jump(chain, k):
+    """Apply one event of category ``k`` to a coupling chain, then check
+    the state it leaves."""
+    chain._event(*divmod(k, chain.cfg.n_classes))
+    chain.check()
+
+
 def test_ordering_check_g_le_z():
     cfg = dataclasses.replace(TWO_CLASS, n_servers=4)
     chain = InfServerChain(cfg, NONPREEMPTIVE, random.Random(0))
     chain.state.set_counts([2, 0], [2, 0])
     chain.g[:] = [4, 0]
     with pytest.raises(OrderingViolation, match=r"G\[0\] = 3 > Z\[0\] = 2"):
-        chain.jump(InfServerChain.G_ONLY * 2)  # G-only death: 4 -> 3, still > 2
+        _jump(chain, InfServerChain.G_ONLY * 2)  # G-only death: 4 -> 3, still > 2
 
 
 ONE_CLASS = [ClassParams(1.0, 1.0, 0.5)]
@@ -460,14 +467,14 @@ def test_ordering_check_z_le_zprime():
     # an arrival moves both to Z = 4 > Z' = 3
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [3], [2])
     with pytest.raises(OrderingViolation, match=r"Z\[0\] = 4 > Z'\[0\] = 3"):
-        chain.jump(0)
+        _jump(chain, 0)
 
 
 def test_ordering_check_psi_le_psiprime():
     # three in service on two servers; the shadow, capped at two, serves fewer
     chain = _monotone_chain(ONE_CLASS, 2, [0.0], [3], [3], [4])
     with pytest.raises(OrderingViolation, match=r"psi\[0\] = 3 > psi'\[0\] = 2"):
-        chain.jump(3)  # shadow-only departure: Z' = 3
+        _jump(chain, 3)  # shadow-only departure: Z' = 3
 
 
 def test_ordering_check_q_le_qprime():
@@ -476,14 +483,14 @@ def test_ordering_check_q_le_qprime():
     # idling check would fail too, but the Q check comes first
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [4])
     with pytest.raises(OrderingViolation, match=r"Q\[0\] = 2 > Q'\[0\] = 0"):
-        chain.jump(3)
+        _jump(chain, 3)
 
 
 def test_ordering_check_primary_non_idling():
     # one of four servers busy with two waiting; the shadow's queue is longer
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [8])
     with pytest.raises(OrderingViolation, match=r"psi sums to 1 < 4 but Q\[0\] > 0"):
-        chain.jump(3)
+        _jump(chain, 3)
 
 
 def test_ordering_check_shadow_non_idling(monkeypatch):
@@ -495,7 +502,7 @@ def test_ordering_check_shadow_non_idling(monkeypatch):
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [1], [1], [3])
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
-        chain.jump(3)
+        _jump(chain, 3)
 
 
 # The one-step oracle: every transition of each coupling at every ordered
@@ -630,7 +637,7 @@ def _outcomes(chain, k, kind):
 def test_one_step_oracle(coupling, kind):
     # at every joint state of SMALL up to level 12 (FIFO: queues up to 4)
     # that satisfies the ordering, every category with a positive rate is
-    # applied by jump() under each outcome of its random choices, weighted
+    # applied by _jump() under each outcome of its random choices, weighted
     # by its probability: no target breaks an ordering, the weighted rates
     # summed by primary target give the primary's own row, and summed by
     # G (or Z') target give the M/M/inf row mu_i G_i (or the nu'-system row
@@ -675,7 +682,7 @@ def test_one_step_oracle(coupling, kind):
                     chain.state = primary.copy()
                     own[:] = other
                     chain.rng = choice
-                    chain.jump(k)  # raises OrderingViolation on a broken order
+                    _jump(chain, k)  # raises OrderingViolation on a broken order
                     target = _primary_key(chain.state)
                     if target != key:
                         got_primary[target] = got_primary.get(target, 0.0) + rate * weight
@@ -701,15 +708,34 @@ RUNNERS = {
 }
 
 
-def _break_ordering_at(monkeypatch, cls, at):
+def _runner_paths(monkeypatch):
+    """The :class:`Path` of every coupled run from here on, in order:
+    ``hwq.coupling.Path`` is wrapped to keep each one it makes."""
+    paths = []
+
+    def kept(*args):
+        paths.append(Path(*args))
+        return paths[-1]
+
+    monkeypatch.setattr("hwq.coupling.Path", kept)
+    return paths
+
+
+def _ran(path):
+    """The events recorded into ``path`` so far."""
+    return path.cleared + len(path.ids)
+
+
+def _break_ordering_at(monkeypatch, cls, at, paths):
     """Make event number ``at`` of every ``cls`` chain break an ordering
-    where the chain's action applies it: after it, the event's class has G
-    one above Z (infinite-server) or Z' one below Z (monotone)."""
+    where the chain's action applies it, counting events on the last of
+    ``paths``: after it, the event's class has G one above Z
+    (infinite-server) or Z' one below Z (monotone)."""
     event = cls._event
 
     def faulty(self, block, i, *outcome):
         event(self, block, i, *outcome)
-        if self.checks == at:
+        if _ran(paths[-1]) + 1 == at:
             if cls is InfServerChain:
                 self.g[i] = self.state.z[i] + 1
             else:
@@ -718,26 +744,29 @@ def _break_ordering_at(monkeypatch, cls, at):
     monkeypatch.setattr(cls, "_event", faulty)
 
 
-@pytest.mark.parametrize("at, n", [(4_321, 10_000), (10_000, 10_000)])
+@pytest.mark.parametrize("at, n", [(500, 10_000), (4_321, 10_000), (10_000, 10_000)])
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
 @pytest.mark.parametrize("coupling", RUNNERS)
 def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monkeypatch):
     # the runner checks a state when the kernel builds its rate table, and
     # the state the last event leaves at the end; the reference kernel calls
     # rates(), and so check(), on every event.  Both must raise naming the
-    # faulty event, with the same message; at == n only the final check sees
+    # faulty event, with the same message: the runner adds the event its
+    # path counted, the reference the events it ran.  At 500 the fault
+    # falls in the 1,000-event warm-up; at == n only the final check sees
     # it.  The kernel runs a chain's action only on the first occurrence
     # of its (state, category) pair and outcome, FIFO's too, so the fault
     # goes in at the first event from ``at`` on that runs the action, found
     # on a clean run; with at == n the run ends at that event
     cls, run, make = RUNNERS[coupling]
     stream = RngStream(91, 0)
+    paths = _runner_paths(monkeypatch)
     event = cls._event
     applied = []
 
     def spy(self, *args):
         event(self, *args)
-        applied.append(self.checks)
+        applied.append(_ran(paths[-1]) + 1)
 
     monkeypatch.setattr(cls, "_event", spy)
     run(kind, n + 5_000, stream, 1_000)
@@ -746,27 +775,30 @@ def test_runner_catches_fault_at_the_reference_event(coupling, kind, at, n, monk
     at = next(e for e in applied if e >= at)
     n = at if final else n
     assert at < n + 5_000 and len(applied) < n + 5_000
-    _break_ordering_at(monkeypatch, cls, at)
+    _break_ordering_at(monkeypatch, cls, at, paths)
     with pytest.raises(OrderingViolation) as got:
         run(kind, n, stream, 1_000)
     rng = stream.make()
     events = reference_jumps(make(kind, rng), rng)
+    paths.append(Path())  # counts the reference's events for the fault
     with pytest.raises(OrderingViolation) as want:
         for _ in range(n + 1):
             next(events)
-    assert str(got.value) == str(want.value)
-    assert re.search(rf"event {at}\b", str(got.value))
+            paths[-1].ids.append(0)
+    assert str(got.value) == f"{want.value} after event {_ran(paths[-1])}"
+    assert str(got.value).endswith(f" after event {at}")
 
 
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
 @pytest.mark.parametrize("coupling", RUNNERS)
 def test_runner_checks_each_cached_state_once_and_the_last(coupling, kind, monkeypatch):
     cls, run, _ = RUNNERS[coupling]
+    paths = _runner_paths(monkeypatch)
     check = cls.check
     calls = []
 
     def counted(self):
-        calls.append(self.checks)
+        calls.append(_ran(paths[-1]))
         check(self)
 
     monkeypatch.setattr(cls, "check", counted)
@@ -791,10 +823,11 @@ COUPLED = {"infserver": InfServerChain, "monotone": MonotoneChain}
 
 
 def _back_to_last_miss(name, n, monkeypatch):
-    """Events of a clean n-event run of the preemptive ``name`` chain at
-    which it holds the state its last miss reached, after cached hops away
-    from it (no event leaves a state unchanged): ``(e, whether event e is
-    a miss)`` for each such event number e, counted from 0."""
+    """A clean n-event run of the preemptive ``name`` chain: the key of
+    the state held after each event, and the events at which it holds the
+    state its last miss reached, after cached hops away from it (no event
+    leaves a state unchanged), as ``(e, whether event e is a miss)`` for
+    each such event number e, counted from 0."""
     cls = COUPLED[name]
     event = cls._event
     path = Path()
@@ -808,6 +841,7 @@ def _back_to_last_miss(name, n, monkeypatch):
     rng = random.Random(13)
     advance(jumps(CHAINS[name](PREEMPTIVE, rng), rng, path), n)
     monkeypatch.setattr(cls, "_event", event)
+    keys = list(path.table)
     ids = path.ids.tolist()
     target = None
     found = []
@@ -816,15 +850,15 @@ def _back_to_last_miss(name, n, monkeypatch):
             target = ids[e]
         elif ids[e] == target:
             found.append((e, e in misses))
-    return found
+    return [keys[sid] for sid in ids[1:]], found
 
 
 @pytest.mark.parametrize("name", COUPLED)
 def test_event_count_is_synced_after_hops_back_to_the_last_miss(name, monkeypatch):
     # the count lists already hold the state the last miss reached when the
-    # path hops back to it, but the event count has moved on: closing the
-    # kernel there, and a miss from there, must still load it
-    found = _back_to_last_miss(name, 3_000, monkeypatch)
+    # path hops back to it, so the kernel skips their load: closing it
+    # there must still leave them at the state held
+    held, found = _back_to_last_miss(name, 3_000, monkeypatch)
     ends = [e for e, _ in found[:20]]
     assert len(ends) == 20
     for e in ends:  # runs of e events, the last a cached hop into that state
@@ -833,27 +867,15 @@ def test_event_count_is_synced_after_hops_back_to_the_last_miss(name, monkeypatc
         events = jumps(chain, rng, Path())
         advance(events, e)
         events.close()
-        assert chain.checks == e
+        assert _key(chain) == held[e - 1]
 
     # break the ordering on the action of a miss from such a state: the
-    # check of the state it reaches names that event, counted from 1
+    # runner names the event that reached the state, counted from 1
     at = next(e for e, miss in found if miss)
-    cls = COUPLED[name]
-    event = cls._event
-    path = Path()
-
-    def faulty(self, block, i, *outcome):
-        event(self, block, i, *outcome)
-        if len(path.ids) == at:
-            if cls is InfServerChain:
-                self.g[i] = self.state.z[i] + 1
-            else:
-                self.zp[i] = self.state.z[i] - 1
-
-    monkeypatch.setattr(cls, "_event", faulty)
-    rng = random.Random(13)
-    with pytest.raises(OrderingViolation, match=rf"event {at + 1}\b"):
-        advance(jumps(CHAINS[name](PREEMPTIVE, rng), rng, path), at + 2)
+    paths = _runner_paths(monkeypatch)
+    _break_ordering_at(monkeypatch, COUPLED[name], at + 1, paths)
+    with pytest.raises(OrderingViolation, match=rf" after event {at + 1}$"):
+        _run_coupled(lambda rng: CHAINS[name](PREEMPTIVE, rng), at + 2, random.Random(13), 0)
 
 
 def test_monotone_identical_rates_degenerate():

@@ -120,7 +120,9 @@ class _Cap:
     """One counter and two categories, the last at an infinite rate: every
     draw lands at or beyond the cumulative rates, as a total from a
     compensated ``sum`` can on Python 3.12 and later.  The counter counts
-    the events, so every state is new and the kernel runs every action."""
+    the events, so every state is new and the kernel runs every action.
+    It provides only ``counts``, ``branch``, ``rates`` and ``actions``, the
+    methods the kernel calls."""
 
     def __init__(self):
         self.n = [0]
@@ -128,9 +130,6 @@ class _Cap:
 
     def counts(self):
         return self.n, ()
-
-    def load(self, key, events):
-        self.n[:] = key
 
     def branch(self, k):
         return None
@@ -359,6 +358,14 @@ def test_batch_means_constant_functional():
                             RngStream(5, 1))["c"]
     assert est.value == pytest.approx(2.5)
     assert est.half_width == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("events_per_batch, warmup", [(0, 100), (500, -3)])
+def test_batch_means_refuses_empty_batches_and_negative_warmup(events_per_batch, warmup):
+    # an empty batch once ended in a TypeError, and a negative warm-up ran
+    with pytest.raises(ValueError, match=r"need n_events > warmup_events >= 0"):
+        batch_means_multi(MM2, PREEMPTIVE, {"z": z_total}, 10, events_per_batch, warmup,
+                          RngStream(5, 0))
 
 
 def test_batch_means_matches_exact_mgf():
