@@ -27,7 +27,7 @@ class OrderingViolation(RuntimeError):
 
 
 class CycleTimeout(RuntimeError):
-    """A regenerative cycle exceeded its event budget (empty state too rare)."""
+    """A regenerative cycle exceeded its event budget (regeneration state too rare)."""
 
 
 class Unsupported(ValueError):

@@ -248,11 +248,15 @@ def validate_macro_state(s, cfg):
     return problems
 
 
-def _per_event_path(cfg, kind, stream):
-    """The empty state of ``kind``, its chain, and the reference kernel
-    driving the chain on ``stream``."""
+def _per_event_path(cfg, kind, stream, counts=()):
+    """The state of ``kind`` that ``counts[i]`` arrivals of each class ``i``
+    build from the empty one, its chain, and the reference kernel driving
+    the chain on ``stream``."""
     rng = stream.make()
     state = init_state(cfg, kind)
+    for i, n in enumerate(counts):
+        for _ in range(n):
+            state.apply_arrival(i)
     chain = PolicyChain(state, cfg, rng)
     return state, chain, reference_jumps(chain, rng)
 
@@ -266,16 +270,17 @@ def _weight(chain, events, real_time):
     return -log(1.0 - u) / q if real_time else 1.0 / q
 
 
-def _record(chain, a, b, events, n_events, until_empty=False, real_time=False):
+def _record(chain, a, b, events, n_events, until=None, real_time=False):
     """``(a, b, weight)`` of each of the next ``n_events`` jumps of
     ``chain`` (see :func:`_weight`), read from the live count lists ``a``
     and ``b`` (a policy's ``z`` and ``psi``, or a coupling's observed pair)
     before the jump, one per event with no merging of repeated states; with
-    ``until_empty`` it also stops after the first jump that empties ``a``."""
+    ``until`` it also stops after the first jump that brings ``(a, b)`` to
+    ``until``."""
     path = []
     for _ in range(n_events):
         path.append((tuple(a), tuple(b), _weight(chain, events, real_time)))
-        if until_empty and not any(a):
+        if (tuple(a), tuple(b)) == until:
             break
     return path
 
@@ -315,11 +320,15 @@ def per_event_batch_means(cfg, kind, functionals, n_batches, events_per_batch,
 
 def per_event_regenerative(cfg, kind, functionals, n_cycles, stream):
     """``{name: (ratio estimate, 95% half-width)}`` over cycles between
-    visits to the empty state, evaluated per event."""
-    state, chain, events = _per_event_path(cfg, kind, stream)
+    visits to the state ``z_i = round(rho_i * r)``, all in service, where
+    the run starts, evaluated per event."""
+    counts = [round(load) for load in cfg.rho_r]
+    assert sum(counts) <= cfg.n_servers  # nobody waits: the counts fix the state
+    state, chain, events = _per_event_path(cfg, kind, stream, counts)
+    start = (tuple(state.z), tuple(state.psi))
     path, ends = [], []
     for _ in range(n_cycles):
-        path += _record(chain, state.z, state.psi, events, 1_000_000, until_empty=True)
+        path += _record(chain, state.z, state.psi, events, 1_000_000, until=start)
         ends.append(len(path))
     ys, taus = zip(*_integrals(path, functionals, cfg, ends))
     total = sum(taus)

@@ -16,7 +16,7 @@ from helpers import (
 )
 from hwq.errors import CycleTimeout
 from hwq.model import ClassParams, MacroState, build_config
-from hwq.policy import FIFO, PREEMPTIVE, init_state
+from hwq.policy import FIFO, NONPREEMPTIVE, PREEMPTIVE, init_state
 from hwq import simulate
 from hwq.verify import FunctionalSpec
 from hwq.simulate import (
@@ -265,10 +265,12 @@ def test_regenerative_constant_functional():
 
 
 def test_regenerative_timeout_in_heavy_traffic():
+    # cycles from the central state at r = 400 are short on average (53
+    # events at this seed) but heavy tailed: of 1,000, some exceed 100
     cfg = build_config([ClassParams(1.0, 1.0, 0.0)], 400.0, 1.0)
-    with pytest.raises(CycleTimeout):
-        regenerative_estimate(cfg, PREEMPTIVE, {"z": z_total}, 3, RngStream(4, 0),
-                              max_events_per_cycle=200_000)
+    with pytest.raises(CycleTimeout, match="regeneration state within 100 events"):
+        regenerative_estimate(cfg, PREEMPTIVE, {"z": z_total}, 1_000, RngStream(4, 0),
+                              max_events_per_cycle=100)
 
 
 TWO_CLASS = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
@@ -299,6 +301,28 @@ def test_regenerative_equals_per_event_oracle(kind):
     for name, (value, half) in oracle.items():
         assert _rel(ests[name].value, value) <= 1e-12, name
         assert _rel(ests[name].half_width, half) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE])
+def test_regenerative_coverage_against_exact(kind):
+    # 95% intervals from 1,000 cycles, regenerating at the central state,
+    # against the exact pi at r = 4: Binomial(100, .95) puts P(X <= 88) < 1%
+    from hwq.exact import expectation
+    from hwq.verify import exact_chain
+
+    cfg = build_config([ClassParams(0.5, 1.0, 0.5), ClassParams(1.0, 2.0, 1.0)], 4.0, 1.0)
+    specs = [FunctionalSpec("z_total"), FunctionalSpec("exp_sum_zhat_plus", theta=0.5),
+             FunctionalSpec("qhat_tail", x=0.5)]
+    gen, sv = exact_chain(cfg, kind, 60, {"phases": [], "counters": []})
+    truth = {spec.label(): expectation(sv.pi, spec.vector(cfg)(gen.idx.z, gen.idx.psi, cfg))
+             for spec in specs}
+    fns = {spec.label(): spec.vector(cfg) for spec in specs}
+    hits = dict.fromkeys(fns, 0)
+    for s in range(100):
+        for name, est in regenerative_estimate(cfg, kind, fns, 1_000,
+                                               RngStream(31, s)).items():
+            hits[name] += abs(est.value - truth[name]) <= est.half_width
+    assert min(hits.values()) >= 89, hits
 
 
 def _counting(calls):
