@@ -1,12 +1,13 @@
 # Jump-chain simulation with the two steady-state estimators.
 #
-# Regenerative estimation splits the trajectory at visits to the empty state
-# (i.i.d. cycles, clean CIs, only viable at small r); batch means is the
-# workhorse in heavy traffic where the empty state is effectively never seen.
+# Regenerative estimation splits the trajectory at visits to a central state,
+# z_i = round(rho_i r) with nobody waiting, where the run starts (i.i.d.
+# cycles, clean CIs; a cycle grows with r); batch means is the workhorse in
+# heavy traffic.
 
 # A functional takes the per-class count arrays Z and PSI of shape
 # (n_states, n_classes) and returns one value per row; the estimators call it
-# once per batch (or group of cycles) on the states visited there.
+# once per group of batches or cycles on the states visited there.
 
 import numpy as np
 

@@ -58,17 +58,17 @@ runner closes it, before its final check.  A chain keeps no event count:
 
 Both runners share one body (:func:`_run_coupled`): after the warm-up they
 accumulate the weight of the events spent in each visited pair of
-observed count lists, ``(G, Z)`` or ``(Z, Z')``, with
-:func:`hwq.simulate.occupancy`, the accumulator of the estimators, and
-take every coordinate's time average in one numpy pass over the distinct
-states.  Each event is weighted by its expected holding time ``1/q``, the
+observed count lists, ``(G, Z)`` or ``(Z, Z')``, as one segment of
+:func:`hwq.simulate.segments`, the fold of the estimators, and take every
+coordinate's time average in one numpy pass over the distinct states.
+Each event is weighted by its expected holding time ``1/q``, the
 reciprocal of the joint state's total rate, so the elapsed time
 ``sim_time`` is the expected elapsed time.  The kernel records the id of
 each full joint state, and the fold maps it to its observed pair before
 summing, so each pair's weights are still added in time order.  The
 infinite-server runner's G snapshots on a time grid come from the same
-accumulator; with a grid, every event is weighted by its real holding
-time instead, and ``sim_time`` is the real elapsed time.  Either way the
+fold; with a grid, every event is weighted by its real holding time
+instead, and ``sim_time`` is the real elapsed time.  Either way the
 kernel draws the same numbers, so the path, the event counts and the
 ordering checks do not depend on the grid.
 
@@ -93,7 +93,7 @@ from .simulate import (
     check_event_counts,
     collector_paused,
     jumps,
-    occupancy,
+    segments,
 )
 
 
@@ -207,10 +207,12 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
     once when its rate table was built; the elapsed time after the
     warm-up, the time average of each coordinate of either list, and the
     rows of the two lists occupying the multiples of ``grid_dt`` after the
-    warm-up (see :func:`hwq.simulate.occupancy`).  Events are weighted by
-    their expected holding times ``1/q``, so ``span`` is the expected
-    elapsed time, unless ``grid_dt > 0``: then they are weighted by their
-    holding times, and ``span`` is the real elapsed time.
+    warm-up, one array per fold of the record (see
+    :func:`hwq.simulate.segments`, which folds the run after the warm-up
+    as one segment).  Events are weighted by their expected holding times
+    ``1/q``, so ``span`` is the expected elapsed time, unless
+    ``grid_dt > 0``: then they are weighted by their holding times, and
+    ``span`` is the real elapsed time.
 
     ``events``, the runner's ``ordering_checks``, counts the events,
     however many of them ran the chain's action: the count lists of every
@@ -240,8 +242,9 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
         try:
             advance(events, warmup_events, path)
             warmed = time.perf_counter()
-            states, held, span, grid = occupancy(events, path, n_events - warmup_events,
-                                                 grid_dt)
+            grid = []
+            [(states, held, _, spans)] = segments(events, path, 1, n_events - warmup_events,
+                                                  grid_dt=grid_dt, grid=grid)
             events.close()  # loads the chain's count lists with the state the last event left
             chain.check()
         except OrderingViolation as exc:
@@ -249,6 +252,7 @@ def _run_coupled(make_chain, n_events: int, rng, warmup_events: int,
             raise OrderingViolation(f"{exc} after event {ran}") from exc
         ran, states_checked = path.cleared + len(path.ids), len(path.table)
         del events, path  # the cache is acyclic: reference counting frees it
+    span = float(spans[0])
     # summed row by row, so equal columns give bit-equal averages
     avg = ((states * held[:, None]).sum(axis=0) / span).tolist()
     if record is not None:
@@ -297,7 +301,7 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
         states_checked=states_checked,
         g_time_avg=g_avg,
         z_time_avg=z_avg,
-        g_samples=[tuple(row) for row in grid[:, :nc].tolist()],
+        g_samples=[tuple(row) for rows in grid for row in rows[:, :nc].tolist()],
     )
 
 

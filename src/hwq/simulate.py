@@ -37,8 +37,9 @@ Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to a central state, ``z_i = round(rho_i*r)``
 with nobody waiting, where the run starts; any fixed recurrent state
 regenerates the chain, whereas the empty state has probability of order
-``e^{-r}``) and batch means (the default in heavy traffic).  All averages are time weighted: stationary expectations of a CTMC
-are time averages, not event averages.  Each event is weighted by its
+``e^{-r}``) and batch means (the default in heavy traffic).  All averages
+are time weighted: stationary expectations of a CTMC are time averages,
+not event averages.  Each event is weighted by its
 expected holding time ``1/q``, the conditional mean of the holding time
 given the jump chain, where ``q`` is the total rate of the state held.  A
 time average keeps its limit under this weighting, and the asymptotic
@@ -50,25 +51,28 @@ holding time's uniform, so the jump chain at a given seed is the one the
 exponential holding times would drive.
 
 Every time average in the package, here and in :mod:`hwq.coupling`, comes
-from one accumulator, the occupancy measure (:func:`occupancy`): the
-weight of the events spent in each visited state.  The kernel records,
-per event, the id of the state held in a typed array (a :class:`Path`);
-the state's total rate is in the kernel's cache.  The accumulator folds
-the record with numpy at least every ``GROUP_STATES`` events:
-``np.bincount`` sums each state's weights in time order, as one running
-sum per state would, and the states are kept in order of first visit.
-Nothing is evaluated along the path.  Per batch or regenerative cycle,
-the distinct states are stacked into int64 arrays, each functional is
-called once on them, and its values are integrated against the measure.
-The sample path, the random stream and the sums are those of a per-event
-evaluation; only the order of summation differs.  Memory holds the
-kernel's cache, one fold of the record and one batch, or one group of
-cycles that closes at the first fold bringing it to ``GROUP_STATES``
-distinct states, never the whole run.  On request the accumulator also
-records the state holding at each point of a time grid, which the
-infinite-server coupling samples; a state holding at a grid instant is a
-stationary draw only in real time, so there the accumulator weights each
-event by its holding time, ``holding_time(u, q)`` of the uniform the
+from one fold of the kernel's record, :func:`segments`: the occupancy
+measure, the weight of the events spent in each visited state, of each
+segment of the run.  A segment ends every n events (a batch, or a coupled
+run after its warm-up, as one segment) or at each visit to the state the
+run started from (a regenerative cycle); that is the only difference
+between the estimators.  The kernel records, per event, the id of the
+state held in a typed array (a :class:`Path`); the state's total rate is
+in the kernel's cache.  The fold reads the record with numpy at least
+every ``GROUP_STATES`` events: ``np.bincount`` sums each (segment, state)
+pair's weights in time order, as one running sum per pair would, and each
+segment's states are kept in order of first visit.  Nothing is evaluated
+along the path.  The segments' distinct states are stacked into int64
+arrays in groups, each functional is called once per group, and its
+values are integrated against each segment's measure.  The sample path,
+the random stream and the sums are those of a per-event evaluation; only
+the order of summation differs.  Memory holds the kernel's cache, one fold
+of the record and one group of segments, which closes at the first fold
+bringing it to ``GROUP_STATES`` distinct states, never the whole run.  On
+request the fold also records the state holding at each point of a time
+grid, which the infinite-server coupling samples; a state holding at a
+grid instant is a stationary draw only in real time, so there each event
+is weighted by its holding time, ``holding_time(u, q)`` of the uniform the
 kernel yields.
 
 Functionals take the array form ``f(Z, PSI, cfg)`` of
@@ -107,7 +111,7 @@ from .policy import QUEUE, SERVICE, init_state
 
 _REGENERATIVE_MAX_R = 50.0  # choose_estimator's limits on r and nu_max
 _REGENERATIVE_MAX_NU = 2.0
-GROUP_STATES = 2 ** 16  # events per fold of the record, and states per group of cycles
+GROUP_STATES = 2 ** 16  # events per fold of the record, rows per group of segments, cells per pass
 
 
 @dataclass(frozen=True)
@@ -460,132 +464,125 @@ def _grid_events(ends, next_grid: float, grid_dt: float, room: int, n_events: in
     return found, next_grid
 
 
-def occupancy(events, path: Path, n_events: int, grid_dt: float = 0.0):
-    """Weight per visited state over the next ``n_events`` jumps.
+def segments(events, path: Path, count: int, length: int = 0, max_events: int = 0,
+             grid_dt: float = 0.0, grid: list | None = None):
+    """The occupancy measure of each of the next ``count`` segments of the
+    run, in groups: the weight of the events spent in each state visited.
 
-    ``path`` is the :class:`Path` the kernel records into; what it recorded
-    before the call is discarded.  Each event is weighted by its expected
-    holding time ``1/q``, or, when ``grid_dt > 0``, by its holding time
-    ``holding_time(u, q)`` of the uniform the kernel yields.  Returns
-    ``(states, held, span, grid)``: the rows of the observed states
-    visited, in order of first visit, as an int64 array; the weight of
-    each, summed in time order; the elapsed time, a running sum of the
-    weights (the expected elapsed time when ``grid_dt == 0``); and, when
-    ``grid_dt > 0``, the rows of the states occupying each multiple of
-    ``grid_dt`` (measured from the start), empty otherwise.  The state
-    holding at a grid instant is an unbiased stationary draw, whereas
-    event-indexed states follow the jump-chain law.  The grid holds at most
-    ``n_events`` rows: a step that would record more raises ``ValueError``
-    (naming ``g_sample_dt``, the runner option that sets it).
+    A segment ends every ``length`` events, or, when ``length`` is 0, at
+    each visit to the first state recorded (id 0): a regenerative cycle,
+    which then starts with that visit.  ``path`` is the :class:`Path` the
+    kernel records into; what it recorded before the call is discarded.
+    Each event is weighted by its expected holding time ``1/q``, or, when
+    ``grid_dt > 0``, by its holding time ``holding_time(u, q)`` of the
+    uniform the kernel yields.  A segment longer than ``max_events`` events
+    (when that is not 0) raises :class:`CycleTimeout`.
 
-    The record is folded at least every ``GROUP_STATES`` events: the states
-    met so far, in order of first visit, and their sums are put in front of
-    the new events, so that ``np.bincount`` adds each state's weights in
-    time order, as one running sum per state would.
+    Yields ``(states, held, starts, spans)`` per group: the rows of each
+    segment's observed states in order of first visit, stacked, as an int64
+    array; the weight of each, summed in time order; the row at which each
+    segment starts; and each segment's span, a running sum of its weights
+    (the expected elapsed time when ``grid_dt == 0``).  A group closes at
+    the fold that brings it to ``GROUP_STATES`` rows, or at the last
+    segment.
+
+    With ``grid_dt > 0`` the list ``grid`` receives, per fold, the rows of
+    the states occupying each multiple of ``grid_dt`` (measured from the
+    start) in it.  The state holding at a grid instant is an unbiased
+    stationary draw, whereas event-indexed states follow the jump-chain
+    law.  The grid holds at most ``count * length`` rows: a step that would
+    record more raises ``ValueError`` (naming ``g_sample_dt``, the runner
+    option that sets it).
+
+    The record is folded at least every ``GROUP_STATES`` events: the open
+    segment's states and sums are put in front of the fold's events, each
+    (segment, state) pair's first visit is found with ``np.minimum.at`` on a
+    table of at most ``GROUP_STATES`` cells per pass (a pass of several
+    segments where they have few states), and ``np.bincount`` adds each
+    pair's weights in time order, as one running sum per pair would.
     """
     path.clear()
-    order = np.zeros(0, np.int64)  # observed ids, in order of first visit
-    sums = np.zeros(0)
-    span = 0.0
-    grid = []
+    carry_ids = _NO_IDS  # the open segment: its states in order of first visit,
+    carry_held = np.zeros(0)  # the weight of each,
+    carry_span = 0.0  # its span
+    carry_events = 0  # and its events
+    total = count * length  # the events of a run of fixed-length segments
+    elapsed = 0.0  # the time since the start, on a grid
     next_grid = grid_dt if grid_dt > 0.0 else float("inf")
-    room = n_events
-    left = n_events
-    while left:
-        n = min(left, GROUP_STATES)
-        left -= n
+    room = total  # grid instants left
+    pieces = []
+    stacked = done = simulated = 0
+    while done < count:
+        if length:
+            n = min(GROUP_STATES, total - simulated)
+        else:  # about as many events as the remaining cycles need, by the mean so far
+            n = min(GROUP_STATES, (count - done) * simulated // max(done, 1) + 256)
+        simulated += n
         if grid_dt > 0.0:
             uniforms = array("d", islice(events, n))
             ids, rates = path.take()
             held = np.array(list(map(holding_time, uniforms, rates.tolist())))
+            ends = np.add.accumulate(np.concatenate([[elapsed], held]))
+            found, next_grid = _grid_events(ends, next_grid, grid_dt, room, total)
+            for at in found:
+                grid.append(path.states[ids[at]])
+                room -= len(at)
+            elapsed = float(ends[-1])
         else:
             advance(events, n)
             ids, rates = path.take()
             held = 1.0 / rates
-        m = len(path.states)
-        seq = np.concatenate([order, ids])
-        first = np.full(m, len(seq))
-        np.minimum.at(first, seq, np.arange(len(seq)))
-        seen = np.flatnonzero(first < len(seq))
-        totals = np.bincount(seq, np.concatenate([sums, held]), m)
-        order = seen[np.argsort(first[seen])]
-        sums = totals[order]
-        ends = np.add.accumulate(np.concatenate([[span], held]))
-        found, next_grid = _grid_events(ends, next_grid, grid_dt, room, n_events)
-        for at in found:
-            grid.append(ids[at])
-            room -= len(at)
-        span = float(ends[-1])
-    grid = np.concatenate(grid) if grid else np.zeros(0, np.int64)
-    return path.states[order], sums, span, path.states[grid]
-
-
-def _cycle_groups(events, path: Path, n_cycles: int, max_events: int):
-    """The first ``n_cycles`` regenerative cycles of a chain started empty,
-    in groups: yields ``(states, held, starts, taus)`` per group, the rows
-    of each cycle's visited states in order of first visit, stacked, the
-    weight of each, the row at which each cycle starts, and each cycle's
-    length in expected time.  Each event is weighted by its expected
-    holding time ``1/q``.
-
-    A cycle starts at each visit to the empty state, the first state
-    recorded (id 0).  A group closes at the fold that brings it to
-    ``GROUP_STATES`` rows, or at the last cycle.  A cycle longer than
-    ``max_events`` events raises :class:`CycleTimeout`.  Each fold keys the
-    events by cycle and state, finds each key's first visit with
-    ``np.unique``, and sums its weights in time order with
-    ``np.bincount``; the open cycle's states and sums are put in front of
-    the next fold's events, as in :func:`occupancy`.
-    """
-    carry_ids = np.zeros(0, np.int64)  # the open cycle: its states in order of first visit,
-    carry_held = np.zeros(0)  # the weight of each,
-    carry_span = 0.0  # its length in expected time
-    carry_events = 0  # and in events
-    pieces = []
-    stacked = 0
-    done = 0
-    simulated = 0
-    while done < n_cycles:
-        # about as many events as the remaining cycles need, by the mean so far
-        n = min(GROUP_STATES, (n_cycles - done) * simulated // max(done, 1) + 256)
-        advance(events, n)
-        simulated += n
-        ids, rates = path.take()
-        held = 1.0 / rates
-        seq = np.concatenate([carry_ids, ids])
-        seg = np.cumsum(seq == 0) - 1  # cycle of each row, from the open one
-        seg_new = seg[len(carry_ids):]
-        n_seg = int(seg[-1]) + 1
-        lengths = np.bincount(seg_new, minlength=n_seg)
+        # the events that start a segment after the open one, which at the
+        # run's start is the segment its first event starts
+        bounds = (np.arange(-carry_events % length, n, length) if length
+                  else np.flatnonzero(ids == 0))
+        if not carry_events:
+            bounds = bounds[1:]
+        lengths = np.diff(bounds, prepend=0, append=n)  # per segment, its events in the fold
+        n_seg = len(lengths)
+        # each segment's span, summed in time order from the open one's
+        spans = np.bincount(np.concatenate([[0], np.repeat(np.arange(n_seg), lengths)]),
+                            np.concatenate([[carry_span], held]), n_seg)
         lengths[0] += carry_events
-        taus = np.bincount(np.concatenate([[0], seg_new]),
-                           np.concatenate([[carry_span], held]), n_seg)
-        too_long = np.flatnonzero(lengths[:n_cycles - done] > max_events)
+        too_long = np.flatnonzero(lengths[:count - done] > max_events) if max_events else ()
         if len(too_long):
             raise CycleTimeout(
                 f"cycle {done + int(too_long[0])} did not return to the regeneration state "
                 f"within {max_events} events"
             )
+        seq = np.concatenate([carry_ids, ids])
+        starts = np.concatenate([[0], len(carry_ids) + bounds, [len(seq)]])  # per segment, its row
+        # each (segment, state) pair's first visit, on a table of the pairs of a pass of segments
         m = len(path.states)
-        keys, first, inverse = np.unique(seg * m + seq, return_index=True,
-                                         return_inverse=True)
-        rank = np.empty(len(keys), np.int64)
-        by_visit = np.argsort(first)
-        rank[by_visit] = np.arange(len(keys))
-        sums = np.bincount(rank[inverse], np.concatenate([carry_held, held]))
-        keys = keys[by_visit]
-        key_seg, key_id = np.divmod(keys, m)
-        closed = min(n_seg - 1, n_cycles - done)
-        rows = int(np.searchsorted(key_seg, closed))
-        pieces.append((path.states[key_id[:rows]], sums[:rows],
-                       np.searchsorted(key_seg, np.arange(closed)) + stacked,
-                       taus[:closed]))
-        stacked += rows
+        rank = np.empty(len(seq), np.int64)  # per row, the rank of its pair's first visit
+        rows = []  # the rows of first visits, in time order
+        ranked = 0
+        per_pass = max(1, GROUP_STATES // m)
+        for s in range(0, n_seg, per_pass):
+            edges = starts[s:s + per_pass + 1]
+            lo, hi = edges[0], edges[-1]
+            keys = seq[lo:hi]
+            if len(edges) > 2:
+                keys = np.repeat(np.arange(len(edges) - 1) * m, np.diff(edges)) + keys
+            first = np.full((len(edges) - 1) * m, hi)
+            np.minimum.at(first, keys, np.arange(lo, hi))
+            found = np.sort(first[first < hi])
+            first[keys[found - lo]] = np.arange(ranked, ranked + len(found))
+            np.take(first, keys, out=rank[lo:hi])
+            rows.append(found)
+            ranked += len(found)
+        rows = np.concatenate(rows)
+        sums = np.bincount(rank, np.concatenate([carry_held, held]), ranked)
+        # the last segment stays open, unless the run's last event ends it
+        closed = min(n_seg - (simulated < total or not length), count - done)
+        k = int(np.searchsorted(rows, starts[closed]))
+        pieces.append((path.states[seq[rows[:k]]], sums[:k],
+                       np.searchsorted(rows, starts[:closed]) + stacked, spans[:closed]))
+        stacked += k
         done += closed
-        open_rows = key_seg == n_seg - 1
-        carry_ids, carry_held = key_id[open_rows], sums[open_rows]
-        carry_span, carry_events = float(taus[-1]), int(lengths[-1])
-        if stacked >= GROUP_STATES or done == n_cycles:
+        carry_ids, carry_held = seq[rows[k:]], sums[k:]
+        carry_span, carry_events = float(spans[-1]), int(lengths[-1])
+        if stacked >= GROUP_STATES or done == count:
             yield tuple(np.concatenate(part) for part in zip(*pieces))
             pieces = []
             stacked = 0
@@ -753,7 +750,8 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     customer waiting (see :func:`_policy_events`); the first cycle starts
     at time 0, and no warm-up is needed.  A cycle longer than
     ``max_events_per_cycle`` events raises :class:`CycleTimeout`.
-    Cycles are integrated in groups of at least ``GROUP_STATES`` distinct
+    Cycles are the segments of :func:`segments` that end at each return to
+    the start, integrated in groups of at least ``GROUP_STATES`` distinct
     states (the last group may be smaller), one call per functional and
     group.  When ``record`` is a dict it receives ``events``, the events
     simulated, which include those after the last cycle up to the fold
@@ -767,10 +765,10 @@ def regenerative_estimate(cfg: SystemConfig, kind: str, functionals: dict,
     ys = []  # per cycle, the integral of each functional
     taus = []
     with collector_paused():
-        for states, held, starts, group_taus in _cycle_groups(events, path, n_cycles,
-                                                               max_events_per_cycle):
+        for states, held, starts, spans in segments(events, path, n_cycles,
+                                                    max_events=max_events_per_cycle):
             ys += _integrate(states, held, starts, funcs, cfg)
-            taus += group_taus.tolist()
+            taus += spans.tolist()
         simulated, cached = path.cleared, len(path.table)
         del events, path  # the cache is acyclic: reference counting frees it
     if record is not None:
@@ -797,9 +795,13 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
                       rng, record: dict | None = None) -> dict:
     """Batch-means estimates for several functionals from a single trajectory.
 
-    A negative warm-up, an empty batch or fewer than 10 batches raise
-    ``ValueError``.  When ``record`` is a dict it receives ``states``, the
-    number of distinct states the kernel cached."""
+    After ``warmup_events`` events, the batches are the segments of
+    ``events_per_batch`` events of :func:`segments`, integrated in groups
+    of at least ``GROUP_STATES`` distinct states, one call per functional
+    and group; a batch mean is its integral over its span.  A negative
+    warm-up, an empty batch or fewer than 10 batches raise ``ValueError``.
+    When ``record`` is a dict it receives ``states``, the number of
+    distinct states the kernel cached."""
     check_event_counts(warmup_events + n_batches * events_per_batch, warmup_events)
     if n_batches < 10:
         raise ValueError("need at least 10 batches for a usable CI")
@@ -808,9 +810,9 @@ def batch_means_multi(cfg: SystemConfig, kind: str, functionals: dict,
     batch_means = []  # per batch, the time average of each functional
     with collector_paused():
         advance(events, warmup_events, path)
-        for _ in range(n_batches):
-            states, held, span, _ = occupancy(events, path, events_per_batch)
-            batch_means.append([a / span for a in _integrate(states, held, [0], funcs, cfg)[0]])
+        for states, held, starts, spans in segments(events, path, n_batches, events_per_batch):
+            batch_means += [[a / span for a in y] for y, span in
+                            zip(_integrate(states, held, starts, funcs, cfg), spans.tolist())]
         cached = len(path.table)
         del events, path  # the cache is acyclic: reference counting frees it
     if record is not None:

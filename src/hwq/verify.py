@@ -311,7 +311,7 @@ class FunctionalSpec:
 
         The one form of each functional: the exact path applies it to the
         enumerated states, and the estimators of :mod:`hwq.simulate` to the
-        states a batch or group of regenerative cycles visited.
+        states a group of batches or regenerative cycles visited.
         """
         theta, k, x = self.theta, self.k, self.x
         if self.fid == "exp_sum_zhat_plus":

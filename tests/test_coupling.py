@@ -14,7 +14,7 @@ from hwq.errors import HypothesisViolated, OrderingViolation
 from hwq.model import ClassParams, build_config
 from hwq.policy import FIFO, KINDS, NONPREEMPTIVE, PREEMPTIVE, init_state
 from hwq import simulate
-from hwq.simulate import Path, PolicyChain, RngStream, advance, jumps, load_counts, occupancy
+from hwq.simulate import Path, PolicyChain, RngStream, advance, jumps, load_counts, segments
 from hwq.exact import build_generator, enumerate_states, expectation, scaled_poisson_mgf, stationary
 from hwq.coupling import (
     InfServerChain,
@@ -211,12 +211,12 @@ def test_grid_changes_the_weights_not_the_path(kind, monkeypatch):
         taken[-1].append((ids, rates))
         return ids, rates
 
-    def spy_occupancy(*args):
-        occupied.append(occupancy(*args))
+    def spy_segments(*args, **kwargs):
+        occupied.append(list(segments(*args, **kwargs)))
         return occupied[-1]
 
     monkeypatch.setattr(Path, "take", spy_take)
-    monkeypatch.setattr("hwq.coupling.occupancy", spy_occupancy)
+    monkeypatch.setattr("hwq.coupling.segments", spy_segments)
     reports = []
     for g_sample_dt in (0.0, 0.5):
         taken.append([])
@@ -226,7 +226,7 @@ def test_grid_changes_the_weights_not_the_path(kind, monkeypatch):
     assert (plain.events, plain.ordering_checks, plain.states_checked) == \
         (gridded.events, gridded.ordering_checks, gridded.states_checked)
     assert plain.g_samples == [] and len(gridded.g_samples) > 100
-    (states, held, span, _), (grid_states, _, grid_span, _) = occupied
+    [(states, held, _, [span])], [(grid_states, _, _, [grid_span])] = occupied
     assert states.tolist() == grid_states.tolist()
     ids, rates = (np.concatenate(part) for part in zip(*taken[0]))
     grid_ids, grid_rates = (np.concatenate(part) for part in zip(*taken[1]))
@@ -379,7 +379,9 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
         path = Path(2 * SMALL.n_classes)
         events = jumps(chain, rng, path)
         advance(events, warmup, path)
-        states, held, span, grid = occupancy(events, path, n, grid_dt)
+        rows = []
+        [(states, held, _, [span])] = segments(events, path, 1, n, grid_dt=grid_dt, grid=rows)
+        grid = [row for part in rows for row in part.tolist()]
         rng = random.Random(9)
         chain = CHAINS[name](kind, rng)
         events = reference_jumps(chain, rng)
@@ -388,7 +390,7 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
         assert list(map(tuple, states.tolist())) == list(occ)
         assert held.tolist() == list(occ.values())
         assert span == want_span
-        assert list(map(tuple, grid.tolist())) == want_grid
+        assert list(map(tuple, grid)) == want_grid
         assert (len(want_grid) > 100) == (grid_dt > 0.0)
 
 

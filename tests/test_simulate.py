@@ -25,15 +25,16 @@ from hwq.simulate import (
     PolicyChain,
     RngStream,
     _Probe,
+    advance,
     batch_means_multi,
     check_event_counts,
     choose_estimator,
     default_warmup,
     fan_out,
     jumps,
-    occupancy,
     regenerative_estimate,
     sample_event,
+    segments,
     step,
     usable_cores,
 )
@@ -157,31 +158,53 @@ def test_kernel_caps_the_category_at_the_last():
     assert [-math.log(1.0 - u) / math.inf for u in yields[0]] == [0.0] * 50
 
 
+def _segments_as_dicts(groups):
+    """Per segment of the fold's groups, its occupancy as a dict in order of
+    first visit, and its span."""
+    got = []
+    for states, held, starts, spans in groups:
+        rows = list(map(tuple, states.tolist()))
+        ends = [*starts[1:].tolist(), len(rows)]
+        got += [(list(zip(rows[s:e], held[s:e].tolist())), span)
+                for s, e, span in zip(starts.tolist(), ends, spans.tolist())]
+    return got
+
+
 @pytest.mark.parametrize("kind", [FIFO, PREEMPTIVE])
 def test_cycle_groups_reproduce_reference_cycles(kind, monkeypatch):
-    # each regenerative cycle's folded record against a dict of running sums
-    # per cycle, bit for bit; small folds carry open cycles across them
+    # each regenerative cycle's, then each batch's, folded record against a
+    # dict of running sums per segment, bit for bit; small folds carry open
+    # segments across them
     monkeypatch.setattr(simulate, "GROUP_STATES", 300)
     n_cycles = 400
     rng = random.Random(21)
     state = init_state(TWO_CLASS, kind)
     path = Path()
     events = jumps(PolicyChain(state, TWO_CLASS, rng), rng, path)
-    groups = list(simulate._cycle_groups(events, path, n_cycles, 10_000))
+    groups = list(simulate.segments(events, path, n_cycles, max_events=10_000))
     rng = random.Random(21)
     chain = PolicyChain(init_state(TWO_CLASS, kind), TWO_CLASS, rng)
     events = reference_jumps(chain, rng)
     cycles = [reference_occupancy(chain, events, 10_000, until_empty=True)[:2]
               for _ in range(n_cycles)]
     assert len(groups) > 1
-    got = []
-    for states, held, starts, taus in groups:
-        rows = list(map(tuple, states.tolist()))
-        ends = [*starts[1:].tolist(), len(rows)]
-        got += [(dict(zip(rows[s:e], held[s:e].tolist())), tau)
-                for s, e, tau in zip(starts.tolist(), ends, taus.tolist())]
-    assert [(list(occ.items()), tau) for occ, tau in got] == \
-        [(list(occ.items()), tau) for occ, tau in cycles]
+    assert _segments_as_dicts(groups) == [(list(occ.items()), tau) for occ, tau in cycles]
+
+    # batches of 700 events in folds of 300: a batch spans three folds; and
+    # of 70 events: a fold holds several batches
+    for n_batches, length in ((9, 700), (40, 70)):
+        rng = random.Random(22)
+        path = Path()
+        events = jumps(PolicyChain(init_state(TWO_CLASS, kind), TWO_CLASS, rng), rng, path)
+        advance(events, 123, path)
+        groups = list(simulate.segments(events, path, n_batches, length))
+        rng = random.Random(22)
+        chain = PolicyChain(init_state(TWO_CLASS, kind), TWO_CLASS, rng)
+        events = reference_jumps(chain, rng)
+        advance(events, 123)
+        batches = [reference_occupancy(chain, events, length)[:2] for _ in range(n_batches)]
+        assert len(groups) > 1
+        assert _segments_as_dicts(groups) == [(list(occ.items()), span) for occ, span in batches]
 
 
 def test_event_category_frequencies_match_rates():
@@ -335,9 +358,18 @@ def _counting(calls):
 
 def test_estimators_call_each_functional_once_per_batch_or_group(monkeypatch):
     calls = []
-    batch_means_multi(TWO_CLASS, FIFO, {"z": _counting(calls)}, 12, 2_000, 100,
-                      RngStream(15, 0))
-    assert len(calls) == 12
+    ests = batch_means_multi(TWO_CLASS, FIFO, {"z": _counting(calls)}, 12, 2_000, 100,
+                             RngStream(15, 0))
+    assert len(calls) <= sum(calls) / GROUP_STATES + 1
+    # smaller groups: more calls, still fewer than batches, same estimate
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "GROUP_STATES", 200)
+        calls = []
+        small = batch_means_multi(TWO_CLASS, FIFO, {"z": _counting(calls)}, 12, 2_000, 100,
+                                  RngStream(15, 0))
+    assert 1 < len(calls) <= sum(calls) / 200 + 1 < 12
+    assert small["z"].value == ests["z"].value
+    assert small["z"].half_width == ests["z"].half_width
 
     # the two-class sweep system at r = 4
     cfg = build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 4.0, 1.0)
@@ -360,7 +392,10 @@ def test_occupancy_has_at_most_one_state_per_event(kind):
         state = init_state(TWO_CLASS, kind)
         path = Path()
         events = jumps(PolicyChain(state, TWO_CLASS, rng), rng, path)
-        states, held, span, grid = occupancy(events, path, 5_000, grid_dt=grid_dt)
+        rows = []
+        [(states, held, _, [span])] = segments(events, path, 1, 5_000, grid_dt=grid_dt,
+                                               grid=rows)
+        grid = np.concatenate(rows) if rows else np.zeros((0, 4), np.int64)
         visited = set(map(tuple, states.tolist()))
         assert 1 < len(states) == len(visited) == len(held) <= 5_000
         assert sum(held) == pytest.approx(span, rel=1e-12)
