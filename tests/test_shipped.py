@@ -30,7 +30,7 @@ VERSIONS = {"numpy": numpy.__version__, "scipy": scipy.__version__}
 REFUSAL = "hwq: config error: policy: exact solve supports priority policies only, not 'fifo'\n"
 
 
-def run(command, config, out, capsys=None):
+def run(command, config, out):
     """``{"exit", "rows", "sha256"}`` of ``command`` on ``config``: its
     CSV's data rows and digest, both None where it wrote none."""
     rc = main([command, "--config", str(config), "--out", str(out), "--jobs", "1"])
@@ -42,14 +42,10 @@ def run(command, config, out, capsys=None):
     return {"exit": rc, "rows": rows, "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
 
 
-def _pinned():
-    return json.loads(PINNED.read_text())
-
-
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
 def test_shipped_config_runs(config, command, tmp_path, capsys):
-    pinned = _pinned()
+    pinned = json.loads(PINNED.read_text())
     want = pinned["runs"][f"{config.stem}/{command}"]
     got = run(command, config, tmp_path / "out")
     err = capsys.readouterr().err
