@@ -158,9 +158,9 @@ def test_kernel_caps_the_category_at_the_last():
     assert [-math.log(1.0 - u) / math.inf for u in yields[0]] == [0.0] * 50
 
 
-def _segments_as_dicts(groups):
-    """Per segment of the fold's groups, its occupancy as a dict in order of
-    first visit, and its span."""
+def _segment_occupancies(groups):
+    """Per segment of the fold's groups, its ``(state, weight)`` pairs in
+    order of first visit, and its span."""
     got = []
     for states, held, starts, spans in groups:
         rows = list(map(tuple, states.tolist()))
@@ -188,7 +188,7 @@ def test_cycle_groups_reproduce_reference_cycles(kind, monkeypatch):
     cycles = [reference_occupancy(chain, events, 10_000, until_empty=True)[:2]
               for _ in range(n_cycles)]
     assert len(groups) > 1
-    assert _segments_as_dicts(groups) == [(list(occ.items()), tau) for occ, tau in cycles]
+    assert _segment_occupancies(groups) == [(list(occ.items()), tau) for occ, tau in cycles]
 
     # batches of 700 events in folds of 300: a batch spans three folds; and
     # of 70 events: a fold holds several batches
@@ -204,7 +204,7 @@ def test_cycle_groups_reproduce_reference_cycles(kind, monkeypatch):
         advance(events, 123)
         batches = [reference_occupancy(chain, events, length)[:2] for _ in range(n_batches)]
         assert len(groups) > 1
-        assert _segments_as_dicts(groups) == [(list(occ.items()), span) for occ, span in batches]
+        assert _segment_occupancies(groups) == [(list(occ.items()), span) for occ, span in batches]
 
 
 def test_event_category_frequencies_match_rates():
