@@ -10,8 +10,14 @@ in a tractable way and is excluded.
 Each state has a key, its number in base K+2 over its digits.  Every
 transition changes one or two digits by one, so the generator is assembled
 on keys alone: a target's key is its source's key plus the transition
-slot's change, and all targets are found with one search of the sorted
-state keys.  Digit arrays are built only for the targets beyond K.
+slot's change, and each slot's targets are found with one search of the
+sorted state keys.  States are numbered by level and then by key, so the
+column order of every row is known in advance, and ``Q``'s CSR arrays are
+written slot by slot, with no sparse assembly; the row sums that give the
+diagonal are scipy's own (``np.add.reduceat``), so ``Q`` is bitwise the
+matrix scipy would assemble.  :func:`generator_peak_bytes` bounds the
+bytes the build allocates.  Digit arrays are built only for the targets
+beyond K.
 
 Truncation drops arrival transitions out of the top level, which keeps row
 sums at zero and yields a proper chain; the neglected stationary mass is
@@ -25,9 +31,10 @@ solvers censor levels out exactly.  Block GTH censors the top level out one
 at a time, each level block factored by LAPACK, at a fixed cost of about
 16 us per level.  Where the levels are wide, the odd levels are censored out
 at once (an odd-level state jumps only to even levels, so no factoring is
-needed) and Jacobi-preconditioned BiCGSTAB solves the balance equations of
-the even-level chain, pinned at the empty state; the odd levels follow in
-one step.  The level solver's accuracy is what the oracle tests check
+needed: one sparse product of two factors whose arrays are laid out
+straight from ``Q``'s) and Jacobi-preconditioned BiCGSTAB solves the
+balance equations of the even-level chain, pinned at the empty state; the
+odd levels follow in one step.  The level solver's accuracy is what the oracle tests check
 (1e-12 relative, entry by entry, against birth-death laws with entries
 below 1e-40); LU factoring is not subtraction-free.
 
@@ -64,6 +71,7 @@ if TYPE_CHECKING:
 # smaller chains its ~16 us per level dominates (2 ms for 121 one-state levels).
 _GTH_MAX_WORK = 1e9
 _KRYLOV_TOL_REL = 1e-13
+_OBJECT_BYTES = 64 * 1024  # Python objects: array headers, the matrix, the closure
 
 
 def import_scipy() -> None:
@@ -108,7 +116,7 @@ class StateIndex:
         j = np.searchsorted(self.keys, keys)
         np.minimum(j, self.n_states - 1, out=j)
         missing = self.keys[j] != keys
-        j = self.order[j]
+        self.order.take(j, out=j, mode="clip")  # in place: j is in range already
         j[missing] = -1
         return j
 
@@ -202,6 +210,48 @@ def count_states(cfg: SystemConfig, kind: str, K: int) -> int:
     return math.comb(N - 1 + n, n) + math.comb(N + n - 1, n - 1) * math.comb(K - N + n, n)
 
 
+def generator_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
+    """An upper bound on the bytes :func:`build_generator` allocates for the
+    chain of ``enumerate_states(cfg, kind, K)``, derived from its arrays.
+
+    n is :func:`count_states`; every one of the 3 * n_classes slots is taken
+    to fire at every state, so ``Q`` holds at most e = n (3 n_classes + 1)
+    entries: ``data`` (8 bytes each) and ``indices`` (x = 4 bytes each, 8
+    beyond int32) are live throughout, with ``indptr``.  The build's three
+    steps add, per state unless said otherwise:
+
+    - a departure slot: the keys and the refills (8 bytes each), the
+      served, queued and split flags (n_classes bytes each), the
+      kept-arrivals flag, the write cursor (x) and the abandonment-first
+      flag; the slot's rows, target keys and rates (8 each), entries (x) and
+      pair flag; the search's positions and gathered keys (8 each), two
+      flags and the columns cast to ``indices``' type (x).  An arrival slot
+      holds fewer;
+    - the diagonal: the kept-arrivals flag and the diagonal's positions (x),
+      the off-diagonal rates (8 bytes per entry, less one per state), and
+      the larger of the selection's one-byte mask per entry and the row
+      starts (2x), their int64 copy and the exit rates (8 each);
+    - the targets beyond K: the exit rates and the kept-arrivals flag, and
+      per level-K state its index, its n_classes class and row numbers (8
+      each), and six arrays of n_classes rows of n_classes int64 digits:
+      ``beyond_z``, ``beyond_psi`` and the reallocation's four temporaries.
+
+    Array headers and the matrix object add a few kilobytes, bounded by
+    ``_OBJECT_BYTES``.  The bound is reached where every slot fires;
+    the measured peak is below it (see the tests).
+    """
+    n = count_states(cfg, kind, K)
+    top = n - count_states(cfg, kind, K - 1)  # the level-K states
+    c = cfg.n_classes
+    e = n * (3 * c + 1)
+    x = 4 if e <= np.iinfo(np.int32).max else 8
+    held = (8 + x) * e + x * (n + 1)
+    departure = n * ((8 + 8 + 3 * c + 1 + x + 1) + (8 + 8 + 8 + x + 1) + (8 + 8 + 1 + 1 + x))
+    diagonal = n * (1 + x) + 8 * (e - n) + max(e, n * (2 * x + 8 + 8))
+    beyond = n * (8 + 1) + top * (8 + 16 * c + 6 * 8 * c * c)
+    return held + max(departure, diagonal, beyond) + _OBJECT_BYTES
+
+
 @dataclass(frozen=True)
 class SparseGenerator:
     """Truncated generator plus the targets truncation drops.
@@ -220,13 +270,14 @@ class SparseGenerator:
 
 
 def build_generator(idx: StateIndex) -> SparseGenerator:
-    """Assemble the transitions of every state at once.
+    """Write the CSR arrays of ``Q`` slot by slot, with no sparse assembly.
 
-    Each state gets 3 * n_classes transition slots, in the order arrivals by
-    class, then service completion and abandonment of each class; slots
-    that cannot fire (nobody in service, nobody queued, nu = 0) are dropped.
-    A target is found by its key, the source's key plus the slot's change
-    of one or two digits (weights wz, wp of :func:`_key_weights`):
+    Each state has 3 * n_classes transition slots: an arrival, a service
+    completion and an abandonment of each class; slots that cannot fire
+    (nobody in service, nobody queued, nu = 0) are dropped, and so are the
+    arrivals out of level K.  A target is found by its key, the source's
+    key plus the slot's change of one or two digits (weights wz, wp of
+    :func:`_key_weights`):
 
     - an arrival of class c adds wz[c], and wp[c] where a non-preemptive
       server is free to take it;
@@ -235,62 +286,99 @@ def build_generator(idx: StateIndex) -> SparseGenerator:
       which adds wp[t] (a completion leaves every queue as it is);
     - an abandonment of class c subtracts wz[c].
 
-    Preemptive keys cover z only, so the reallocation needs no term.  The
-    keys are found with one search; only the targets beyond K get digit
-    arrays.  The tests replay the :mod:`hwq.policy` operations state by
-    state and check every array here against the replay's, which keeps the
-    exact chain and the simulated chain together.
+    Preemptive keys cover z only, so the reallocation needs no term.
+    States are numbered by level and, within a level, by key, so each row's
+    column order is known before any target is found: the departures by
+    class ascending, a class's service completion and abandonment ordered by
+    target key (one entry, the two rates summed, where the server goes back
+    to class c: always, preemptive), then the diagonal, then the arrivals
+    by class descending.  Each row's length gives ``indptr``; every slot
+    then writes one ``indices`` and one ``data`` entry per state at once,
+    its targets found with one search of the sorted keys, so no temporary
+    is longer than the state count except in the diagonal's step.  That
+    step sums each row's off-diagonal rates by ``np.add.reduceat`` over
+    them, as scipy's row sum does, so ``Q`` is bitwise the matrix scipy
+    assembles from the same transitions (as the replay oracle does).
+    :func:`generator_peak_bytes` bounds the bytes this allocates.  The tests
+    replay the :mod:`hwq.policy` operations state by state and check every
+    array here against the replay's, which keeps the exact chain and the
+    simulated chain together.
     """
     from scipy import sparse
 
-    cfg, Z, PSI = idx.cfg, idx.z, idx.psi
+    cfg, Z, PSI, level = idx.cfg, idx.z, idx.psi, idx.level
     n, nc = Z.shape
     wz, wp = _key_weights(idx.kind, idx.K, nc)
     key = np.empty(n, dtype=np.int64)
     key[idx.order] = idx.keys
-    free = idx.level < cfg.n_servers  # sum(psi) = min(N, level)
     waiting = Z > PSI
     refill = np.zeros(n, dtype=np.int64)  # wp of the highest waiting class, if any
     for c in range(nc):
         refill[waiting[:, c]] = wp[c]
-    target = np.empty((n, 3 * nc), dtype=np.int64)  # each slot's target key
-    rate = np.empty((n, 3 * nc))
-    can = np.ones((n, 3 * nc), dtype=bool)
-    for c in range(nc):
-        arr, svc, ab = c, nc + 2 * c, nc + 2 * c + 1
-        target[:, arr] = wz[c] + free * wp[c]
-        target[:, svc] = refill - (wz[c] + wp[c])
-        target[:, ab] = -wz[c]
-        rate[:, arr] = cfg.arrival_rates[c]
-        rate[:, svc] = cfg.mus[c] * PSI[:, c]
-        rate[:, ab] = cfg.nus[c] * (Z[:, c] - PSI[:, c])
-        can[:, svc] = PSI[:, c] > 0
-        can[:, ab] = waiting[:, c] & (cfg.nus[c] > 0.0)
-    target += key[:, None]
+    served = PSI > 0
+    queued = waiting & (np.asarray(cfg.nus) > 0.0)
+    del waiting
+    # a class's service completion reaches its abandonment's target where the
+    # server goes back to that class (refill = wp[c]), else the two split
+    split = served & queued & (refill[:, None] != wp)
+    below = level < idx.K  # the states whose arrivals are kept
+    length = (served | queued).sum(axis=1) + split.sum(axis=1) + 1 + nc * below
+    nnz = int(length.sum())
+    itype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64  # as scipy picks
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(length, dtype=itype, out=indptr[1:])
+    del length
+    indices = np.empty(nnz, dtype=itype)
+    data = np.empty(nnz)
+    at = indptr[:-1].copy()  # each row's first entry not yet written
 
-    keep = can.ravel()
-    slot = np.flatnonzero(keep)
-    src = slot // (3 * nc)
-    rate = rate.ravel()[keep]
-    dst = idx.find(target.ravel()[keep])
-    del target
-    out = dst < 0
-    lost = src[out & (idx.level < idx.K)[src]]
-    if lost.size:
-        raise AssertionError(f"interior state {lost[0]} produced an unindexed target")
-    # the targets beyond K: one arrival per (level-K state, class), slot = class
-    b_src, b_cls = src[out], slot[out] % (3 * nc)
-    beyond_z, beyond_psi = Z[b_src], PSI[b_src]
-    beyond_z[np.arange(b_src.size), b_cls] += 1
+    def put(rows, entry, keys, rates):
+        cols = idx.find(keys)
+        if (cols < 0).any():
+            raise AssertionError(f"state {rows[np.argmin(cols)]} produced an unindexed target")
+        indices[entry], data[entry] = cols, rates
+
+    for c in range(nc):
+        s, q, two = served[:, c], queued[:, c], split[:, c]
+        ab_low = two & (refill > wp[c])  # the lower key is the abandonment's
+        rows = np.flatnonzero(s)
+        put(rows, at[rows] + ab_low[rows], key[rows] + (refill[rows] - wz[c] - wp[c]),
+            cfg.mus[c] * PSI[rows, c])
+        rows = np.flatnonzero(q)
+        entry = at[rows] + (two & ~ab_low)[rows]
+        rate = cfg.nus[c] * (Z[rows, c] - PSI[rows, c])
+        pair = (s & ~two)[rows]  # the service's entry: the two rates summed
+        rate[pair] += data[entry[pair]]
+        put(rows, entry, key[rows] - wz[c], rate)
+        at += s | q
+        at += two
+    del served, queued, split, refill
+    diag = at  # then the arrivals, class descending
+    rows = np.flatnonzero(below)
+    free = level[rows] < cfg.n_servers  # sum(psi) = min(N, level)
+    for c in range(nc):
+        put(rows, diag[rows] + (nc - c), key[rows] + (wz[c] + free * wp[c]),
+            cfg.arrival_rates[c])
+    del rows, free, key
+
+    # every row has an off-diagonal rate: arrivals below K, and at K >= N a
+    # customer in service, so each reduceat segment is one row's rates
+    indices[diag] = np.arange(n)
+    exit_rates = np.add.reduceat(np.delete(data, diag), indptr[:-1] - np.arange(n, dtype=itype))
+    data[diag] = -exit_rates
+    del diag
+    Q = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    # the targets beyond K: one arrival per (level-K state, class), the
+    # level-K states the last block; no server is free there, as K >= N
+    top = np.flatnonzero(~below)
+    cls = np.tile(np.arange(nc), top.size)
+    beyond_z = np.repeat(Z[top], nc, axis=0)
+    beyond_z[np.arange(cls.size), cls] += 1
     if idx.kind == PREEMPTIVE:
         beyond_psi = _allocate_by_priority(beyond_z, cfg.n_servers)
     else:
-        beyond_psi[np.arange(b_src.size), b_cls] += free[b_src]
-
-    kept = ~out
-    off = sparse.coo_matrix((rate[kept], (src[kept], dst[kept])), shape=(n, n)).tocsr()
-    exit_rates = np.asarray(off.sum(axis=1)).ravel()
-    Q = (off + sparse.diags(-exit_rates)).tocsr()
+        beyond_psi = np.repeat(PSI[top], nc, axis=0)
     return SparseGenerator(idx=idx, Q=Q, beyond_z=beyond_z, beyond_psi=beyond_psi,
                            max_exit_rate=float(exit_rates.max() + sum(cfg.arrival_rates)))
 
@@ -328,25 +416,49 @@ def _check_levels_fit(widths) -> None:
         )
 
 
+def _entry_rows(Q: sparse.csr_matrix):
+    """The row of each stored entry of ``Q``, and which entries are off the
+    diagonal: index-sized and one byte per entry, so no int64 copy."""
+    row = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
+    return row, Q.indices != row
+
+
 def off_diagonal(Q: sparse.csr_matrix):
     """The off-diagonal entries of ``Q`` in row order, as (row, col, rate)."""
-    row = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
-    k = np.flatnonzero(Q.indices != row)
-    return row[k], Q.indices[k], Q.data[k]
+    row, off = _entry_rows(Q)
+    return row[off], Q.indices[off], Q.data[off]
 
 
-def _level_moves(Q: sparse.csr_matrix, level: np.ndarray):
-    """:func:`off_diagonal` and the level step of each entry; refuse a rate
+def _level_steps(Q: sparse.csr_matrix, level: np.ndarray):
+    """:func:`_entry_rows` and the level step of each entry; refuse a rate
     that moves other than one level, which both stationary solvers rely on."""
-    row, col, rate = off_diagonal(Q)
+    row, off = _entry_rows(Q)
     level = level.astype(Q.indices.dtype)  # levels are below n: the narrow index type
-    step = level[col]
-    step -= level[row]
-    bad = (step != 1) & (step != -1)
+    step = level[Q.indices]
+    step -= np.repeat(level, np.diff(Q.indptr))  # level[row]
+    bad = off & (step != 1) & (step != -1)
     if bad.any():
         k = np.flatnonzero(bad)[0]
-        raise Unsupported(f"the transition {row[k]} -> {col[k]} moves {step[k]} levels, not one")
-    return row, col, rate, step
+        raise Unsupported(f"the transition {row[k]} -> {Q.indices[k]} moves {step[k]} levels, "
+                          "not one")
+    return row, off, step
+
+
+def _row_sums(data, indptr):
+    """Each CSR row's entries added left to right from 0.0, as ``np.bincount``
+    adds its weights.  The k-th entries of all rows are added at once, the
+    rows sorted longest first so that those holding a k-th entry are a
+    prefix; no temporary is longer than the row count."""
+    lens = np.diff(indptr)
+    order = np.argsort(lens)[::-1]
+    start = indptr[order]
+    longer = lens.size - np.cumsum(np.bincount(lens))  # [k]: the rows with more than k entries
+    sums = np.zeros(lens.size)
+    for k in range(lens.max(initial=0)):
+        sums[:longer[k]] += data[start[:longer[k]] + k]
+    out = np.empty(lens.size)
+    out[order] = sums
+    return out
 
 
 def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
@@ -373,7 +485,9 @@ def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
     if widths[0] != 1:
         raise Unsupported(f"the lowest level holds {widths[0]} states, not one")
     _check_levels_fit(widths)
-    row, col, rate, step = _level_moves(Q, level)
+    row, off, step = _level_steps(Q, level)
+    row, col, rate, step = row[off], Q.indices[off], Q.data[off], step[off]
+    del off
     blk = np.repeat(np.arange(widths.size), widths)  # the level block of each state
 
     # every downward block, dense, in one buffer: block b is w_b x w_{b-1}
@@ -469,43 +583,66 @@ def _censor_odd_levels(Q: sparse.csr_matrix, level: np.ndarray):
     the exit rates of O: Q_E = Q_EE + Q_EO D_O^{-1} Q_OE (the stochastic
     complement; Meyer, SIAM Review 31, 1989).  Q_EE is diagonal, so the
     off-diagonal part of Q_E is that of one product,
-    [Q_EO | I] [D_O^{-1} Q_OE ; I], whose blocks are laid out straight from
-    the rates in row order.  The unit path through a dummy state stores
-    every diagonal entry of the product, and each is then overwritten, as
-    in GTH, by minus its row's off-diagonal sum, so the self-returns
-    E -> O -> E drop out.  Returns Q_E and D_O.  The flat arrays are freed
-    before the product and the factors after it, so the peak stays below
-    that of :func:`build_generator`.
+    [Q_EO | I] [D_O^{-1} Q_OE ; I].  Both factors' CSR arrays are written
+    straight from ``Q``'s, selected by one-byte masks: each even row's rates
+    to O and then a unit entry, the odd rows' rates over D_O and then the
+    unit rows.  The unit path stores a diagonal entry in every row of the
+    product, also where no path E -> O -> E returns; each is then
+    overwritten, as in GTH, by minus its row's off-diagonal sum, so the
+    self-returns drop out.  D_O and those sums are added left to right
+    (:func:`_row_sums`).  Returns Q_E and D_O.  The masks are freed before
+    the product and the factors after it, so the peak is the two factors
+    and the product.
     """
     from scipy import sparse
 
-    row, col, rate, _ = _level_moves(Q, level)
+    row, off, step = _level_steps(Q, level)
+    del step
     even = level % 2 == 0
     n_even = int(even.sum())
     n_odd = even.size - n_even
-    pos = np.empty(even.size, dtype=Q.indices.dtype)  # index within E or within O
+    itype = Q.indices.dtype
+    pos = np.empty(even.size, dtype=itype)  # index within E or within O
     pos[even], pos[~even] = np.arange(n_even), np.arange(n_odd)
-    eo = even[row]  # the rates of Q_EO; the others are Q_OE's
-    oe = ~eo
-    src, dst = pos[row], pos[col]
-    del row, col, pos
-    exit_odd = np.bincount(src[oe], weights=rate[oe], minlength=n_odd)
+    moves = np.diff(Q.indptr)  # each row's off-diagonal rates: its entries less the diagonal
+    moves[row[~off]] -= 1
+    from_even = np.repeat(even, np.diff(Q.indptr))  # even[row]
+    eo = off & from_even  # the entries of Q_EO; Q_OE's are the other off-diagonal ones
+    off &= ~from_even
+    del row, from_even
 
-    def block(mask, vals, shape):  # rows in order already: no sort
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(src[mask], minlength=shape[0]))])
-        return sparse.csr_matrix((vals, dst[mask], ptr), shape=shape)
+    a_ptr = np.zeros(n_even + 1, dtype=itype)
+    np.cumsum(moves[even] + 1, out=a_ptr[1:])
+    unit = np.zeros(a_ptr[-1], dtype=bool)
+    unit[a_ptr[1:] - 1] = True  # the last entry of each row
+    a_data, a_cols = np.ones(a_ptr[-1]), np.empty(a_ptr[-1], dtype=itype)
+    a_cols[unit] = n_odd + np.arange(n_even, dtype=itype)
+    np.logical_not(unit, out=unit)
+    a_data[unit] = Q.data[eo]
+    a_cols[unit] = pos[Q.indices[eo]]
+    del unit, eo
 
-    unit = sparse.identity(n_even, format="csr")
-    left = sparse.hstack([block(eo, rate[eo], (n_even, n_odd)), unit], format="csr")
-    right = sparse.vstack([block(oe, rate[oe] / exit_odd[src[oe]], (n_odd, n_even)), unit],
-                          format="csr")
-    del src, dst, rate, eo, oe
-    QE = left @ right
-    del left, right
-    rows = np.repeat(np.arange(n_even, dtype=QE.indices.dtype), np.diff(QE.indptr))
-    diag = QE.indices == rows  # one per row, in row order
+    n_oe = int(moves[~even].sum())
+    b_ptr = np.empty(n_odd + n_even + 1, dtype=itype)
+    b_ptr[0] = 0
+    np.cumsum(moves[~even], out=b_ptr[1:n_odd + 1])
+    b_ptr[n_odd + 1:] = n_oe + np.arange(1, n_even + 1, dtype=itype)
+    b_data, b_cols = np.ones(n_oe + n_even), np.empty(n_oe + n_even, dtype=itype)
+    b_data[:n_oe] = Q.data[off]
+    b_cols[:n_oe] = pos[Q.indices[off]]
+    b_cols[n_oe:] = np.arange(n_even, dtype=itype)
+    del off, pos, moves
+    exit_odd = _row_sums(b_data, b_ptr[:n_odd + 1])
+    b_data[:n_oe] /= np.repeat(exit_odd, np.diff(b_ptr[:n_odd + 1]))
+
+    QE = (sparse.csr_matrix((a_data, a_cols, a_ptr), shape=(n_even, n_odd + n_even))
+          @ sparse.csr_matrix((b_data, b_cols, b_ptr), shape=(n_odd + n_even, n_even)))
+    del a_data, a_cols, a_ptr, b_data, b_cols, b_ptr
+    row, off = _entry_rows(QE)
+    diag = np.flatnonzero(~off)  # one per row, in row order
+    del row, off
     QE.data[diag] = 0.0
-    QE.data[diag] = -np.bincount(rows, weights=QE.data, minlength=n_even)
+    QE.data[diag] = -_row_sums(QE.data, QE.indptr)
     return QE, exit_odd
 
 

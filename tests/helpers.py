@@ -17,7 +17,9 @@ table of the state held; where a time grid is asked for, it is the
 holding time ``-log(1 - u)/q`` of the uniform ``u`` the kernel yields.
 ``per_event_coupled`` does the same for the two coupling runners, with the
 time grid walked over the recorded event end times.  ``validate_macro_state`` is
-the invariant oracle for the policy states.  ``reference_jumps`` and
+the invariant oracle for the policy states.  ``censor_odd_levels_stacked``
+forms the censored chain from scipy's block stacking, the oracle for the
+arrays ``hwq.exact`` writes itself.  ``reference_jumps`` and
 ``reference_occupancy`` are the kernel and the accumulator as they were
 before the kernel cached each state's rates: a fresh rate table per event,
 scanned linearly, and a dict of running sums per state.  The cached kernel
@@ -219,6 +221,44 @@ def replay_generator(idx):
         max_exit_rate=float(exit_rates.max() + dropped.max()),
     )
     return gen, Transitions(src, rate, dst, dst_z, dst_psi)
+
+
+def censor_odd_levels_stacked(Q, level):
+    """The chain censored to the even levels, ``(Q_E, D_O)``, formed as
+    ``hwq.exact._censor_odd_levels`` formed it before it wrote its factors'
+    arrays itself: the off-diagonal rates in row order, the blocks Q_EO and
+    D_O^{-1} Q_OE, and the product [Q_EO | I] [D_O^{-1} Q_OE ; I] of scipy's
+    ``hstack`` and ``vstack`` with an identity; each diagonal entry of the
+    product is then replaced by minus its row's off-diagonal sum, by
+    ``np.bincount``."""
+    n = Q.shape[0]
+    row = np.repeat(np.arange(n, dtype=Q.indices.dtype), np.diff(Q.indptr))
+    k = np.flatnonzero(Q.indices != row)
+    row, col, rate = row[k], Q.indices[k], Q.data[k]
+    even = level % 2 == 0
+    n_even = int(even.sum())
+    n_odd = n - n_even
+    pos = np.empty(n, dtype=Q.indices.dtype)
+    pos[even], pos[~even] = np.arange(n_even), np.arange(n_odd)
+    eo = even[row]
+    oe = ~eo
+    src, dst = pos[row], pos[col]
+    exit_odd = np.bincount(src[oe], weights=rate[oe], minlength=n_odd)
+
+    def block(mask, vals, shape):
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(src[mask], minlength=shape[0]))])
+        return sparse.csr_matrix((vals, dst[mask], ptr), shape=shape)
+
+    unit = sparse.identity(n_even, format="csr")
+    left = sparse.hstack([block(eo, rate[eo], (n_even, n_odd)), unit], format="csr")
+    right = sparse.vstack([block(oe, rate[oe] / exit_odd[src[oe]], (n_odd, n_even)), unit],
+                          format="csr")
+    QE = left @ right
+    rows = np.repeat(np.arange(n_even, dtype=QE.indices.dtype), np.diff(QE.indptr))
+    diag = QE.indices == rows
+    QE.data[diag] = 0.0
+    QE.data[diag] = -np.bincount(rows, weights=QE.data, minlength=n_even)
+    return QE, exit_odd
 
 
 def validate_macro_state(s, cfg):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import sparse
 
 from helpers import (
     birth_death_mean,
+    censor_odd_levels_stacked,
     dense_stationary,
     erlang_a_stationary,
     mmn_stationary,
@@ -31,6 +33,7 @@ from hwq.exact import (
     _GTH_MAX_WORK,
     _KRYLOV_TOL_REL,
     _bicgstab_even,
+    _censor_odd_levels,
     _check_key_range,
     _check_levels_fit,
     _gth_levels,
@@ -40,6 +43,8 @@ from hwq.exact import (
     count_states,
     enumerate_states,
     expectation,
+    generator_peak_bytes,
+    import_scipy,
     negpart_square_bound,
     negpart_square_mgf,
     off_diagonal,
@@ -123,6 +128,27 @@ def test_state_index_bytes_are_predicted(kind, K):
     assert held == 8 * idx.n_states * (2 * TWO_CLASS_AB.n_classes + 3)
 
 
+@pytest.mark.parametrize("cfg, K", [
+    (TWO_CLASS_AB, 84),  # the exact_wide chain
+    (build_config([ClassParams(0.3, 1.0, 0.5), ClassParams(0.8, 2.0, 1.0),
+                   ClassParams(0.9, 3.0, 2.0)], 9.0, 1.0), 24),
+], ids=["exact_wide", "three_class_r9_K24"])
+def test_generator_peak_bytes_bound_the_build(cfg, K):
+    # the derived bound against the bytes the build allocates, traced
+    idx = enumerate_states(cfg, NONPREEMPTIVE, K)
+    import_scipy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gen = build_generator(idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gen.Q.nnz < idx.n_states * (3 * cfg.n_classes + 1)  # some slots cannot fire
+    assert peak <= generator_peak_bytes(cfg, NONPREEMPTIVE, K)
+
+
 def test_state_index_memory_refusal():
     check_chain_fits(TWO_CLASS_AB, NONPREEMPTIVE, 84)
     with pytest.raises(InsufficientMemory, match="K = 10000000: the state index of "
@@ -142,6 +168,18 @@ _REPLAY_SYSTEMS = {
     "3 classes, nu_1 = 0": build_config(
         [ClassParams(0.2, 1.0, 0.3), ClassParams(0.6, 2.0, 0.0),
          ClassParams(0.25, 0.5, 0.4)], 1.0, 1.0),
+    # every slot can fire: non-preemptive rows reach eight off-diagonal
+    # targets (a completion and an abandonment of the class that refills the
+    # server share one)
+    "3 classes, every nu > 0": build_config(
+        [ClassParams(0.2, 1.0, 0.3), ClassParams(0.6, 2.0, 0.7),
+         ClassParams(0.25, 0.5, 0.4)], 1.0, 1.0),
+    # non-preemptive rows reach ten off-diagonal targets at the default K,
+    # where np.add.reduceat (scipy's row sum) adds all but a row's first
+    # rate pairwise, not left to right
+    "4 classes, every nu > 0": build_config(
+        [ClassParams(0.2, 1.0, 0.3), ClassParams(0.6, 2.0, 0.7),
+         ClassParams(0.15, 0.5, 0.4), ClassParams(0.3, 1.5, 0.9)], 1.0, 1.0),
 }
 
 
@@ -335,6 +373,33 @@ def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
     assert iterations > 0
     assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
     _assert_close(pi_k, pi_gth, tv_max, abs_max)
+
+
+def _sorted_rows(M):
+    """The entries of a CSR matrix, each row's sorted by column."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    order = np.lexsort((M.indices, rows))
+    return M.indices[order], M.data[order]
+
+
+@pytest.mark.parametrize("cfg, K", [
+    (TWO_CLASS_AB, 84),  # the exact_wide chain
+    (build_config(THREE_CLASS_AB.classes, 9.0, 1.0), 24),
+    # nu = 0: 91 of the 1,336 even states have no path E -> O -> E back to
+    # themselves, so only the unit path gives their row a diagonal entry
+    (build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 9.0, 1.0), 30),
+], ids=["exact_wide", "three_class_r9_K24", "two_class_nu0_K30"])
+def test_censored_chain_matches_stacked_product(cfg, K):
+    # D_O and every entry of Q_E, bit for bit, against scipy's block stacking
+    idx = enumerate_states(cfg, NONPREEMPTIVE, K)
+    Q = build_generator(idx).Q
+    QE, exit_odd = _censor_odd_levels(Q, idx.level)
+    want, want_exit = censor_odd_levels_stacked(Q, idx.level)
+    assert np.array_equal(exit_odd.view(np.int64), want_exit.view(np.int64))
+    assert np.array_equal(QE.indptr, want.indptr)
+    (cols, vals), (want_cols, want_vals) = _sorted_rows(QE), _sorted_rows(want)
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(vals.view(np.int64), want_vals.view(np.int64))
 
 
 @pytest.mark.parametrize("K", [120, 121])

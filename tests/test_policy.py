@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import deque
 from itertools import islice
 
 import pytest
@@ -121,6 +122,50 @@ def test_fifo_abandonment_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         st.apply_departure(0, QUEUE)
     assert st.z == [2, 1]
+
+
+class _Pick:
+    """Stands in for an rng whose uniform choice is fixed to ``j``; ``n`` is
+    the range of the last draw."""
+
+    def __init__(self, j):
+        self.j = j
+        self.n = None
+
+    def randrange(self, n):
+        assert 0 <= self.j < n
+        self.n = n
+        return self.j
+
+
+def _leave_by_scan(queue, cls, j):
+    """The j-th queued customer of class ``cls`` leaves, found by a Python
+    scan of the queue: the rule ``FifoState._leave`` keeps."""
+    for pos, label in enumerate(queue):
+        if label == cls:
+            if j == 0:
+                del queue[pos]
+                return
+            j -= 1
+
+
+def test_fifo_abandonment_removes_the_jth_of_its_class():
+    # every j of every class, on seeded random queues of three classes
+    cfg = build_config([ClassParams(0.2, 1.0, 0.3), ClassParams(0.6, 2.0, 0.7),
+                        ClassParams(0.25, 0.5, 0.4)], 1.0, 1.0)
+    rng = random.Random(88)
+    for _ in range(200):
+        labels = [rng.randrange(3) for _ in range(rng.randrange(1, 30))]
+        for cls in set(labels):
+            for j in range(labels.count(cls)):
+                st = init_state(cfg, FIFO)
+                st.queue.extend(labels)
+                pick = _Pick(j)
+                assert st._leave(cls, pick) == 0
+                assert pick.n == labels.count(cls)
+                want = deque(labels)
+                _leave_by_scan(want, cls, j)
+                assert st.queue == want
 
 
 def test_fifo_uniform_choice_is_seeded():
@@ -250,17 +295,6 @@ def test_fifo_counts_match_queue():
         q = [zi - pi for zi, pi in zip(z, psi)]
         assert q == want
         assert sum(psi) == min(cfg.n_servers, sum(z))
-
-
-class _Pick:
-    """Stands in for an rng whose uniform choice is fixed to ``j``."""
-
-    def __init__(self, j):
-        self.j = j
-
-    def randrange(self, n):
-        assert 0 <= self.j < n
-        return self.j
 
 
 def test_fifo_state_law_matches_label_sequence_oracle():
