@@ -31,12 +31,14 @@ solvers censor levels out exactly.  Block GTH censors the top level out one
 at a time, each level block factored by LAPACK, at a fixed cost of about
 16 us per level.  Where the levels are wide, the odd levels are censored out
 at once (an odd-level state jumps only to even levels, so no factoring is
-needed: one sparse product of two factors whose arrays are laid out
-straight from ``Q``'s) and Jacobi-preconditioned BiCGSTAB solves the
-balance equations of the even-level chain, pinned at the empty state; the
-odd levels follow in one step.  The level solver's accuracy is what the oracle tests check
-(1e-12 relative, entry by entry, against birth-death laws with entries
-below 1e-40); LU factoring is not subtraction-free.
+needed) and Jacobi-preconditioned BiCGSTAB solves the balance equations of
+the even-level chain, pinned at a central state chosen from the config;
+the censored generator is never formed, but applied as two sparse
+products of factors selected straight from ``Q``'s arrays, and the odd
+levels follow in one step.  :func:`krylov_peak_bytes` bounds the bytes
+that solve allocates.  The level solver's accuracy is what the oracle
+tests check (1e-12 relative, entry by entry, against birth-death laws
+with entries below 1e-40); LU factoring is not subtraction-free.
 
 scipy is imported by the functions that call it, so importing this module
 costs numpy alone.
@@ -59,7 +61,7 @@ from .errors import (
     TruncationTooSmall,
     Unsupported,
 )
-from .model import SystemConfig
+from .model import SystemConfig, central_counts
 from .policy import NONPREEMPTIVE, PREEMPTIVE
 
 if TYPE_CHECKING:
@@ -71,6 +73,7 @@ if TYPE_CHECKING:
 # smaller chains its ~16 us per level dominates (2 ms for 121 one-state levels).
 _GTH_MAX_WORK = 1e9
 _KRYLOV_TOL_REL = 1e-13
+_DIAGONAL_BLOCKS = 4  # row blocks of the censored chain's diagonal, each a scipy product
 _OBJECT_BYTES = 64 * 1024  # Python objects: array headers, the matrix, the closure
 
 
@@ -250,6 +253,79 @@ def generator_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
     diagonal = n * (1 + x) + 8 * (e - n) + max(e, n * (2 * x + 8 + 8))
     beyond = n * (8 + 1) + top * (8 + 16 * c + 6 * 8 * c * c)
     return held + max(departure, diagonal, beyond) + _OBJECT_BYTES
+
+
+def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
+    """An upper bound on the bytes :func:`stationary` allocates on its
+    Krylov branch (:func:`_bicgstab_even`) for the chain of
+    ``enumerate_states(cfg, kind, K)``, ``Q`` itself not counted, derived
+    from its arrays.
+
+    n, the top level's states t, e = n (3 n_classes + 1) entries and the
+    index size x are as in :func:`generator_peak_bytes`.  Level sizes never
+    fall, so the even- and odd-level counts n_E and n_O differ by at most
+    t and each is at most (n + t) / 2; a row has at most 3 n_classes rates,
+    so Q_EO and Q_OE hold at most eo = 3 n_classes n_E and
+    oe = 3 n_classes n_O.  The phases, each holding what the one before
+    left, with n-sized arrays (the parity flags, the positions within E or
+    O, the row lengths: 1 + 2x bytes per state) throughout the selection:
+
+    - the irreducibility check: scipy's labels and two stacks (int32),
+      with a transient, and int32 copies of ``indices`` and ``indptr``
+      where those are int64;
+    - the level check (:func:`_level_steps`): the rows and level steps (x
+      bytes per entry), the off-diagonal flag, and the larger of the row
+      levels' repeat (x per entry) and three one-byte flags per entry;
+    - the selection: the rows, four one-byte flags per entry;
+    - the factors: d and D_O (8 bytes per state) while the off-diagonal
+      flag lives; Q_EO's rates, columns and their gather, then its
+      transpose beside it (8 + x per entry each); D_O^{-1} Q_OE's rates,
+      the repeated D_O and its columns' gather (16 or 8 + 2x per entry);
+      later its transpose beside it, with the diagonal of Q_E;
+    - that diagonal (:func:`_censored_diagonal`), beside the factors, and
+      a vector of n_E more: its output and ``bincount``'s, and per block of
+      R = ceil(n_O / ``_DIAGONAL_BLOCKS``) rows scipy's product output
+      (8 + x per slot, for R (n_classes^2 + 6 n_classes) slots: an odd
+      state has at most n_classes^2 + 3 n_classes even sources, an arrival
+      and an abandonment per class and a service completion per class and
+      refilled class or none), its pruned copy and its int64 columns (at
+      most 3 n_classes per row);
+    - the iteration: the factors and fifteen vectors of n_E float64
+      (scipy's nine, the right-hand side, the preconditioner and at most
+      four inside one operator step or residual check), and one of n_O;
+    - pi, the residual check (two vectors of n) and the truncation deficit:
+      the level-K rows (at most 2 n_classes + 1 entries each) selected,
+      compared, upcast, multiplied (twice their entries, then pruned) and
+      summed against a vector of n ones.
+
+    The odd levels' pi, formed after the iteration, holds less than it.
+    Array headers and the matrix objects add a few kilobytes, bounded by
+    ``_OBJECT_BYTES``.
+    """
+    n = count_states(cfg, kind, K)
+    top = n - count_states(cfg, kind, K - 1)
+    c = cfg.n_classes
+    e = n * (3 * c + 1)
+    x = 4 if e <= np.iinfo(np.int32).max else 8
+    half = (n + top) // 2  # n_E and n_O
+    eo = oe = 3 * c * half
+    misc = (1 + 2 * x) * n
+    irreducible = 16 * n + (4 * (e + n + 1) if x == 8 else 0)
+    steps = (2 * x + 1) * e + max(x, 3) * e + 3 * x * n
+    select = (x + 4) * e + misc + 8 * n
+    transpose = 2 * e + misc + 8 * n + 2 * (8 + x) * eo + 2 * x * half
+    scale = e + misc + 8 * n + (8 + x) * eo + 3 * x * half + max(16, 8 + 2 * x) * oe
+    held = 8 * n + 8 * half + (8 + x) * (eo + oe) + 2 * x * (half + 1)
+    transpose_b = held + (8 + x) * oe + x * (half + 1)
+    rows = -(-half // _DIAGONAL_BLOCKS)
+    diagonal = (held + 24 * half + 3 * x * (rows + 1)
+                + rows * ((8 + x) * (c * c + 9 * c) + 24 * c))
+    iteration = held + 15 * 8 * half + 8 * half
+    t_e = top * (2 * c + 1)
+    deficit = 9 * n + 24 * top + 3 * x * (top + 1) + t_e * (4 * (8 + x) + 1 + x + 8)
+    after = 8 * n + max(16 * n, deficit)
+    return max(irreducible, steps, select, transpose, scale, transpose_b, diagonal,
+               iteration, after) + _OBJECT_BYTES
 
 
 @dataclass(frozen=True)
@@ -444,23 +520,6 @@ def _level_steps(Q: sparse.csr_matrix, level: np.ndarray):
     return row, off, step
 
 
-def _row_sums(data, indptr):
-    """Each CSR row's entries added left to right from 0.0, as ``np.bincount``
-    adds its weights.  The k-th entries of all rows are added at once, the
-    rows sorted longest first so that those holding a k-th entry are a
-    prefix; no temporary is longer than the row count."""
-    lens = np.diff(indptr)
-    order = np.argsort(lens)[::-1]
-    start = indptr[order]
-    longer = lens.size - np.cumsum(np.bincount(lens))  # [k]: the rows with more than k entries
-    sums = np.zeros(lens.size)
-    for k in range(lens.max(initial=0)):
-        sums[:longer[k]] += data[start[:longer[k]] + k]
-    out = np.empty(lens.size)
-    out[order] = sums
-    return out
-
-
 def _gth_levels(Q: sparse.csr_matrix, level: np.ndarray) -> np.ndarray:
     """Block GTH over population levels (linear level reduction).
 
@@ -539,132 +598,170 @@ class _ContractMet(Exception):
     """Carries the BiCGSTAB iterate that met the residual contract."""
 
 
-def _bicgstab(QT: sparse.spmatrix, tol: float) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned BiCGSTAB on QT[1:, 1:] x = -QT[1:, 0], pi = (1, x),
-    for the transpose QT of a generator.
-
-    That submatrix of an irreducible generator is a nonsingular M-matrix, so
-    its diagonal is nonzero.  It is applied as QT to (0, x), which adds
-    exact zeros only, so no submatrix is copied.  The pinned solution sums
-    to 1/pi[0], which no absolute tolerance can follow: every tenth iterate
-    is clipped, normalized and held to ``max|pi Q| <= tol`` instead, and
-    scipy's exit code is ignored.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import LinearOperator, bicgstab
-
-    n, iterations = QT.shape[0], 0
-    A = LinearOperator((n - 1, n - 1), dtype=float,
-                       matvec=lambda x: (QT @ np.concatenate([[0.0], x.ravel()]))[1:])
-
-    def normalized(x):
-        pi = np.maximum(np.concatenate([[1.0], x]), 0.0)
-        return pi / pi.sum()
-
-    def check(x):
-        nonlocal iterations
-        iterations += 1
-        if iterations % 10 == 0 and np.abs(QT @ normalized(x)).max() <= tol:
-            raise _ContractMet(x)
-
-    try:
-        x, _ = bicgstab(A, -QT[1:, 0].toarray().ravel(), rtol=0.0,
-                        M=sparse.diags(1.0 / QT.diagonal()[1:]), callback=check)
-    except _ContractMet as met:
-        x = met.args[0]
-    return normalized(x), iterations
+def central_state(idx: StateIndex) -> int:
+    """The index of the state at which the Krylov solve pins pi: the
+    central state ``z_i = round(rho_i r)`` of :func:`hwq.model.central_counts`,
+    on an even level; where its total is odd, the class whose count most
+    exceeds its load ``rho_i r`` has one customer fewer.  Its total is at
+    most n_servers <= K, so nobody waits and z fixes the state."""
+    cfg = idx.cfg
+    z = np.array(central_counts(cfg), dtype=np.int64)
+    if z.sum() % 2:
+        z[np.argmax(np.where(z > 0, z - np.asarray(cfg.rho_r), -np.inf))] -= 1
+    return int(idx.positions(z[None], _allocate_by_priority(z[None], cfg.n_servers))[0])
 
 
 def _censor_odd_levels(Q: sparse.csr_matrix, level: np.ndarray):
-    """The generator of the chain censored to the even levels.
+    """The factors of the generator of the chain censored to the even levels.
 
     Every off-diagonal rate must move one level, so the odd-level states O
     jump only to even-level states E and are eliminated exactly, with D_O
     the exit rates of O: Q_E = Q_EE + Q_EO D_O^{-1} Q_OE (the stochastic
-    complement; Meyer, SIAM Review 31, 1989).  Q_EE is diagonal, so the
-    off-diagonal part of Q_E is that of one product,
-    [Q_EO | I] [D_O^{-1} Q_OE ; I].  Both factors' CSR arrays are written
-    straight from ``Q``'s, selected by one-byte masks: each even row's rates
-    to O and then a unit entry, the odd rows' rates over D_O and then the
-    unit rows.  The unit path stores a diagonal entry in every row of the
-    product, also where no path E -> O -> E returns; each is then
-    overwritten, as in GTH, by minus its row's off-diagonal sum, so the
-    self-returns drop out.  D_O and those sums are added left to right
-    (:func:`_row_sums`).  Returns Q_E and D_O.  The masks are freed before
-    the product and the factors after it, so the peak is the two factors
-    and the product.
+    complement; Meyer, SIAM Review 31, 1989), and Q_EE is diagonal.  Q_E is
+    not formed.  Returns d, the diagonal of Q_EE; A^T = Q_EO^T, a row per
+    odd state, and B^T = (D_O^{-1} Q_OE)^T, a row per even state, so that
+    ``(v Q_E)^T = d v + B^T (A^T v)`` is two CSR products; D_O; and the
+    diagonal of Q_E (:func:`_censored_diagonal`).  d and D_O are read off
+    ``Q``'s diagonal.  Both factors are selected straight from ``Q``'s
+    arrays by one-byte masks, freed before the factors are built, and each
+    is transposed by scipy, B after the diagonal is taken.
     """
     from scipy import sparse
 
     row, off, step = _level_steps(Q, level)
-    del step
+    del row, step
     even = level % 2 == 0
     n_even = int(even.sum())
     n_odd = even.size - n_even
     itype = Q.indices.dtype
     pos = np.empty(even.size, dtype=itype)  # index within E or within O
     pos[even], pos[~even] = np.arange(n_even), np.arange(n_odd)
-    moves = np.diff(Q.indptr)  # each row's off-diagonal rates: its entries less the diagonal
-    moves[row[~off]] -= 1
+    # each row's off-diagonal rates: its entries less the diagonal, which an
+    # irreducible generator stores once in every row (nonzero)
+    moves = np.diff(Q.indptr) - 1
     from_even = np.repeat(even, np.diff(Q.indptr))  # even[row]
     eo = off & from_even  # the entries of Q_EO; Q_OE's are the other off-diagonal ones
     off &= ~from_even
-    del row, from_even
+    del from_even
+    diagonal = Q.diagonal()
+    d, exit_odd = diagonal[even], -diagonal[~even]
+    del diagonal
 
-    a_ptr = np.zeros(n_even + 1, dtype=itype)
-    np.cumsum(moves[even] + 1, out=a_ptr[1:])
-    unit = np.zeros(a_ptr[-1], dtype=bool)
-    unit[a_ptr[1:] - 1] = True  # the last entry of each row
-    a_data, a_cols = np.ones(a_ptr[-1]), np.empty(a_ptr[-1], dtype=itype)
-    a_cols[unit] = n_odd + np.arange(n_even, dtype=itype)
-    np.logical_not(unit, out=unit)
-    a_data[unit] = Q.data[eo]
-    a_cols[unit] = pos[Q.indices[eo]]
-    del unit, eo
-
-    n_oe = int(moves[~even].sum())
-    b_ptr = np.empty(n_odd + n_even + 1, dtype=itype)
-    b_ptr[0] = 0
-    np.cumsum(moves[~even], out=b_ptr[1:n_odd + 1])
-    b_ptr[n_odd + 1:] = n_oe + np.arange(1, n_even + 1, dtype=itype)
-    b_data, b_cols = np.ones(n_oe + n_even), np.empty(n_oe + n_even, dtype=itype)
-    b_data[:n_oe] = Q.data[off]
-    b_cols[:n_oe] = pos[Q.indices[off]]
-    b_cols[n_oe:] = np.arange(n_even, dtype=itype)
-    del off, pos, moves
-    exit_odd = _row_sums(b_data, b_ptr[:n_odd + 1])
-    b_data[:n_oe] /= np.repeat(exit_odd, np.diff(b_ptr[:n_odd + 1]))
-
-    QE = (sparse.csr_matrix((a_data, a_cols, a_ptr), shape=(n_even, n_odd + n_even))
-          @ sparse.csr_matrix((b_data, b_cols, b_ptr), shape=(n_odd + n_even, n_even)))
-    del a_data, a_cols, a_ptr, b_data, b_cols, b_ptr
-    row, off = _entry_rows(QE)
-    diag = np.flatnonzero(~off)  # one per row, in row order
-    del row, off
-    QE.data[diag] = 0.0
-    QE.data[diag] = -_row_sums(QE.data, QE.indptr)
-    return QE, exit_odd
+    ptr = np.zeros(n_even + 1, dtype=itype)
+    np.cumsum(moves[even], out=ptr[1:])
+    A = sparse.csr_matrix((Q.data[eo], pos[Q.indices[eo]], ptr), shape=(n_even, n_odd))
+    del eo, ptr
+    AT = A.T.tocsr()
+    del A
+    ptr = np.zeros(n_odd + 1, dtype=itype)
+    np.cumsum(moves[~even], out=ptr[1:])
+    rates = Q.data[off]
+    rates /= np.repeat(exit_odd, moves[~even])
+    B = sparse.csr_matrix((rates, pos[Q.indices[off]], ptr), shape=(n_odd, n_even))
+    del off, rates, pos, moves, ptr
+    diagonal = _censored_diagonal(d, AT, B)
+    BT = B.T.tocsr()
+    return d, AT, BT, exit_odd, diagonal
 
 
-def _bicgstab_even(Q: sparse.csr_matrix, level: np.ndarray, tol: float):
+def _censored_diagonal(d: np.ndarray, AT: sparse.csr_matrix, B: sparse.csr_matrix) -> np.ndarray:
+    """The diagonal of Q_E = diag(d) + A B, ``d + colsum(A^T o B)``: for
+    each even state, the rate of its paths E -> O -> E back to itself.  The
+    elementwise product of the two odd-row factors is taken by scipy in
+    ``_DIAGONAL_BLOCKS`` blocks of rows, on views of their arrays, so that
+    its output is a fraction of the factors."""
+    from scipy import sparse
+
+    out = d.copy()
+    rows = -(-B.shape[0] // _DIAGONAL_BLOCKS)
+    for a in range(0, B.shape[0], rows):
+        b = min(a + rows, B.shape[0])
+        part = [sparse.csr_matrix((M.data[M.indptr[a]:M.indptr[b]],
+                                   M.indices[M.indptr[a]:M.indptr[b]],
+                                   M.indptr[a:b + 1] - M.indptr[a]), shape=(b - a, M.shape[1]))
+                for M in (AT, B)]
+        paths = part[0].multiply(part[1])
+        out += np.bincount(paths.indices, weights=paths.data, minlength=out.size)
+    return out
+
+
+def _bicgstab(d: np.ndarray, AT: sparse.csr_matrix, BT: sparse.csr_matrix,
+              diagonal: np.ndarray, pin: int, tol: float) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned BiCGSTAB on the balance equations pi Q_E = 0 of
+    Q_E = diag(d) + A B, pinned at pi[pin] = 1: the unknowns are the other
+    entries x of pi, and the system is column ``pin`` of Q_E^T taken out,
+    ``(Q_E^T)[~pin, ~pin] x = -(Q_E^T)[~pin, pin]``.
+
+    Q_E^T is applied as ``v -> d v + B^T (A^T v)`` to pi with x in place
+    and 0 at ``pin``, and the preconditioner divides entry by entry by
+    ``diagonal``, the exact diagonal of Q_E.  That submatrix of an
+    irreducible generator is a nonsingular M-matrix, so its diagonal is
+    nonzero.  The pinned solution sums to 1/pi[pin], which no absolute
+    tolerance can follow: every tenth iterate is clipped, normalized and
+    held to ``max|pi Q_E| <= tol`` instead, and scipy's exit code is ignored.
+    The pin is a central state (:func:`central_state`), where pi is not
+    small; at the empty state, where pi falls like e^-r, the sum 1/pi[pin]
+    outgrows what the iteration can resolve.
+    """
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+
+    n, iterations = d.size, 0
+
+    def apply(v):  # (v Q_E)^T for a row vector v over E
+        out = BT @ (AT @ v)
+        out += d * v
+        return out
+
+    def pinned(x, at_pin):  # x with at_pin inserted at the pin
+        return np.concatenate((x[:pin], [at_pin], x[pin:]))
+
+    def normalized(x):
+        pi = np.maximum(pinned(x, 1.0), 0.0)
+        return pi / pi.sum()
+
+    def check(x):
+        nonlocal iterations
+        iterations += 1
+        if iterations % 10 == 0 and np.abs(apply(normalized(x))).max() <= tol:
+            raise _ContractMet(x)
+
+    unit = np.zeros(n)
+    unit[pin] = 1.0
+    rhs = -np.delete(apply(unit), pin)
+    del unit
+    inverse = 1.0 / np.delete(diagonal, pin)
+    shape = (n - 1, n - 1)
+    system = LinearOperator(shape, dtype=float,
+                            matvec=lambda x: np.delete(apply(pinned(x.ravel(), 0.0)), pin))
+    jacobi = LinearOperator(shape, dtype=float, matvec=lambda x: x.ravel() * inverse)
+    try:
+        x, _ = bicgstab(system, rhs, rtol=0.0, M=jacobi, callback=check)
+    except _ContractMet as met:
+        x = met.args[0]
+    return normalized(x), iterations
+
+
+def _bicgstab_even(Q: sparse.csr_matrix, level: np.ndarray, tol: float, pin: int):
     """BiCGSTAB on the chain censored to the even levels, then the odd levels.
 
     pi_E solves Q_E (see :func:`_censor_odd_levels`) by :func:`_bicgstab`,
-    pinned at the first even-level state (the empty state, where states are
-    numbered level by level), and pi_O = pi_E Q_EO D_O^{-1}; then pi is
+    pinned at the even-level state ``pin`` (:func:`central_state` in
+    :func:`stationary`), and pi_O = pi_E Q_EO D_O^{-1}; then pi is
     normalized.  (pi Q)_O = 0 by construction and (pi Q)_E = pi_E Q_E, and
     normalizing over O as well only divides, so the contract
-    ``max|pi Q| <= tol`` met on Q_E holds on Q.  Half the
-    states are solved for, and the Jacobi iteration of this two-cyclic
-    system has the square of the full one's spectrum (cyclic reduction), so
-    it takes about half the iterations.
+    ``max|pi Q| <= tol`` met on Q_E holds on Q.  Half the states are solved
+    for, and the Jacobi iteration of this two-cyclic system has the square
+    of the full one's spectrum (cyclic reduction), so it takes about half
+    the iterations.
     """
-    QE, exit_odd = _censor_odd_levels(Q, level)
-    pi_even, iterations = _bicgstab(QE.T, tol)  # QE.T is a CSC view: no copy
-    odd = level % 2 == 1
-    pi = np.zeros(odd.size)
-    pi[~odd] = pi_even
-    pi[odd] = (Q.T @ pi)[odd] / exit_odd  # pi_E Q_EO, as pi is 0 on O
+    even = level % 2 == 0
+    d, AT, BT, exit_odd, diagonal = _censor_odd_levels(Q, level)
+    pi_even, iterations = _bicgstab(d, AT, BT, diagonal, int(np.count_nonzero(even[:pin])),
+                                    tol)
+    del d, BT, diagonal
+    pi = np.empty(even.size)
+    pi[even] = pi_even
+    pi[~even] = (AT @ pi_even) / exit_odd
     return pi / pi.sum(), iterations
 
 
@@ -701,8 +798,10 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
     Block GTH over population levels, the level blocks factored by LAPACK,
     when its work n * w^2 (w the widest level) is at most ``_GTH_MAX_WORK``;
     above, BiCGSTAB on the chain censored to the even levels, with the odd
-    levels eliminated exactly (:func:`_bicgstab_even`).  Both refuse a rate
-    that moves other than one level.  The result must meet the residual
+    levels eliminated exactly and the censored generator applied, not
+    formed (:func:`_bicgstab_even`), pinned at :func:`central_state`; it
+    allocates at most :func:`krylov_peak_bytes`.  Both refuse a rate that
+    moves other than one level.  The result must meet the residual
     contract ``max|pi Q| <= tol * max exit rate`` on the full ``Q``,
     tol = 1e-10 for GTH and ``_KRYLOV_TOL_REL`` for BiCGSTAB.
     """
@@ -713,7 +812,8 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
         method, pi, iterations, tol = "gth", _gth_levels(gen.Q, level), 0, 1e-10
     else:
         method, tol = "bicgstab", _KRYLOV_TOL_REL
-        pi, iterations = _bicgstab_even(gen.Q, level, tol * gen.max_exit_rate)
+        pi, iterations = _bicgstab_even(gen.Q, level, tol * gen.max_exit_rate,
+                                        central_state(gen.idx))
     residual = float(np.abs(gen.Q.T @ pi).max())
     if residual > tol * gen.max_exit_rate:
         raise NotConverged(f"{method} residual {residual:g} exceeds {tol:g} * max rate "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,17 @@ def build_config(classes, r: float, a: float) -> SystemConfig:
     return SystemConfig(classes=classes, r=float(r), a=float(a), n_servers=n_servers)
 
 
+def central_counts(cfg: SystemConfig) -> tuple[int, ...]:
+    """The counts ``z_i = round(rho_i * r)`` of the central state, their
+    total capped at ``n_servers`` by lowering the last classes, so that no
+    customer waits in it."""
+    counts, room = [], cfg.n_servers
+    for load in cfg.rho_r:
+        counts.append(min(round(load), room))
+        room -= counts[-1]
+    return tuple(counts)
+
+
 def nominal_utilization(cfg: SystemConfig) -> float:
     """Offered work per server: ``sum_i lam_i*r/mu_i / n_servers``.
 
@@ -143,24 +155,6 @@ class MacroState:
     psi: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ScaledArrays:
-    """Diffusion-scaled observables of an array of macro states (one per row).
-
-    ``phi_hat`` is the scaled workload ``sum_i z_hat_i / mu_i`` and ``z_hat_a
-    = min(z_hat_total, a_eff)``.  Entries are 1-d float arrays of length
-    n_states except ``z_hat``, which is (n_states, n_classes).
-    """
-
-    z_hat: np.ndarray
-    z_hat_total: np.ndarray
-    phi_hat: np.ndarray
-    q_hat: np.ndarray
-    z_hat_a: np.ndarray
-    sum_z_hat_plus: np.ndarray
-    sum_z_hat_minus: np.ndarray
-
-
 def _sum_classes(A: np.ndarray) -> np.ndarray:
     """Row sums of ``A`` (n_states, n_classes), the class columns added in
     order: bit for bit ``A.sum(axis=1)`` below 8 classes, where numpy adds
@@ -173,20 +167,49 @@ def _sum_classes(A: np.ndarray) -> np.ndarray:
     return total
 
 
+class ScaledArrays:
+    """Diffusion-scaled observables of an array of macro states (one per row).
+
+    ``phi_hat`` is the scaled workload ``sum_i z_hat_i / mu_i`` and ``z_hat_a
+    = min(z_hat_total, a_eff)``.  Entries are 1-d float arrays of length
+    n_states except ``z_hat``, which is (n_states, n_classes).  Each is
+    computed on first use and kept, so a caller pays only for those it
+    reads.
+    """
+
+    def __init__(self, Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig):
+        self._Z, self._PSI, self._cfg = Z, PSI, cfg
+
+    @cached_property
+    def z_hat(self) -> np.ndarray:
+        return (self._Z - np.asarray(self._cfg.rho_r)) / self._cfg.sqrt_r
+
+    @cached_property
+    def z_hat_total(self) -> np.ndarray:
+        return _sum_classes(self.z_hat)
+
+    @cached_property
+    def phi_hat(self) -> np.ndarray:
+        return _sum_classes(self.z_hat / np.asarray(self._cfg.mus))
+
+    @cached_property
+    def q_hat(self) -> np.ndarray:
+        return _sum_classes(self._Z - self._PSI) / self._cfg.sqrt_r
+
+    @cached_property
+    def z_hat_a(self) -> np.ndarray:
+        return np.minimum(self.z_hat_total, self._cfg.a_eff)
+
+    @cached_property
+    def sum_z_hat_plus(self) -> np.ndarray:
+        return _sum_classes(np.maximum(self.z_hat, 0.0))
+
+    @cached_property
+    def sum_z_hat_minus(self) -> np.ndarray:
+        return _sum_classes(np.maximum(-self.z_hat, 0.0))
+
+
 def scale_arrays(Z: np.ndarray, PSI: np.ndarray, cfg: SystemConfig) -> ScaledArrays:
-    """Scaled observables for ``Z``/``PSI`` of shape (n_states, n_classes)."""
-    rho_r = np.asarray(cfg.rho_r)
-    mus = np.asarray(cfg.mus)
-    z_hat = (Z - rho_r) / cfg.sqrt_r
-    z_hat_total = _sum_classes(z_hat)
-    phi_hat = _sum_classes(z_hat / mus)
-    q_hat = _sum_classes(Z - PSI) / cfg.sqrt_r
-    return ScaledArrays(
-        z_hat=z_hat,
-        z_hat_total=z_hat_total,
-        phi_hat=phi_hat,
-        q_hat=q_hat,
-        z_hat_a=np.minimum(z_hat_total, cfg.a_eff),
-        sum_z_hat_plus=_sum_classes(np.maximum(z_hat, 0.0)),
-        sum_z_hat_minus=_sum_classes(np.maximum(-z_hat, 0.0)),
-    )
+    """Scaled observables for ``Z``/``PSI`` of shape (n_states, n_classes),
+    each computed when first read."""
+    return ScaledArrays(Z, PSI, cfg)

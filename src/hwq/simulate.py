@@ -106,7 +106,7 @@ from operator import mul, sub
 import numpy as np
 
 from .errors import CycleTimeout
-from .model import MacroState, SystemConfig
+from .model import MacroState, SystemConfig, central_counts
 from .policy import QUEUE, SERVICE, init_state
 
 _REGENERATIVE_MAX_R = 50.0  # choose_estimator's limits on r and nu_max
@@ -686,16 +686,14 @@ def _policy_events(cfg: SystemConfig, kind: str, rng, central: bool = False):
     """The :class:`Path` and the kernel generator of a fresh state of
     ``kind``: the empty state, or with ``central`` the regeneration state
     ``z_i = round(rho_i * r)``, its total capped at ``n_servers`` by
-    lowering the last classes.  That state is built from the empty one by
-    the policy's own arrivals; no customer waits in it, so its counts fix
-    it for every policy, a FIFO queue included (it is empty)."""
+    lowering the last classes (:func:`hwq.model.central_counts`).  That
+    state is built from the empty one by the policy's own arrivals; no
+    customer waits in it, so its counts fix it for every policy, a FIFO
+    queue included (it is empty)."""
     if isinstance(rng, RngStream):
         rng = rng.make()
     state = init_state(cfg, kind)
-    room = cfg.n_servers
-    for i, load in enumerate(cfg.rho_r if central else ()):
-        n = min(round(load), room)
-        room -= n
+    for i, n in enumerate(central_counts(cfg) if central else ()):
         for _ in range(n):
             state.apply_arrival(i, rng)
     path = Path()

@@ -39,12 +39,14 @@ from hwq.exact import (
     _gth_levels,
     abar_vector,
     build_generator,
+    central_state,
     check_chain_fits,
     count_states,
     enumerate_states,
     expectation,
     generator_peak_bytes,
     import_scipy,
+    krylov_peak_bytes,
     negpart_square_bound,
     negpart_square_mgf,
     off_diagonal,
@@ -147,6 +149,27 @@ def test_generator_peak_bytes_bound_the_build(cfg, K):
         tracemalloc.stop()
     assert gen.Q.nnz < idx.n_states * (3 * cfg.n_classes + 1)  # some slots cannot fire
     assert peak <= generator_peak_bytes(cfg, NONPREEMPTIVE, K)
+
+
+@pytest.mark.parametrize("cfg, K", [
+    (TWO_CLASS_AB, 84),  # the exact_wide chain
+    (build_config([ClassParams(0.3, 1.0, 0.5), ClassParams(0.8, 2.0, 1.0),
+                   ClassParams(0.9, 3.0, 2.0)], 9.0, 1.0), 24),
+], ids=["exact_wide", "three_class_r9_K24"])
+def test_krylov_peak_bytes_bound_the_solve(cfg, K):
+    # the derived bound against the bytes the Krylov solve allocates, traced
+    gen = build_generator(enumerate_states(cfg, NONPREEMPTIVE, K))
+    import_scipy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sv = stationary(gen)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sv.method == "bicgstab"
+    assert peak <= krylov_peak_bytes(cfg, NONPREEMPTIVE, K)
 
 
 def test_state_index_memory_refusal():
@@ -369,37 +392,79 @@ def _assert_close(pi, oracle, tv_max, abs_max):
 def test_gth_bicgstab_agreement(cfg, kind, K, tv_max, abs_max):
     gen = build_generator(enumerate_states(cfg, kind, K))
     pi_gth = _gth_levels(gen.Q, _levels(gen))
-    pi_k, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate)
+    pi_k, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate,
+                                      central_state(gen.idx))
     assert iterations > 0
     assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
     _assert_close(pi_k, pi_gth, tv_max, abs_max)
 
 
-def _sorted_rows(M):
-    """The entries of a CSR matrix, each row's sorted by column."""
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    order = np.lexsort((M.indices, rows))
-    return M.indices[order], M.data[order]
+def test_bicgstab_central_pin_at_r100():
+    # the preemptive r = 100 chain at default K (54,946 states): pinned at the
+    # empty state, whose mass is about 4e-44, BiCGSTAB misses the contract
+    cfg = build_config(TWO_CLASS_AB.classes, 100.0, 1.0)
+    gen = build_generator(enumerate_states(cfg, PREEMPTIVE, default_truncation(cfg)))
+    assert gen.idx.n_states == 54_946
+    pi_gth = _gth_levels(gen.Q, _levels(gen))
+    pi_k, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate,
+                                      central_state(gen.idx))
+    assert iterations > 0
+    assert np.abs(gen.Q.T @ pi_k).max() <= _KRYLOV_TOL_REL * gen.max_exit_rate
+    _assert_close(pi_k, pi_gth, 1e-9, 1e-10)
+
+
+@pytest.mark.parametrize("classes, r, z", [
+    (TWO_CLASS_AB.classes, 16.0, (8, 8)),  # the exact_wide pin
+    ([ClassParams(0.4, 1.0, 0.5), ClassParams(1.2, 2.0, 1.0)], 9.0, (3, 5)),  # (4, 5), odd
+    ([ClassParams(1.0, 1.0, 0.0)], 9.0, (8,)),  # 9, odd
+], ids=["exact_wide", "odd_two_class", "odd_one_class"])
+def test_central_state_is_on_an_even_level(classes, r, z):
+    # z_i = round(rho_i r); on an odd total, the class furthest above its
+    # load loses one customer.  Nobody waits, so psi = z under either policy
+    cfg = build_config(classes, r, 1.0)
+    for kind in (PREEMPTIVE, NONPREEMPTIVE):
+        idx = enumerate_states(cfg, kind, cfg.n_servers + 4)
+        i = central_state(idx)
+        assert tuple(idx.z[i]) == z and tuple(idx.psi[i]) == z
 
 
 @pytest.mark.parametrize("cfg, K", [
     (TWO_CLASS_AB, 84),  # the exact_wide chain
     (build_config(THREE_CLASS_AB.classes, 9.0, 1.0), 24),
     # nu = 0: 91 of the 1,336 even states have no path E -> O -> E back to
-    # themselves, so only the unit path gives their row a diagonal entry
+    # themselves, so their diagonal is d alone
     (build_config([ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 2.0, 0.0)], 9.0, 1.0), 30),
 ], ids=["exact_wide", "three_class_r9_K24", "two_class_nu0_K30"])
-def test_censored_chain_matches_stacked_product(cfg, K):
-    # D_O and every entry of Q_E, bit for bit, against scipy's block stacking
+def test_censored_operator_matches_stacked_product(cfg, K):
+    # D_O, the Jacobi diagonal and v -> d v + B^T (A^T v) against the Q_E
+    # that scipy's block stacking forms.  Every rate is positive, and each
+    # value either side computes is a sum of products of rates, v and one
+    # quotient, reached in at most m floating-point steps, m from the row
+    # lengths; the exact values agree, since Q's diagonal is minus its row
+    # sums.  So each side is within gamma_m times the sum of its terms'
+    # magnitudes of the exact value (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, sec. 3.1), and the two within the sum.
     idx = enumerate_states(cfg, NONPREEMPTIVE, K)
     Q = build_generator(idx).Q
-    QE, exit_odd = _censor_odd_levels(Q, idx.level)
+    d, AT, BT, exit_odd, diag = _censor_odd_levels(Q, idx.level)
     want, want_exit = censor_odd_levels_stacked(Q, idx.level)
-    assert np.array_equal(exit_odd.view(np.int64), want_exit.view(np.int64))
-    assert np.array_equal(QE.indptr, want.indptr)
-    (cols, vals), (want_cols, want_vals) = _sorted_rows(QE), _sorted_rows(want)
-    assert np.array_equal(cols, want_cols)
-    assert np.array_equal(vals.view(np.int64), want_vals.view(np.int64))
+    rows = lambda M: int(np.diff(M.indptr).max())
+    m = 2 * rows(Q) + rows(want) + max(rows(AT), rows(want.T.tocsr())) + 4
+    gamma = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+    assert np.all(np.abs(exit_odd - want_exit) <= gamma * (exit_odd + want_exit))
+
+    paths = diag - d  # the E -> O -> E returns, every term positive
+    assert paths.min() >= 0.0
+    if cfg.nu_min == 0.0:
+        assert (paths == 0.0).sum() == 91
+    want_diag = want.diagonal()
+    assert np.all(np.abs(diag - want_diag) <= gamma * (-d + paths - want_diag))
+
+    v = np.random.default_rng(33).random(d.size) + 0.5  # positive: |terms| are the terms
+    got = BT @ (AT @ v) + d * v
+    ref = want.T @ v
+    magnitude = (BT @ (AT @ v) - d * v) + abs(want).T @ v
+    assert np.all(np.abs(got - ref) <= gamma * magnitude)
 
 
 @pytest.mark.parametrize("K", [120, 121])
@@ -407,7 +472,8 @@ def test_bicgstab_even_erlang_a_oracle(K):
     # one state per level: the even levels form a birth-death chain of their own
     cfg = build_config([ClassParams(1.0, 1.0, 0.5)], 16.0, 1.0)
     gen = build_generator(enumerate_states(cfg, PREEMPTIVE, K))
-    pi, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate)
+    pi, iterations = _bicgstab_even(gen.Q, _levels(gen), _KRYLOV_TOL_REL * gen.max_exit_rate,
+                                    central_state(gen.idx))
     assert iterations > 0
     oracle = np.array(erlang_a_stationary(16.0, 1.0, 0.5, cfg.n_servers, K))
     _assert_close(pi, oracle, 1e-9, 1e-10)
@@ -512,8 +578,10 @@ def test_bicgstab_missing_contract_raises(tmp_path, capsys, monkeypatch):
 def test_bicgstab_breakdown_with_true_solution_is_accepted(monkeypatch):
     gen = _wide_generator()
     expected = stationary(gen).pi
-    # the solve runs on the even levels, pinned at the empty state
-    x_true = expected[_levels(gen) % 2 == 0][1:] / expected[0]
+    # the solve runs on the even levels, pinned at the central state
+    even = _levels(gen) % 2 == 0
+    pin = int(np.count_nonzero(even[:central_state(gen.idx)]))
+    x_true = np.delete(expected[even], pin) / expected[even][pin]
     monkeypatch.setattr(scipy.sparse.linalg, "bicgstab",
                         lambda A, b, **kw: (x_true.copy(), -11))
     sv = stationary(gen)
