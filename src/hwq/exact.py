@@ -270,13 +270,12 @@ def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
     left, with n-sized arrays (the parity flags, the positions within E or
     O, the row lengths: 1 + 2x bytes per state) throughout the selection:
 
-    - the irreducibility check: scipy's labels and two stacks (int32),
-      with a transient, and int32 copies of ``indices`` and ``indptr``
-      where those are int64;
     - the level check (:func:`_level_steps`): the rows and level steps (x
       bytes per entry), the off-diagonal flag, and the larger of the row
-      levels' repeat (x per entry) and three one-byte flags per entry;
-    - the selection: the rows, four one-byte flags per entry;
+      levels' repeat (x per entry) and three one-byte flags per entry.
+      Since e >= 4n, it holds more than the irreducibility check before it
+      (scipy's labels and stacks, and int32 copies of an int64 ``indices``
+      and ``indptr``) and the selection's four flags per entry after it;
     - the factors: d and D_O (8 bytes per state) while the off-diagonal
       flag lives; Q_EO's rates, columns and their gather, then its
       transpose beside it (8 + x per entry each); D_O^{-1} Q_OE's rates,
@@ -310,9 +309,7 @@ def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
     half = (n + top) // 2  # n_E and n_O
     eo = oe = 3 * c * half
     misc = (1 + 2 * x) * n
-    irreducible = 16 * n + (4 * (e + n + 1) if x == 8 else 0)
     steps = (2 * x + 1) * e + max(x, 3) * e + 3 * x * n
-    select = (x + 4) * e + misc + 8 * n
     transpose = 2 * e + misc + 8 * n + 2 * (8 + x) * eo + 2 * x * half
     scale = e + misc + 8 * n + (8 + x) * eo + 3 * x * half + max(16, 8 + 2 * x) * oe
     held = 8 * n + 8 * half + (8 + x) * (eo + oe) + 2 * x * (half + 1)
@@ -324,8 +321,8 @@ def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
     t_e = top * (2 * c + 1)
     deficit = 9 * n + 24 * top + 3 * x * (top + 1) + t_e * (4 * (8 + x) + 1 + x + 8)
     after = 8 * n + max(16 * n, deficit)
-    return max(irreducible, steps, select, transpose, scale, transpose_b, diagonal,
-               iteration, after) + _OBJECT_BYTES
+    return max(steps, transpose, scale, transpose_b, diagonal, iteration,
+               after) + _OBJECT_BYTES
 
 
 @dataclass(frozen=True)
