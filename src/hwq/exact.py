@@ -31,12 +31,13 @@ solvers censor levels out exactly.  Block GTH censors the top level out one
 at a time, each level block factored by LAPACK, at a fixed cost of about
 16 us per level.  Where the levels are wide, the odd levels are censored out
 at once (an odd-level state jumps only to even levels, so no factoring is
-needed) and Jacobi-preconditioned BiCGSTAB solves the balance equations of
-the even-level chain, pinned at a central state chosen from the config;
-the censored generator is never formed, but applied as two sparse
-products of factors selected straight from ``Q``'s arrays, and the odd
-levels follow in one step.  :func:`krylov_peak_bytes` bounds the bytes
-that solve allocates.  The level solver's accuracy is what the oracle
+needed) and BiCGSTAB solves the balance equations of the even-level
+chain, pinned at a central state chosen from the config and
+preconditioned by ``Q``'s own diagonal on those levels; the censored
+generator is never formed, but applied as two sparse products of factors
+selected straight from ``Q``'s arrays and read transposed in place, and
+the odd levels follow in one step.  :func:`krylov_peak_bytes` bounds the
+bytes that solve allocates.  The level solver's accuracy is what the oracle
 tests check (1e-12 relative, entry by entry, against birth-death laws
 with entries below 1e-40); LU factoring is not subtraction-free.
 
@@ -73,7 +74,6 @@ if TYPE_CHECKING:
 # smaller chains its ~16 us per level dominates (2 ms for 121 one-state levels).
 _GTH_MAX_WORK = 1e9
 _KRYLOV_TOL_REL = 1e-13
-_DIAGONAL_BLOCKS = 4  # row blocks of the censored chain's diagonal, each a scipy product
 _OBJECT_BYTES = 64 * 1024  # Python objects: array headers, the matrix, the closure
 
 
@@ -277,21 +277,16 @@ def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
       (scipy's labels and stacks, and int32 copies of an int64 ``indices``
       and ``indptr``) and the selection's four flags per entry after it;
     - the factors: d and D_O (8 bytes per state) while the off-diagonal
-      flag lives; Q_EO's rates, columns and their gather, then its
-      transpose beside it (8 + x per entry each); D_O^{-1} Q_OE's rates,
-      the repeated D_O and its columns' gather (16 or 8 + 2x per entry);
-      later its transpose beside it, with the diagonal of Q_E;
-    - that diagonal (:func:`_censored_diagonal`), beside the factors, and
-      a vector of n_E more: its output and ``bincount``'s, and per block of
-      R = ceil(n_O / ``_DIAGONAL_BLOCKS``) rows scipy's product output
-      (8 + x per slot, for R (n_classes^2 + 6 n_classes) slots: an odd
-      state has at most n_classes^2 + 3 n_classes even sources, an arrival
-      and an abandonment per class and a service completion per class and
-      refilled class or none), its pruned copy and its int64 columns (at
-      most 3 n_classes per row);
-    - the iteration: the factors and fifteen vectors of n_E float64
-      (scipy's nine, the right-hand side, the preconditioner and at most
-      four inside one operator step or residual check), and one of n_O;
+      flag lives; Q_EO's rates, columns and their gather (8 + 2x per
+      entry) beside its one-byte flag, which the next step exceeds, as it
+      frees that flag and that gather and adds 16 or more per entry of
+      Q_OE; then, beside Q_EO's arrays (8 + x per entry, A^T's as they
+      are), D_O^{-1} Q_OE's rates, the repeated D_O and its columns'
+      gather (16 or 8 + 2x per entry);
+    - the iteration: the parity flags, d and D_O, the factors and fifteen
+      vectors of n_E float64 (scipy's nine, the right-hand side, the
+      preconditioner and at most four inside one operator step or residual
+      check), and one of n_O;
     - pi, the residual check (two vectors of n) and the truncation deficit:
       the level-K rows (at most 2 n_classes + 1 entries each) selected,
       compared, upcast, multiplied (twice their entries, then pruned) and
@@ -310,19 +305,13 @@ def krylov_peak_bytes(cfg: SystemConfig, kind: str, K: int) -> int:
     eo = oe = 3 * c * half
     misc = (1 + 2 * x) * n
     steps = (2 * x + 1) * e + max(x, 3) * e + 3 * x * n
-    transpose = 2 * e + misc + 8 * n + 2 * (8 + x) * eo + 2 * x * half
     scale = e + misc + 8 * n + (8 + x) * eo + 3 * x * half + max(16, 8 + 2 * x) * oe
-    held = 8 * n + 8 * half + (8 + x) * (eo + oe) + 2 * x * (half + 1)
-    transpose_b = held + (8 + x) * oe + x * (half + 1)
-    rows = -(-half // _DIAGONAL_BLOCKS)
-    diagonal = (held + 24 * half + 3 * x * (rows + 1)
-                + rows * ((8 + x) * (c * c + 9 * c) + 24 * c))
+    held = 9 * n + (8 + x) * (eo + oe) + 2 * x * (half + 1)
     iteration = held + 15 * 8 * half + 8 * half
     t_e = top * (2 * c + 1)
     deficit = 9 * n + 24 * top + 3 * x * (top + 1) + t_e * (4 * (8 + x) + 1 + x + 8)
     after = 8 * n + max(16 * n, deficit)
-    return max(steps, transpose, scale, transpose_b, diagonal, iteration,
-               after) + _OBJECT_BYTES
+    return max(steps, scale, iteration, after) + _OBJECT_BYTES
 
 
 @dataclass(frozen=True)
@@ -615,13 +604,13 @@ def _censor_odd_levels(Q: sparse.csr_matrix, level: np.ndarray):
     jump only to even-level states E and are eliminated exactly, with D_O
     the exit rates of O: Q_E = Q_EE + Q_EO D_O^{-1} Q_OE (the stochastic
     complement; Meyer, SIAM Review 31, 1989), and Q_EE is diagonal.  Q_E is
-    not formed.  Returns d, the diagonal of Q_EE; A^T = Q_EO^T, a row per
-    odd state, and B^T = (D_O^{-1} Q_OE)^T, a row per even state, so that
-    ``(v Q_E)^T = d v + B^T (A^T v)`` is two CSR products; D_O; and the
-    diagonal of Q_E (:func:`_censored_diagonal`).  d and D_O are read off
-    ``Q``'s diagonal.  Both factors are selected straight from ``Q``'s
-    arrays by one-byte masks, freed before the factors are built, and each
-    is transposed by scipy, B after the diagonal is taken.
+    not formed.  Returns d, the diagonal of Q_EE; A^T = Q_EO^T and
+    B^T = (D_O^{-1} Q_OE)^T, so that ``(v Q_E)^T = d v + B^T (A^T v)`` is
+    two sparse products; and D_O.  d and D_O are read off ``Q``'s diagonal.
+    The rows of A and B are selected straight from ``Q``'s arrays by
+    one-byte masks, freed before the factors are built, and each transpose
+    is the CSC reading of those CSR arrays, with the shape swapped: nothing
+    is copied.
     """
     from scipy import sparse
 
@@ -646,63 +635,46 @@ def _censor_odd_levels(Q: sparse.csr_matrix, level: np.ndarray):
 
     ptr = np.zeros(n_even + 1, dtype=itype)
     np.cumsum(moves[even], out=ptr[1:])
-    A = sparse.csr_matrix((Q.data[eo], pos[Q.indices[eo]], ptr), shape=(n_even, n_odd))
+    AT = sparse.csc_matrix((Q.data[eo], pos[Q.indices[eo]], ptr), shape=(n_odd, n_even))
     del eo, ptr
-    AT = A.T.tocsr()
-    del A
     ptr = np.zeros(n_odd + 1, dtype=itype)
     np.cumsum(moves[~even], out=ptr[1:])
     rates = Q.data[off]
     rates /= np.repeat(exit_odd, moves[~even])
-    B = sparse.csr_matrix((rates, pos[Q.indices[off]], ptr), shape=(n_odd, n_even))
-    del off, rates, pos, moves, ptr
-    diagonal = _censored_diagonal(d, AT, B)
-    BT = B.T.tocsr()
-    return d, AT, BT, exit_odd, diagonal
+    BT = sparse.csc_matrix((rates, pos[Q.indices[off]], ptr), shape=(n_even, n_odd))
+    return d, AT, BT, exit_odd
 
 
-def _censored_diagonal(d: np.ndarray, AT: sparse.csr_matrix, B: sparse.csr_matrix) -> np.ndarray:
-    """The diagonal of Q_E = diag(d) + A B, ``d + colsum(A^T o B)``: for
-    each even state, the rate of its paths E -> O -> E back to itself.  The
-    elementwise product of the two odd-row factors is taken by scipy in
-    ``_DIAGONAL_BLOCKS`` blocks of rows, on views of their arrays, so that
-    its output is a fraction of the factors."""
-    from scipy import sparse
+def _bicgstab_even(Q: sparse.csr_matrix, level: np.ndarray, tol: float, pin: int):
+    """BiCGSTAB on the chain censored to the even levels, then the odd levels.
 
-    out = d.copy()
-    rows = -(-B.shape[0] // _DIAGONAL_BLOCKS)
-    for a in range(0, B.shape[0], rows):
-        b = min(a + rows, B.shape[0])
-        part = [sparse.csr_matrix((M.data[M.indptr[a]:M.indptr[b]],
-                                   M.indices[M.indptr[a]:M.indptr[b]],
-                                   M.indptr[a:b + 1] - M.indptr[a]), shape=(b - a, M.shape[1]))
-                for M in (AT, B)]
-        paths = part[0].multiply(part[1])
-        out += np.bincount(paths.indices, weights=paths.data, minlength=out.size)
-    return out
-
-
-def _bicgstab(d: np.ndarray, AT: sparse.csr_matrix, BT: sparse.csr_matrix,
-              diagonal: np.ndarray, pin: int, tol: float) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned BiCGSTAB on the balance equations pi Q_E = 0 of
-    Q_E = diag(d) + A B, pinned at pi[pin] = 1: the unknowns are the other
-    entries x of pi, and the system is column ``pin`` of Q_E^T taken out,
-    ``(Q_E^T)[~pin, ~pin] x = -(Q_E^T)[~pin, pin]``.
-
-    Q_E^T is applied as ``v -> d v + B^T (A^T v)`` to pi with x in place
-    and 0 at ``pin``, and the preconditioner divides entry by entry by
-    ``diagonal``, the exact diagonal of Q_E.  That submatrix of an
-    irreducible generator is a nonsingular M-matrix, so its diagonal is
-    nonzero.  The pinned solution sums to 1/pi[pin], which no absolute
+    pi_E solves the balance equations pi_E Q_E = 0 of Q_E = diag(d) + A B
+    (see :func:`_censor_odd_levels`), pinned at pi_E = 1 at the even-level
+    state ``pin`` (:func:`central_state` in :func:`stationary`): the
+    unknowns are the other entries x of pi_E, and the system is the pin's
+    column of Q_E^T taken out, ``(Q_E^T)[~pin, ~pin] x = -(Q_E^T)[~pin, pin]``.
+    Q_E^T is applied as ``v -> d v + B^T (A^T v)`` to pi_E with x in place
+    and 0 at the pin, and the Jacobi preconditioner divides entry by entry
+    by d, minus the exit rates of E, which an irreducible chain keeps
+    nonzero.  The pinned solution sums to 1/pi_E[pin], which no absolute
     tolerance can follow: every tenth iterate is clipped, normalized and
-    held to ``max|pi Q_E| <= tol`` instead, and scipy's exit code is ignored.
-    The pin is a central state (:func:`central_state`), where pi is not
-    small; at the empty state, where pi falls like e^-r, the sum 1/pi[pin]
-    outgrows what the iteration can resolve.
+    held to ``max|pi_E Q_E| <= tol`` instead, and scipy's exit code is
+    ignored.  The pin is a central state, where pi is not small; at the
+    empty state, where pi falls like e^-r, the sum 1/pi_E[pin] outgrows
+    what the iteration can resolve.
+
+    Then pi_O = pi_E Q_EO D_O^{-1}, and pi is normalized.  (pi Q)_O = 0 by
+    construction and (pi Q)_E = pi_E Q_E, and normalizing over O as well
+    only divides, so the contract ``max|pi Q| <= tol`` met on Q_E holds on
+    Q.  Half the states are solved for, and the Jacobi iteration of this
+    two-cyclic system has the square of the full one's spectrum (cyclic
+    reduction), so it takes about half the iterations.
     """
     from scipy.sparse.linalg import LinearOperator, bicgstab
 
-    n, iterations = d.size, 0
+    even = level % 2 == 0
+    d, AT, BT, exit_odd = _censor_odd_levels(Q, level)
+    n, pin, iterations = d.size, int(np.count_nonzero(even[:pin])), 0
 
     def apply(v):  # (v Q_E)^T for a row vector v over E
         out = BT @ (AT @ v)
@@ -726,7 +698,7 @@ def _bicgstab(d: np.ndarray, AT: sparse.csr_matrix, BT: sparse.csr_matrix,
     unit[pin] = 1.0
     rhs = -np.delete(apply(unit), pin)
     del unit
-    inverse = 1.0 / np.delete(diagonal, pin)
+    inverse = 1.0 / np.delete(d, pin)
     shape = (n - 1, n - 1)
     system = LinearOperator(shape, dtype=float,
                             matvec=lambda x: np.delete(apply(pinned(x.ravel(), 0.0)), pin))
@@ -735,27 +707,8 @@ def _bicgstab(d: np.ndarray, AT: sparse.csr_matrix, BT: sparse.csr_matrix,
         x, _ = bicgstab(system, rhs, rtol=0.0, M=jacobi, callback=check)
     except _ContractMet as met:
         x = met.args[0]
-    return normalized(x), iterations
-
-
-def _bicgstab_even(Q: sparse.csr_matrix, level: np.ndarray, tol: float, pin: int):
-    """BiCGSTAB on the chain censored to the even levels, then the odd levels.
-
-    pi_E solves Q_E (see :func:`_censor_odd_levels`) by :func:`_bicgstab`,
-    pinned at the even-level state ``pin`` (:func:`central_state` in
-    :func:`stationary`), and pi_O = pi_E Q_EO D_O^{-1}; then pi is
-    normalized.  (pi Q)_O = 0 by construction and (pi Q)_E = pi_E Q_E, and
-    normalizing over O as well only divides, so the contract
-    ``max|pi Q| <= tol`` met on Q_E holds on Q.  Half the states are solved
-    for, and the Jacobi iteration of this two-cyclic system has the square
-    of the full one's spectrum (cyclic reduction), so it takes about half
-    the iterations.
-    """
-    even = level % 2 == 0
-    d, AT, BT, exit_odd, diagonal = _censor_odd_levels(Q, level)
-    pi_even, iterations = _bicgstab(d, AT, BT, diagonal, int(np.count_nonzero(even[:pin])),
-                                    tol)
-    del d, BT, diagonal
+    del d, BT, rhs, inverse
+    pi_even = normalized(x)
     pi = np.empty(even.size)
     pi[even] = pi_even
     pi[~even] = (AT @ pi_even) / exit_odd
@@ -796,7 +749,8 @@ def stationary(gen: SparseGenerator) -> StationaryVector:
     when its work n * w^2 (w the widest level) is at most ``_GTH_MAX_WORK``;
     above, BiCGSTAB on the chain censored to the even levels, with the odd
     levels eliminated exactly and the censored generator applied, not
-    formed (:func:`_bicgstab_even`), pinned at :func:`central_state`; it
+    formed (:func:`_bicgstab_even`), pinned at :func:`central_state` and
+    Jacobi-preconditioned by ``Q``'s diagonal on the even levels; it
     allocates at most :func:`krylov_peak_bytes`.  Both refuse a rate that
     moves other than one level.  The result must meet the residual
     contract ``max|pi Q| <= tol * max exit rate`` on the full ``Q``,

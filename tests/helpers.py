@@ -18,9 +18,9 @@ holding time ``-log(1 - u)/q`` of the uniform ``u`` the kernel yields.
 ``per_event_coupled`` does the same for the two coupling runners, with the
 time grid walked over the recorded event end times.  ``validate_macro_state`` is
 the invariant oracle for the policy states.  ``censor_odd_levels_stacked``
-forms the censored chain from scipy's block stacking, the oracle for the
-censored operator and diagonal that ``hwq.exact`` applies without forming
-that chain.  ``reference_jumps`` and
+forms the censored chain from scipy's block stacking, the oracle for
+``D_O`` and the censored operator that ``hwq.exact`` applies without
+forming that chain.  ``reference_jumps`` and
 ``reference_occupancy`` are the kernel and the accumulator as they were
 before the kernel cached each state's rates: a fresh rate table per event,
 scanned linearly, and a dict of running sums per state.  The cached kernel
@@ -227,11 +227,12 @@ def replay_generator(idx):
 def censor_odd_levels_stacked(Q, level):
     """The chain censored to the even levels, ``(Q_E, D_O)``, formed as
     ``hwq.exact._censor_odd_levels`` formed it before it wrote its factors'
-    arrays itself, and before it stopped forming it: the off-diagonal rates
-    in row order, the blocks Q_EO and D_O^{-1} Q_OE, and the product
-    [Q_EO | I] [D_O^{-1} Q_OE ; I] of scipy's ``hstack`` and ``vstack`` with
-    an identity; each diagonal entry of the product is then replaced by
-    minus its row's off-diagonal sum, by ``np.bincount``."""
+    arrays itself, and before it returned those factors, transposed, for
+    the operator ``v -> d v + B^T (A^T v)`` in place of Q_E: the
+    off-diagonal rates in row order, the blocks Q_EO and D_O^{-1} Q_OE, and
+    the product [Q_EO | I] [D_O^{-1} Q_OE ; I] of scipy's ``hstack`` and
+    ``vstack`` with an identity; each diagonal entry of the product is then
+    replaced by minus its row's off-diagonal sum, by ``np.bincount``."""
     n = Q.shape[0]
     row = np.repeat(np.arange(n, dtype=Q.indices.dtype), np.diff(Q.indptr))
     k = np.flatnonzero(Q.indices != row)
