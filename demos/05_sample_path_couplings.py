@@ -47,11 +47,11 @@ chain = InfServerChain(cfg, "nonpreemptive_priority", random.Random(0))
 chain.state.set_counts([20, 14], [17, 13])
 chain.g[:] = [19, 11]
 rates = chain.rates()
-names = ("arrival", "shared_service", "shared_queue", "g_only", "z_service", "z_queue")
+names = ("arrival", "shared_service", "shared_queue", "other_only", "z_service", "z_queue")
 print("\njoint rates at z=(20,14), psi=(17,13), G=(19,11):")
 for i in range(2):
     row = {name: rates[getattr(InfServerChain, name.upper()) * cfg.n_classes + i]
            for name in names}
     print(f"  class {i}: {row}")
 print("per class, with shared = shared_service + shared_queue and z_only =\n"
-      "z_service + z_queue: shared + g_only = mu*G, shared + z_only = mu*psi + nu*q")
+      "z_service + z_queue: shared + other_only = mu*G, shared + z_only = mu*psi + nu*q")

@@ -18,17 +18,26 @@ mu_i*G_i total and the primary marginal keeps its own law exactly, while
 G_i(t) <= Z_i(t) holds pathwise.
 
 Monotone comparison: given primary abandonment rates nu and modified rates
-nu' <= nu, a shadow count vector Z' >= Z evolves by copying primary arrivals,
-by thinning primary departures (on a class-j departure the shadow keeps its
-customer with probability p = Q_j (nu_j - nu'_j) / (nu_j Q_j + mu_j Psi_j),
-written in the cancelled form so nu_j = 0 is fine), and by shadow-only
-departures at rate nu'_j (Q'_j - Q_j) + mu_j (Psi'_j - Psi_j).  The shadow
-allocation mirrors the primary's servers first and fills the remainder by
-ascending class index, which keeps Psi_i <= Psi'_i and the shadow non-idling.
+nu' <= nu, a shadow count vector Z' >= Z copies primary arrivals, and each
+primary departure's rate is split in two: a class-j departure that the
+shadow follows, at its rate times 1 - p_j, and one that leaves the shadow's
+customer in place, at its rate times p_j, where
+p_j = Q_j (nu_j - nu'_j) / (nu_j Q_j + mu_j Psi_j), written in the cancelled
+form so nu_j = 0 is fine, and 0 where class j has no departure.  Shadow-only
+departures run at rate nu'_j (Q'_j - Q_j) + mu_j (Psi'_j - Psi_j), so the
+shadow dies at mu_j Psi'_j + nu'_j Q'_j in total.  A Markov coupling built
+by splitting transition rates has the same joint law as thinning each
+primary departure with a uniform (Massey, Math. Oper. Res. 12, 1987).  The
+shadow allocation mirrors the primary's servers first and fills the
+remainder by ascending class index, which keeps Psi_i <= Psi'_i and the
+shadow non-idling.
 
 Each comparison is a chain object (:class:`InfServerChain`,
-:class:`MonotoneChain`) holding the joint rate table, the jump rules and the
-ordering checks; the jump kernel of :mod:`hwq.simulate` drives it.
+:class:`MonotoneChain`) holding the joint rate table and the ordering
+checks; the jump kernel of :mod:`hwq.simulate` drives it.  Both share one
+six-block layout of categories, one set of block constants and one event
+rule (:class:`_CoupledChain`): they differ only in their second count
+list, G or Z', and in the rates of the blocks.
 ``rates()`` is a function of the count lists the chain declares,
 ``(G, z, psi)`` or ``(z, Z', psi)``, so the kernel builds each distinct
 joint state's table once and caches it.  Every ordering is a function of
@@ -46,11 +55,10 @@ raise means an implementation bug.
 
 The kernel memoizes each (state, category) successor of the joint
 chain: a revisit applies no action (see :func:`hwq.simulate.jumps`).
-Where a successor is not a function of the count lists, the chain's
-``branch`` hands the kernel a draw that runs on every event: the
-monotone thinning, drawn against the cached probability ``p``, and a
-FIFO primary's queue half, which keeps the queue outside the cache key
-and changes it live, its outcome (the class of the head a freed server
+The only successor that is not a function of the count lists is a FIFO
+primary's: the chain's ``branch`` hands the kernel the queue half, a
+draw that runs on every event, keeps the queue outside the cache key and
+changes it live, its outcome (the class of the head a freed server
 takes) picking the successor.  The kernel loads the chain's lists only
 on a cache miss from a state other than the one they hold and when the
 runner closes it, before its final check.  A chain keeps no event count:
@@ -97,8 +105,8 @@ from .simulate import (
 )
 
 
-# per block of the infinite-server table, the primary's event: an arrival
-# (None) or a departure from service or queue
+# per block of a coupling's table, the primary's event: an arrival (None)
+# or a departure from service or queue
 _SOURCES = (None, SERVICE, SERVICE, QUEUE, QUEUE)
 
 
@@ -108,61 +116,37 @@ def coupling_applies(cfg: SystemConfig, i: int, nu_prime: float | None = None) -
     return cfg.nus[i] <= cfg.mus[i] if nu_prime is None else 0.0 <= nu_prime <= cfg.nus[i]
 
 
-class InfServerChain:
-    """Primary policy state plus infinite-server counters G as a jump chain.
+class _CoupledChain:
+    """A primary policy state plus a second per-class count list ``other``
+    (the M/M/infinity counters G, or the shadow's Z') as a jump chain.
 
-    Each G-customer of class i is matched to a distinct live primary
-    customer of class i, in service first: ``m_s = min(G_i, psi_i)`` and
-    ``m_q = G_i - m_s``.  The rate table has six blocks of ``n_classes``
-    categories, in the order of the block constants below; the shared and
-    Z-only deaths are split by where the primary customer sits.  The rates
-    are a function of the count lists ``(G, z, psi)``, and so is
-    :meth:`check`, which ``rates()`` calls first: it checks ``G_i <= Z_i``
-    for every class, since a FIFO service completion or a preemptive
-    reallocation moves the psi of other classes too.
+    The rate table has six blocks of ``n_classes`` categories, in the
+    order of the block constants below: a shared arrival; a primary
+    service completion that ``other`` follows, losing a customer of the
+    same class, and one it does not follow; the same two for a primary
+    abandonment; and a death of ``other`` alone.  Every event's successor
+    is a function of the count lists but for a FIFO primary's queue half,
+    the chain's :meth:`branch` draw.  A subclass provides ``counts()``,
+    ``rates()`` and ``check()``.
     """
 
-    ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, G_ONLY = range(6)
+    ARRIVAL, SHARED_SERVICE, Z_SERVICE, SHARED_QUEUE, Z_QUEUE, OTHER_ONLY = range(6)
 
-    __slots__ = ("cfg", "rng", "state", "g", "_nc")
+    __slots__ = ("cfg", "rng", "state", "other", "_nc")
 
     def __init__(self, cfg: SystemConfig, kind: str, rng):
-        nc = cfg.n_classes
-        for i in range(nc):
-            if not coupling_applies(cfg, i):
-                raise HypothesisViolated(
-                    f"infinite-server comparison needs nu <= mu; class {i} has "
-                    f"nu = {cfg.nus[i]}, mu = {cfg.mus[i]}"
-                )
         self.cfg = cfg
         self.rng = rng
         self.state = init_state(cfg, kind)
-        self.g = [0] * nc
-        self._nc = nc
-
-    def counts(self):
-        return self.g, self.state.z, self.state.psi
+        self.other = [0] * cfg.n_classes
+        self._nc = cfg.n_classes
 
     def branch(self, k: int):
         """The primary's queue half of category ``k``'s event (see
-        :meth:`hwq.policy.FifoState.draw`); None for a G-only death and
-        for a priority primary."""
+        :meth:`hwq.policy.FifoState.draw`); None for a death of ``other``
+        alone and for a priority primary."""
         block, i = divmod(k, self._nc)
         return None if block == 5 else self.state.draw(i, _SOURCES[block], self.rng)
-
-    def rates(self) -> list[float]:
-        self.check()
-        cfg = self.cfg
-        ss, zs, sq, zq, go = [], [], [], [], []
-        for mu, nu, zi, pi, gi in zip(cfg.mus, cfg.nus, self.state.z, self.state.psi, self.g):
-            ms = gi if gi < pi else pi
-            mq = gi - ms
-            ss.append(mu * ms)
-            zs.append(mu * (pi - ms))
-            sq.append(nu * mq)
-            zq.append(nu * (zi - pi - mq))
-            go.append((mu - nu) * mq)
-        return [*cfg.arrival_rates, *ss, *zs, *sq, *zq, *go]
 
     def actions(self) -> list:
         return [(self._event, (block, i)) for block in range(6) for i in range(self._nc)]
@@ -172,22 +156,71 @@ class InfServerChain:
         given the ``outcome`` of its :meth:`branch` draw, which has already
         changed the primary's queue, the count half."""
         st = self.state
-        g = self.g
+        other = self.other
         if block == 0:  # shared arrival
             st.apply_arrival(i, self.rng, outcome)
-            g[i] += 1
-        elif block == 5:  # G-only death
-            g[i] -= 1
+            other[i] += 1
+        elif block == 5:  # death of other alone
+            other[i] -= 1
         else:
             st.apply_departure(i, _SOURCES[block], self.rng, outcome)
-            if block == 1 or block == 3:  # shared death
-                g[i] -= 1
+            if block == 1 or block == 3:  # followed by other
+                other[i] -= 1
+
+
+class InfServerChain(_CoupledChain):
+    """Primary policy state plus infinite-server counters G as a jump chain.
+
+    Each G-customer of class i is matched to a distinct live primary
+    customer of class i, in service first: ``m_s = min(G_i, psi_i)`` and
+    ``m_q = G_i - m_s``.  In the shared six-block table (see
+    :class:`_CoupledChain`, ``other`` is G) a followed departure is a
+    shared death, which kills a matched pair, and the last block is the
+    G-only death.  The rates are a function of the count lists
+    ``(G, z, psi)``, and so is :meth:`check`, which ``rates()`` calls
+    first: it checks ``G_i <= Z_i`` for every class, since a FIFO service
+    completion or a preemptive reallocation moves the psi of other classes
+    too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, cfg: SystemConfig, kind: str, rng):
+        for i in range(cfg.n_classes):
+            if not coupling_applies(cfg, i):
+                raise HypothesisViolated(
+                    f"infinite-server comparison needs nu <= mu; class {i} has "
+                    f"nu = {cfg.nus[i]}, mu = {cfg.mus[i]}"
+                )
+        super().__init__(cfg, kind, rng)
+
+    @property
+    def g(self) -> list[int]:
+        """The M/M/infinity counters: the live list ``other``."""
+        return self.other
+
+    def counts(self):
+        return self.other, self.state.z, self.state.psi
+
+    def rates(self) -> list[float]:
+        self.check()
+        cfg = self.cfg
+        ss, zs, sq, zq, go = [], [], [], [], []
+        for mu, nu, zi, pi, gi in zip(cfg.mus, cfg.nus, self.state.z, self.state.psi, self.other):
+            ms = gi if gi < pi else pi
+            mq = gi - ms
+            ss.append(mu * ms)
+            zs.append(mu * (pi - ms))
+            sq.append(nu * mq)
+            zq.append(nu * (zi - pi - mq))
+            go.append((mu - nu) * mq)
+        return [*cfg.arrival_rates, *ss, *zs, *sq, *zq, *go]
 
     def check(self) -> None:
         """Raise :class:`OrderingViolation` unless ``G_i <= Z_i`` for every
         class; the message names the ordering, and the runner adds the
         event."""
-        g = self.g
+        g = self.other
         z = self.state.z
         for j in range(self._nc):
             if g[j] > z[j]:
@@ -305,16 +338,18 @@ def run_infserver_coupled(cfg: SystemConfig, kind: str, n_events: int, rng,
     )
 
 
-class MonotoneChain:
+class MonotoneChain(_CoupledChain):
     """Primary policy state plus a larger shadow count vector Z' as a jump chain.
 
     The shadow has abandonment rates ``nu' <= nu``.  Its service allocation
     psi' mirrors the primary's servers and fills the remaining ones by
-    ascending class index (:meth:`allocate_shadow`).  The rate table has
-    four blocks of ``n_classes`` categories: coupled arrivals, primary
-    service completions, primary abandonments (both followed by the shadow
-    unless thinned, see :meth:`thinning_probability`), and shadow-only
-    departures.  The rates are a function of the count lists
+    ascending class index (:meth:`allocate_shadow`).  The rate table is
+    the shared six-block one (see :class:`_CoupledChain`, ``other`` is Z'):
+    each class-j primary departure, at rate ``mu_j psi_j`` from service or
+    ``nu_j Q_j`` from the queue, is split into one the shadow follows, at
+    that rate times ``1 - p_j``, and one it does not, at that rate times
+    ``p_j`` (:meth:`thinning_probability`); the last block is the
+    shadow-only departure.  The rates are a function of the count lists
     ``(z, Z', psi)``, since psi' is one of psi and Z'.  So is
     :meth:`check`, which ``rates()`` calls first: it calls
     :meth:`allocate_shadow`, which can move psi' of every class, then
@@ -325,7 +360,7 @@ class MonotoneChain:
     to read it at the current state.
     """
 
-    __slots__ = ("cfg", "nu_prime", "rng", "state", "zp", "psip", "_nc", "_n_srv")
+    __slots__ = ("nu_prime", "psip", "_n_srv")
 
     def __init__(self, cfg: SystemConfig, nu_prime, kind: str, rng):
         nc = cfg.n_classes
@@ -338,14 +373,15 @@ class MonotoneChain:
                     f"need 0 <= nu' <= nu per class; class {i}: "
                     f"nu' = {nu_prime[i]}, nu = {cfg.nus[i]}"
                 )
-        self.cfg = cfg
+        super().__init__(cfg, kind, rng)
         self.nu_prime = nu_prime
-        self.rng = rng
-        self.state = init_state(cfg, kind)
-        self.zp = [0] * nc
         self.psip = [0] * nc
-        self._nc = nc
         self._n_srv = cfg.n_servers
+
+    @property
+    def zp(self) -> list[int]:
+        """The shadow's counts Z': the live list ``other``."""
+        return self.other
 
     def allocate_shadow(self) -> tuple[int, int]:
         """Set psi' from psi and Z': mirror the primary, fill upward by class.
@@ -355,7 +391,7 @@ class MonotoneChain:
         :meth:`check` reuses.
         """
         psi = self.state.psi
-        zp = self.zp
+        zp = self.other
         psip = self.psip
         n_srv = self._n_srv
         total = sum(zp)
@@ -371,81 +407,38 @@ class MonotoneChain:
         return total, total_psi
 
     def thinning_probability(self, j: int) -> float:
-        """Probability that the shadow keeps its customer on a primary
-        class-j departure: ``Q_j (nu_j - nu'_j) / (nu_j Q_j + mu_j psi_j)``.
+        """Probability ``p_j`` that a primary class-j departure leaves the
+        shadow's customer in place:
+        ``Q_j (nu_j - nu'_j) / (nu_j Q_j + mu_j psi_j)``.
 
-        This cancelled form is well defined at nu_j = 0; the denominator is
-        the rate of primary class-j departures, positive whenever one occurs.
+        The denominator is the rate of primary class-j departures; where
+        it is 0, class j has no departure and ``p_j`` is 0, with no
+        division.  The cancelled form is well defined at nu_j = 0.
         """
         nu = self.cfg.nus[j]
         psi = self.state.psi[j]
         q = self.state.z[j] - psi
-        return q * (nu - self.nu_prime[j]) / (nu * q + self.cfg.mus[j] * psi)
+        rate = nu * q + self.cfg.mus[j] * psi
+        return q * (nu - self.nu_prime[j]) / rate if rate else 0.0
 
     def counts(self):
-        return self.state.z, self.zp, self.state.psi
-
-    def branch(self, k: int):
-        """The random choices of category ``k``'s event at the current
-        state, as ``(draw, outcomes)``, or None where there are none (a
-        shadow-only departure, a priority arrival).  An arrival has the
-        primary's queue half (see :meth:`hwq.policy.FifoState.draw`).  A
-        primary departure is thinned: the draw is the keep probability
-        :meth:`thinning_probability` itself, a float against which the
-        kernel compares a uniform (outcome 1: the shadow follows), unless
-        the primary's queue half draws too; then it is a function that
-        draws the queue half first, outcome ``h``, then the uniform, and
-        returns ``2 * h + 2`` plus 1 if the shadow follows."""
-        block, j = divmod(k, self._nc)
-        if block == 3:
-            return None
-        half = self.state.draw(j, (None, SERVICE, QUEUE)[block], self.rng)
-        if block == 0:
-            return half
-        p = self.thinning_probability(j)
-        if half is None:
-            return p, 2
-        queue_half, n = half
-        u01 = self.rng.random
-        return (lambda: 2 * queue_half() + 2 + (u01() >= p)), 2 * n + 2
+        return self.state.z, self.other, self.state.psi
 
     def rates(self) -> list[float]:
         self.check()
         cfg = self.cfg
-        svc, ab, shadow = [], [], []
-        for mu, nu, nup, zi, pi, zpi, ppi in zip(cfg.mus, cfg.nus, self.nu_prime, self.state.z,
-                                                 self.state.psi, self.zp, self.psip):
+        ss, zs, sq, zq, shadow = [], [], [], [], []
+        for j, (mu, nu, nup, zi, pi, zpi, ppi) in enumerate(zip(
+                cfg.mus, cfg.nus, self.nu_prime, self.state.z, self.state.psi, self.other,
+                self.psip)):
             qi = zi - pi
-            svc.append(mu * pi)
-            ab.append(nu * qi)
+            p = self.thinning_probability(j)
+            ss.append(mu * pi * (1.0 - p))
+            zs.append(mu * pi * p)
+            sq.append(nu * qi * (1.0 - p))
+            zq.append(nu * qi * p)
             shadow.append(nup * (zpi - ppi - qi) + mu * (ppi - pi))
-        return [*cfg.arrival_rates, *svc, *ab, *shadow]
-
-    def actions(self) -> list:
-        return [(self._event, (block, j)) for block in range(4) for j in range(self._nc)]
-
-    def _event(self, block: int, j: int, outcome: int | None = None) -> None:
-        """Apply one event of category ``(block, j)``: the whole event, or
-        given the ``outcome`` of its :meth:`branch` draw, which has made
-        the event's random choices, the count half."""
-        st = self.state
-        zp = self.zp
-        if block == 0:  # coupled arrival
-            st.apply_arrival(j, self.rng, outcome)
-            zp[j] += 1
-        elif block < 3:  # primary departure, followed by the shadow unless thinned
-            source = SERVICE if block == 1 else QUEUE
-            if outcome is None:
-                p = self.thinning_probability(j)
-                st.apply_departure(j, source, self.rng)
-                followed = self.rng.random() >= p
-            else:  # the primary's outcome, where its queue half drew, and the thinning's
-                st.apply_departure(j, source, self.rng, outcome // 2 - 1 if outcome > 1 else None)
-                followed = outcome & 1
-            if followed:
-                zp[j] -= 1
-        else:  # shadow-only departure
-            zp[j] -= 1
+        return [*cfg.arrival_rates, *ss, *zs, *sq, *zq, *shadow]
 
     def check(self) -> None:
         """Allocate the shadow's servers, then raise :class:`OrderingViolation`
@@ -456,7 +449,7 @@ class MonotoneChain:
         n_srv = self._n_srv
         z = self.state.z
         psi = self.state.psi
-        zp = self.zp
+        zp = self.other
         psip = self.psip
         idle = total_psi < n_srv
         for i in range(self._nc):

@@ -18,20 +18,20 @@ the total rate is ``sum_i lam_i*r + sum_i (mu_i*psi_i + nu_i*q_i)``.
 The cache also stores, per state and category, the successor the first
 event of that category reached: the visited part of the generator, built
 lazily.  Where an event's successor is not a function of the counts, the
-chain hands the kernel a draw, which makes the event's random choices,
-changes any state kept outside the counts, and returns which of a few
-outcomes occurred: the monotone thinning, or a FIFO queue, which stays
-outside the cache key and only picks the successor through the class of
-the head a freed server takes.  The slot then holds one successor per
-outcome.  A revisit costs the draws and a bisection, with no key, no
-lookup and no action, and the chain's count lists stop following the
-path; they are loaded with the current state on a miss from a state
-they do not hold and when the generator is closed.  So read a state the
-kernel held from its :class:`Path`; a FIFO queue stays live.  The memo
-changes no draw: the path and the random stream are those of an action
-applied on every event.  The cache names each successor by its state id,
-so it holds no reference cycle, and the estimators pause the cyclic
-garbage collector while the kernel runs (:func:`collector_paused`).
+chain hands the kernel a draw, a function that makes the event's random
+choices, changes any state kept outside the counts, and returns which of a
+few outcomes occurred: only a FIFO queue needs one, which stays outside
+the cache key and only picks the successor through the class of the head a
+freed server takes.  The slot then holds one successor per outcome.  A
+revisit costs the draws and a bisection, with no key, no lookup and no
+action, and the chain's count lists stop following the path; they are
+loaded with the current state on a miss from a state they do not hold and
+when the generator is closed.  So read a state the kernel held from its
+:class:`Path`; a FIFO queue stays live.  The memo changes no draw: the path
+and the random stream are those of an action applied on every event.  The
+cache names each successor by its state id, so it holds no reference
+cycle, and the estimators pause the cyclic garbage collector while the
+kernel runs (:func:`collector_paused`).
 
 Steady-state functionals are estimated two ways: the regenerative method
 (i.i.d. cycles between visits to a central state, ``z_i = round(rho_i*r)``
@@ -204,7 +204,8 @@ class Path:
     that category first fires from the state, then the target's id, or
     for a category whose event draws (the chain's ``branch``) a list
     ``[*targets, draw]`` of the target id of each outcome (None until that
-    outcome first occurs) and the draw.
+    outcome first occurs) and the draw, a function that returns the
+    outcome.
     ``ids`` is a typed array that receives, per event, the id of the state
     held, and ``cleared`` counts the events discarded from it.
     :meth:`take` hands it over as numpy arrays and clears it: the events'
@@ -307,9 +308,7 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
     source state the first time category ``k`` fires from it, and nothing
     else: the kernel calls no other method.  ``branch`` returns None
     when the successor is a function of the state; otherwise ``(draw,
-    outcomes)``: ``draw`` is either a probability ``p``, against which the
-    kernel compares a fresh uniform (outcome 1 when the uniform is at
-    least ``p``, else 0), or a function that makes the event's random
+    outcomes)``: ``draw`` is a function that makes the event's random
     choices, applies the event's change to any state outside the count
     lists (a FIFO queue), and returns the outcome, an index below
     ``outcomes``.  The kernel stores each (state, category) pair's
@@ -374,8 +373,7 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
                 yield u
                 continue
             if nxt is not None:  # a branching slot: [*successor ids, draw]
-                d = nxt[-1]
-                o = (u01() >= d) if d.__class__ is float else d()
+                o = nxt[-1]()
                 if nxt[o] is not None:
                     entry = entries[nxt[o]]
                     record_id(sid)
@@ -393,7 +391,7 @@ def jumps(chain, rng: random.Random, path: Path | None = None):
                 else:
                     d, n = drawn
                     nxt = slots[k] = [None] * n + [d]
-                    o = (u01() >= d) if d.__class__ is float else d()
+                    o = d()
             if nxt is not None:
                 apply(*args, o)
                 fill = nxt

@@ -39,7 +39,7 @@ def _infserver_blocks(chain, i):
         "arrival": r[C.ARRIVAL * nc + i],
         "shared": r[C.SHARED_SERVICE * nc + i] + r[C.SHARED_QUEUE * nc + i],
         "shared_service": r[C.SHARED_SERVICE * nc + i],
-        "g_only": r[C.G_ONLY * nc + i],
+        "g_only": r[C.OTHER_ONLY * nc + i],
         "z_only": r[C.Z_SERVICE * nc + i] + r[C.Z_QUEUE * nc + i],
     }
 
@@ -357,8 +357,8 @@ def test_kernel_reproduces_reference_stream(name, kind, monkeypatch):
     # every event's state and yielded uniform; then its folded record
     # against a dict of running sums: the occupancy, the span and the grid,
     # bit for bit, weighted by 1/q without a grid and by the holding times
-    # with one.  FIFO abandonments and the monotone thinning draw from the
-    # same stream, and small folds carry the sums across several of them
+    # with one.  FIFO abandonments draw from the same stream, and small
+    # folds carry the sums across several of them
     # the kernel's states are read from its path, the reference's from the
     # chain it moves on every event
     rng = random.Random(8)
@@ -400,8 +400,9 @@ def test_fifo_chain_fills_successor_slots(name):
     # picks which of a few successors an event reaches: the queue half is
     # drawn outside the cache key, so FIFO entries fill successor slots as
     # the preemptive chain's do, among them branching slots, a list of the
-    # successors ending in the draw (the preemptive policy and
-    # infinite-server chains draw nothing)
+    # successors ending in the draw; a chain with a priority primary draws
+    # nothing, the monotone coupling included, whose shadow follows a
+    # departure by a split of its rate
     filled = {}
     for kind in (FIFO, PREEMPTIVE):
         rng = random.Random(10)
@@ -413,7 +414,7 @@ def test_fifo_chain_fills_successor_slots(name):
         assert len(path.table) > 50
     assert len(filled[FIFO]) > 100 and len(filled[PREEMPTIVE]) > 100
     assert any(slot.__class__ is list for slot in filled[FIFO])
-    assert any(slot.__class__ is list for slot in filled[PREEMPTIVE]) == (name == "monotone")
+    assert not any(slot.__class__ is list for slot in filled[PREEMPTIVE])
 
 
 @pytest.mark.parametrize("kind", [PREEMPTIVE, NONPREEMPTIVE, FIFO])
@@ -459,7 +460,7 @@ def test_ordering_check_g_le_z():
     chain.state.set_counts([2, 0], [2, 0])
     chain.g[:] = [4, 0]
     with pytest.raises(OrderingViolation, match=r"G\[0\] = 3 > Z\[0\] = 2"):
-        _jump(chain, InfServerChain.G_ONLY * 2)  # G-only death: 4 -> 3, still > 2
+        _jump(chain, InfServerChain.OTHER_ONLY * 2)  # G-only death: 4 -> 3, still > 2
 
 
 ONE_CLASS = [ClassParams(1.0, 1.0, 0.5)]
@@ -469,14 +470,14 @@ def test_ordering_check_z_le_zprime():
     # an arrival moves both to Z = 4 > Z' = 3
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [3], [2])
     with pytest.raises(OrderingViolation, match=r"Z\[0\] = 4 > Z'\[0\] = 3"):
-        _jump(chain, 0)
+        _jump(chain, MonotoneChain.ARRIVAL)
 
 
 def test_ordering_check_psi_le_psiprime():
     # three in service on two servers; the shadow, capped at two, serves fewer
     chain = _monotone_chain(ONE_CLASS, 2, [0.0], [3], [3], [4])
     with pytest.raises(OrderingViolation, match=r"psi\[0\] = 3 > psi'\[0\] = 2"):
-        _jump(chain, 3)  # shadow-only departure: Z' = 3
+        _jump(chain, MonotoneChain.OTHER_ONLY)  # shadow-only departure: Z' = 3
 
 
 def test_ordering_check_q_le_qprime():
@@ -485,14 +486,14 @@ def test_ordering_check_q_le_qprime():
     # idling check would fail too, but the Q check comes first
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [4])
     with pytest.raises(OrderingViolation, match=r"Q\[0\] = 2 > Q'\[0\] = 0"):
-        _jump(chain, 3)
+        _jump(chain, MonotoneChain.OTHER_ONLY)  # shadow-only departure
 
 
 def test_ordering_check_primary_non_idling():
     # one of four servers busy with two waiting; the shadow's queue is longer
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [3], [1], [8])
     with pytest.raises(OrderingViolation, match=r"psi sums to 1 < 4 but Q\[0\] > 0"):
-        _jump(chain, 3)
+        _jump(chain, MonotoneChain.OTHER_ONLY)  # shadow-only departure
 
 
 def test_ordering_check_shadow_non_idling(monkeypatch):
@@ -504,7 +505,7 @@ def test_ordering_check_shadow_non_idling(monkeypatch):
     chain = _monotone_chain(ONE_CLASS, 4, [0.0], [1], [1], [3])
     chain.psip[:] = [1]
     with pytest.raises(OrderingViolation, match=r"psi' sums to 1, not min\(N, sum Z'\) = min\(4, 2\)"):
-        _jump(chain, 3)
+        _jump(chain, MonotoneChain.OTHER_ONLY)  # shadow-only departure
 
 
 # The one-step oracle: every transition of each coupling at every ordered
@@ -618,20 +619,13 @@ def _shadow_allocation(psi, zp):
 def _outcomes(chain, k, kind):
     """``(weight, rng stand-in)`` per outcome of the random choices an event
     of category ``k`` makes at the chain's state: a FIFO abandonment's
-    queued customer, each at 1/q, and the monotone thinning, kept at ``p``
-    and followed at ``1 - p``."""
+    queued customer, each at 1/q."""
     block, i = divmod(k, SMALL.n_classes)
     st = chain.state
     queued = st.z[i] - st.psi[i]
-    abandons = block in ((2,) if isinstance(chain, MonotoneChain)
-                         else (InfServerChain.SHARED_QUEUE, InfServerChain.Z_QUEUE))
-    picks = [(1.0 / queued, j) for j in range(queued)] if kind == FIFO and abandons \
-        else [(1.0, 0)]
-    draws = [(1.0, 0.0)]
-    if isinstance(chain, MonotoneChain) and block in (1, 2):
-        p = chain.thinning_probability(i)
-        draws = [(w, u) for w, u in ((p, 0.0), (1.0 - p, p)) if w > 0.0]
-    return [(wp * wu, _Choice(u, j)) for wp, j in picks for wu, u in draws]
+    if kind == FIFO and block in (chain.SHARED_QUEUE, chain.Z_QUEUE):
+        return [(1.0 / queued, _Choice(0.0, j)) for j in range(queued)]
+    return [(1.0, _Choice(0.0, 0))]
 
 
 @pytest.mark.parametrize("kind", KINDS)
